@@ -42,17 +42,15 @@ type experiment = {
   v_caffeine : Tft_rvf.Report.validation;
 }
 
-(* only forced in --json mode: the shared extraction then runs traced so
-   the bench JSON can report per-stage self times from the real span tree *)
-let tracer = lazy (Trace.create ())
+(* only forced in --json mode: the shared extraction then runs with a
+   hub so the bench JSON can report per-stage self times from the real
+   span tree *)
+let hub = lazy (Obs.create ())
 
 let experiment =
   lazy
-    (let trace =
-       if !json_path <> None then Some (Trace.main (Lazy.force tracer))
-       else None
-     in
-     let outcome = Tft_rvf.Pipeline.extract_buffer ?trace () in
+    (let obs = if !json_path <> None then Some (Lazy.force hub) else None in
+     let outcome = Tft_rvf.Pipeline.extract_buffer ?obs () in
      let caffeine =
        Caffeine.Cfit.extract ~dataset:outcome.Tft_rvf.Pipeline.dataset ~input:0
          ~output:0 ()
@@ -959,13 +957,13 @@ let sparse_tier () =
 let write_bench_json path targets =
   (* per-stage self times from the traced shared extraction, when a
      target (table1, figs) forced it in this run *)
-  if Lazy.is_val tracer then
+  if Lazy.is_val hub then
     List.iter
       (fun (a : Trace.agg) ->
         record
           (Printf.sprintf "trace.%s.self_seconds" a.Trace.agg_name)
           a.Trace.agg_self)
-      (Trace.aggregate (Lazy.force tracer));
+      (Trace.aggregate (Obs.tracer (Lazy.force hub)));
   let tm = Unix.gmtime (Unix.time ()) in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n  \"schema_version\": 1,\n  \"kind\": \"bench\",\n";

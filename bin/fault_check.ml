@@ -7,8 +7,10 @@
 
    With the tft_extract binary's path as argv(1), also validates the
    CLI failure contract end-to-end: an armed fault that defeats every
-   escalation rung must exit nonzero with a schema-versioned JSON error
-   object on stderr.
+   escalation rung, a malformed netlist, a bad flag combination and an
+   uncreatable directory must each exit 1 with a schema-versioned JSON
+   error object on stderr; an unknown enumerated flag value is a usage
+   error (exit 124). No input may end in an uncaught exception.
 
    Exits 0 and prints "fault ok" on success. Wired into `dune runtest`
    as the @fault-smoke alias. *)
@@ -90,49 +92,104 @@ let read_file path =
   close_in ic;
   s
 
-let check_cli_error_json exe =
-  (* dune hands over a path relative to the rule's directory; anchor it
-     so the shell doesn't fall back to a $PATH lookup *)
-  let exe =
-    if Filename.is_relative exe && not (String.contains exe '/') then
-      Filename.concat Filename.current_dir_name exe
-    else exe
-  in
-  (* seed 40: fire_at 1, burst 6 — defeats all five escalation rungs,
-     forcing the structured-error exit path *)
+let write_file path text =
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc
+
+(* run tft_extract with [args]; returns the exit status and stderr *)
+let run_cli exe args =
   let err = Filename.temp_file "fault_check" ".stderr" in
   let cmd =
-    Printf.sprintf
-      "%s --builtin buffer --snapshots 30 --guard --fault rvf.trace_nan:40 \
-       > /dev/null 2> %s"
-      (Filename.quote exe) (Filename.quote err)
+    Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote err)
   in
   let status = Sys.command cmd in
-  if status <> 1 then fail "cli: expected exit 1 on exhausted ladder, got %d" status;
   let text = read_file err in
   Sys.remove err;
-  (* stderr leads with the fault fire-count line; the JSON object follows *)
+  (status, text)
+
+(* the structured error object on stderr (it may follow progress
+   lines such as the fault fire count) *)
+let error_object ~what text =
   match String.index_opt text '{' with
-  | None -> fail "cli: no JSON error object on stderr"
+  | None ->
+      fail "%s: no JSON error object on stderr" what;
+      None
   | Some i -> (
       let json = String.sub text i (String.length text - i) in
       match Minijson.parse json with
       | exception Minijson.Parse_error msg ->
-          fail "cli: stderr JSON does not parse: %s" msg
+          fail "%s: stderr JSON does not parse: %s" what msg;
+          None
       | root ->
           if Minijson.num_field root "schema_version" <> Some 1.0 then
-            fail "cli: error object schema_version <> 1";
-          let error = Option.value ~default:Minijson.Null (Minijson.field root "error") in
+            fail "%s: error object schema_version <> 1" what;
+          let error =
+            Option.value ~default:Minijson.Null (Minijson.field root "error")
+          in
           if Minijson.str_field error "stage" = None then
-            fail "cli: error object missing error.stage";
+            fail "%s: error object missing error.stage" what;
           if Minijson.str_field error "message" = None then
-            fail "cli: error object missing error.message";
-          (match Minijson.num_field root "fit_retries" with
-          | Some r when r >= 5.0 -> ()
-          | _ -> fail "cli: fit_retries missing or < 5 with the ladder exhausted");
+            fail "%s: error object missing error.message" what;
           if Minijson.arr_field root "events" = None then
-            fail "cli: error object missing events array";
-          Printf.printf "  %-24s exit 1 + JSON error object\n%!" "cli contract")
+            fail "%s: error object missing events array" what;
+          Some root)
+
+let check_cli_error_json exe =
+  (* seed 40: fire_at 1, burst 6 — defeats all five escalation rungs,
+     forcing the structured-error exit path *)
+  let status, text =
+    run_cli exe
+      [ "--builtin"; "buffer"; "--snapshots"; "30"; "--guard"; "--fault";
+        "rvf.trace_nan:40" ]
+  in
+  if status <> 1 then
+    fail "cli: expected exit 1 on exhausted ladder, got %d" status;
+  match error_object ~what:"cli" text with
+  | None -> ()
+  | Some root ->
+      (match Minijson.num_field root "fit_retries" with
+      | Some r when r >= 5.0 -> ()
+      | _ -> fail "cli: fit_retries missing or < 5 with the ladder exhausted");
+      Printf.printf "  %-24s exit 1 + JSON error object\n%!" "cli contract"
+
+(* every input boundary of the CLI fails typed: exit 1 with the JSON
+   error object, or Cmdliner's usage error for an unknown enumerated
+   value — never exit 125, Cmdliner's uncaught-exception status *)
+let check_cli_inputs exe =
+  let netlist = Filename.temp_file "fault_check" ".cir" in
+  write_file netlist "* malformed: a resistor without a value\nR1 in out\n";
+  let plain_file = Filename.temp_file "fault_check" ".file" in
+  let under_file = Filename.concat plain_file "sub" in
+  let buffer = [ "--builtin"; "buffer"; "--snapshots"; "12" ] in
+  List.iter
+    (fun (what, args, expect) ->
+      let status, text = run_cli exe args in
+      match expect with
+      | `Json ->
+          if status <> 1 then fail "%s: expected exit 1, got %d" what status
+          else if error_object ~what text <> None then
+            Printf.printf "  %-24s exit 1 + JSON error object\n%!" what
+      | `Usage ->
+          if status <> 124 then
+            fail "%s: expected usage error (exit 124), got %d" what status
+          else Printf.printf "  %-24s usage error\n%!" what)
+    [
+      ("malformed netlist", [ "-i"; netlist; "--output"; "out" ], `Json);
+      ("--backend foo", buffer @ [ "--backend"; "foo" ], `Usage);
+      ("--format foo", buffer @ [ "--format"; "foo" ], `Usage);
+      ("--builtin nope", [ "--builtin"; "nope" ], `Usage);
+      ("--fault bogus", buffer @ [ "--fault"; "bogus" ], `Json);
+      ("--resume without dir", buffer @ [ "--resume" ], `Json);
+      ( "bad --checkpoint-dir",
+        buffer @ [ "--checkpoint-dir"; under_file ],
+        `Json );
+      ("bad --obs-dir", buffer @ [ "--obs-dir"; under_file ], `Json);
+    ];
+  Sys.remove netlist;
+  Sys.remove plain_file
 
 let () =
   (* numeric-corruption sites only: the hang and storage sites have no
@@ -145,7 +202,16 @@ let () =
   Printf.printf "chaos sweep over %d fault sites:\n%!" (List.length numeric);
   List.iter sweep_site numeric;
   (match Sys.argv with
-  | [| _; exe |] -> check_cli_error_json exe
+  | [| _; exe |] ->
+      (* dune hands over a path relative to the rule's directory; anchor
+         it so the shell doesn't fall back to a $PATH lookup *)
+      let exe =
+        if Filename.is_relative exe && not (String.contains exe '/') then
+          Filename.concat Filename.current_dir_name exe
+        else exe
+      in
+      check_cli_error_json exe;
+      check_cli_inputs exe
   | _ -> fail "usage: fault_check <tft_extract.exe>");
   match !failures with
   | [] -> print_endline "fault ok"

@@ -5,29 +5,37 @@
        --fmin 1e4 --fmax 1e9 -o model.va
 
    `--builtin buffer` swaps the netlist file for the programmatic
-   Section-IV buffer example; `--diag diag.json` runs the non-raising
-   pipeline and writes the structured telemetry report; `--trace t.json`
-   records a hierarchical Chrome-trace timeline (open in Perfetto) and
-   `--metrics m.json` the counter/histogram registry. `--obs-dir DIR`
-   subsumes all three: one observability hub feeds every channel and the
-   run's complete record lands in DIR as a schema-versioned bundle
-   (manifest, trace, metrics, diag, convergence.jsonl — and, on failure,
-   a replayable repro capsule) renderable with `obs_report`. `--guard`
-   arms the numerical guard layer, `--fault SITE[:seed]` arms one
-   deterministic fault-injection probe (`--fault list` prints the
+   Section-IV buffer example. `--obs-dir DIR` attaches one
+   observability hub that feeds every telemetry channel and writes the
+   run's complete record into DIR as a schema-versioned bundle
+   (manifest, trace, metrics, diag, convergence.jsonl — and, on
+   failure, a replayable repro capsule) renderable with `obs_report`.
+   `--guard` arms the numerical guard layer, `--fault SITE[:seed]` arms
+   one deterministic fault-injection probe (`--fault list` prints the
    registry). `--backend sparse` routes the engine stages through the
    compressed-column MNA assembly, sparse LU and rational-Krylov
    frequency sweeps (for large circuits; falls back to dense on a
-   sparse-path failure). Any failure ends with a structured JSON error
-   object on stderr and a nonzero exit. *)
+   sparse-path failure). An unknown `--backend`, `--format` or
+   `--builtin` value is a usage error (exit 124); every other failure
+   — a malformed netlist, a bad flag combination, an unwritable
+   directory, a failed extraction — ends with a structured JSON error
+   object on stderr and exit 1. *)
+
+let formats =
+  [ ("equations", `Equations); ("verilog-a", `Verilog_a); ("matlab", `Matlab) ]
+
+let backends = [ ("dense", Engine.Mna.Dense); ("sparse", Engine.Mna.Sparse) ]
+let builtins = [ ("buffer", `Buffer) ]
+
+(* the command-line spelling of an [Arg.enum] value *)
+let name_of choices v = fst (List.find (fun (_, x) -> x = v) choices)
 
 let export_model ~export_format ~out_path model =
   let text =
     match export_format with
-    | "verilog-a" -> Hammerstein.Export.verilog_a model
-    | "matlab" -> Hammerstein.Export.matlab model
-    | "equations" -> Hammerstein.Hmodel.equations model
-    | other -> failwith (Printf.sprintf "unknown export format %S" other)
+    | `Verilog_a -> Hammerstein.Export.verilog_a model
+    | `Matlab -> Hammerstein.Export.matlab model
+    | `Equations -> Hammerstein.Hmodel.equations model
   in
   match out_path with
   | None -> print_string text
@@ -37,11 +45,6 @@ let export_model ~export_format ~out_path model =
       close_out oc;
       Printf.printf "wrote %s\n" path
 
-let write_file path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
-
 let list_fault_sites () =
   print_endline "registered fault-injection sites:";
   List.iter
@@ -50,10 +53,17 @@ let list_fault_sites () =
     Fault.sites
 
 (* Print the structured error object and exit nonzero: the one failure
-   path shared by the raising and non-raising pipelines. *)
+   path shared by the raising and non-raising pipelines and the input
+   checks. *)
 let fail_with_error_json report =
   prerr_string (Tft_rvf.Report.error_json report);
   exit 1
+
+(* a failure outside the pipeline, reported as a one-event report *)
+let fail ~stage message =
+  let d = Diag.create () in
+  Diag.error (Some d) ~stage message;
+  fail_with_error_json (Diag.report d)
 
 let report_fault_stats () =
   match Fault.disarm () with
@@ -62,23 +72,25 @@ let report_fault_stats () =
       Printf.eprintf "fault %s: %d probe calls, %d fired\n%!" s.Fault.site
         s.Fault.calls s.Fault.fires
 
-let backend_of_string = function
-  | "dense" -> Engine.Mna.Dense
-  | "sparse" -> Engine.Mna.Sparse
-  | other ->
-      failwith
-        (Printf.sprintf "unknown backend %S (try: dense, sparse)" other)
+(* input boundaries the pipeline does not own — the netlist text and
+   the file system — fail typed, like the pipeline itself *)
+let typed_input_failures f =
+  try f () with
+  | Circuit.Parser.Parse_error (line, msg) ->
+      fail ~stage:"netlist" (Printf.sprintf "line %d: %s" line msg)
+  | Sys_error msg -> fail ~stage:"io" msg
 
 let run netlist_path builtin input output output_diff train_freq train_ampl
-    train_offset f_min f_max points eps snapshots domains backend_name out_path
-    export_format diag_path trace_path metrics_path obs_dir guard_on
-    fault_spec deadline checkpoint_dir resume verbose =
+    train_offset f_min f_max points eps snapshots domains backend out_path
+    export_format obs_dir guard_on fault_spec deadline checkpoint_dir resume
+    verbose =
+  typed_input_failures @@ fun () ->
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Info)
   end;
   if resume && checkpoint_dir = None then
-    failwith "--resume requires --checkpoint-dir";
+    fail ~stage:"cli" "--resume requires --checkpoint-dir";
   (* without --resume a checkpoint directory starts clean: stale
      artifacts from previous runs are dropped, not resumed from *)
   (match checkpoint_dir with
@@ -99,18 +111,19 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
         list_fault_sites ();
         exit 0
     | Some spec ->
-        let site, seed = Fault.parse spec in
+        let site, seed =
+          try Fault.parse spec with Invalid_argument m -> fail ~stage:"cli" m
+        in
         if not (Fault.known site) then
-          failwith
+          fail ~stage:"cli"
             (Printf.sprintf "unknown fault site %S (try: --fault list)" site);
         Fault.arm ~site ~seed ();
         true
   in
   let guard = if guard_on then Some Guard.default else None in
-  let backend = backend_of_string backend_name in
   let netlist, input, out_spec, config =
     match (builtin, netlist_path) with
-    | Some "buffer", None ->
+    | Some `Buffer, None ->
         let base = Tft_rvf.Pipeline.buffer_config ~snapshots ~domains () in
         let config =
           {
@@ -123,10 +136,9 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
           Circuits.Buffer.input_name,
           Circuits.Buffer.output,
           config )
-    | Some other, None ->
-        failwith (Printf.sprintf "unknown builtin circuit %S (try: buffer)" other)
-    | Some _, Some _ -> failwith "give either --builtin or --netlist, not both"
-    | None, None -> failwith "a netlist (-i) or --builtin is required"
+    | Some _, Some _ ->
+        fail ~stage:"cli" "give either --builtin or --netlist, not both"
+    | None, None -> fail ~stage:"cli" "a netlist (-i) or --builtin is required"
     | None, Some path ->
         let netlist = Circuit.Parser.parse_file path in
         let out_spec =
@@ -134,9 +146,11 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
           | Some node, None -> Engine.Mna.Node node
           | None, Some (p, n) -> Engine.Mna.Diff (p, n)
           | Some _, Some _ ->
-              failwith "give either --output or --output-diff, not both"
+              fail ~stage:"cli"
+                "give either --output or --output-diff, not both"
           | None, None ->
-              failwith "an output (--output or --output-diff) is required"
+              fail ~stage:"cli"
+                "an output (--output or --output-diff) is required"
         in
         let period = 1.0 /. train_freq in
         let steps = snapshots * 4 in
@@ -168,8 +182,7 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
         (netlist, input, out_spec, config)
   in
   let non_raising =
-    diag_path <> None || trace_path <> None || metrics_path <> None
-    || obs_dir <> None || verbose || fault_armed || deadline <> None
+    obs_dir <> None || verbose || fault_armed || deadline <> None
   in
   if not non_raising then begin
     match
@@ -179,35 +192,17 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
     | outcome ->
         print_string (Tft_rvf.Report.summary outcome);
         export_model ~export_format ~out_path outcome.Tft_rvf.Pipeline.model
-    | exception
-        (( Invalid_argument _ | Failure _ | Engine.Dc.No_convergence _
-         | Linalg.Lu.Singular _ | Linalg.Clu.Singular _ | Guard.Violation _ )
-         as e) ->
-        let d = Diag.create () in
-        Diag.error (Some d) ~stage:"pipeline" (Tft_rvf.Pipeline.describe_exn e);
-        fail_with_error_json (Diag.report d)
+    | exception e when Tft_rvf.Pipeline.recoverable e ->
+        fail ~stage:"pipeline" (Tft_rvf.Pipeline.describe_exn e)
   end
   else begin
-    (* telemetry, a guard or an armed fault: run the non-raising pipeline
-       so a failed extraction still produces its report, trace and
-       metrics — and a structured error object. With --obs-dir the hub's
-       own collectors serve every channel, so --diag/--trace/--metrics
-       outputs coincide with the bundle's files. *)
+    (* an obs bundle, a guard or an armed fault: run the non-raising
+       pipeline so a failed extraction still produces its report and
+       bundle — and a structured error object *)
     let obs = Option.map (fun _ -> Obs.create ()) obs_dir in
-    let tracer =
-      match obs with
-      | Some o -> Some (Obs.tracer o)
-      | None -> Option.map (fun _ -> Trace.create ()) trace_path
-    in
-    let trace = Option.map Trace.main tracer in
-    let metrics =
-      match obs with
-      | Some o -> Some (Obs.metrics o)
-      | None -> Option.map (fun _ -> Metrics.create ()) metrics_path
-    in
     let outcome, report =
-      Tft_rvf.Pipeline.try_extract ?guard ?cancel ?checkpoint_dir ?trace
-        ?metrics ?obs ~config ~netlist ~input ~output:out_spec ()
+      Tft_rvf.Pipeline.try_extract ?guard ?cancel ?checkpoint_dir ?obs ~config
+        ~netlist ~input ~output:out_spec ()
     in
     report_fault_stats ();
     (match (obs_dir, obs) with
@@ -217,7 +212,7 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
           [
             ( "circuit",
               match (builtin, netlist_path) with
-              | Some b, _ -> Minijson.Str ("builtin:" ^ b)
+              | Some b, _ -> Minijson.Str ("builtin:" ^ name_of builtins b)
               | None, Some p -> Minijson.Str p
               | None, None -> Minijson.Null );
             ("input", Minijson.Str input);
@@ -234,7 +229,7 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
             ("eps", Minijson.Num eps);
             ("snapshots", num_i snapshots);
             ("domains", num_i domains);
-            ("backend", Minijson.Str backend_name);
+            ("backend", Minijson.Str (name_of backends backend));
             ("guard", Minijson.Bool guard_on);
             ( "fault",
               match fault_spec with
@@ -276,24 +271,11 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
           else None
         in
         Obs_bundle.write ~dir ~manifest ?repro o;
-        Printf.eprintf "wrote obs bundle to %s\n%!" dir
-    | _, _ -> ());
-    (match diag_path with
-    | None -> ()
-    | Some path ->
-        write_file path (Tft_rvf.Report.diag_json report);
-        Printf.eprintf "wrote diagnostics to %s\n%!" path);
-    (match (trace_path, tracer) with
-    | Some path, Some tr ->
-        write_file path (Trace.chrome_json tr);
-        Printf.eprintf "wrote trace to %s\n%!" path;
-        if verbose then prerr_string (Trace.summary tr)
-    | _, _ -> ());
-    (match (metrics_path, metrics) with
-    | Some path, Some m ->
-        write_file path (Metrics.to_json (Metrics.snapshot m));
-        Printf.eprintf "wrote metrics to %s\n%!" path;
-        if verbose then prerr_string (Metrics.summary (Metrics.snapshot m))
+        Printf.eprintf "wrote obs bundle to %s\n%!" dir;
+        if verbose then begin
+          prerr_string (Trace.summary (Obs.tracer o));
+          prerr_string (Metrics.summary (Metrics.snapshot (Obs.metrics o)))
+        end
     | _, _ -> ());
     if verbose then prerr_string (Tft_rvf.Report.diag_summary report);
     match outcome with
@@ -315,7 +297,7 @@ let netlist_arg =
 let builtin_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (enum builtins)) None
     & info [ "builtin" ] ~docv:"NAME"
         ~doc:
           "Use a built-in example circuit instead of a netlist file. \
@@ -362,7 +344,8 @@ let domains_arg =
 
 let backend_arg =
   Arg.(
-    value & opt string "dense"
+    value
+    & opt (enum backends) Engine.Mna.Dense
     & info [ "backend" ] ~docv:"NAME"
         ~doc:
           "Linear-algebra backend for the engine stages: $(b,dense) \
@@ -384,44 +367,10 @@ let out_arg =
 
 let format_arg =
   Arg.(
-    value & opt string "equations"
+    value
+    & opt (enum formats) `Equations
     & info [ "format" ] ~docv:"FMT"
         ~doc:"Export format: equations, verilog-a or matlab.")
-
-let diag_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "diag" ] ~docv:"FILE"
-        ~doc:
-          "Write a structured JSON diagnostics report (per-stage timings, \
-           Newton/fitting counters, warnings) to $(docv). Implies the \
-           non-raising pipeline: a failed extraction still writes the \
-           report (naming the failing stage) and exits with status 1.")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record a hierarchical wall-clock trace of the extraction \
-           (per-stage, per-transient-step, per-chunk and per-VF-iteration \
-           spans, one track per OCaml domain) and write it to $(docv) in \
-           Chrome trace-event JSON — load it in Perfetto \
-           (ui.perfetto.dev) or chrome://tracing. Implies the non-raising \
-           pipeline; the trace is written even when extraction fails.")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write the quantitative metrics registry (Newton-iteration, \
-           LU and pencil-solve timing histograms, pool load-balance \
-           ratios) to $(docv) as schema-versioned JSON. Implies the \
-           non-raising pipeline.")
 
 let obs_dir_arg =
   Arg.(
@@ -435,9 +384,9 @@ let obs_dir_arg =
            diag.json, convergence.jsonl (per-iteration VF pole \
            positions, sigma residuals, rcond series, escalations) and — \
            on failure — repro.json, a replayable capsule. One hub feeds \
-           every channel, so combining with $(b,--diag)/$(b,--trace)/\
-           $(b,--metrics) writes the same data to those files. Render \
-           with $(b,obs_report). Implies the non-raising pipeline.")
+           every channel. Open trace.json in Perfetto (ui.perfetto.dev) \
+           or chrome://tracing; render the whole bundle with \
+           $(b,obs_report). Implies the non-raising pipeline.")
 
 let guard_arg =
   Arg.(
@@ -507,7 +456,8 @@ let verbose_arg =
     & info [ "v"; "verbose" ]
         ~doc:
           "Log fitting progress and print the diagnostics summary to \
-           stderr.")
+           stderr; with $(b,--obs-dir), also the trace and metrics \
+           summaries.")
 
 let cmd =
   let doc =
@@ -527,8 +477,7 @@ let cmd =
       $ points_arg
       $ ffloat [ "eps" ] ~default:1e-3 ~doc:"RVF error bound (relative)."
       $ snapshots_arg $ domains_arg $ backend_arg $ out_arg $ format_arg
-      $ diag_arg
-      $ trace_arg $ metrics_arg $ obs_dir_arg $ guard_arg $ fault_arg
-      $ deadline_arg $ checkpoint_dir_arg $ resume_arg $ verbose_arg)
+      $ obs_dir_arg $ guard_arg $ fault_arg $ deadline_arg
+      $ checkpoint_dir_arg $ resume_arg $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

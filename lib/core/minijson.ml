@@ -14,7 +14,7 @@ type t =
 exception Parse_error of string
 
 (* --- writing helpers (shared by Trace.chrome_json, Metrics.to_json,
-   Report.diag_json, bench --json and the obs bundle) ----------------- *)
+   Obs_bundle.diag_json, bench --json and the obs bundle) ----------------- *)
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in

@@ -1,5 +1,5 @@
 (** A tiny dependency-free JSON reader/writer, shared by the schema
-    validators ([diag_check], [trace_check], [obs_check]), the bench
+    validators ([obs_check], [fault_check], [chaos_check]), the bench
     comparison mode, the telemetry serializers and the obs bundle.
     Covers the subset of RFC 8259 that this repo's own serializers
     emit. *)

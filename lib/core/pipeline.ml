@@ -124,6 +124,22 @@ let with_wave netlist ~input ~wave =
     invalid_arg (Printf.sprintf "Pipeline.extract: no source named %S" input);
   Circuit.Netlist.make components
 
+(* --- the run context -------------------------------------------------- *)
+
+(* Everything a stage needs besides its data. The three collectors are
+   derived from the hub once per run, so [?obs] is the only telemetry
+   argument of the entry points. *)
+type run = {
+  guard : Guard.t option;
+  cancel : Cancel.t option;
+  budgets : budgets;
+  ck : Checkpoint.t option;
+  obs : Obs.t option;
+  diag : Diag.t option;
+  trace : Trace.buf option;
+  metrics : Metrics.t option;
+}
+
 (* --- checkpoint plumbing --------------------------------------------- *)
 
 (* The run fingerprint: canonical %.17g rendering of everything that
@@ -164,46 +180,103 @@ let ck_of ~config ~netlist ~input ~outputs checkpoint_dir =
       in
       Some (Checkpoint.create ~dir ~fingerprint:fp)
 
-let load_ck ?obs diag ck ~stage decode =
-  match ck with
+let load_ck r ~stage decode =
+  match r.ck with
   | None -> None
   | Some ckpt -> (
       match Checkpoint.load ckpt ~stage with
       | exception Checkpoint.Invalid { file; reason } ->
-          Diag.warn diag ~stage:"pipeline.checkpoint"
+          Diag.warn r.diag ~stage:"pipeline.checkpoint"
             (Printf.sprintf "rejected torn/malformed %s: %s" file reason);
-          Obs.checkpoint obs ~stage ~action:"invalid";
+          Obs.checkpoint r.obs ~stage ~action:"invalid";
           None
       | None ->
           if Sys.file_exists (Checkpoint.file ckpt ~stage) then begin
-            Diag.warn diag ~stage:"pipeline.checkpoint"
+            Diag.warn r.diag ~stage:"pipeline.checkpoint"
               (Printf.sprintf
                  "stale %s artifact ignored (fingerprint or schema changed)"
                  stage);
-            Obs.checkpoint obs ~stage ~action:"stale"
+            Obs.checkpoint r.obs ~stage ~action:"stale"
           end;
           None
       | Some payload -> (
           match decode payload with
           | v ->
-              Diag.note diag ("checkpoint." ^ stage) "loaded";
-              Obs.checkpoint obs ~stage ~action:"load";
+              Diag.note r.diag ("checkpoint." ^ stage) "loaded";
+              Obs.checkpoint r.obs ~stage ~action:"load";
               Some v
           | exception Invalid_argument msg ->
-              Diag.warn diag ~stage:"pipeline.checkpoint"
+              Diag.warn r.diag ~stage:"pipeline.checkpoint"
                 (Printf.sprintf "undecodable %s artifact: %s" stage msg);
-              Obs.checkpoint obs ~stage ~action:"invalid";
+              Obs.checkpoint r.obs ~stage ~action:"invalid";
               None))
 
 (* may raise [Checkpoint.Killed] when the chaos harness armed a
    simulated crash — always after the artifact is safely on disk *)
-let store_ck ?obs diag ck ~stage encode v =
-  match ck with
+let store_ck r ~stage encode v =
+  match r.ck with
   | None -> ()
   | Some ckpt ->
       Checkpoint.store ckpt ~stage (encode v);
-      Diag.incr diag "pipeline.checkpoint_stores";
-      Obs.checkpoint obs ~stage ~action:"store"
+      Diag.incr r.diag "pipeline.checkpoint_stores";
+      Obs.checkpoint r.obs ~stage ~action:"store"
+
+(* a settled fit is stored with the ladder rung that produced it *)
+let rung_fit_of_json json =
+  let fit = Artifact.fit_of_json json in
+  (fit.Artifact.rung, Artifact.rvf_of_fit fit)
+
+let json_of_rung_fit (rung, rvf) =
+  Artifact.json_of_fit (Artifact.fit_of_rvf ~rung rvf)
+
+(* --- failures --------------------------------------------------------- *)
+
+(* The numerical failures a non-raising run records and survives.
+   Cancellation, deadlines and the chaos harness's simulated crash are
+   deliberately not among them: they always reach the caller. *)
+let recoverable = function
+  | Invalid_argument _ | Failure _ | Engine.Dc.No_convergence _
+  | Linalg.Lu.Singular _ | Linalg.Clu.Singular _ | Linalg.Splu.Singular _
+  | Linalg.Spclu.Singular _ | Guard.Violation _ ->
+      true
+  | _ -> false
+
+let describe_exn = function
+  | Invalid_argument m -> "Invalid_argument: " ^ m
+  | Failure m -> "Failure: " ^ m
+  | Engine.Dc.No_convergence m -> "No_convergence: " ^ m
+  | Linalg.Lu.Singular { pivot_index; magnitude } ->
+      Printf.sprintf "Singular: LU pivot %d has magnitude %.3e" pivot_index
+        magnitude
+  | Linalg.Clu.Singular { pivot_index; magnitude } ->
+      Printf.sprintf "Singular: complex LU pivot %d has magnitude %.3e"
+        pivot_index magnitude
+  | Linalg.Splu.Singular { pivot_index; magnitude } ->
+      Printf.sprintf "Singular: sparse LU pivot %d has magnitude %.3e"
+        pivot_index magnitude
+  | Linalg.Spclu.Singular { pivot_index; magnitude } ->
+      Printf.sprintf "Singular: sparse complex LU pivot %d has magnitude %.3e"
+        pivot_index magnitude
+  | Guard.Violation v -> Guard.describe v
+  | Cancel.Cancelled { site } -> Printf.sprintf "Cancelled: at %s" site
+  | Cancel.Deadline_exceeded { site; stage; budget_seconds; elapsed_seconds } ->
+      Printf.sprintf
+        "Deadline_exceeded: stage %s ran %.3fs against a %.3fs budget (probe \
+         %s)"
+        stage elapsed_seconds budget_seconds site
+  | Checkpoint.Invalid { file; reason } ->
+      Printf.sprintf "Invalid checkpoint: %s: %s" file reason
+  | e -> Printexc.to_string e
+
+(* run [f ()] under [stage]; on a recoverable failure record an Error
+   event naming the stage and return None instead of raising *)
+let recover r ~stage f =
+  match f () with
+  | v -> Some v
+  | exception e when recoverable e ->
+      Diag.error r.diag ~stage (describe_exn e);
+      Obs.violation r.obs ~site:stage (describe_exn e);
+      None
 
 (* --- stages ----------------------------------------------------------- *)
 
@@ -211,20 +284,21 @@ let build_mna ~config ~netlist ~input ~outputs =
   let training_netlist = with_wave netlist ~input ~wave:config.training.wave in
   Engine.Mna.build ~inputs:[ input ] ~outputs training_netlist
 
-let run_train ?guard ?cancel ?diag ?trace ?metrics ?obs ~config ~mna () =
+let run_train r ~config ~mna =
   let tran_opts =
     {
       Engine.Tran.default_opts with
       Engine.Tran.snapshot_every = config.training.snapshot_every;
     }
   in
-  Obs.stage obs "pipeline.train";
-  Diag.span diag "pipeline.train" (fun () ->
-      Trace.span trace "pipeline.train" (fun () ->
+  Obs.stage r.obs "pipeline.train";
+  Diag.span r.diag "pipeline.train" (fun () ->
+      Trace.span r.trace "pipeline.train" (fun () ->
           Fault.in_scope "stage:train" @@ fun () ->
           let go backend =
-            Engine.Tran.run ~opts:tran_opts ?guard ?cancel ?diag ?trace
-              ?metrics ?obs ~backend mna ~t_stop:config.training.t_stop
+            Engine.Tran.run ~opts:tran_opts ?guard:r.guard ?cancel:r.cancel
+              ?diag:r.diag ?trace:r.trace ?metrics:r.metrics ?obs:r.obs
+              ~backend mna ~t_stop:config.training.t_stop
               ~dt:config.training.dt
           in
           match config.backend with
@@ -233,19 +307,12 @@ let run_train ?guard ?cancel ?diag ?trace ?metrics ?obs ~config ~mna () =
               try go Engine.Mna.Sparse
               with
               | (Linalg.Splu.Singular _ | Linalg.Spclu.Singular _) as e ->
-                Diag.warn diag ~stage:"pipeline.train"
+                Diag.warn r.diag ~stage:"pipeline.train"
                   (Printf.sprintf
                      "sparse training transient failed (%s); retrying dense"
                      (Printexc.to_string e));
-                Diag.incr diag "pipeline.sparse_fallbacks";
+                Diag.incr r.diag "pipeline.sparse_fallbacks";
                 go Engine.Mna.Dense)))
-
-(* training transient + snapshot capture, shared by every entry point *)
-let train_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ~config ~netlist
-    ~input ~outputs () =
-  let mna = build_mna ~config ~netlist ~input ~outputs in
-  ( mna,
-    run_train ?guard ?cancel ?diag ?trace ?metrics ?obs ~config ~mna () )
 
 (* snapshots from a sparse training run carry 0×0 placeholder
    Jacobians; a dense retry re-stamps them from the recorded state —
@@ -264,17 +331,16 @@ let densify_snapshots ~mna snapshots =
         | _, _ -> assert false)
     snapshots
 
-let tft_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool ~config ~mna
-    ~training_run () =
+let tft_stage r ~pool ~config ~mna ~training_run =
   let estimator = Tft.Estimator.make ~delays:config.estimator_delays () in
-  Obs.stage obs "pipeline.tft";
-  Diag.span diag "pipeline.tft" (fun () ->
-      Trace.span trace "pipeline.tft" (fun () ->
+  Obs.stage r.obs "pipeline.tft";
+  Diag.span r.diag "pipeline.tft" (fun () ->
+      Trace.span r.trace "pipeline.tft" (fun () ->
           Fault.in_scope "stage:tft" @@ fun () ->
           let build backend snapshots =
-            Tft.Dataset.of_snapshots ?pool ?guard ?cancel ?diag ?trace
-              ?metrics ?obs ~backend ~mna ~estimator
-              ~freqs_hz:config.freqs_hz snapshots
+            Tft.Dataset.of_snapshots ?pool ?guard:r.guard ?cancel:r.cancel
+              ?diag:r.diag ?trace:r.trace ?metrics:r.metrics ?obs:r.obs
+              ~backend ~mna ~estimator ~freqs_hz:config.freqs_hz snapshots
           in
           let snapshots = training_run.Engine.Tran.snapshots in
           match config.backend with
@@ -289,153 +355,31 @@ let tft_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool ~config ~mna
               | ( Linalg.Splu.Singular _ | Linalg.Spclu.Singular _
                 | Guard.Violation _ ) as e
               ->
-                Diag.warn diag ~stage:"pipeline.tft"
+                Diag.warn r.diag ~stage:"pipeline.tft"
                   (Printf.sprintf
                      "sparse TFT transform failed (%s); retrying dense"
                      (Printexc.to_string e));
-                Diag.incr diag "pipeline.sparse_fallbacks";
-                Obs.violation obs ~site:"pipeline.tft"
+                Diag.incr r.diag "pipeline.sparse_fallbacks";
+                Obs.violation r.obs ~site:"pipeline.tft"
                   (Printexc.to_string e);
                 build Engine.Mna.Dense (densify_snapshots ~mna snapshots))))
 
-let extract ?guard ?cancel ?budgets ?checkpoint_dir ?diag ?trace ?metrics ?obs
-    ?pool ~config ~netlist ~input ~output () =
-  let cancel = resolve_cancel cancel budgets in
-  let b = Option.value budgets ~default:no_budgets in
-  let ck = ck_of ~config ~netlist ~input ~outputs:[ output ] checkpoint_dir in
-  let t0 = Clock.now () in
-  let mna = build_mna ~config ~netlist ~input ~outputs:[ output ] in
-  Cancel.check cancel ~site:"pipeline.train";
-  let training_run =
-    match load_ck ?obs diag ck ~stage:"train" Artifact.tran_of_json with
-    | Some r -> r
-    | None ->
-        let r =
-          Cancel.with_budget cancel ~stage:"pipeline.train" ?seconds:b.train
-            (fun () ->
-              run_train ?guard ?cancel ?diag ?trace ?metrics ?obs ~config ~mna
-                ())
-        in
-        store_ck ?obs diag ck ~stage:"train" Artifact.json_of_tran r;
-        r
-  in
-  let t1 = Clock.now () in
-  with_run_pool ?pool ~domains:config.domains @@ fun pool ->
-  Cancel.check cancel ~site:"pipeline.tft";
-  let dataset =
-    match load_ck ?obs diag ck ~stage:"tft" Artifact.dataset_of_json with
-    | Some d -> d
-    | None ->
-        let d =
-          Cancel.with_budget cancel ~stage:"pipeline.tft" ?seconds:b.tft
-            (fun () ->
-              tft_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool
-                ~config ~mna ~training_run ())
-        in
-        store_ck ?obs diag ck ~stage:"tft" Artifact.json_of_dataset d;
-        d
-  in
-  let t2 = Clock.now () in
-  Cancel.check cancel ~site:"pipeline.fit";
-  let rvf =
-    match load_ck ?obs diag ck ~stage:"fit-o0" Artifact.fit_of_json with
-    | Some fit ->
-        Diag.note diag "pipeline.ladder_rung" fit.Artifact.rung;
-        Artifact.rvf_of_fit fit
-    | None ->
-        let r =
-          Cancel.with_budget cancel ~stage:"pipeline.fit" ?seconds:b.fit
-            (fun () ->
-              Obs.stage obs "pipeline.fit";
-              Diag.span diag "pipeline.fit" (fun () ->
-                  Trace.span trace "pipeline.fit" (fun () ->
-                      Rvf.extract ~config:config.rvf ?guard ?cancel ?diag
-                        ?trace ?metrics ?obs ?pool ~dataset ~input:0 ~output:0
-                        ())))
-        in
-        store_ck ?obs diag ck ~stage:"fit-o0" Artifact.json_of_fit
-          (Artifact.fit_of_rvf ~rung:"base" r);
-        r
-  in
-  let t3 = Clock.now () in
-  {
-    model = rvf.Rvf.model;
-    rvf;
-    dataset;
-    mna;
-    training_run;
-    timing =
-      {
-        train_seconds = t1 -. t0;
-        tft_seconds = t2 -. t1;
-        fit_seconds = t3 -. t2;
-      };
-  }
-
-let extract_simo ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool ~config
-    ~netlist ~input ~outputs () =
-  if outputs = [] then invalid_arg "Pipeline.extract_simo: no outputs";
-  let t0 = Clock.now () in
-  let mna, training_run =
-    train_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ~config ~netlist
-      ~input ~outputs ()
-  in
-  let t1 = Clock.now () in
-  let estimator = Tft.Estimator.make ~delays:config.estimator_delays () in
-  with_run_pool ?pool ~domains:config.domains (fun pool ->
-      let dataset =
-        Obs.stage obs "pipeline.tft";
-        Diag.span diag "pipeline.tft" (fun () ->
-            Trace.span trace "pipeline.tft" (fun () ->
-                Tft.Dataset.of_snapshots ?pool ?guard ?cancel ?diag ?trace
-                  ?metrics ?obs ~mna ~estimator ~freqs_hz:config.freqs_hz
-                  training_run.Engine.Tran.snapshots))
-      in
-      let t2 = Clock.now () in
-      (* the per-output fits are independent too: reuse the same pool.
-         A diag collector or trace buffer is single-owner mutable state,
-         so the fits only fan out when neither is attached (the metrics
-         registry is internally synchronized and rides along either
-         way). When the fits themselves are the parallel axis, the pool
-         is NOT also passed down into [Rvf.extract] — a worker-side
-         nested fan-out would only hit the busy-pool sequential fallback
-         anyway; when the fits run sequentially (diag/trace attached),
-         each fit gets the pool for its inner axes instead. *)
-      let fit_one ?diag ?trace ?obs ?pool j =
-        let t3 = Clock.now () in
-        let rvf =
-          Rvf.extract ~config:config.rvf ?guard ?cancel ?diag ?trace ?metrics
-            ?obs ?pool ~dataset ~input:0 ~output:j ()
-        in
-        let t4 = Clock.now () in
-        {
-          model = rvf.Rvf.model;
-          rvf;
-          dataset;
-          mna;
-          training_run;
-          timing =
-            {
-              train_seconds = t1 -. t0;
-              tft_seconds = t2 -. t1;
-              fit_seconds = t4 -. t3;
-            };
-        }
-      in
-      let n = List.length outputs in
-      (* the obs hub is internally synchronized, but its event stream
-         interleaves across fits — keep the per-output fits sequential
-         whenever any single-owner or ordered collector is attached *)
-      match (diag, trace, obs) with
-      | None, None, None ->
-          Array.to_list
-            (Exec.parallel_init ?pool ?cancel ?metrics ~label:"pipeline.fit" n
-               (fun j -> fit_one j))
-      | _, _, _ ->
-          Obs.stage obs "pipeline.fit";
-          Diag.span diag "pipeline.fit" (fun () ->
-              Trace.span trace "pipeline.fit" (fun () ->
-                  List.init n (fun j -> fit_one ?diag ?trace ?obs ?pool j))))
+(* One rung of the fit, and the pipeline's only call into RVF. The rung
+   label scopes both the per-rung deadline budget (stage
+   "pipeline.fit:<rung>", so a tripped deadline names the rung in its
+   typed payload) and the dynamic fault scope (so a hang can be armed
+   at exactly one rung). *)
+let fit_rung r ~pool ~dataset ~output (rung, rvf_config) =
+  Fault.in_scope ("rung:" ^ rung) @@ fun () ->
+  Cancel.with_budget r.cancel ~stage:("pipeline.fit:" ^ rung)
+    ?seconds:r.budgets.rung
+  @@ fun () ->
+  Obs.stage r.obs "pipeline.fit";
+  Diag.span r.diag "pipeline.fit" (fun () ->
+      Trace.span r.trace "pipeline.fit" (fun () ->
+          Rvf.extract ~config:rvf_config ?guard:r.guard ?cancel:r.cancel
+            ?diag:r.diag ?trace:r.trace ?metrics:r.metrics ?obs:r.obs ?pool
+            ~dataset ~input:0 ~output ()))
 
 (* --- graceful degradation ------------------------------------------- *)
 
@@ -473,151 +417,192 @@ let escalation_ladder (rvf : Rvf.config) =
     ("combined", relax_min_imag (switch_weighting (more_poles rvf)));
   ]
 
-let describe_exn = function
-  | Invalid_argument m -> "Invalid_argument: " ^ m
-  | Failure m -> "Failure: " ^ m
-  | Engine.Dc.No_convergence m -> "No_convergence: " ^ m
-  | Linalg.Lu.Singular { pivot_index; magnitude } ->
-      Printf.sprintf "Singular: LU pivot %d has magnitude %.3e" pivot_index
-        magnitude
-  | Linalg.Clu.Singular { pivot_index; magnitude } ->
-      Printf.sprintf "Singular: complex LU pivot %d has magnitude %.3e"
-        pivot_index magnitude
-  | Linalg.Splu.Singular { pivot_index; magnitude } ->
-      Printf.sprintf "Singular: sparse LU pivot %d has magnitude %.3e"
-        pivot_index magnitude
-  | Linalg.Spclu.Singular { pivot_index; magnitude } ->
-      Printf.sprintf "Singular: sparse complex LU pivot %d has magnitude %.3e"
-        pivot_index magnitude
-  | Guard.Violation v -> Guard.describe v
-  | Cancel.Cancelled { site } -> Printf.sprintf "Cancelled: at %s" site
-  | Cancel.Deadline_exceeded { site; stage; budget_seconds; elapsed_seconds } ->
-      Printf.sprintf
-        "Deadline_exceeded: stage %s ran %.3fs against a %.3fs budget (probe \
-         %s)"
-        stage elapsed_seconds budget_seconds site
-  | Checkpoint.Invalid { file; reason } ->
-      Printf.sprintf "Invalid checkpoint: %s: %s" file reason
-  | e -> Printexc.to_string e
+(* Climb the ladder for one output: each rung is tried up to
+   [retry.attempts] times, and the first rung that fits wins. *)
+let climb_ladder r ~retry ~fit ~rvf ~output =
+  let rec climb = function
+    | [] ->
+        Diag.error r.diag ~stage:"pipeline.fit"
+          (Printf.sprintf
+             "all %d escalation rungs failed for output %d; returning no \
+              model"
+             (List.length (escalation_ladder rvf))
+             output);
+        None
+    | ((rung, _) as step) :: rest -> (
+        let rec tries n =
+          match fit step with
+          | fitted -> Some fitted
+          | exception ((Cancel.Cancelled _ | Cancel.Deadline_exceeded _) as e)
+            ->
+              (* a tripped deadline aborts the whole ladder: retrying or
+                 escalating after the budget ran out would turn a
+                 bounded run into an unbounded one *)
+              Obs.escalation r.obs ~rung ~outcome:"deadline"
+                ~detail:(describe_exn e);
+              raise e
+          | exception e when recoverable e ->
+              if n < retry.attempts then begin
+                (* transient failure with attempts left: retry this rung
+                   after a bounded backoff, keeping the already settled
+                   train/TFT stages in memory rather than restarting the
+                   ladder from zero *)
+                Diag.incr r.diag "pipeline.rung_retries";
+                Diag.warn r.diag ~stage:"pipeline.fit"
+                  (Printf.sprintf
+                     "rung %S attempt %d/%d failed (%s); retrying after \
+                      backoff"
+                     rung n retry.attempts (describe_exn e));
+                Obs.escalation r.obs ~rung ~outcome:"retry"
+                  ~detail:(describe_exn e);
+                backoff_wait r.cancel
+                  (retry.backoff_seconds
+                  *. (retry.backoff_multiplier ** float_of_int (n - 1)));
+                tries (n + 1)
+              end
+              else begin
+                Diag.incr r.diag "pipeline.fit_retries";
+                Diag.warn r.diag ~stage:"pipeline.fit"
+                  (Printf.sprintf "rung %S failed: %s" rung (describe_exn e));
+                Obs.escalation r.obs ~rung ~outcome:"failed"
+                  ~detail:(describe_exn e);
+                None
+              end
+        in
+        match tries 1 with
+        | Some fitted ->
+            Obs.escalation r.obs ~rung ~outcome:"ok" ~detail:"";
+            if rung <> "base" then
+              Diag.warn r.diag ~stage:"pipeline.fit"
+                (Printf.sprintf
+                   "degraded extraction: base config failed, rung %S \
+                    produced the model"
+                   rung);
+            Some (rung, fitted)
+        | None -> climb rest)
+  in
+  climb (escalation_ladder rvf)
 
-(* run [f ()] under [stage]; on a recoverable numerical failure record
-   an Error event naming the stage and return None instead of raising.
-   Cancellation, deadlines and the chaos harness's simulated crash are
-   deliberately NOT recoverable: they propagate to the caller. *)
-let recover ?obs diag ~stage f =
-  try Some (f ())
-  with
-  | ( Invalid_argument _ | Failure _ | Engine.Dc.No_convergence _
-    | Linalg.Lu.Singular _ | Linalg.Clu.Singular _ | Linalg.Splu.Singular _
-    | Linalg.Spclu.Singular _ | Guard.Violation _ ) as e
-    ->
-    Diag.error diag ~stage (describe_exn e);
-    Obs.violation obs ~site:stage (describe_exn e);
-    None
+(* --- the stage sequence ----------------------------------------------- *)
 
-let fit_with_ladder ?guard ?cancel ?(budgets = no_budgets) ?(retry = no_retry)
-    ?ck ~diag ?trace ?metrics ?obs ?pool ~(config : config) ~dataset ~output
-    () =
-  let ck_stage = Printf.sprintf "fit-o%d" output in
-  match load_ck ?obs diag ck ~stage:ck_stage Artifact.fit_of_json with
-  | Some fit ->
-      (* settled fit resumed from disk: restore the ladder note so the
-         report reads identically to the uninterrupted run's *)
-      Diag.note diag "pipeline.ladder_rung" fit.Artifact.rung;
-      Some (Artifact.rvf_of_fit fit)
-  | None ->
-      let rec attempt = function
-        | [] ->
-            Diag.error diag ~stage:"pipeline.fit"
-              (Printf.sprintf
-                 "all %d escalation rungs failed for output %d; returning no \
-                  model"
-                 (List.length (escalation_ladder config.rvf))
-                 output);
-            None
-        | (rung, rvf_config) :: rest -> (
-            (* the rung label scopes both the per-rung deadline budget
-               (stage "pipeline.fit:<rung>", so a tripped deadline names
-               the rung in its typed payload) and the dynamic fault
-               scope (so a hang can be armed at exactly one rung) *)
-            let run_rung () =
-              Fault.in_scope ("rung:" ^ rung) @@ fun () ->
-              Cancel.with_budget cancel
-                ~stage:("pipeline.fit:" ^ rung)
-                ?seconds:budgets.rung
-                (fun () ->
-                  Diag.span diag "pipeline.fit" (fun () ->
-                      Trace.span trace "pipeline.fit" (fun () ->
-                          Rvf.extract ~config:rvf_config ?guard ?cancel ?diag
-                            ?trace ?metrics ?obs ?pool ~dataset ~input:0
-                            ~output ())))
-            in
-            let rec tries n =
-              match run_rung () with
-              | rvf -> Some rvf
-              | exception
-                  ((Cancel.Cancelled _ | Cancel.Deadline_exceeded _) as e) ->
-                  (* a tripped deadline aborts the whole ladder: retrying
-                     or escalating after the budget ran out would turn a
-                     bounded run into an unbounded one *)
-                  Obs.escalation obs ~rung ~outcome:"deadline"
-                    ~detail:(describe_exn e);
-                  raise e
-              | exception
-                  (( Invalid_argument _ | Failure _
-                   | Engine.Dc.No_convergence _ | Linalg.Lu.Singular _
-                   | Linalg.Clu.Singular _ | Linalg.Splu.Singular _
-                   | Linalg.Spclu.Singular _ | Guard.Violation _ ) as e) ->
-                  if n < retry.attempts then begin
-                    (* transient failure with attempts left: retry this
-                       rung after a bounded backoff, keeping the already
-                       checkpointed train/TFT stages in memory rather
-                       than restarting the ladder from zero *)
-                    Diag.incr diag "pipeline.rung_retries";
-                    Diag.warn diag ~stage:"pipeline.fit"
-                      (Printf.sprintf
-                         "rung %S attempt %d/%d failed (%s); retrying after \
-                          backoff"
-                         rung n retry.attempts (describe_exn e));
-                    Obs.escalation obs ~rung ~outcome:"retry"
-                      ~detail:(describe_exn e);
-                    backoff_wait cancel
-                      (retry.backoff_seconds
-                      *. (retry.backoff_multiplier ** float_of_int (n - 1)));
-                    tries (n + 1)
-                  end
-                  else begin
-                    Diag.incr diag "pipeline.fit_retries";
-                    Diag.warn diag ~stage:"pipeline.fit"
-                      (Printf.sprintf "rung %S failed: %s" rung
-                         (describe_exn e));
-                    Obs.escalation obs ~rung ~outcome:"failed"
-                      ~detail:(describe_exn e);
-                    None
-                  end
-            in
-            match tries 1 with
-            | Some rvf ->
-                Diag.note diag "pipeline.ladder_rung" rung;
-                Obs.escalation obs ~rung ~outcome:"ok" ~detail:"";
-                if rung <> "base" then
-                  Diag.warn diag ~stage:"pipeline.fit"
-                    (Printf.sprintf
-                       "degraded extraction: base config failed, rung %S \
-                        produced the model"
-                       rung);
-                store_ck ?obs diag ck ~stage:ck_stage Artifact.json_of_fit
-                  (Artifact.fit_of_rvf ~rung rvf);
-                Some rvf
-            | None -> attempt rest)
-      in
-      attempt (escalation_ladder config.rvf)
+(* How a run answers a failure: [Raise] lets the first one propagate
+   from the base rung; [Ladder] records it against its stage and climbs
+   the escalation ladder. *)
+type policy = Raise | Ladder of retry
 
-let try_extract ?guard ?cancel ?budgets ?checkpoint_dir ?retry ?trace ?metrics
-    ?obs ?pool ~config ~netlist ~input ~output () =
-  let cancel = resolve_cancel cancel budgets in
-  let b = Option.value budgets ~default:no_budgets in
-  let ck = ck_of ~config ~netlist ~input ~outputs:[ output ] checkpoint_dir in
+(* The one extraction sequence of Fig. 1: build MNA → train → warm pool
+   → TFT → per-output fit. Every entry point runs it; one [outcome
+   option] per output comes back, and [Raise] never yields [None]. *)
+let run_stages ~policy ~diag ?guard ?cancel ?budgets ?checkpoint_dir ?obs
+    ?pool ~config ~netlist ~input ~outputs () =
+  let r =
+    {
+      guard;
+      cancel = resolve_cancel cancel budgets;
+      budgets = Option.value budgets ~default:no_budgets;
+      ck = ck_of ~config ~netlist ~input ~outputs checkpoint_dir;
+      obs;
+      diag;
+      trace = Option.map Obs.trace_main obs;
+      metrics = Option.map Obs.metrics obs;
+    }
+  in
+  let guarded ~stage f =
+    match policy with Raise -> Some (f ()) | Ladder _ -> recover r ~stage f
+  in
+  (* a checkpointed stage: loaded when settled on disk, else computed
+     and stored; a failed computation stores nothing *)
+  let settled ~stage decode encode compute =
+    match load_ck r ~stage decode with
+    | Some _ as v -> v
+    | None ->
+        let v = compute () in
+        Option.iter (store_ck r ~stage encode) v;
+        v
+  in
+  let ( let* ) = Option.bind in
+  let t0 = Clock.now () in
+  let outcomes =
+    let* mna =
+      guarded ~stage:"pipeline.train" (fun () ->
+          build_mna ~config ~netlist ~input ~outputs)
+    in
+    Cancel.check r.cancel ~site:"pipeline.train";
+    let* training_run =
+      settled ~stage:"train" Artifact.tran_of_json Artifact.json_of_tran
+        (fun () ->
+          guarded ~stage:"pipeline.train" (fun () ->
+              Cancel.with_budget r.cancel ~stage:"pipeline.train"
+                ?seconds:r.budgets.train (fun () -> run_train r ~config ~mna)))
+    in
+    let t1 = Clock.now () in
+    with_run_pool ?pool ~domains:config.domains @@ fun pool ->
+    Cancel.check r.cancel ~site:"pipeline.tft";
+    let* dataset =
+      settled ~stage:"tft" Artifact.dataset_of_json Artifact.json_of_dataset
+        (fun () ->
+          guarded ~stage:"pipeline.tft" (fun () ->
+              Cancel.with_budget r.cancel ~stage:"pipeline.tft"
+                ?seconds:r.budgets.tft (fun () ->
+                  tft_stage r ~pool ~config ~mna ~training_run)))
+    in
+    let t2 = Clock.now () in
+    (* outputs fit in order, each lending the pool to its inner axes *)
+    let fit_output output =
+      let fit = fit_rung r ~pool ~dataset ~output in
+      match policy with
+      | Raise -> Some ("base", fit ("base", config.rvf))
+      | Ladder retry -> climb_ladder r ~retry ~fit ~rvf:config.rvf ~output
+    in
+    Cancel.check r.cancel ~site:"pipeline.fit";
+    Some
+      (Cancel.with_budget r.cancel ~stage:"pipeline.fit"
+         ?seconds:r.budgets.fit (fun () ->
+           List.mapi
+             (fun output _ ->
+               let t3 = Clock.now () in
+               settled
+                 ~stage:(Printf.sprintf "fit-o%d" output)
+                 rung_fit_of_json json_of_rung_fit
+                 (fun () -> fit_output output)
+               |> Option.map (fun (rung, rvf) ->
+                      Diag.note r.diag "pipeline.ladder_rung" rung;
+                      {
+                        model = rvf.Rvf.model;
+                        rvf;
+                        dataset;
+                        mna;
+                        training_run;
+                        timing =
+                          {
+                            train_seconds = t1 -. t0;
+                            tft_seconds = t2 -. t1;
+                            fit_seconds = Clock.now () -. t3;
+                          };
+                      }))
+             outputs))
+  in
+  match outcomes with
+  | Some outcomes -> outcomes
+  | None -> List.map (fun _ -> None) outputs
+
+(* --- entry points ----------------------------------------------------- *)
+
+let extract_simo ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
+    ~netlist ~input ~outputs () =
+  if outputs = [] then invalid_arg "Pipeline.extract_simo: no outputs";
+  run_stages ~policy:Raise ~diag:(Option.map Obs.diag obs) ?guard ?cancel
+    ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist ~input ~outputs ()
+  |> List.map Option.get
+
+let extract ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
+    ~netlist ~input ~output () =
+  List.hd
+    (extract_simo ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
+       ~netlist ~input ~outputs:[ output ] ())
+
+let try_extract_simo ?guard ?cancel ?budgets ?checkpoint_dir
+    ?(retry = no_retry) ?obs ?pool ~config ~netlist ~input ~outputs () =
   (* with a hub attached, its own diag collector is the run's narrative
      so the returned report is exactly the bundle's diag.json *)
   let d = match obs with Some o -> Obs.diag o | None -> Diag.create () in
@@ -628,171 +613,38 @@ let try_extract ?guard ?cancel ?budgets ?checkpoint_dir ?retry ?trace ?metrics
       Diag.note diag "guard.enabled" "true";
       Diag.note diag "guard.snapshot_repair"
         (Guard.repair_to_string g.Guard.snapshot_repair));
-  let t0 = Clock.now () in
-  let outcome =
-    try
-      match
-        recover ?obs diag ~stage:"pipeline.train" (fun () ->
-            let mna = build_mna ~config ~netlist ~input ~outputs:[ output ] in
-            Cancel.check cancel ~site:"pipeline.train";
-            let training_run =
-              match
-                load_ck ?obs diag ck ~stage:"train" Artifact.tran_of_json
-              with
-              | Some r -> r
-              | None ->
-                  let r =
-                    Cancel.with_budget cancel ~stage:"pipeline.train"
-                      ?seconds:b.train (fun () ->
-                        run_train ?guard ?cancel ?diag ?trace ?metrics ?obs
-                          ~config ~mna ())
-                  in
-                  store_ck ?obs diag ck ~stage:"train" Artifact.json_of_tran r;
-                  r
-            in
-            (mna, training_run))
+  let none () = List.map (fun _ -> None) outputs in
+  let outcomes =
+    if outputs = [] then begin
+      Diag.error diag ~stage:"pipeline.train" "no outputs requested";
+      []
+    end
+    else
+      try
+        run_stages ~policy:(Ladder retry) ~diag ?guard ?cancel ?budgets
+          ?checkpoint_dir ?obs ?pool ~config ~netlist ~input ~outputs ()
       with
-      | None -> None
-      | Some (mna, training_run) -> (
-          let t1 = Clock.now () in
-          with_run_pool ?pool ~domains:config.domains @@ fun pool ->
-          Cancel.check cancel ~site:"pipeline.tft";
-          match
-            recover ?obs diag ~stage:"pipeline.tft" (fun () ->
-                match
-                  load_ck ?obs diag ck ~stage:"tft" Artifact.dataset_of_json
-                with
-                | Some dset -> dset
-                | None ->
-                    let dset =
-                      Cancel.with_budget cancel ~stage:"pipeline.tft"
-                        ?seconds:b.tft (fun () ->
-                          tft_stage ?guard ?cancel ?diag ?trace ?metrics ?obs
-                            ?pool ~config ~mna ~training_run ())
-                    in
-                    store_ck ?obs diag ck ~stage:"tft"
-                      Artifact.json_of_dataset dset;
-                    dset)
-          with
-          | None -> None
-          | Some dataset -> (
-              let t2 = Clock.now () in
-              Cancel.check cancel ~site:"pipeline.fit";
-              match
-                Cancel.with_budget cancel ~stage:"pipeline.fit" ?seconds:b.fit
-                  (fun () ->
-                    fit_with_ladder ?guard ?cancel ~budgets:b ?retry ?ck ~diag
-                      ?trace ?metrics ?obs ?pool ~config ~dataset ~output:0 ())
-              with
-              | None -> None
-              | Some rvf ->
-                  let t3 = Clock.now () in
-                  Some
-                    {
-                      model = rvf.Rvf.model;
-                      rvf;
-                      dataset;
-                      mna;
-                      training_run;
-                      timing =
-                        {
-                          train_seconds = t1 -. t0;
-                          tft_seconds = t2 -. t1;
-                          fit_seconds = t3 -. t2;
-                        };
-                    }))
-    with
-    | Cancel.Cancelled { site } as e ->
-        (* the supervisor contract: a cancelled or deadline-tripped run
-           never yields a model, and the report names what stopped it *)
-        Diag.error diag ~stage:"pipeline.cancelled" (describe_exn e);
-        Obs.cancelled obs ~site;
-        None
-    | Cancel.Deadline_exceeded { site; stage; budget_seconds; elapsed_seconds }
-      as e ->
-        Diag.error diag ~stage (describe_exn e);
-        Obs.deadline obs ~site ~stage ~budget_seconds ~elapsed_seconds;
-        None
+      | Cancel.Cancelled { site } as e ->
+          (* the supervisor contract: a cancelled or deadline-tripped run
+             never yields a model, and the report names what stopped it *)
+          Diag.error diag ~stage:"pipeline.cancelled" (describe_exn e);
+          Obs.cancelled obs ~site;
+          none ()
+      | Cancel.Deadline_exceeded
+          { site; stage; budget_seconds; elapsed_seconds } as e ->
+          Diag.error diag ~stage (describe_exn e);
+          Obs.deadline obs ~site ~stage ~budget_seconds ~elapsed_seconds;
+          none ()
   in
-  (outcome, Diag.report d)
+  (outcomes, Diag.report d)
 
-let try_extract_simo ?guard ?cancel ?budgets ?retry ?trace ?metrics ?obs ?pool
-    ~config ~netlist ~input ~outputs () =
-  let cancel = resolve_cancel cancel budgets in
-  let b = Option.value budgets ~default:no_budgets in
-  let d = match obs with Some o -> Obs.diag o | None -> Diag.create () in
-  let diag = Some d in
-  (match guard with
-  | None -> ()
-  | Some _ -> Diag.note diag "guard.enabled" "true");
-  if outputs = [] then begin
-    Diag.error diag ~stage:"pipeline.train" "no outputs requested";
-    ([], Diag.report d)
-  end
-  else
-    let t0 = Clock.now () in
-    let all_none () = List.map (fun _ -> None) outputs in
-    try
-      match
-        recover ?obs diag ~stage:"pipeline.train" (fun () ->
-            Cancel.with_budget cancel ~stage:"pipeline.train" ?seconds:b.train
-              (fun () ->
-                train_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ~config
-                  ~netlist ~input ~outputs ()))
-      with
-      | None -> (all_none (), Diag.report d)
-      | Some (mna, training_run) -> (
-          let t1 = Clock.now () in
-          with_run_pool ?pool ~domains:config.domains @@ fun pool ->
-          match
-            recover ?obs diag ~stage:"pipeline.tft" (fun () ->
-                Cancel.with_budget cancel ~stage:"pipeline.tft" ?seconds:b.tft
-                  (fun () ->
-                    tft_stage ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool
-                      ~config ~mna ~training_run ()))
-          with
-          | None -> (all_none (), Diag.report d)
-          | Some dataset ->
-              let t2 = Clock.now () in
-              let outcomes =
-                List.mapi
-                  (fun j _ ->
-                    let t3 = Clock.now () in
-                    match
-                      fit_with_ladder ?guard ?cancel ~budgets:b ?retry ~diag
-                        ?trace ?metrics ?obs ?pool ~config ~dataset ~output:j
-                        ()
-                    with
-                    | None -> None
-                    | Some rvf ->
-                        let t4 = Clock.now () in
-                        Some
-                          {
-                            model = rvf.Rvf.model;
-                            rvf;
-                            dataset;
-                            mna;
-                            training_run;
-                            timing =
-                              {
-                                train_seconds = t1 -. t0;
-                                tft_seconds = t2 -. t1;
-                                fit_seconds = t4 -. t3;
-                              };
-                          })
-                  outputs
-              in
-              (outcomes, Diag.report d))
-    with
-    | Cancel.Cancelled { site } as e ->
-        Diag.error diag ~stage:"pipeline.cancelled" (describe_exn e);
-        Obs.cancelled obs ~site;
-        (List.map (fun _ -> None) outputs, Diag.report d)
-    | Cancel.Deadline_exceeded { site; stage; budget_seconds; elapsed_seconds }
-      as e ->
-        Diag.error diag ~stage (describe_exn e);
-        Obs.deadline obs ~site ~stage ~budget_seconds ~elapsed_seconds;
-        (List.map (fun _ -> None) outputs, Diag.report d)
+let try_extract ?guard ?cancel ?budgets ?checkpoint_dir ?retry ?obs ?pool
+    ~config ~netlist ~input ~output () =
+  let outcomes, report =
+    try_extract_simo ?guard ?cancel ?budgets ?checkpoint_dir ?retry ?obs ?pool
+      ~config ~netlist ~input ~outputs:[ output ] ()
+  in
+  (List.hd outcomes, report)
 
 let buffer_config ?(snapshots = 100) ?(domains = 1) () =
   let freq = 1e6 in
@@ -820,8 +672,7 @@ let buffer_config ?(snapshots = 100) ?(domains = 1) () =
     backend = Engine.Mna.Dense;
   }
 
-let extract_buffer ?guard ?diag ?trace ?metrics ?obs ?config () =
+let extract_buffer ?obs ?config () =
   let config = match config with Some c -> c | None -> buffer_config () in
-  extract ?guard ?diag ?trace ?metrics ?obs ~config
-    ~netlist:(Circuits.Buffer.netlist ())
+  extract ?obs ~config ~netlist:(Circuits.Buffer.netlist ())
     ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()

@@ -19,10 +19,9 @@ type config = {
   estimator_delays : float list;  (** extra state-estimator delays (eq. 4) *)
   rvf : Rvf.config;
   domains : int;
-      (** parallelism of the TFT transform (and the per-output fits of
-          {!extract_simo}): [1] (the default) stays sequential, [n > 1]
-          fans out across an [Exec] pool of [n] domains with
-          bit-identical results. *)
+      (** parallelism of the TFT transform and the fitting stages: [1]
+          (the default) stays sequential, [n > 1] fans out across an
+          [Exec] pool of [n] domains with bit-identical results. *)
   backend : Engine.Mna.backend;
       (** linear-algebra backbone for the training transient and the
           TFT transform. [Dense] (the default) is bit-identical to
@@ -110,93 +109,11 @@ type outcome = {
   timing : timing;
 }
 
-val extract :
+val extract_simo :
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
-  ?obs:Obs.t ->
-  ?pool:Exec.t ->
-  config:config ->
-  netlist:Circuit.Netlist.t ->
-  input:string ->
-  output:Engine.Mna.output ->
-  unit ->
-  outcome
-(** Runs the whole flow for a SISO channel. The [input] source's wave is
-    replaced by [config.training.wave] during training.
-
-    With [checkpoint_dir], each completed stage is persisted as a
-    schema-versioned, fingerprint-addressed {!Checkpoint} artifact
-    (stages ["train"], ["tft"], ["fit-o0"]): re-running the same
-    extraction resumes from the last settled artifact and produces a
-    bit-identical model (floats round-trip via [%.17g]). The
-    fingerprint hashes the netlist, training wave/schedule, frequency
-    grid, estimator delays, RVF config and channel selection — but not
-    [domains], so a run checkpointed at one parallelism resumes at any
-    other. Stale artifacts (fingerprint or schema mismatch) are
-    silently recomputed; torn/malformed ones are rejected with a
-    [Warning] and recomputed. Checkpoint interactions emit [checkpoint]
-    {!Obs} events (actions ["store"]/["load"]/["stale"]/["invalid"]).
-    A checkpoint-disabled run and a clean checkpointed run are
-    bit-identical.
-
-    When [config.domains > 1] a single warm {!Exec} pool is created for
-    the whole run and reused by every fan-out stage (TFT pencil solves,
-    VF relocation blocks, residue fits) — workers are spawned once, not
-    per stage. Passing [?pool] instead lends a caller-owned pool (e.g.
-    across repeated extractions); it overrides [config.domains] for
-    pool selection and is never shut down here.
-
-    With [diag], records spans for the three pipeline stages
-    ([pipeline.train], [pipeline.tft], [pipeline.fit]) and threads the
-    collector into the transient engine and the RVF stages. With
-    [trace], the same three stages record hierarchical {!Trace} spans —
-    down to per-transient-step, per-chunk and per-VF-iteration spans,
-    across every pool domain — and with [metrics] the quantitative
-    counters and timing histograms of every layer accumulate into the
-    registry. With [obs], the unified hub additionally collects the
-    algorithmic convergence stream: [stage] boundary events, per-VF-
-    iteration pole positions and sigma residuals, rcond samples from
-    every LU/complex-LU/QR factorization, and quarantine events.
-    Telemetry never changes the numerics: the extracted model
-    is bit-for-bit the same with or without collectors.
-
-    With [guard], the {!Guard} layer threads through every stage:
-    reciprocal-condition floors on LU factorizations, NaN/Inf sentinels
-    on solver outputs and fitted models, transient step-halving
-    recovery, snapshot quarantine in the TFT transform and VF
-    pole-runaway checks. A clean guarded run returns a bit-identical
-    model; a detected-but-unrepairable condition raises
-    [Guard.Violation] (or a typed [Singular]) that {!try_extract}
-    treats as recoverable. *)
-
-val buffer_config : ?snapshots:int -> ?domains:int -> unit -> config
-(** The Section-IV experiment configuration for {!Circuits.Buffer}:
-    one period of the low-frequency high-amplitude training sine,
-    ~[snapshots] (default 100) TFT samples, 1 Hz – 10 GHz grid. *)
-
-val extract_buffer :
-  ?guard:Guard.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
-  ?obs:Obs.t ->
-  ?config:config ->
-  unit ->
-  outcome
-(** Convenience wrapper reproducing the paper's example end-to-end,
-    threading the optional collectors through {!extract}. *)
-
-val extract_simo :
-  ?guard:Guard.t ->
-  ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
   config:config ->
@@ -205,17 +122,86 @@ val extract_simo :
   outputs:Engine.Mna.output list ->
   unit ->
   outcome list
-(** Single-input multi-output extraction: "the extension towards MIMO
-    systems is very straightforward" — the training transient, snapshot
-    capture and TFT pencil solves are shared across channels; only the
-    fitting stages run per output. Returns one outcome per requested
-    output (all sharing the same dataset and training run).
+(** Runs the whole flow for a single-input multi-output channel set and
+    returns one outcome per requested output. The [input] source's wave
+    is replaced by [config.training.wave] during training. "The
+    extension towards MIMO systems is very straightforward": the
+    training transient, snapshot capture and TFT transform are shared
+    across outputs (every outcome carries the same dataset and training
+    run); only the fitting stages run per output, in order.
 
-    A [diag] collector or a [trace] buffer is single-owner mutable
-    state, so attaching either runs the per-output fits sequentially
-    (the results are bit-identical either way; only wall-clock
-    changes). A [metrics] registry is internally synchronized and never
-    affects the fan-out. *)
+    With [checkpoint_dir], each completed stage is persisted as a
+    schema-versioned, fingerprint-addressed {!Checkpoint} artifact
+    (stages ["train"], ["tft"] and one ["fit-o<j>"] per output j):
+    re-running the same extraction resumes from the last settled
+    artifact and produces a bit-identical model (floats round-trip via
+    [%.17g]). The fingerprint hashes the netlist, training
+    wave/schedule, frequency grid, estimator delays, RVF config and
+    channel selection — but not [domains], so a run checkpointed at one
+    parallelism resumes at any other. Stale artifacts (fingerprint or
+    schema mismatch) are silently recomputed; torn/malformed ones are
+    rejected with a [Warning] and recomputed. Checkpoint interactions
+    emit [checkpoint] {!Obs} events (actions
+    ["store"]/["load"]/["stale"]/["invalid"]). A checkpoint-disabled
+    run and a clean checkpointed run are bit-identical.
+
+    When [config.domains > 1] a single warm {!Exec} pool is created for
+    the whole run and reused by every fan-out stage (TFT pencil solves,
+    VF relocation blocks, residue fits) — workers are spawned once, not
+    per stage. Passing [?pool] instead lends a caller-owned pool (e.g.
+    across repeated extractions); it overrides [config.domains] for
+    pool selection and is never shut down here.
+
+    [obs] is the only telemetry argument: the hub's {!Diag} collector
+    records spans for the three pipeline stages ([pipeline.train],
+    [pipeline.tft], [pipeline.fit]) and the counters of the transient
+    engine and the RVF stages; its {!Trace} collector records the same
+    stages as hierarchical spans — down to per-transient-step,
+    per-chunk and per-VF-iteration spans, across every pool domain;
+    its {!Metrics} registry accumulates the quantitative counters and
+    timing histograms of every layer; and its event stream collects
+    the algorithmic convergence record: [stage] boundary events,
+    per-VF-iteration pole positions and sigma residuals, rcond samples
+    from every LU/complex-LU/QR factorization, and quarantine events.
+    Telemetry never changes the numerics: the extracted model is
+    bit-for-bit the same with or without a hub.
+
+    With [guard], the {!Guard} layer threads through every stage:
+    reciprocal-condition floors on LU factorizations, NaN/Inf sentinels
+    on solver outputs and fitted models, transient step-halving
+    recovery, snapshot quarantine in the TFT transform and VF
+    pole-runaway checks. A clean guarded run returns a bit-identical
+    model; a detected-but-unrepairable condition raises
+    [Guard.Violation] (or a typed [Singular]) that {!try_extract_simo}
+    treats as recoverable.
+
+    Raises [Invalid_argument] when [outputs] is empty. *)
+
+val extract :
+  ?guard:Guard.t ->
+  ?cancel:Cancel.t ->
+  ?budgets:budgets ->
+  ?checkpoint_dir:string ->
+  ?obs:Obs.t ->
+  ?pool:Exec.t ->
+  config:config ->
+  netlist:Circuit.Netlist.t ->
+  input:string ->
+  output:Engine.Mna.output ->
+  unit ->
+  outcome
+(** The one-output case of {!extract_simo}: a SISO channel, whose fit
+    checkpoint is stage ["fit-o0"]. *)
+
+val buffer_config : ?snapshots:int -> ?domains:int -> unit -> config
+(** The Section-IV experiment configuration for {!Circuits.Buffer}:
+    one period of the low-frequency high-amplitude training sine,
+    ~[snapshots] (default 100) TFT samples, 1 Hz – 10 GHz grid. *)
+
+val extract_buffer : ?obs:Obs.t -> ?config:config -> unit -> outcome
+(** The paper's example end-to-end: {!extract} on {!Circuits.Buffer}
+    with its input source and output node, under [config] (default
+    {!buffer_config}). *)
 
 (** {2 Graceful degradation}
 
@@ -239,61 +225,22 @@ val escalation_ladder : Rvf.config -> (string * Rvf.config) list
     ["relaxed-min-imag"] (divide [min_imag_fraction] by 4) and
     ["combined"] (all of the above). *)
 
+val recoverable : exn -> bool
+(** Whether an exception belongs to the recoverable failure set above.
+    Cancellation, deadlines and [Checkpoint.Killed] do not. *)
+
 val describe_exn : exn -> string
 (** Human-readable rendering of the recoverable failure set above (typed
     payloads included); falls back to [Printexc.to_string]. Used for the
     [Error] events of the [try_]* variants and the CLI's structured
     error object. *)
 
-val try_extract :
+val try_extract_simo :
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
   ?retry:retry ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
-  ?obs:Obs.t ->
-  ?pool:Exec.t ->
-  config:config ->
-  netlist:Circuit.Netlist.t ->
-  input:string ->
-  output:Engine.Mna.output ->
-  unit ->
-  outcome option * Diag.report
-(** Non-raising {!extract}. Always returns a populated report: spans and
-    counters for the stages that ran, a [Warning] event per failed
-    ladder rung (counter [pipeline.fit_retries]), a note
-    [pipeline.ladder_rung] naming the rung that produced the model, and
-    an [Error] event naming the failing stage when the outcome is
-    [None]. A model produced by any rung above ["base"] carries a
-    degraded-extraction [Warning]. [?trace]/[?metrics]/[?obs] are
-    threaded through every stage exactly as in {!extract} — including
-    the stages that ran before a failure, so a trace of a failed
-    extraction shows where the time went. With [obs], the returned
-    report is drawn from the hub's own diag collector (so the bundled
-    [diag.json] and the report coincide), every ladder rung emits an
-    [escalation] event (outcome ["ok"]/["failed"]/["retry"]/["deadline"]
-    with the failure detail) and recoverable stage failures emit
-    [violation] events.
-
-    Cancellation and deadlines are {e not} recoverable: a tripped
-    budget aborts the ladder (no retry, no further rungs), records an
-    [Error] event whose stage carries the rung label
-    (["pipeline.fit:<rung>"]) plus an [obs] [deadline] event, and
-    returns [None]. [Checkpoint.Killed] (the chaos harness's simulated
-    crash) propagates to the caller. With [checkpoint_dir] armed, a
-    rung retry resumes from the on-disk train/TFT artifacts, and a
-    settled fit artifact short-circuits the ladder entirely on
-    resume. *)
-
-val try_extract_simo :
-  ?guard:Guard.t ->
-  ?cancel:Cancel.t ->
-  ?budgets:budgets ->
-  ?retry:retry ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
   config:config ->
@@ -302,6 +249,48 @@ val try_extract_simo :
   outputs:Engine.Mna.output list ->
   unit ->
   outcome option list * Diag.report
-(** Non-raising {!extract_simo}: one [outcome option] per requested
-    output (the ladder runs independently per output) and a single
-    shared report. A training or TFT failure yields all-[None]. *)
+(** Non-raising {!extract_simo}: the same stage sequence, one
+    [outcome option] per requested output (the ladder runs
+    independently per output) and a single shared report. A training or
+    TFT failure yields all-[None]; an empty [outputs] yields [[]] and
+    an [Error] event.
+
+    The report is always populated: spans and counters for the stages
+    that ran, a [Warning] event per failed ladder rung (counter
+    [pipeline.fit_retries]), a note [pipeline.ladder_rung] naming the
+    rung that produced the (last) model, and an [Error] event naming
+    the failing stage when an outcome is [None]. A model produced by
+    any rung above ["base"] carries a degraded-extraction [Warning].
+    With [obs], the report is drawn from the hub's own diag collector
+    (so the bundled [diag.json] and the report coincide), every ladder
+    rung emits an [escalation] event (outcome
+    ["ok"]/["failed"]/["retry"]/["deadline"] with the failure detail)
+    and recoverable stage failures emit [violation] events; the trace
+    and metrics of the stages that ran before a failure are kept, so a
+    failed extraction still shows where the time went.
+
+    Cancellation and deadlines are {e not} recoverable: a tripped
+    budget aborts the ladder (no retry, no further rungs), records an
+    [Error] event whose stage carries the rung label
+    (["pipeline.fit:<rung>"]) plus an [obs] [deadline] event, and
+    yields all-[None]. [Checkpoint.Killed] (the chaos harness's
+    simulated crash) propagates to the caller. With [checkpoint_dir]
+    armed, a rung retry resumes from the on-disk train/TFT artifacts,
+    and a settled fit artifact short-circuits the ladder entirely on
+    resume. *)
+
+val try_extract :
+  ?guard:Guard.t ->
+  ?cancel:Cancel.t ->
+  ?budgets:budgets ->
+  ?checkpoint_dir:string ->
+  ?retry:retry ->
+  ?obs:Obs.t ->
+  ?pool:Exec.t ->
+  config:config ->
+  netlist:Circuit.Netlist.t ->
+  input:string ->
+  output:Engine.Mna.output ->
+  unit ->
+  outcome option * Diag.report
+(** The one-output case of {!try_extract_simo}: non-raising {!extract}. *)

@@ -89,10 +89,6 @@ let validate ~model ~netlist ~input ~output ~wave ~t_stop ~dt () =
 
 let json_escape = Minijson.escape
 
-(* The serializer itself lives with the bundle writer; --diag and the
-   obs bundle's diag.json must stay byte-identical. *)
-let diag_json = Obs_bundle.diag_json
-
 let error_json ?message (r : Diag.report) =
   let errors =
     List.filter (fun (e : Diag.event) -> e.Diag.level = Diag.Error) r.Diag.events

@@ -41,13 +41,6 @@ val validate :
 val summary : Pipeline.outcome -> string
 (** A human-readable extraction report. *)
 
-val diag_json : Diag.report -> string
-(** Serialize a telemetry report as a self-contained JSON document:
-    [{"schema_version": 1, "spans": [...], "counters": {...},
-    "stats": [...], "events": [...], "notes": {...}}]. Strings are
-    escaped; non-finite floats are encoded as the strings ["nan"],
-    ["inf"] and ["-inf"]. *)
-
 val error_json : ?message:string -> Diag.report -> string
 (** Serialize a failed extraction as a structured JSON error object:
     [{"schema_version": 1, "error": {"stage", "message"},

@@ -30,9 +30,8 @@ let manifest ~tool ~status ~seed ~config () =
       ("config", Minijson.Obj config);
     ]
 
-(* The one Diag.report serializer (Report.diag_json re-exports it): the
-   hand-rolled layout predates Minijson.emit and is kept because the
-   diag-smoke validator pins this exact shape. *)
+(* The one Diag.report serializer: the hand-rolled layout predates
+   Minijson.emit and is kept because obs_check pins this exact shape. *)
 let diag_json (r : Diag.report) =
   let buf = Buffer.create 4096 in
   let sep = ref "" in

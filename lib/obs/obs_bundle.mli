@@ -43,8 +43,11 @@ val manifest :
     run [config]. *)
 
 val diag_json : Diag.report -> string
-(** The {!Diag} report as a schema-versioned JSON document (the same
-    serialization the CLI's [--diag] writes). *)
+(** Serialize a telemetry report as a self-contained JSON document:
+    [{"schema_version": 1, "spans": [...], "counters": {...},
+    "stats": [...], "events": [...], "notes": {...}}] — the bundle's
+    [diag.json]. Strings are escaped; non-finite floats are encoded as
+    the strings ["nan"], ["inf"] and ["-inf"]. *)
 
 val write :
   dir:string -> manifest:Minijson.t -> ?repro:Minijson.t -> Obs.t -> unit

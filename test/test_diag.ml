@@ -81,7 +81,7 @@ let test_diag_json_shape_and_escaping () =
   Diag.observe diag "vf.freq.sigma_rms" 0.5;
   Diag.note diag "quoted" "say \"hi\"\nthere";
   Diag.warn diag ~stage:"engine.tran" "tab\there";
-  let js = Tft_rvf.Report.diag_json (Diag.report d) in
+  let js = Obs_bundle.diag_json (Diag.report d) in
   let contains needle =
     let nl = String.length needle and hl = String.length js in
     let rec go i = i + nl <= hl && (String.sub js i nl = needle || go (i + 1)) in

@@ -238,35 +238,54 @@ let test_tpw_requires_siso () =
 
 let test_extract_simo_two_outputs () =
   let netlist = Circuits.Library.clipper () in
-  let config =
-    Tft_rvf.Pipeline.default_config_for ~f_min:1e4 ~f_max:1e9
-      ~training:clipper_training ()
+  let equations (o : Tft_rvf.Pipeline.outcome) =
+    Hammerstein.Hmodel.equations o.Tft_rvf.Pipeline.model
   in
-  let outcomes =
-    Tft_rvf.Pipeline.extract_simo ~config ~netlist ~input:"Vin"
-      ~outputs:[ Engine.Mna.Node "out"; Engine.Mna.Node "in" ] ()
-  in
-  Alcotest.(check int) "two models" 2 (List.length outcomes);
-  match outcomes with
-  | [ o_out; o_in ] ->
-      (* channel 2 observes the driven node itself: unit transfer *)
-      let t =
-        Hammerstein.Hmodel.transfer o_in.Tft_rvf.Pipeline.model ~x:0.3
-          ~s:(Signal.Grid.s_of_hz 1e6)
+  List.iter
+    (fun (label, backend) ->
+      let config =
+        Tft_rvf.Pipeline.default_config_for ~backend ~f_min:1e4 ~f_max:1e9
+          ~training:clipper_training ()
       in
-      Alcotest.(check bool) "driven node has unit gain" true
-        (Complex.norm (Complex.sub t Complex.one) < 5e-2);
-      (* channel 1 is the usual clipper model *)
-      let se =
-        Tft_rvf.Report.surface_error ~model:o_out.Tft_rvf.Pipeline.model
-          ~dataset:o_out.Tft_rvf.Pipeline.dataset ~input:0 ~output:0
+      let simo outputs =
+        Tft_rvf.Pipeline.extract_simo ~config ~netlist ~input:"Vin" ~outputs ()
       in
-      Alcotest.(check bool) "clipper channel accurate" true
-        (se.Tft_rvf.Report.rms_db < -25.0);
-      (* both share the same dataset *)
-      Alcotest.(check bool) "dataset shared" true
-        (o_out.Tft_rvf.Pipeline.dataset == o_in.Tft_rvf.Pipeline.dataset)
-  | _ -> Alcotest.fail "expected two outcomes"
+      (match simo [ Engine.Mna.Node "out"; Engine.Mna.Node "in" ] with
+      | [ o_out; o_in ] ->
+          (* channel 2 observes the driven node itself: unit transfer *)
+          let t =
+            Hammerstein.Hmodel.transfer o_in.Tft_rvf.Pipeline.model ~x:0.3
+              ~s:(Signal.Grid.s_of_hz 1e6)
+          in
+          Alcotest.(check bool) (label ^ ": driven node has unit gain") true
+            (Complex.norm (Complex.sub t Complex.one) < 5e-2);
+          (* channel 1 is the usual clipper model *)
+          let se =
+            Tft_rvf.Report.surface_error ~model:o_out.Tft_rvf.Pipeline.model
+              ~dataset:o_out.Tft_rvf.Pipeline.dataset ~input:0 ~output:0
+          in
+          Alcotest.(check bool) (label ^ ": clipper channel accurate") true
+            (se.Tft_rvf.Report.rms_db < -25.0);
+          (* both share the same dataset *)
+          Alcotest.(check bool) (label ^ ": dataset shared") true
+            (o_out.Tft_rvf.Pipeline.dataset == o_in.Tft_rvf.Pipeline.dataset)
+      | outcomes ->
+          Alcotest.failf "%s: expected two outcomes, got %d" label
+            (List.length outcomes));
+      (* the SISO entry point is the one-output case of the SIMO one *)
+      let siso =
+        Tft_rvf.Pipeline.extract ~config ~netlist ~input:"Vin"
+          ~output:Circuits.Library.clipper_output ()
+      in
+      match simo [ Circuits.Library.clipper_output ] with
+      | [ o ] ->
+          Alcotest.(check string)
+            (label ^ ": one-output simo equations identical to extract")
+            (equations siso) (equations o)
+      | outcomes ->
+          Alcotest.failf "%s: expected one outcome, got %d" label
+            (List.length outcomes))
+    [ ("dense", Engine.Mna.Dense); ("sparse", Engine.Mna.Sparse) ]
 
 let suite =
   [

@@ -234,16 +234,16 @@ let test_extract_checkpoint_resume () =
       ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()
   in
   let first = extract () in
-  let d = Diag.create () in
+  let o = Obs.create () in
   let resumed =
-    Tft_rvf.Pipeline.extract ~checkpoint_dir:dir ~diag:d ~config
+    Tft_rvf.Pipeline.extract ~checkpoint_dir:dir ~obs:o ~config
       ~netlist:(Circuits.Buffer.netlist ())
       ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()
   in
   Alcotest.(check string) "bit-identical equations"
     (Hammerstein.Hmodel.equations first.Tft_rvf.Pipeline.model)
     (Hammerstein.Hmodel.equations resumed.Tft_rvf.Pipeline.model);
-  let report = Diag.report d in
+  let report = Diag.report (Obs.diag o) in
   List.iter
     (fun stage ->
       Alcotest.(check (option string))

@@ -322,12 +322,11 @@ let test_traced_extraction_bit_identical () =
   let netlist = Circuits.Buffer.netlist () in
   let input = Circuits.Buffer.input_name and output = Circuits.Buffer.output in
   let plain = Tft_rvf.Pipeline.extract ~config ~netlist ~input ~output () in
-  let tr = Trace.create () in
-  let m = Metrics.create () in
+  let o = Obs.create () in
   let traced =
-    Tft_rvf.Pipeline.extract ~trace:(Trace.main tr) ~metrics:m ~config ~netlist
-      ~input ~output ()
+    Tft_rvf.Pipeline.extract ~obs:o ~config ~netlist ~input ~output ()
   in
+  let tr = Obs.tracer o and m = Obs.metrics o in
   Alcotest.(check string) "identical equations"
     (Hammerstein.Hmodel.equations plain.Tft_rvf.Pipeline.model)
     (Hammerstein.Hmodel.equations traced.Tft_rvf.Pipeline.model);
