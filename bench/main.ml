@@ -994,7 +994,8 @@ let write_bench_json path targets =
 
 (* regression gate: every entry whose name marks it as a timing
    (_seconds / _ns suffix) present in both files is compared as a ratio;
-   anything slower than --threshold (default 1.5x) fails the run.
+   anything slower than --threshold (default 1.5x) fails the run, and so
+   does a baseline timing entry the candidate lacks.
    Pairs where both sides sit under [noise_floor_seconds] are reported
    but never flagged: a few milliseconds of pool spawn or file IO can
    swing well past any ratio threshold on a loaded host without meaning
@@ -1088,12 +1089,22 @@ let compare_benches ~threshold old_path new_path =
           | _ -> Printf.printf "new        %-44s %11.4g  (no baseline)\n" name nv)
       | _ -> ())
     new_entries;
+  (* a renamed or deleted span would otherwise drop its entry from the
+     gate without a word *)
+  let missing =
+    List.filter
+      (fun (name, _) ->
+        timing_entry name && not (List.mem_assoc name new_entries))
+      old_entries
+  in
+  List.iter (fun (name, _) -> Printf.printf "MISSING    %s\n" name) missing;
   Printf.printf
-    "# compared %d timing entr%s against %s (threshold %.2fx): %d regression(s)\n"
+    "# compared %d timing entr%s against %s (threshold %.2fx): %d \
+     regression(s), %d missing\n"
     !compared
     (if !compared = 1 then "y" else "ies")
-    old_path threshold !regressions;
-  if !regressions > 0 then exit 1
+    old_path threshold !regressions (List.length missing);
+  if !regressions > 0 || missing <> [] then exit 1
 
 let all_targets =
   [

@@ -7,10 +7,10 @@
 
    With the tft_extract binary's path as argv(1), also validates the
    CLI failure contract end-to-end: an armed fault that defeats every
-   escalation rung, a malformed netlist, a bad flag combination and an
-   uncreatable directory must each exit 1 with a schema-versioned JSON
-   error object on stderr; an unknown enumerated flag value is a usage
-   error (exit 124). No input may end in an uncaught exception.
+   escalation rung, an invalid netlist, a bad flag combination or grid
+   and an uncreatable directory must each exit 1 with a schema-versioned
+   JSON error object on stderr; an unknown enumerated flag value is a
+   usage error (exit 124). No input may end in an uncaught exception.
 
    Exits 0 and prints "fault ok" on success. Wired into `dune runtest`
    as the @fault-smoke alias. *)
@@ -159,11 +159,17 @@ let check_cli_error_json exe =
    error object, or Cmdliner's usage error for an unknown enumerated
    value — never exit 125, Cmdliner's uncaught-exception status *)
 let check_cli_inputs exe =
-  let netlist = Filename.temp_file "fault_check" ".cir" in
-  write_file netlist "* malformed: a resistor without a value\nR1 in out\n";
+  let netlists = ref [] in
+  let netlist text =
+    let path = Filename.temp_file "fault_check" ".cir" in
+    write_file path text;
+    netlists := path :: !netlists;
+    [ "-i"; path; "--output"; "out" ]
+  in
   let plain_file = Filename.temp_file "fault_check" ".file" in
   let under_file = Filename.concat plain_file "sub" in
   let buffer = [ "--builtin"; "buffer"; "--snapshots"; "12" ] in
+  let rc = netlist "Vin in 0 DC 1\nR1 in out 1k\nC1 out 0 1p\n" in
   List.iter
     (fun (what, args, expect) ->
       let status, text = run_cli exe args in
@@ -177,7 +183,20 @@ let check_cli_inputs exe =
             fail "%s: expected usage error (exit 124), got %d" what status
           else Printf.printf "  %-24s usage error\n%!" what)
     [
-      ("malformed netlist", [ "-i"; netlist; "--output"; "out" ], `Json);
+      ( "malformed netlist",
+        netlist "* malformed: a resistor without a value\nR1 in out\n",
+        `Json );
+      ("zero resistor", netlist "R1 in 0 0\n", `Json);
+      ("negative capacitor", netlist "C1 in 0 -1p\n", `Json);
+      ("duplicate name", netlist "R1 in 0 1k\nR1 in out 1k\n", `Json);
+      ("no ground", netlist "R1 in out 1k\n", `Json);
+      ("comment-only netlist", netlist "* nothing here\n", `Json);
+      ("--points 0", rc @ [ "--points"; "0" ], `Json);
+      ("--points -3", rc @ [ "--points=-3" ], `Json);
+      ("--fmin 0", rc @ [ "--fmin"; "0" ], `Json);
+      ("--fmin -1", rc @ [ "--fmin=-1" ], `Json);
+      ("--fmax 0", rc @ [ "--fmax"; "0" ], `Json);
+      ("--fmax -1e9", rc @ [ "--fmax=-1e9" ], `Json);
       ("--backend foo", buffer @ [ "--backend"; "foo" ], `Usage);
       ("--format foo", buffer @ [ "--format"; "foo" ], `Usage);
       ("--builtin nope", [ "--builtin"; "nope" ], `Usage);
@@ -188,7 +207,7 @@ let check_cli_inputs exe =
         `Json );
       ("bad --obs-dir", buffer @ [ "--obs-dir"; under_file ], `Json);
     ];
-  Sys.remove netlist;
+  List.iter Sys.remove !netlists;
   Sys.remove plain_file
 
 let () =

@@ -17,7 +17,7 @@
    frequency sweeps (for large circuits; falls back to dense on a
    sparse-path failure). An unknown `--backend`, `--format` or
    `--builtin` value is a usage error (exit 124); every other failure
-   — a malformed netlist, a bad flag combination, an unwritable
+   — a malformed netlist, a bad flag combination or grid, an unwritable
    directory, a failed extraction — ends with a structured JSON error
    object on stderr and exit 1. *)
 
@@ -170,14 +170,15 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
           }
         in
         let config =
-          let base =
+          match
             Tft_rvf.Pipeline.default_config_for ~points ~domains ~backend
               ~f_min ~f_max ~training ()
-          in
-          {
-            base with
-            Tft_rvf.Pipeline.rvf = { base.Tft_rvf.Pipeline.rvf with Rvf.eps };
-          }
+          with
+          | exception Invalid_argument m ->
+              fail ~stage:"cli" ("--points/--fmin/--fmax: " ^ m)
+          | base ->
+              let rvf = { base.Tft_rvf.Pipeline.rvf with Rvf.eps } in
+              { base with Tft_rvf.Pipeline.rvf }
         in
         (netlist, input, out_spec, config)
   in

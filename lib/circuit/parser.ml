@@ -266,10 +266,21 @@ let parse_string text =
           | ".end" | ".ends" -> None
           | _ -> fail line_no "unsupported directive %S" line
         end
-        else parse_component line_no (tokenize line_no line))
+        else
+          (* the constructors validate values (a zero resistor, a
+             negative capacitor); their complaint is this line's error *)
+          try parse_component line_no (tokenize line_no line)
+          with Invalid_argument msg -> fail line_no "%s" msg)
       joined
   in
-  Netlist.make components
+  (* whole-circuit checks (empty, duplicate names, no ground) have no
+     single line: they are reported at the last non-blank one *)
+  try Netlist.make components
+  with Invalid_argument msg ->
+    let last =
+      List.fold_left (fun l (n, t) -> if t = "" then l else n) 1 joined
+    in
+    fail last "%s" msg
 
 let parse_file path =
   let ic = open_in path in

@@ -25,7 +25,9 @@
     v} *)
 
 exception Parse_error of int * string
-(** Line number (1-based) and message. *)
+(** Line number (1-based) and message, for every malformed input. A
+    whole-circuit error (empty, a duplicate name, no ground) is reported
+    at the last line. *)
 
 val parse_string : string -> Netlist.t
 val parse_file : string -> Netlist.t

@@ -1,10 +1,8 @@
 (* Cross-cutting extraction telemetry.
 
-   A [t] is a mutable collector owned by the caller of a pipeline stage
-   and threaded through the numerical layers as an optional argument.
-   Every recording entry point takes a [t option] so instrumented code
-   can pass its own [?diag] parameter straight through without
-   pattern-matching; [None] recording is a no-op costing one branch.
+   A [t] is a mutable collector, owned by an [Obs] hub. Every recording
+   entry point takes a [t option]; [None] recording is a no-op costing
+   one branch.
 
    The collector survives exceptions: a stage that raises has still
    recorded its counters and events, so a failed extraction can be
@@ -63,8 +61,6 @@ let add d name n =
           Hashtbl.add d.counter_tbl name (ref n);
           d.counter_order <- name :: d.counter_order
     end
-
-let incr d name = add d name 1
 
 let observe d name v =
   match d with

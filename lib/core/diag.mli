@@ -1,16 +1,13 @@
 (** Structured per-stage telemetry for the extraction pipeline.
 
     Every iterative numerical stage (transient integration, Newton
-    solves, vector fitting, the recursion) accepts an optional [t] and
-    records what it actually did: wall-clock spans (via {!Clock}),
+    solves, vector fitting, the recursion) records through the {!Obs}
+    hub what it actually did: wall-clock spans (via {!Clock}),
     monotonic counters, running statistics, free-form notes, and
-    levelled events. The collector is owned by the caller and survives
-    exceptions, so a failed extraction still yields a {!report} naming
-    the stage that degenerated and the work done up to that point.
-
-    All recording entry points take a [t option]: instrumented code
-    passes its own [?diag] argument straight through, and [None] makes
-    every call a near-free no-op. *)
+    levelled events. The collector survives exceptions, so a failed
+    extraction still yields a {!report} naming the stage that
+    degenerated and the work done up to that point. All recording
+    entry points take a [t option]; [None] is a near-free no-op. *)
 
 type level = Info | Warning | Error
 
@@ -43,9 +40,6 @@ type t
 (** A mutable telemetry collector. *)
 
 val create : unit -> t
-
-val incr : t option -> string -> unit
-(** Bump a named counter by one. *)
 
 val add : t option -> string -> int -> unit
 (** Bump a named counter by [n]. *)

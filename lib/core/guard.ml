@@ -1,8 +1,8 @@
 (* Numerical guard layer for the extraction stack.
 
    A [t] is a bundle of thresholds threaded through the numerical
-   layers as an optional [?guard] argument, exactly like [?diag] and
-   [?trace]: [None] makes every check a no-op branch, so the unguarded
+   layers as an optional [?guard] argument, exactly like [?obs]:
+   [None] makes every check a no-op branch, so the unguarded
    path performs bit-for-bit the same floating-point operations as a
    build without the guard layer at all. With a guard attached, each
    stage *checks* (reciprocal-condition estimates on LU pivots,

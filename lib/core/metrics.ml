@@ -52,8 +52,6 @@ let add m name n =
               Hashtbl.add m.counter_tbl name (ref n);
               m.counter_order <- name :: m.counter_order)
 
-let incr m name = add m name 1
-
 let gauge m name v =
   match m with
   | None -> ()
@@ -110,8 +108,6 @@ let observe m name v =
           match Hashtbl.find_opt h.h_buckets idx with
           | Some r -> Stdlib.incr r
           | None -> Hashtbl.add h.h_buckets idx (ref 1))
-
-let now_if = function None -> 0.0 | Some _ -> Clock.now ()
 
 let observe_since_ns m name t0 =
   match m with

@@ -7,10 +7,8 @@
     may be written from several domains concurrently: every recording
     call takes an internal mutex for a few nanoseconds, which is
     negligible next to the microsecond-scale kernels being measured.
-    All entry points take a [t option] and [None] is a near-free no-op,
-    so instrumented code threads its own [?metrics] argument straight
-    through — the recorded-and-unrecorded paths run the same numerical
-    code and produce bit-identical results.
+    All entry points take a [t option] and [None] is a near-free
+    no-op.
 
     Histograms are log-bucketed: four buckets per decade, so a bucket's
     upper bound is [10^(i/4)] — wide enough dynamic range for values
@@ -20,9 +18,6 @@ type t
 (** A mutable, thread-safe metrics registry. *)
 
 val create : unit -> t
-
-val incr : t option -> string -> unit
-(** Bump a named counter by one. *)
 
 val add : t option -> string -> int -> unit
 (** Bump a named counter by [n]. *)
@@ -35,14 +30,9 @@ val observe : t option -> string -> float -> unit
     non-finite values land in a dedicated underflow bucket (reported
     with upper bound 0). *)
 
-val now_if : t option -> float
-(** [Clock.now ()] when a registry is attached, [0.0] otherwise — pair
-    with {!observe_since_ns} to keep the disabled path free of clock
-    reads. *)
-
 val observe_since_ns : t option -> string -> float -> unit
 (** [observe_since_ns m name t0] records [Clock.now () − t0] in
-    nanoseconds into the histogram [name] ([t0] from {!now_if}). *)
+    nanoseconds into the histogram [name] ([t0] from {!Clock.now}). *)
 
 (** {2 Snapshots and serialization} *)
 

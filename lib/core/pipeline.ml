@@ -126,18 +126,13 @@ let with_wave netlist ~input ~wave =
 
 (* --- the run context -------------------------------------------------- *)
 
-(* Everything a stage needs besides its data. The three collectors are
-   derived from the hub once per run, so [?obs] is the only telemetry
-   argument of the entry points. *)
+(* Everything a stage needs besides its data. *)
 type run = {
   guard : Guard.t option;
   cancel : Cancel.t option;
   budgets : budgets;
   ck : Checkpoint.t option;
   obs : Obs.t option;
-  diag : Diag.t option;
-  trace : Trace.buf option;
-  metrics : Metrics.t option;
 }
 
 (* --- checkpoint plumbing --------------------------------------------- *)
@@ -186,13 +181,13 @@ let load_ck r ~stage decode =
   | Some ckpt -> (
       match Checkpoint.load ckpt ~stage with
       | exception Checkpoint.Invalid { file; reason } ->
-          Diag.warn r.diag ~stage:"pipeline.checkpoint"
+          Obs.warn r.obs ~stage:"pipeline.checkpoint"
             (Printf.sprintf "rejected torn/malformed %s: %s" file reason);
           Obs.checkpoint r.obs ~stage ~action:"invalid";
           None
       | None ->
           if Sys.file_exists (Checkpoint.file ckpt ~stage) then begin
-            Diag.warn r.diag ~stage:"pipeline.checkpoint"
+            Obs.warn r.obs ~stage:"pipeline.checkpoint"
               (Printf.sprintf
                  "stale %s artifact ignored (fingerprint or schema changed)"
                  stage);
@@ -202,11 +197,11 @@ let load_ck r ~stage decode =
       | Some payload -> (
           match decode payload with
           | v ->
-              Diag.note r.diag ("checkpoint." ^ stage) "loaded";
+              Obs.note r.obs ("checkpoint." ^ stage) "loaded";
               Obs.checkpoint r.obs ~stage ~action:"load";
               Some v
           | exception Invalid_argument msg ->
-              Diag.warn r.diag ~stage:"pipeline.checkpoint"
+              Obs.warn r.obs ~stage:"pipeline.checkpoint"
                 (Printf.sprintf "undecodable %s artifact: %s" stage msg);
               Obs.checkpoint r.obs ~stage ~action:"invalid";
               None))
@@ -218,7 +213,7 @@ let store_ck r ~stage encode v =
   | None -> ()
   | Some ckpt ->
       Checkpoint.store ckpt ~stage (encode v);
-      Diag.incr r.diag "pipeline.checkpoint_stores";
+      Obs.count ~only:`Diag r.obs "pipeline.checkpoint_stores" 1;
       Obs.checkpoint r.obs ~stage ~action:"store"
 
 (* a settled fit is stored with the ladder rung that produced it *)
@@ -274,7 +269,7 @@ let recover r ~stage f =
   match f () with
   | v -> Some v
   | exception e when recoverable e ->
-      Diag.error r.diag ~stage (describe_exn e);
+      Obs.error r.obs ~stage (describe_exn e);
       Obs.violation r.obs ~site:stage (describe_exn e);
       None
 
@@ -291,28 +286,23 @@ let run_train r ~config ~mna =
       Engine.Tran.snapshot_every = config.training.snapshot_every;
     }
   in
-  Obs.stage r.obs "pipeline.train";
-  Diag.span r.diag "pipeline.train" (fun () ->
-      Trace.span r.trace "pipeline.train" (fun () ->
-          Fault.in_scope "stage:train" @@ fun () ->
-          let go backend =
-            Engine.Tran.run ~opts:tran_opts ?guard:r.guard ?cancel:r.cancel
-              ?diag:r.diag ?trace:r.trace ?metrics:r.metrics ?obs:r.obs
-              ~backend mna ~t_stop:config.training.t_stop
-              ~dt:config.training.dt
-          in
-          match config.backend with
-          | Engine.Mna.Dense -> go Engine.Mna.Dense
-          | Engine.Mna.Sparse -> (
-              try go Engine.Mna.Sparse
-              with
-              | (Linalg.Splu.Singular _ | Linalg.Spclu.Singular _) as e ->
-                Diag.warn r.diag ~stage:"pipeline.train"
-                  (Printf.sprintf
-                     "sparse training transient failed (%s); retrying dense"
-                     (Printexc.to_string e));
-                Diag.incr r.diag "pipeline.sparse_fallbacks";
-                go Engine.Mna.Dense)))
+  Obs.stage r.obs "pipeline.train" @@ fun () ->
+  Fault.in_scope "stage:train" @@ fun () ->
+  let go backend =
+    Engine.Tran.run ~opts:tran_opts ?guard:r.guard ?cancel:r.cancel ?obs:r.obs
+      ~backend mna ~t_stop:config.training.t_stop ~dt:config.training.dt
+  in
+  match config.backend with
+  | Engine.Mna.Dense -> go Engine.Mna.Dense
+  | Engine.Mna.Sparse -> (
+      try go Engine.Mna.Sparse
+      with (Linalg.Splu.Singular _ | Linalg.Spclu.Singular _) as e ->
+        Obs.warn r.obs ~stage:"pipeline.train"
+          (Printf.sprintf
+             "sparse training transient failed (%s); retrying dense"
+             (Printexc.to_string e));
+        Obs.count ~only:`Diag r.obs "pipeline.sparse_fallbacks" 1;
+        go Engine.Mna.Dense)
 
 (* snapshots from a sparse training run carry 0×0 placeholder
    Jacobians; a dense retry re-stamps them from the recorded state —
@@ -333,36 +323,30 @@ let densify_snapshots ~mna snapshots =
 
 let tft_stage r ~pool ~config ~mna ~training_run =
   let estimator = Tft.Estimator.make ~delays:config.estimator_delays () in
-  Obs.stage r.obs "pipeline.tft";
-  Diag.span r.diag "pipeline.tft" (fun () ->
-      Trace.span r.trace "pipeline.tft" (fun () ->
-          Fault.in_scope "stage:tft" @@ fun () ->
-          let build backend snapshots =
-            Tft.Dataset.of_snapshots ?pool ?guard:r.guard ?cancel:r.cancel
-              ?diag:r.diag ?trace:r.trace ?metrics:r.metrics ?obs:r.obs
-              ~backend ~mna ~estimator ~freqs_hz:config.freqs_hz snapshots
-          in
-          let snapshots = training_run.Engine.Tran.snapshots in
-          match config.backend with
-          | Engine.Mna.Dense -> build Engine.Mna.Dense snapshots
-          | Engine.Mna.Sparse -> (
-              (* escalation: a singular sparse factorization or a guard
-                 breach on the sparse path retries the transform
-                 densely — the retry result is exactly what an all-dense
-                 run would have produced *)
-              try build Engine.Mna.Sparse snapshots
-              with
-              | ( Linalg.Splu.Singular _ | Linalg.Spclu.Singular _
-                | Guard.Violation _ ) as e
-              ->
-                Diag.warn r.diag ~stage:"pipeline.tft"
-                  (Printf.sprintf
-                     "sparse TFT transform failed (%s); retrying dense"
-                     (Printexc.to_string e));
-                Diag.incr r.diag "pipeline.sparse_fallbacks";
-                Obs.violation r.obs ~site:"pipeline.tft"
-                  (Printexc.to_string e);
-                build Engine.Mna.Dense (densify_snapshots ~mna snapshots))))
+  Obs.stage r.obs "pipeline.tft" @@ fun () ->
+  Fault.in_scope "stage:tft" @@ fun () ->
+  let build backend snapshots =
+    Tft.Dataset.of_snapshots ?pool ?guard:r.guard ?cancel:r.cancel ?obs:r.obs
+      ~backend ~mna ~estimator ~freqs_hz:config.freqs_hz snapshots
+  in
+  let snapshots = training_run.Engine.Tran.snapshots in
+  match config.backend with
+  | Engine.Mna.Dense -> build Engine.Mna.Dense snapshots
+  | Engine.Mna.Sparse -> (
+      (* escalation: a singular sparse factorization or a guard breach
+         on the sparse path retries the transform densely — the retry
+         result is exactly what an all-dense run would have produced *)
+      try build Engine.Mna.Sparse snapshots
+      with
+      | (Linalg.Splu.Singular _ | Linalg.Spclu.Singular _ | Guard.Violation _)
+        as e
+      ->
+        Obs.warn r.obs ~stage:"pipeline.tft"
+          (Printf.sprintf "sparse TFT transform failed (%s); retrying dense"
+             (Printexc.to_string e));
+        Obs.count ~only:`Diag r.obs "pipeline.sparse_fallbacks" 1;
+        Obs.violation r.obs ~site:"pipeline.tft" (Printexc.to_string e);
+        build Engine.Mna.Dense (densify_snapshots ~mna snapshots))
 
 (* One rung of the fit, and the pipeline's only call into RVF. The rung
    label scopes both the per-rung deadline budget (stage
@@ -374,12 +358,9 @@ let fit_rung r ~pool ~dataset ~output (rung, rvf_config) =
   Cancel.with_budget r.cancel ~stage:("pipeline.fit:" ^ rung)
     ?seconds:r.budgets.rung
   @@ fun () ->
-  Obs.stage r.obs "pipeline.fit";
-  Diag.span r.diag "pipeline.fit" (fun () ->
-      Trace.span r.trace "pipeline.fit" (fun () ->
-          Rvf.extract ~config:rvf_config ?guard:r.guard ?cancel:r.cancel
-            ?diag:r.diag ?trace:r.trace ?metrics:r.metrics ?obs:r.obs ?pool
-            ~dataset ~input:0 ~output ()))
+  Obs.stage r.obs "pipeline.fit" @@ fun () ->
+  Rvf.extract ~config:rvf_config ?guard:r.guard ?cancel:r.cancel ?obs:r.obs
+    ?pool ~dataset ~input:0 ~output ()
 
 (* --- graceful degradation ------------------------------------------- *)
 
@@ -422,7 +403,7 @@ let escalation_ladder (rvf : Rvf.config) =
 let climb_ladder r ~retry ~fit ~rvf ~output =
   let rec climb = function
     | [] ->
-        Diag.error r.diag ~stage:"pipeline.fit"
+        Obs.error r.obs ~stage:"pipeline.fit"
           (Printf.sprintf
              "all %d escalation rungs failed for output %d; returning no \
               model"
@@ -447,8 +428,8 @@ let climb_ladder r ~retry ~fit ~rvf ~output =
                    after a bounded backoff, keeping the already settled
                    train/TFT stages in memory rather than restarting the
                    ladder from zero *)
-                Diag.incr r.diag "pipeline.rung_retries";
-                Diag.warn r.diag ~stage:"pipeline.fit"
+                Obs.count ~only:`Diag r.obs "pipeline.rung_retries" 1;
+                Obs.warn r.obs ~stage:"pipeline.fit"
                   (Printf.sprintf
                      "rung %S attempt %d/%d failed (%s); retrying after \
                       backoff"
@@ -461,8 +442,8 @@ let climb_ladder r ~retry ~fit ~rvf ~output =
                 tries (n + 1)
               end
               else begin
-                Diag.incr r.diag "pipeline.fit_retries";
-                Diag.warn r.diag ~stage:"pipeline.fit"
+                Obs.count ~only:`Diag r.obs "pipeline.fit_retries" 1;
+                Obs.warn r.obs ~stage:"pipeline.fit"
                   (Printf.sprintf "rung %S failed: %s" rung (describe_exn e));
                 Obs.escalation r.obs ~rung ~outcome:"failed"
                   ~detail:(describe_exn e);
@@ -473,7 +454,7 @@ let climb_ladder r ~retry ~fit ~rvf ~output =
         | Some fitted ->
             Obs.escalation r.obs ~rung ~outcome:"ok" ~detail:"";
             if rung <> "base" then
-              Diag.warn r.diag ~stage:"pipeline.fit"
+              Obs.warn r.obs ~stage:"pipeline.fit"
                 (Printf.sprintf
                    "degraded extraction: base config failed, rung %S \
                     produced the model"
@@ -493,8 +474,8 @@ type policy = Raise | Ladder of retry
 (* The one extraction sequence of Fig. 1: build MNA → train → warm pool
    → TFT → per-output fit. Every entry point runs it; one [outcome
    option] per output comes back, and [Raise] never yields [None]. *)
-let run_stages ~policy ~diag ?guard ?cancel ?budgets ?checkpoint_dir ?obs
-    ?pool ~config ~netlist ~input ~outputs () =
+let run_stages ~policy ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool
+    ~config ~netlist ~input ~outputs () =
   let r =
     {
       guard;
@@ -502,9 +483,6 @@ let run_stages ~policy ~diag ?guard ?cancel ?budgets ?checkpoint_dir ?obs
       budgets = Option.value budgets ~default:no_budgets;
       ck = ck_of ~config ~netlist ~input ~outputs checkpoint_dir;
       obs;
-      diag;
-      trace = Option.map Obs.trace_main obs;
-      metrics = Option.map Obs.metrics obs;
     }
   in
   let guarded ~stage f =
@@ -566,7 +544,7 @@ let run_stages ~policy ~diag ?guard ?cancel ?budgets ?checkpoint_dir ?obs
                  rung_fit_of_json json_of_rung_fit
                  (fun () -> fit_output output)
                |> Option.map (fun (rung, rvf) ->
-                      Diag.note r.diag "pipeline.ladder_rung" rung;
+                      Obs.note r.obs "pipeline.ladder_rung" rung;
                       {
                         model = rvf.Rvf.model;
                         rvf;
@@ -591,8 +569,8 @@ let run_stages ~policy ~diag ?guard ?cancel ?budgets ?checkpoint_dir ?obs
 let extract_simo ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
     ~netlist ~input ~outputs () =
   if outputs = [] then invalid_arg "Pipeline.extract_simo: no outputs";
-  run_stages ~policy:Raise ~diag:(Option.map Obs.diag obs) ?guard ?cancel
-    ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist ~input ~outputs ()
+  run_stages ~policy:Raise ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool
+    ~config ~netlist ~input ~outputs ()
   |> List.map Option.get
 
 let extract ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
@@ -603,40 +581,41 @@ let extract ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
 
 let try_extract_simo ?guard ?cancel ?budgets ?checkpoint_dir
     ?(retry = no_retry) ?obs ?pool ~config ~netlist ~input ~outputs () =
-  (* with a hub attached, its own diag collector is the run's narrative
-     so the returned report is exactly the bundle's diag.json *)
-  let d = match obs with Some o -> Obs.diag o | None -> Diag.create () in
-  let diag = Some d in
+  (* the hub's diag collector is the run's narrative, so the returned
+     report is exactly the bundle's diag.json; a run without a hub makes
+     its own *)
+  let hub = match obs with Some o -> o | None -> Obs.create () in
+  let obs = Some hub in
   (match guard with
   | None -> ()
   | Some (g : Guard.t) ->
-      Diag.note diag "guard.enabled" "true";
-      Diag.note diag "guard.snapshot_repair"
+      Obs.note obs "guard.enabled" "true";
+      Obs.note obs "guard.snapshot_repair"
         (Guard.repair_to_string g.Guard.snapshot_repair));
   let none () = List.map (fun _ -> None) outputs in
   let outcomes =
     if outputs = [] then begin
-      Diag.error diag ~stage:"pipeline.train" "no outputs requested";
+      Obs.error obs ~stage:"pipeline.train" "no outputs requested";
       []
     end
     else
       try
-        run_stages ~policy:(Ladder retry) ~diag ?guard ?cancel ?budgets
+        run_stages ~policy:(Ladder retry) ?guard ?cancel ?budgets
           ?checkpoint_dir ?obs ?pool ~config ~netlist ~input ~outputs ()
       with
       | Cancel.Cancelled { site } as e ->
           (* the supervisor contract: a cancelled or deadline-tripped run
              never yields a model, and the report names what stopped it *)
-          Diag.error diag ~stage:"pipeline.cancelled" (describe_exn e);
+          Obs.error obs ~stage:"pipeline.cancelled" (describe_exn e);
           Obs.cancelled obs ~site;
           none ()
       | Cancel.Deadline_exceeded
           { site; stage; budget_seconds; elapsed_seconds } as e ->
-          Diag.error diag ~stage (describe_exn e);
+          Obs.error obs ~stage (describe_exn e);
           Obs.deadline obs ~site ~stage ~budget_seconds ~elapsed_seconds;
           none ()
   in
-  (outcomes, Diag.report d)
+  (outcomes, Diag.report (Obs.diag hub))
 
 let try_extract ?guard ?cancel ?budgets ?checkpoint_dir ?retry ?obs ?pool
     ~config ~netlist ~input ~output () =

@@ -261,9 +261,10 @@ val try_extract_simo :
     rung that produced the (last) model, and an [Error] event naming
     the failing stage when an outcome is [None]. A model produced by
     any rung above ["base"] carries a degraded-extraction [Warning].
-    With [obs], the report is drawn from the hub's own diag collector
-    (so the bundled [diag.json] and the report coincide), every ladder
-    rung emits an [escalation] event (outcome
+    The report is drawn from the hub's own diag collector (so the
+    bundled [diag.json] and the report coincide); without [obs] the run
+    records into a hub of its own and returns that hub's report. Every
+    ladder rung emits an [escalation] event (outcome
     ["ok"]/["failed"]/["retry"]/["deadline"] with the failure detail)
     and recoverable stage failures emit [violation] events; the trace
     and metrics of the stages that ran before a failure are kept, so a

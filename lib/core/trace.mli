@@ -9,11 +9,8 @@
     exported timeline shows both the call hierarchy inside a domain and
     the fan-out of work across domains.
 
-    Like {!Diag}, every recording entry point takes an option:
-    instrumented code passes its own [?trace] argument straight through
-    and [None] makes every call a near-free no-op — the traced and
-    untraced paths execute the same numerical code, so results are
-    bit-for-bit identical either way.
+    Like {!Diag}, every recording entry point takes an option and
+    [None] makes every call a near-free no-op.
 
     Exporters: {!chrome_json} writes the Chrome trace-event format
     (loadable in Perfetto / [chrome://tracing]); {!summary} renders a

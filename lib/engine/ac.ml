@@ -43,10 +43,7 @@ let output_transfer ~d ~x =
 let transfer_ws ?guard ?obs ws ~g ~c ~s =
   Linalg.Cmat.lincomb_into ws.pencil Linalg.Cx.one g s c;
   Linalg.Clu.factor_into ?guard ws.lu ws.pencil;
-  (match obs with
-  | None -> ()
-  | Some _ ->
-      Obs.rcond obs ~site:"ac.pencil" (Linalg.Clu.rcond_estimate ws.lu));
+  Obs.rcond obs ~site:"ac.pencil" Linalg.Clu.rcond_estimate ws.lu;
   let inject = Fault.should_fire "ac.pencil_nan" in
   for j = 0 to Linalg.Cmat.cols ws.rhs - 1 do
     Linalg.Cmat.get_col ws.rhs j ws.bcol;
@@ -72,17 +69,18 @@ let ws_matches ws ~b ~d =
    warm pool can serve successive circuits *)
 let sweep_ws_key : ws Exec.key = Exec.new_key ()
 
-(* matched on [metrics] first so the unrecorded path is exactly the
-   plain map — no clock reads, bit-identical results *)
-let transfer_sweep ?guard ?cancel ?metrics ?obs ?pool ws ~g ~c ~ss =
+(* matched on [obs] first so the unrecorded path is exactly the plain
+   map — no clock reads, bit-identical results. Sweeps run inside
+   dataset workers, so they record only worker-safe calls. *)
+let transfer_sweep ?guard ?cancel ?obs ?pool ws ~g ~c ~ss =
   let solve ws s =
     Cancel.check cancel ~site:"ac.sweep";
-    match metrics with
-    | None -> transfer_ws ?guard ?obs ws ~g ~c ~s
+    match obs with
+    | None -> transfer_ws ?guard ws ~g ~c ~s
     | Some _ ->
-        let t0 = Metrics.now_if metrics in
+        let t0 = Obs.now_if obs in
         let h = transfer_ws ?guard ?obs ws ~g ~c ~s in
-        Metrics.observe_since_ns metrics "ac.pencil_solve_ns" t0;
+        Obs.observe_since_ns obs "ac.pencil_solve_ns" t0;
         h
   in
   match pool with
@@ -91,7 +89,8 @@ let transfer_sweep ?guard ?cancel ?metrics ?obs ?pool ws ~g ~c ~ss =
          axis for a standalone sweep. Fault probes fire per solve in a
          global sequence, so an armed probe forces the sequential path to
          keep the injection site deterministic. *)
-      Exec.parallel_map_ws ~pool ?cancel ?metrics ~label:"ac.sweep"
+      Exec.parallel_map_ws ~pool ?cancel ?metrics:(Option.map Obs.metrics obs)
+        ~label:"ac.sweep"
         ~ws:(fun chunk ->
           if chunk = 0 then ws
           else

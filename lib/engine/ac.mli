@@ -45,7 +45,6 @@ val transfer_ws :
 val transfer_sweep :
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
   ws ->
@@ -54,10 +53,10 @@ val transfer_sweep :
   ss:Complex.t array ->
   Linalg.Cmat.t array
 (** [transfer_ws] over a grid of complex frequencies: one in-place
-    pencil build + factorization per grid point. With [metrics], each
-    point's solve time lands in the [ac.pencil_solve_ns] histogram
-    (safe to record from several worker domains at once); without, the
-    sweep is exactly the plain map, with no clock reads.
+    pencil build + factorization per grid point. With [obs], each
+    point's solve time lands in the [ac.pencil_solve_ns] histogram and
+    each factorization emits an ["ac.pencil"] rcond event, both
+    worker-safe; without, the sweep is the plain map, no clock reads.
 
     With [pool], the frequency grid is fanned out across domains using
     pool-cached workspace clones (chunk 0 reuses [ws]); results are

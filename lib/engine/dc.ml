@@ -19,7 +19,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
    the full residual and g_mat/c_mat with the Jacobians; the dynamic term
    is folded in by the caller. Returns ((solution, last eval) option,
    iterations actually run) — the count is meaningful on failure too. *)
-let newton ?guard ?cancel ?metrics ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
+let newton ?guard ?cancel ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
     ~initial () =
   let n = Mna.size mna in
   let n_nodes = Mna.n_nodes mna in
@@ -44,20 +44,17 @@ let newton ?guard ?cancel ?metrics ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
           f.(k) <- f.(k) +. (gmin *. v.(k))
         done;
       let f_norm = Linalg.Vec.norm_inf f in
-      let t_factor = Metrics.now_if metrics in
+      let t_factor = Obs.now_if obs in
       match Linalg.Lu.factor ?guard j with
       | exception Linalg.Lu.Singular _ ->
-          Metrics.observe_since_ns metrics "dc.lu_factor_ns" t_factor;
+          Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
           None
       | lu ->
-          Metrics.observe_since_ns metrics "dc.lu_factor_ns" t_factor;
-          (match obs with
-          | None -> ()
-          | Some _ ->
-              Obs.rcond obs ~site:"dc.lu" (Linalg.Lu.rcond_estimate lu));
-          let t_solve = Metrics.now_if metrics in
+          Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
+          Obs.rcond obs ~site:"dc.lu" Linalg.Lu.rcond_estimate lu;
+          let t_solve = Obs.now_if obs in
           let dv = Linalg.Lu.solve lu (Linalg.Vec.neg f) in
-          Metrics.observe_since_ns metrics "dc.lu_solve_ns" t_solve;
+          Obs.observe_since_ns obs "dc.lu_solve_ns" t_solve;
           let dv_norm = Linalg.Vec.norm_inf dv in
           let scale =
             if dv_norm > opts.dv_max then opts.dv_max /. dv_norm else 1.0
@@ -123,7 +120,7 @@ let sparse_ws_ctx sws = sws.ctx
    pencil J = G + α·C blended over the shared pattern. Returns the
    solution only — the caller re-evaluates if it needs residual pieces
    at the solution. *)
-let newton_sparse ?guard ?cancel ?metrics ?obs ~opts ~mna ~sws ~gmin ~time
+let newton_sparse ?guard ?cancel ?obs ~opts ~mna ~sws ~gmin ~time
     ~alpha ~fold ~initial () =
   let n = Mna.size mna in
   let n_nodes = Mna.n_nodes mna in
@@ -149,23 +146,20 @@ let newton_sparse ?guard ?cancel ?metrics ?obs ~opts ~mna ~sws ~gmin ~time
           f.(k) <- f.(k) +. (gmin *. v.(k))
         done;
       let f_norm = Linalg.Vec.norm_inf f in
-      let t_factor = Metrics.now_if metrics in
+      let t_factor = Obs.now_if obs in
       match Linalg.Splu.factor_into ?guard sws.slu sws.j with
       | exception Linalg.Splu.Singular _ ->
-          Metrics.observe_since_ns metrics "dc.lu_factor_ns" t_factor;
+          Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
           None
       | () ->
-          Metrics.observe_since_ns metrics "dc.lu_factor_ns" t_factor;
-          (match obs with
-          | None -> ()
-          | Some _ ->
-              Obs.rcond obs ~site:"dc.lu" (Linalg.Splu.rcond_estimate sws.slu));
-          let t_solve = Metrics.now_if metrics in
+          Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
+          Obs.rcond obs ~site:"dc.lu" Linalg.Splu.rcond_estimate sws.slu;
+          let t_solve = Obs.now_if obs in
           for k = 0 to n - 1 do
             sws.neg_f.(k) <- -.f.(k)
           done;
           Linalg.Splu.solve_into sws.slu sws.neg_f sws.dv;
-          Metrics.observe_since_ns metrics "dc.lu_solve_ns" t_solve;
+          Obs.observe_since_ns obs "dc.lu_solve_ns" t_solve;
           let dv_norm = Linalg.Vec.norm_inf sws.dv in
           let scale =
             if dv_norm > opts.dv_max then opts.dv_max /. dv_norm else 1.0
@@ -191,9 +185,9 @@ let dc_residual mna time v =
   (* DC: drop the dq/dt term entirely *)
   ev
 
-let solve ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
-    ?initial ?(time = 0.0) ?(backend = Mna.Dense) ?sparse mna =
-  Trace.span trace "dc.solve" @@ fun () ->
+let solve ?(opts = default_opts) ?guard ?cancel ?obs ?initial ?(time = 0.0)
+    ?(backend = Mna.Dense) ?sparse mna =
+  Obs.span obs "dc.solve" @@ fun () ->
   let n = Mna.size mna in
   let initial =
     match initial with Some v -> v | None -> Linalg.Vec.create n
@@ -210,18 +204,17 @@ let solve ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
       match sws with
       | None ->
           let r, iters =
-            newton ?guard ?cancel ?metrics ?obs ~opts ~mna ~gmin
+            newton ?guard ?cancel ?obs ~opts ~mna ~gmin
               ~residual_of:(dc_residual mna time) ~jac_of ~initial:start ()
           in
           ((match r with Some (v, _) -> Some v | None -> None), iters)
       | Some sws ->
-          newton_sparse ?guard ?cancel ?metrics ?obs ~opts ~mna ~sws ~gmin
+          newton_sparse ?guard ?cancel ?obs ~opts ~mna ~sws ~gmin
             ~time ~alpha:0.0
             ~fold:(fun _ _ -> ())
             ~initial:start ()
     in
-    Diag.add diag "dc.newton_iterations" iters;
-    Metrics.add metrics "dc.newton_iterations" iters;
+    Obs.count obs "dc.newton_iterations" iters;
     r
   in
   let finish v =
@@ -233,20 +226,20 @@ let solve ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
   | None ->
       (* gmin stepping continuation *)
       Log.debug (fun m -> m "plain Newton failed; starting gmin stepping");
-      Diag.incr diag "dc.gmin_continuations";
+      Obs.count ~only:`Diag obs "dc.gmin_continuations" 1;
       let levels = [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-7; 1e-8; 1e-10; 1e-12 ] in
       let rec steps v_start = function
         | [] ->
-            Diag.error diag ~stage:"engine.dc" "gmin stepping exhausted";
+            Obs.error obs ~stage:"engine.dc" "gmin stepping exhausted";
             raise (No_convergence "gmin stepping exhausted")
         | gmin :: rest -> begin
-            Diag.incr diag "dc.gmin_levels";
+            Obs.count ~only:`Diag obs "dc.gmin_levels" 1;
             match attempt (Float.max gmin opts.gmin_final) v_start with
             | Some v -> if rest = [] then finish v else steps v rest
             | None ->
                 (* restart the level from the best guess we have *)
                 if rest = [] then begin
-                  Diag.error diag ~stage:"engine.dc" "gmin stepping failed";
+                  Obs.error obs ~stage:"engine.dc" "gmin stepping failed";
                   raise (No_convergence "gmin stepping failed")
                 end
                 else steps v_start rest
@@ -254,7 +247,7 @@ let solve ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
       in
       steps initial levels
 
-let newton_dynamic ?(opts = default_opts) ?guard ?cancel ?diag ?metrics ?obs
+let newton_dynamic ?(opts = default_opts) ?guard ?cancel ?obs
     ?(backend = Mna.Dense) ?sparse ~mna ~time ~alpha ~q_prev ~qdot_term
     ~initial () =
   match backend with
@@ -267,11 +260,10 @@ let newton_dynamic ?(opts = default_opts) ?guard ?cancel ?diag ?metrics ?obs
         done
       in
       let result, iters =
-        newton_sparse ?guard ?cancel ?metrics ?obs ~opts ~mna ~sws
+        newton_sparse ?guard ?cancel ?obs ~opts ~mna ~sws
           ~gmin:opts.gmin_final ~time ~alpha ~fold ~initial ()
       in
-      Diag.add diag "dc.newton_iterations" iters;
-      Metrics.add metrics "dc.newton_iterations" iters;
+      Obs.count obs "dc.newton_iterations" iters;
       (match result with
       | Some v ->
           Guard.check_vec guard ~site:"dc.newton_dynamic" v;
@@ -309,13 +301,12 @@ let newton_dynamic ?(opts = default_opts) ?guard ?cancel ?diag ?metrics ?obs
     | _, _ -> None
   in
   let result, iters =
-    newton ?guard ?cancel ?metrics ?obs ~opts ~mna ~gmin:opts.gmin_final
+    newton ?guard ?cancel ?obs ~opts ~mna ~gmin:opts.gmin_final
       ~residual_of ~jac_of ~initial ()
   in
   (* the count covers failed attempts too, so the diagnostics layer sees
      the true cost of steps that later retreat to another integrator *)
-  Diag.add diag "dc.newton_iterations" iters;
-  Metrics.add metrics "dc.newton_iterations" iters;
+  Obs.count obs "dc.newton_iterations" iters;
   match result with
   | Some (v, _) ->
       Guard.check_vec guard ~site:"dc.newton_dynamic" v;

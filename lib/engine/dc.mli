@@ -27,9 +27,6 @@ val solve :
   ?opts:opts ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?initial:Linalg.Vec.t ->
   ?time:float ->
@@ -40,19 +37,16 @@ val solve :
 (** Solve [i(v) = s(time)] (capacitors open, inductors short). Applies
     gmin stepping automatically when plain Newton fails. Raises
     {!No_convergence} when even the stepped continuation fails.
-    With [diag], accumulates the [dc.newton_iterations] counter (one
-    bump per actual Newton iteration, across all gmin levels) and the
-    [dc.gmin_levels]/[dc.gmin_continuations] counters. With [trace],
-    the whole solve runs inside a [dc.solve] span; with [metrics], the
-    iteration counter is mirrored and every LU factor/solve lands in
-    the [dc.lu_factor_ns]/[dc.lu_solve_ns] histograms. With [guard],
-    Jacobian factorizations get reciprocal-condition floors and the
-    returned operating point a NaN/Inf sentinel. With [obs], every
-    successful LU factorization emits a ["dc.lu"] rcond event. Hosts the
-    ["dc.newton_diverge"] fault probe (one invocation per Newton run;
-    a firing reports divergence, engaging gmin stepping). With
-    [cancel], every Newton iteration probes the token (site
-    ["dc.newton"]).
+    With [obs]: a [dc.solve] span; the [dc.newton_iterations] counter
+    (every Newton iteration, across all gmin levels) and the Diag-only
+    [dc.gmin_levels]/[dc.gmin_continuations]; the
+    [dc.lu_factor_ns]/[dc.lu_solve_ns] histograms; a ["dc.lu"] rcond
+    event per LU factorization. With [guard], Jacobian factorizations get
+    reciprocal-condition floors and the returned operating point a
+    NaN/Inf sentinel. Hosts the ["dc.newton_diverge"] fault probe (one
+    invocation per Newton run; a firing reports divergence, engaging
+    gmin stepping). With [cancel], every Newton iteration probes the
+    token (site ["dc.newton"]).
 
     With [backend:Sparse], the Newton systems assemble into compiled
     CSC patterns and factor with {!Linalg.Splu}; [sparse] supplies a
@@ -63,8 +57,6 @@ val newton_dynamic :
   ?opts:opts ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?backend:Mna.backend ->
   ?sparse:sparse_ws ->
@@ -81,6 +73,6 @@ val newton_dynamic :
     integration methods in {!Tran}. Returns the solution, the final
     evaluation at the solution (with dense Jacobians on the dense
     backend, residual pieces only on the sparse one), and the number of
-    Newton iterations actually run. On {!No_convergence} the iterations
-    spent on the failed attempt are still accumulated into [diag]
-    ([dc.newton_iterations]). *)
+    Newton iterations actually run. With [obs], records as {!solve}
+    does apart from the span; on {!No_convergence} the iterations spent
+    on the failed attempt are still counted ([dc.newton_iterations]). *)

@@ -86,7 +86,7 @@ let output_col_into h ~d ~xre ~xim j =
     Linalg.Cmat.set h o j (Linalg.Cx.make !are !aim)
   done
 
-let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
+let sweep ?(opts = default_opts) ?guard ?cancel ?obs ws ~g ~c ~ss =
   if not (g.Linalg.Sp.pat == ws.pat && c.Linalg.Sp.pat == ws.pat) then
     invalid_arg "Ratkrylov.sweep: G/C must carry the workspace pattern";
   let n = ws.pat.Linalg.Sp.nrows in
@@ -99,11 +99,7 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
     Cancel.check cancel ~site:"krylov.sweep";
     Linalg.Sp.pencil_into ws.pencil g c s;
     Linalg.Spclu.factor_into ?guard ws.slu ws.pencil;
-    (match obs with
-    | None -> ()
-    | Some _ ->
-        Obs.rcond obs ~site:"krylov.pencil"
-          (Linalg.Spclu.rcond_estimate ws.slu));
+    Obs.rcond obs ~site:"krylov.pencil" Linalg.Spclu.rcond_estimate ws.slu;
     let h = Linalg.Cmat.create p m in
     for j = 0 to m - 1 do
       for i = 0 to n - 1 do
@@ -120,9 +116,11 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
     h
   in
   let finish ~shifts_used ~subspace_dim ~fallback_points ~worst_residual hs =
-    Metrics.add metrics "krylov.shifts" shifts_used;
-    Metrics.add metrics "krylov.fallback_points" fallback_points;
-    Metrics.observe metrics "krylov.subspace_dim" (float_of_int subspace_dim);
+    (* sweeps run inside dataset workers: worker-safe records only *)
+    Obs.count ~only:`Metrics obs "krylov.shifts" shifts_used;
+    Obs.count ~only:`Metrics obs "krylov.fallback_points" fallback_points;
+    Obs.observe ~only:`Metrics obs "krylov.subspace_dim"
+      (float_of_int subspace_dim);
     (hs, { shifts_used; subspace_dim; fallback_points; worst_residual })
   in
   let degraded = Fault.should_fire "krylov.stall" in
@@ -162,11 +160,7 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ws ~g ~c ~ss =
       Cancel.check cancel ~site:"krylov.sweep";
       Linalg.Sp.pencil_into ws.pencil g c s;
       Linalg.Spclu.factor_into ?guard ws.slu ws.pencil;
-      (match obs with
-      | None -> ()
-      | Some _ ->
-          Obs.rcond obs ~site:"krylov.pencil"
-            (Linalg.Spclu.rcond_estimate ws.slu));
+      Obs.rcond obs ~site:"krylov.pencil" Linalg.Spclu.rcond_estimate ws.slu;
       for j = 0 to m - 1 do
         for i = 0 to n - 1 do
           ws.bcol.(i) <- Linalg.Cx.re (Linalg.Mat.get ws.b i j)

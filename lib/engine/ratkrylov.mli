@@ -51,7 +51,6 @@ val sweep :
   ?opts:opts ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ws ->
   g:Linalg.Sp.t ->
@@ -67,9 +66,10 @@ val sweep :
     there). With [guard], every sparse and projected factorization gets
     the rcond floor and every full-space solution column a NaN/Inf
     sentinel (site ["krylov.transfer"]). With [obs], each shift or
-    fallback factorization emits a ["krylov.pencil"] rcond event. With
-    [metrics], records the [krylov.shifts] / [krylov.fallback_points]
-    counters and the [krylov.subspace_dim] histogram. With [cancel],
+    fallback factorization emits a ["krylov.pencil"] rcond event and
+    the sweep records the [krylov.shifts] / [krylov.fallback_points]
+    counters and the [krylov.subspace_dim] histogram, all worker-safe
+    (Metrics and the event log only). With [cancel],
     every shift solve and grid point probes the token (site
     ["krylov.sweep"]). Hosts the ["krylov.stall"] fault probe (one
     invocation per sweep): a firing declares the subspace stalled and

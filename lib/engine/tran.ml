@@ -37,9 +37,12 @@ let snapshot_matrices (ev : Mna.eval) =
   | Some g, Some c -> (Linalg.Mat.copy g, Linalg.Mat.copy c)
   | _, _ -> (Linalg.Mat.create 0 0, Linalg.Mat.create 0 0)
 
-let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
-    ?initial ?(backend = Mna.Dense) ?sparse mna ~t_stop ~dt =
+let run ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ?initial
+    ?(backend = Mna.Dense) ?sparse mna ~t_stop ~dt =
   if dt <= 0.0 || t_stop <= 0.0 then invalid_arg "Tran.run: dt and t_stop must be > 0";
+  let obs =
+    if Option.is_none obs then Option.map Obs.of_metrics metrics else obs
+  in
   let sparse =
     match backend with
     | Mna.Dense -> None
@@ -51,14 +54,14 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
   (* the small slack avoids a spurious zero-length final step when
      t_stop/dt is an integer up to roundoff *)
   let steps = Stdlib.max 1 (int_of_float (Float.ceil ((t_stop /. dt) -. 1e-9))) in
-  Trace.span trace ~args:[ ("steps", Trace.Int steps) ] "tran.run"
+  Obs.span obs ~args:[ ("steps", Trace.Int steps) ] "tran.run"
   @@ fun () ->
   let v0 =
     match initial with
     | Some v -> Linalg.Vec.copy v
     | None ->
-        Dc.solve ~opts:opts.newton ?guard ?cancel ?diag ?trace ?metrics ?obs
-          ~time:0.0 ~backend ?sparse mna
+        Dc.solve ~opts:opts.newton ?guard ?cancel ?obs ~time:0.0 ~backend
+          ?sparse mna
   in
   let ev0 = Mna.eval mna ~with_matrices ~time:0.0 v0 in
   let times = Array.make (steps + 1) 0.0 in
@@ -105,10 +108,8 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
             (* each halving attempt rejects the step at its previous
                resolution, so the rejection counter stays in agreement
                with the result's [step_rejections] field *)
-            Diag.incr diag "tran.step_halvings";
-            Diag.incr diag "tran.step_rejections";
-            Metrics.incr metrics "tran.step_halvings";
-            Metrics.incr metrics "tran.step_rejections";
+            Obs.count obs "tran.step_halvings" 1;
+            Obs.count obs "tran.step_rejections" 1;
             let m = 1 lsl j in
             let hs = (time -. t_prev) /. float_of_int m in
             let rec substeps i q v iters =
@@ -119,8 +120,8 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
                   else t_prev +. (float_of_int (i + 1) *. hs)
                 in
                 match
-                  Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?diag
-                    ?metrics ?obs ~backend ?sparse ~mna ~time:t_sub
+                  Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?obs
+                    ~backend ?sparse ~mna ~time:t_sub
                     ~alpha:(1.0 /. hs) ~q_prev:q
                     ~qdot_term:(Linalg.Vec.create n) ~initial:v ()
                 with
@@ -130,7 +131,7 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
             in
             match substeps 0 !q_prev !v_prev 0 with
             | Some (v, iters) ->
-                Diag.warn diag ~stage:"engine.tran"
+                Obs.warn obs ~stage:"engine.tran"
                   (Printf.sprintf
                      "step at t=%.6e recovered as %d backward-Euler substeps"
                      time m);
@@ -143,7 +144,7 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
         attempt 1
   in
   for k = 1 to steps do
-    Trace.span trace ~args:[ ("k", Trace.Int k) ] "tran.step" @@ fun () ->
+    Obs.span obs ~args:[ ("k", Trace.Int k) ] "tran.step" @@ fun () ->
     Cancel.check cancel ~site:"tran.step";
     if Fault.should_fire "tran.stall" then Cancel.hang cancel ~site:"tran.step";
     let time = Float.min (float_of_int k *. dt) t_stop in
@@ -165,15 +166,14 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
     let be_retry () =
       (* retreat to backward Euler for this step *)
       incr fallback_count;
-      Diag.incr diag "tran.be_fallbacks";
-      Metrics.incr metrics "tran.be_fallbacks";
-      Diag.warn diag ~stage:"engine.tran"
+      Obs.count obs "tran.be_fallbacks" 1;
+      Obs.warn obs ~stage:"engine.tran"
         (Printf.sprintf
            "trapezoidal step at t=%.6e retreated to backward Euler" time);
       inject_diverge ();
       let v, ev, iters =
-        Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?diag ?metrics ?obs
-          ~backend ?sparse ~mna ~time ~alpha:(1.0 /. h) ~q_prev:!q_prev
+        Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?obs ~backend
+          ?sparse ~mna ~time ~alpha:(1.0 /. h) ~q_prev:!q_prev
           ~qdot_term:(Linalg.Vec.create n) ~initial:!v_prev ()
       in
       (v, ev, iters, true)
@@ -187,8 +187,8 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
       try
         inject_diverge ();
         let v, ev, iters =
-          Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?diag ?metrics ?obs
-            ~backend ?sparse ~mna ~time ~alpha ~q_prev:!q_prev ~qdot_term
+          Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?obs ~backend
+            ?sparse ~mna ~time ~alpha ~q_prev:!q_prev ~qdot_term
             ~initial:!v_prev ()
         in
         (v, ev, iters, false)
@@ -198,9 +198,10 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
       | Dc.No_convergence _ as e -> recover e
     in
     newton_count := !newton_count + iters;
-    Trace.add_args trace
+    Obs.add_args obs
       [ ("iters", Trace.Int iters); ("be_fallback", Trace.Bool fell_back) ];
-    Metrics.observe metrics "tran.newton_iters_per_step" (float_of_int iters);
+    Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
+      (float_of_int iters);
     let q_new = ev.Mna.q_vec in
     let qdot_new =
       (* the derivative estimate must match the integrator that actually
@@ -226,10 +227,8 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
     qdot_prev := qdot_new;
     v_prev := v
   done;
-  Diag.add diag "tran.steps" steps;
-  Diag.add diag "tran.newton_iterations" !newton_count;
-  Metrics.add metrics "tran.steps" steps;
-  Metrics.add metrics "tran.newton_iterations" !newton_count;
+  Obs.count obs "tran.steps" steps;
+  Obs.count obs "tran.newton_iterations" !newton_count;
   {
     times;
     states;
@@ -243,12 +242,12 @@ let run ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics ?obs
 let output_waveform r j =
   Signal.Waveform.make r.times (Linalg.Mat.col r.outputs j)
 
-let run_adaptive ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics
-    ?obs ?initial ?(reltol = 1e-3) ?(abstol = 1e-6) ?dt_min ?dt_max
-    ?(backend = Mna.Dense) ?sparse mna ~t_stop ~dt =
+let run_adaptive ?(opts = default_opts) ?guard ?cancel ?obs ?initial
+    ?(reltol = 1e-3) ?(abstol = 1e-6) ?dt_min ?dt_max ?(backend = Mna.Dense)
+    ?sparse mna ~t_stop ~dt =
   if dt <= 0.0 || t_stop <= 0.0 then
     invalid_arg "Tran.run_adaptive: dt and t_stop must be > 0";
-  Trace.span trace "tran.run_adaptive" @@ fun () ->
+  Obs.span obs "tran.run_adaptive" @@ fun () ->
   let sparse =
     match backend with
     | Mna.Dense -> None
@@ -263,8 +262,8 @@ let run_adaptive ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics
     match initial with
     | Some v -> Linalg.Vec.copy v
     | None ->
-        Dc.solve ~opts:opts.newton ?guard ?cancel ?diag ?trace ?metrics ?obs
-          ~time:0.0 ~backend ?sparse mna
+        Dc.solve ~opts:opts.newton ?guard ?cancel ?obs ~time:0.0 ~backend
+          ?sparse mna
   in
   let ev0 = Mna.eval mna ~with_matrices ~time:0.0 v0 in
   let times = ref [ 0.0 ] in
@@ -301,12 +300,12 @@ let run_adaptive ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics
     let step_ok, v_new, ev_new =
       try
         let v, ev, iters =
-          Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?diag ?metrics ?obs
-            ~backend ?sparse ~mna ~time ~alpha:(2.0 /. h_try) ~q_prev:!q_prev
+          Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?obs ~backend
+            ?sparse ~mna ~time ~alpha:(2.0 /. h_try) ~q_prev:!q_prev
             ~qdot_term:(Linalg.Vec.copy !qdot_prev) ~initial:!v_prev ()
         in
         newton_count := !newton_count + iters;
-        Metrics.observe metrics "tran.newton_iters_per_step"
+        Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
           (float_of_int iters);
         (true, v, ev)
       with Dc.No_convergence _ -> (false, !v_prev, ev0)
@@ -314,11 +313,10 @@ let run_adaptive ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics
     if not step_ok then begin
       (* convergence failure: halve the step *)
       incr rejections;
-      Diag.incr diag "tran.step_rejections";
-      Metrics.incr metrics "tran.step_rejections";
+      Obs.count obs "tran.step_rejections" 1;
       h := Float.max dt_min (0.5 *. h_try);
       if h_try <= dt_min *. 1.0000001 then begin
-        Diag.error diag ~stage:"engine.tran"
+        Obs.error obs ~stage:"engine.tran"
           (Printf.sprintf "adaptive step underflow at t=%.6e" time);
         raise (Dc.No_convergence
                  (Printf.sprintf "adaptive step underflow at t=%.6e" time))
@@ -344,8 +342,7 @@ let run_adaptive ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics
       if !err > 2.0 && h_try > dt_min *. 1.0000001 then begin
         (* reject: shrink *)
         incr rejections;
-        Diag.incr diag "tran.step_rejections";
-        Metrics.incr metrics "tran.step_rejections";
+        Obs.count obs "tran.step_rejections" 1;
         h := Float.max dt_min (h_try *. Float.max 0.2 (0.9 /. sqrt !err))
       end
       else begin
@@ -378,10 +375,8 @@ let run_adaptive ?(opts = default_opts) ?guard ?cancel ?diag ?trace ?metrics
   Array.iteri
     (fun k row -> Array.iteri (fun j v -> Linalg.Mat.set outputs k j v) row)
     outs;
-  Diag.add diag "tran.steps" !accepted;
-  Diag.add diag "tran.newton_iterations" !newton_count;
-  Metrics.add metrics "tran.steps" !accepted;
-  Metrics.add metrics "tran.newton_iterations" !newton_count;
+  Obs.count obs "tran.steps" !accepted;
+  Obs.count obs "tran.newton_iterations" !newton_count;
   {
     times;
     states;

@@ -49,8 +49,6 @@ val run :
   ?opts:opts ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
   ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?initial:Linalg.Vec.t ->
@@ -66,14 +64,13 @@ val run :
     does retreat, the charge-derivative estimate for that step uses the
     backward-Euler difference quotient (matching the integrator that
     actually produced the step) so subsequent trapezoidal steps are not
-    poisoned by a stale [qdot]. With [diag], records [tran.steps],
-    [tran.newton_iterations], [tran.be_fallbacks] counters and a
-    warning event per fallback. With [trace], the run records a
-    [tran.run] span containing one [tran.step] span per step (carrying
-    its Newton iteration count and fallback flag as arguments); with
-    [metrics], the same counters are mirrored and per-step iteration
-    counts land in the [tran.newton_iters_per_step] histogram. With
-    [guard], a step that fails even the backward-Euler retreat is
+    poisoned by a stale [qdot]. With [obs]: a [tran.run] span over one
+    [tran.step] span per step (its Newton iteration count and fallback
+    flag as arguments); the [tran.steps], [tran.newton_iterations] and
+    [tran.be_fallbacks] counters; a warning per fallback; the
+    [tran.newton_iters_per_step] histogram; and the records of the
+    inner {!Dc} solves. [metrics] without [obs] records into that
+    registry through a fresh hub. With [guard], a step that fails even the backward-Euler retreat is
     re-integrated as [2^j] backward-Euler substeps for
     [j = 1 .. guard.max_step_halvings] before giving up
     ([tran.step_halvings] counts the attempts); the qdot estimate for
@@ -97,9 +94,6 @@ val run_adaptive :
   ?opts:opts ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?initial:Linalg.Vec.t ->
   ?reltol:float ->
@@ -118,4 +112,6 @@ val run_adaptive :
     quiet intervals. [dt] is the initial step; [reltol]/[abstol]
     (defaults 1e-3 / 1e-6) bound the per-step estimate; [dt_min]
     defaults to [dt/1e6] and [dt_max] to [50·dt]. Snapshots are captured
-    on accepted steps as in {!run}. *)
+    on accepted steps as in {!run}. With [obs], records as {!run} does,
+    with a [tran.run_adaptive] span and no per-step spans; rejected
+    attempts count in [tran.step_rejections]. *)

@@ -3,32 +3,34 @@
    a few instructions — and is taken exclusively on the enabled path;
    the [None] path is a single match, with no clock read. *)
 
+(* The collectors are stored as the options their recording calls
+   take, always [Some], so that a fan-out allocates nothing of its own;
+   [buf] is the tracer's main-domain buffer. *)
 type t = {
-  diag : Diag.t;
-  tracer : Trace.t;
-  metrics : Metrics.t;
+  d : Diag.t option;
+  buf : Trace.buf option;
+  m : Metrics.t option;
   origin : float;
   mutex : Mutex.t;
   mutable seq : int;
   mutable log : Minijson.t list;  (* newest first *)
 }
 
-let create () =
-  let tracer = Trace.create () in
+let of_metrics metrics =
   {
-    diag = Diag.create ();
-    tracer;
-    metrics = Metrics.create ();
+    d = Some (Diag.create ());
+    buf = Some (Trace.main (Trace.create ()));
+    m = Some metrics;
     origin = Clock.now ();
     mutex = Mutex.create ();
     seq = 0;
     log = [];
   }
 
-let diag t = t.diag
-let tracer t = t.tracer
-let metrics t = t.metrics
-let trace_main t = Trace.main t.tracer
+let create () = of_metrics (Metrics.create ())
+let diag t = Option.get t.d
+let tracer t = Trace.owner (Option.get t.buf)
+let metrics t = Option.get t.m
 
 let record t kind fields =
   let ts = Clock.now () -. t.origin in
@@ -44,14 +46,53 @@ let record t kind fields =
     :: t.log;
   Mutex.unlock t.mutex
 
-let event o ~kind fields =
-  match o with None -> () | Some t -> record t kind fields
-
-let rcond o ~site v =
+let rcond o ~site estimate x =
   match o with
   | None -> ()
   | Some t ->
-      record t "rcond" [ ("site", Minijson.Str site); ("value", Minijson.Num v) ]
+      record t "rcond"
+        [ ("site", Minijson.Str site); ("value", Minijson.Num (estimate x)) ]
+
+let stage o name f =
+  match o with
+  | None -> f ()
+  | Some t ->
+      record t "stage" [ ("name", Minijson.Str name) ];
+      Diag.span t.d name (fun () -> Trace.span t.buf name f)
+
+let span o ?args name f =
+  match o with None -> f () | Some t -> Trace.span t.buf ?args name f
+
+let add_args o args =
+  match o with None -> () | Some t -> Trace.add_args t.buf args
+
+let count ?only o name n =
+  match o with
+  | None -> ()
+  | Some t ->
+      if only <> Some `Metrics then Diag.add t.d name n;
+      if only <> Some `Diag then Metrics.add t.m name n
+
+let observe ?only o name v =
+  match o with
+  | None -> ()
+  | Some t ->
+      if only <> Some `Metrics then Diag.observe t.d name v;
+      if only <> Some `Diag then Metrics.observe t.m name v
+
+let now_if = function None -> 0.0 | Some _ -> Clock.now ()
+
+let observe_since_ns o name t0 =
+  match o with None -> () | Some t -> Metrics.observe_since_ns t.m name t0
+
+let note o name value =
+  match o with None -> () | Some t -> Diag.note t.d name value
+
+let warn o ~stage message =
+  match o with None -> () | Some t -> Diag.warn t.d ~stage message
+
+let error o ~stage message =
+  match o with None -> () | Some t -> Diag.error t.d ~stage message
 
 let poles_json poles =
   Minijson.Arr
@@ -101,11 +142,6 @@ let vf_settled o ~label ~pole_count ~rms =
           ("pole_count", Minijson.Num (float_of_int pole_count));
           ("rms", Minijson.Num rms);
         ]
-
-let stage o name =
-  match o with
-  | None -> ()
-  | Some t -> record t "stage" [ ("name", Minijson.Str name) ]
 
 let escalation o ~rung ~outcome ~detail =
   match o with

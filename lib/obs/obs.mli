@@ -8,8 +8,8 @@
 
     A {!t} owns one {!Diag} collector, one {!Trace} collector and one
     {!Metrics} registry, plus a mutex-protected JSONL event log.
-    Instrumented code threads a single [?obs] argument; the established
-    contract holds: every recording entry point takes a [t option],
+    Instrumented code threads a single [?obs] argument and makes one hub
+    call per record. Every recording entry point takes a [t option],
     [None] is a near-free no-op performing {e zero clock reads}, and the
     enabled path runs the same numerical code so extraction results are
     bit-for-bit identical either way (asserted in the test suite).
@@ -24,31 +24,66 @@ type t
 val create : unit -> t
 (** Fresh hub; its time origin is [Clock.now ()] at creation. *)
 
-(** {2 Subsumed collectors}
+val of_metrics : Metrics.t -> t
+(** A fresh hub whose Metrics registry is an existing one. *)
 
-    The hub's own collectors, for deriving the classic [?diag]/[?trace]/
-    [?metrics] arguments so one handle feeds every channel. *)
+(** {2 Collectors}
+
+    For reading a finished run, and for {!Exec}'s fan-outs, which take
+    the collectors themselves; stage code records through the calls
+    below. *)
 
 val diag : t -> Diag.t
 val tracer : t -> Trace.t
 val metrics : t -> Metrics.t
 
-val trace_main : t -> Trace.buf
-(** The tracer's main-domain recording buffer ({!Trace.main}). *)
+(** {2 Recording}
+
+    One call per record. [None] returns before any allocation or clock
+    read. {!Diag} and the main trace buffer are single-domain, so only
+    the calls marked {e worker-safe} may run inside a pool worker. *)
+
+val stage : t option -> string -> (unit -> 'a) -> 'a
+(** [stage o name f]: a ["stage"] event, then [f ()] inside a Diag span
+    and a Trace span named [name] (recorded even when [f] raises). *)
+
+val span :
+  t option -> ?args:(string * Trace.arg) list -> string -> (unit -> 'a) -> 'a
+(** A Trace span, for per-step work ([tran.step], [vf.relocate], ...). *)
+
+val add_args : t option -> (string * Trace.arg) list -> unit
+(** {!Trace.add_args} on the innermost open span. *)
+
+val count : ?only:[ `Diag | `Metrics ] -> t option -> string -> int -> unit
+(** Bump a Diag and a Metrics counter by [n], or [only] one of them. *)
+
+val observe : ?only:[ `Diag | `Metrics ] -> t option -> string -> float -> unit
+(** Fold a value into a Diag stat and a Metrics histogram, or [only]
+    one of them. *)
+
+val now_if : t option -> float
+(** [Clock.now ()] with a hub, [0.0] without. *)
+
+val observe_since_ns : t option -> string -> float -> unit
+(** Metrics histogram of the nanoseconds since [t0] (from {!now_if}).
+    Worker-safe, as are [count] and [observe] with [~only:`Metrics]. *)
+
+val note : t option -> string -> string -> unit
+val warn : t option -> stage:string -> string -> unit
+val error : t option -> stage:string -> string -> unit
+(** Diag notes and [Warning]/[Error] events. *)
 
 (** {2 Event emission}
 
-    All take a [t option]; [None] short-circuits before any allocation
-    or clock read. Emission is thread-safe (pool workers emit pencil
-    rcond events concurrently). *)
+    Records in the event log only. All take a [t option]; [None]
+    short-circuits before any allocation or clock read. Emission is
+    worker-safe (pool workers emit pencil rcond events concurrently). *)
 
-val event : t option -> kind:string -> (string * Minijson.t) list -> unit
-(** Record a raw event. [kind] becomes the ["type"] field; ["seq"] and
-    ["t"] are stamped here. *)
-
-val rcond : t option -> site:string -> float -> unit
-(** One sample of the reciprocal-condition time series for a named
-    factorization site (["dc.lu"], ["ac.pencil"], ["vf.sigma_qr"]). *)
+val rcond : t option -> site:string -> ('a -> float) -> 'a -> unit
+(** [rcond o ~site estimate x] records [estimate x] as one sample of the
+    reciprocal-condition time series for a named factorization site
+    (["dc.lu"], ["ac.pencil"], ["vf.sigma_qr"]); the estimate only runs
+    with a hub. *)
 
 val vf_iteration :
   t option ->
@@ -73,10 +108,6 @@ val vf_attempt :
 
 val vf_settled : t option -> label:string -> pole_count:int -> rms:float -> unit
 (** The pole count a [fit_auto] escalation settled on. *)
-
-val stage : t option -> string -> unit
-(** A pipeline/RVF/recursion stage boundary (["rvf.frequency_stage"],
-    ["recursion.x_stage"], ...). *)
 
 val escalation :
   t option -> rung:string -> outcome:string -> detail:string -> unit

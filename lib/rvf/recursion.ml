@@ -13,8 +13,8 @@ let state_opts_for ~lo ~hi =
     Vf.Vfit.min_imag = 0.02 *. (hi -. lo);
   }
 
-let fit_traces ?cancel ?diag ?trace ?metrics ?obs ?(label = "recursion") ~eps ~max_poles
-    ~points ~traces ~lo ~hi () =
+let fit_traces ?cancel ?obs ?(label = "recursion") ~eps ~max_poles ~points
+    ~traces ~lo ~hi () =
   (* normalize each trace to unit rms, fit with common poles, unscale *)
   let scales =
     Array.map
@@ -36,13 +36,13 @@ let fit_traces ?cancel ?diag ?trace ?metrics ?obs ?(label = "recursion") ~eps ~m
   let opts = state_opts_for ~lo ~hi in
   let make_poles count = Vf.Pole.initial_real_axis ~lo ~hi ~count in
   let model, info =
-    Vf.Vfit.fit_auto ~opts ?cancel ?diag ?trace ?metrics ?obs ~label ~make_poles ~start:2
-      ~step:2 ~max_poles ~tol:eps ~points ~data ()
+    Vf.Vfit.fit_auto ~opts ?cancel ?obs ~label ~make_poles ~start:2 ~step:2
+      ~max_poles ~tol:eps ~points ~data ()
   in
   (model, scales, info)
 
-let fit ?(eps = 1e-3) ?(max_x_poles = 20) ?(max_y_poles = 20) ?cancel ?diag
-    ?trace ?metrics ?obs ~xs ~ys ~data () =
+let fit ?(eps = 1e-3) ?(max_x_poles = 20) ?(max_y_poles = 20) ?cancel ?obs ~xs
+    ~ys ~data () =
   let nx = Array.length xs and ny = Array.length ys in
   if Array.length data <> nx then invalid_arg "Recursion.fit: data rows <> xs";
   Array.iter
@@ -60,12 +60,9 @@ let fit ?(eps = 1e-3) ?(max_x_poles = 20) ?(max_y_poles = 20) ?cancel ?diag
     Array.init ny (fun j -> Array.init nx (fun i -> data.(i).(j)))
   in
   let x_model, x_scales, _ =
-    Obs.stage obs "recursion.x_stage";
-    Diag.span diag "recursion.x_stage" (fun () ->
-        Trace.span trace "recursion.x_stage" (fun () ->
-            fit_traces ?cancel ?diag ?trace ?metrics ?obs ~label:"recursion.x" ~eps
-              ~max_poles:max_x_poles ~points:points_x ~traces:columns ~lo:x_lo
-              ~hi:x_hi ()))
+    Obs.stage obs "recursion.x_stage" (fun () ->
+        fit_traces ?cancel ?obs ~label:"recursion.x" ~eps ~max_poles:max_x_poles
+          ~points:points_x ~traces:columns ~lo:x_lo ~hi:x_hi ())
   in
   let p = Vf.Model.n_poles x_model in
   (* stage 2: every x-coefficient (and the constant) becomes a trace in y *)
@@ -78,17 +75,13 @@ let fit ?(eps = 1e-3) ?(max_x_poles = 20) ?(max_y_poles = 20) ?cancel ?diag
             else x_model.Vf.Model.consts.(j) *. unscale))
   in
   let inner, inner_scales, _ =
-    Obs.stage obs "recursion.y_stage";
-    Diag.span diag "recursion.y_stage" (fun () ->
-        Trace.span trace "recursion.y_stage" (fun () ->
-            fit_traces ?cancel ?diag ?trace ?metrics ?obs ~label:"recursion.y" ~eps
-              ~max_poles:max_y_poles ~points:points_y ~traces ~lo:y_lo
-              ~hi:y_hi ()))
+    Obs.stage obs "recursion.y_stage" (fun () ->
+        fit_traces ?cancel ?obs ~label:"recursion.y" ~eps ~max_poles:max_y_poles
+          ~points:points_y ~traces ~lo:y_lo ~hi:y_hi ())
   in
-  Diag.note diag "recursion.depth" "2";
-  Diag.note diag "recursion.x_poles" (string_of_int p);
-  Diag.note diag "recursion.y_poles"
-    (string_of_int (Vf.Model.n_poles inner));
+  Obs.note obs "recursion.depth" "2";
+  Obs.note obs "recursion.x_poles" (string_of_int p);
+  Obs.note obs "recursion.y_poles" (string_of_int (Vf.Model.n_poles inner));
   { x_poles = x_model.Vf.Model.poles; inner; inner_scales }
 
 let coeff_at t ~slot ~y =

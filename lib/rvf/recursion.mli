@@ -27,9 +27,6 @@ val fit :
   ?max_x_poles:int ->
   ?max_y_poles:int ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   xs:float array ->
   ys:float array ->
@@ -39,13 +36,12 @@ val fit :
 (** [fit ~xs ~ys ~data ()] fits [data.(i).(j) ≈ f(xs.(i), ys.(j))].
     [eps] (default 1e−3) is the relative RMS target per stage.
 
-    With [diag], records spans for the two recursion stages
-    ([recursion.x_stage], [recursion.y_stage]), threads the collector
-    into both {!Vf.Vfit.fit_auto} passes (labels [recursion.x],
-    [recursion.y]) and notes the recursion depth and settled pole count
-    per variable. [trace]/[metrics]/[obs] are threaded likewise, so the
-    nested fits' pole trajectories land in the convergence stream with
-    their recursion-level labels. *)
+    With [obs], each of the two recursion stages ([recursion.x_stage],
+    [recursion.y_stage]) is an {!Obs.stage}, the hub threads into both
+    {!Vf.Vfit.fit_auto} passes (labels [recursion.x], [recursion.y]),
+    so the nested fits' pole trajectories land in the convergence
+    stream with their recursion-level labels, and Diag notes record the
+    recursion depth and settled pole count per variable. *)
 
 val eval : t -> x:float -> y:float -> float
 

@@ -70,11 +70,11 @@ type freq_stage = {
   dc : float array;
 }
 
-let frequency_stage ?(config = default_config) ?guard ?cancel ?diag ?trace
-    ?metrics ?obs ?pool ~dataset ~input ~output () =
+let frequency_stage ?(config = default_config) ?guard ?cancel ?obs ?pool
+    ~dataset ~input ~output () =
   let samples = dataset.Tft.Dataset.samples in
   if Array.length samples < 4 then begin
-    Diag.error diag ~stage:"rvf.freq"
+    Obs.error obs ~stage:"rvf.freq"
       (Printf.sprintf "need at least 4 trajectory samples, got %d"
          (Array.length samples));
     invalid_arg "Rvf.extract: need at least 4 trajectory samples"
@@ -125,14 +125,11 @@ let frequency_stage ?(config = default_config) ?guard ?cancel ?diag ?trace
     }
   in
   let freq_model, freq_info =
-    Obs.stage obs "rvf.frequency_stage";
-    Diag.span diag "rvf.frequency_stage" (fun () ->
-        Trace.span trace "rvf.frequency_stage" (fun () ->
-            Vf.Vfit.fit_auto ~opts:freq_opts ?guard ?cancel ?diag ?trace
-              ?metrics ?obs ?pool ~label:"vf.freq" ~make_poles:make_freq_poles
-              ~start:config.freq_start ~step:config.freq_step
-              ~max_poles:config.max_freq_poles ~tol:(config.eps *. freq_scale)
-              ~points:points_f ~data:dyn_data ()))
+    Obs.stage obs "rvf.frequency_stage" (fun () ->
+        Vf.Vfit.fit_auto ~opts:freq_opts ?guard ?cancel ?obs ?pool
+          ~label:"vf.freq" ~make_poles:make_freq_poles ~start:config.freq_start
+          ~step:config.freq_step ~max_poles:config.max_freq_poles
+          ~tol:(config.eps *. freq_scale) ~points:points_f ~data:dyn_data ())
   in
   Log.info (fun m ->
       m "frequency stage: %d poles, rms %.3e (scale %.3e)"
@@ -175,12 +172,14 @@ let assemble_model ~freq_model ~residue_model ~static_model ~has_const ~x0 ~y0 =
   Assemble.hammerstein ~name:"rvf" ~freq_poles:freq_model.Vf.Model.poles
     ~stage:stage_fn ~static_path
 
-let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
-    ?obs ?pool ~dataset ~input ~output () =
+let extract ?(config = default_config) ?guard ?cancel ?metrics ?obs ?pool
+    ~dataset ~input ~output () =
   let t_start = Clock.now () in
+  let obs =
+    if Option.is_none obs then Option.map Obs.of_metrics metrics else obs
+  in
   let stage =
-    frequency_stage ~config ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool
-      ~dataset ~input ~output ()
+    frequency_stage ~config ?guard ?cancel ?obs ?pool ~dataset ~input ~output ()
   in
   let freq_model = stage.fs_model and freq_info = stage.fs_info in
   let xs = stage.xs and x_lo = stage.x_lo and x_hi = stage.x_hi in
@@ -234,21 +233,28 @@ let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
                    "non-finite residue coefficient trace %d" pi))
           trace_data);
   let min_imag = config.min_imag_fraction *. (x_hi -. x_lo) in
-  let state_opts = { config.state_opts with Vf.Vfit.min_imag } in
+  let state_opts =
+    {
+      config.state_opts with
+      Vf.Vfit.min_imag;
+      (* a pole pair far outside the hull is nearly affine over it, and
+         the fit cancels it against the affine term with huge
+         coefficients that leave only rounding noise *)
+      max_magnitude = 100.0 *. Float.max (Float.abs x_lo) (Float.abs x_hi);
+    }
+  in
   let make_state_poles count = Vf.Pole.initial_real_axis ~lo:x_lo ~hi:x_hi ~count in
   let residue_model, residue_info =
-    Obs.stage obs "rvf.state_stage";
-    Diag.span diag "rvf.state_stage" (fun () ->
-        Trace.span trace "rvf.state_stage" (fun () ->
-            Vf.Vfit.fit_auto ~opts:state_opts ?guard ?cancel ?diag ?trace
-              ?metrics ?obs ?pool ~label:"vf.state" ~make_poles:make_state_poles
-              ~start:config.state_start ~step:config.state_step
-              ~max_poles:config.max_state_poles ~tol:config.eps
-              ~points:points_x ~data:trace_data ()))
+    Obs.stage obs "rvf.state_stage" (fun () ->
+        Vf.Vfit.fit_auto ~opts:state_opts ?guard ?cancel ?obs ?pool
+          ~label:"vf.state" ~make_poles:make_state_poles
+          ~start:config.state_start ~step:config.state_step
+          ~max_poles:config.max_state_poles ~tol:config.eps ~points:points_x
+          ~data:trace_data ())
   in
   (* per-trace fit quality: one RMS per residue trajectory, so a single
      badly-fitted trace is visible even when the pooled RMS looks fine *)
-  (match diag with
+  (match obs with
   | None -> ()
   | Some _ ->
       for pi = 0 to n_traces - 1 do
@@ -260,7 +266,7 @@ let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
             acc := !acc +. Complex.norm2 err)
           points_x;
         let rms = sqrt (!acc /. float_of_int (Array.length points_x)) in
-        Diag.observe diag "rvf.residue_trace_rms" rms
+        Obs.observe ~only:`Diag obs "rvf.residue_trace_rms" rms
       done);
   let residue_model =
     {
@@ -297,26 +303,22 @@ let extract ?(config = default_config) ?guard ?cancel ?diag ?trace ?metrics
           "non-finite DC conductance trace");
   let static_scale = Float.max (rms_of_rows static_data) 1e-300 in
   let static_model, static_info =
-    Obs.stage obs "rvf.static_stage";
-    Diag.span diag "rvf.static_stage" (fun () ->
-        Trace.span trace "rvf.static_stage" (fun () ->
-            Vf.Vfit.fit_auto ~opts:state_opts ?guard ?cancel ?diag ?trace
-              ?metrics ?obs ?pool ~label:"vf.static" ~make_poles:make_state_poles
-              ~start:config.state_start ~step:config.state_step
-              ~max_poles:config.max_state_poles
-              ~tol:(config.eps *. static_scale) ~points:points_x
-              ~data:static_data ()))
+    Obs.stage obs "rvf.static_stage" (fun () ->
+        Vf.Vfit.fit_auto ~opts:state_opts ?guard ?cancel ?obs ?pool
+          ~label:"vf.static" ~make_poles:make_state_poles
+          ~start:config.state_start ~step:config.state_step
+          ~max_poles:config.max_state_poles ~tol:(config.eps *. static_scale)
+          ~points:points_x ~data:static_data ())
   in
   (* --- integration and Hammerstein assembly --- *)
   let x0 = stage.x0 and y0 = stage.y0 in
   let model =
     assemble_model ~freq_model ~residue_model ~static_model ~has_const ~x0 ~y0
   in
-  Diag.note diag "rvf.freq_poles"
-    (string_of_int freq_info.Vf.Vfit.pole_count);
-  Diag.note diag "rvf.state_poles"
+  Obs.note obs "rvf.freq_poles" (string_of_int freq_info.Vf.Vfit.pole_count);
+  Obs.note obs "rvf.state_poles"
     (string_of_int residue_info.Vf.Vfit.pole_count);
-  Diag.note diag "rvf.static_poles"
+  Obs.note obs "rvf.static_poles"
     (string_of_int static_info.Vf.Vfit.pole_count);
   {
     model;

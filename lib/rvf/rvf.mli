@@ -54,8 +54,6 @@ val extract :
   ?config:config ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
   ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
@@ -65,14 +63,14 @@ val extract :
     case [x = u(t)]); multidimensional gridded recursion lives in
     {!Recursion}. Raises [Invalid_argument] on dimension mismatches.
 
-    With [diag], records spans for the three fitting stages
-    ([rvf.frequency_stage], [rvf.state_stage], [rvf.static_stage]),
-    threads the collector into every {!Vf.Vfit.fit_auto} call (labels
-    [vf.freq], [vf.state], [vf.static]), observes a per-residue-trace
-    fit RMS ([rvf.residue_trace_rms]) and notes the settled pole count
-    of each stage. [trace]/[metrics] are threaded the same way: the
-    three stages record like-named {!Trace} spans and the VF engine's
-    per-iteration statistics land in the metrics registry.
+    With [obs]: the three fitting stages ([rvf.frequency_stage],
+    [rvf.state_stage], [rvf.static_stage]) as {!Obs.stage}s; the
+    records of every {!Vf.Vfit.fit_auto} call (labels [vf.freq],
+    [vf.state], [vf.static]); a per-residue-trace fit RMS stat
+    ([rvf.residue_trace_rms]) and a note of each stage's settled pole
+    count. [metrics] without [obs] records into that registry through a
+    fresh hub. The state and static fits clamp relocated poles to 100
+    times the largest magnitude in [x_range].
 
     With [guard], the residue coefficient traces and the DC conductance
     trace are NaN/Inf-checked before fitting ([Guard.Violation] at
@@ -123,9 +121,6 @@ val frequency_stage :
   ?config:config ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
   dataset:Tft.Dataset.t -> input:int -> output:int -> unit ->

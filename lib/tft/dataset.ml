@@ -46,7 +46,7 @@ let lerp_cmat a b w =
    themselves corrupt cannot keep its place on the trajectory and is
    dropped under either policy. Raises when nothing is left to repair
    from. *)
-let quarantine guard diag metrics obs t =
+let quarantine guard obs t =
   match guard with
   | None -> t
   | Some (g : Guard.t) ->
@@ -55,8 +55,7 @@ let quarantine guard diag metrics obs t =
       let n_bad = Array.fold_left (fun a b -> if b then a + 1 else a) 0 bad in
       if n_bad = 0 then t
       else begin
-        Diag.add diag "dataset.quarantined" n_bad;
-        Metrics.add metrics "dataset.quarantined" n_bad;
+        Obs.count obs "dataset.quarantined" n_bad;
         if n_bad = n then
           Guard.fail ~site:"dataset.quarantine"
             "every snapshot sample is corrupt";
@@ -109,11 +108,9 @@ let quarantine guard diag metrics obs t =
                   kept := s' :: !kept
               | None -> incr dropped)
           t.samples;
-        Diag.add diag "dataset.repaired" !repaired;
-        Diag.add diag "dataset.dropped" !dropped;
-        Metrics.add metrics "dataset.repaired" !repaired;
-        Metrics.add metrics "dataset.dropped" !dropped;
-        Diag.warn diag ~stage:"tft.dataset"
+        Obs.count obs "dataset.repaired" !repaired;
+        Obs.count obs "dataset.dropped" !dropped;
+        Obs.warn obs ~stage:"tft.dataset"
           (Printf.sprintf
              "quarantined %d snapshot sample(s): %d repaired by %s, %d dropped"
              n_bad !repaired
@@ -129,9 +126,16 @@ let quarantine guard diag metrics obs t =
 let ac_ws_key : Engine.Ac.ws Exec.key = Exec.new_key ()
 let rk_ws_key : Engine.Ratkrylov.ws Exec.key = Exec.new_key ()
 
-let of_snapshots ?pool ?guard ?cancel ?diag ?trace ?metrics ?obs
+let of_snapshots ?pool ?guard ?cancel ?metrics ?obs
     ?(backend = Engine.Mna.Dense) ?sparse_ctx ~mna ~estimator ~freqs_hz
     snapshots =
+  let obs =
+    if Option.is_none obs then Option.map Obs.of_metrics metrics else obs
+  in
+  (* the fan-out lives in [Exec], below the hub, so it takes the
+     collectors themselves *)
+  let trace = Option.map (fun o -> Trace.main (Obs.tracer o)) obs
+  and metrics = Option.map Obs.metrics obs in
   let b = Engine.Mna.b_matrix mna in
   let d = Engine.Mna.d_matrix mna in
   let mi = Linalg.Mat.cols b and mo = Linalg.Mat.cols d in
@@ -169,7 +173,7 @@ let of_snapshots ?pool ?guard ?cancel ?diag ?trace ?metrics ?obs
     }
   in
   let samples =
-    Trace.span trace
+    Obs.span obs
       ~args:[ ("snapshots", Trace.Int (Array.length snapshots)) ]
       "tft.dataset"
     @@ fun () ->
@@ -186,7 +190,7 @@ let of_snapshots ?pool ?guard ?cancel ?diag ?trace ?metrics ?obs
           (fun ws ((i, snap) : int * Engine.Tran.snapshot) ->
             let g = snap.Engine.Tran.g_mat and c = snap.Engine.Tran.c_mat in
             let h =
-              Engine.Ac.transfer_sweep ?cancel ?metrics ?obs ws ~g ~c ~ss
+              Engine.Ac.transfer_sweep ?cancel ?obs ws ~g ~c ~ss
             in
             let h0 = Engine.Ac.transfer_ws ?obs ws ~g ~c ~s:Complex.zero in
             make_sample snap i h h0)
@@ -232,16 +236,16 @@ let of_snapshots ?pool ?guard ?cancel ?diag ?trace ?metrics ?obs
             let g = { Linalg.Sp.pat; v = gv }
             and c = { Linalg.Sp.pat; v = cv } in
             let h, _ =
-              Engine.Ratkrylov.sweep ?cancel ?metrics ?obs ws ~g ~c ~ss
+              Engine.Ratkrylov.sweep ?cancel ?obs ws ~g ~c ~ss
             in
             let h0, _ =
-              Engine.Ratkrylov.sweep ?cancel ?metrics ?obs ws ~g ~c
+              Engine.Ratkrylov.sweep ?cancel ?obs ws ~g ~c
                 ~ss:[| Complex.zero |]
             in
             make_sample snap i h h0.(0))
           (Array.mapi (fun i snap -> (i, snap)) snapshots)
   in
-  quarantine guard diag metrics obs
+  quarantine guard obs
     { freqs_hz; samples; n_inputs = mi; n_outputs = mo }
 
 let dynamic_part t =

@@ -25,8 +25,6 @@ val of_snapshots :
   ?pool:Exec.t ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
   ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?backend:Engine.Mna.backend ->
@@ -47,20 +45,19 @@ val of_snapshots :
     [cancel], the token is probed at every chunk boundary (site
     [tft.chunk]) and every pencil solve (site [ac.sweep]).
 
-    With [trace], the sweep records a [tft.dataset] span containing one
-    [tft.chunk] span per chunk, each on the track of the domain that
-    ran it; with [metrics], per-frequency pencil-solve times land in
-    [ac.pencil_solve_ns] (recorded from worker domains) and chunk
-    wait/run times in [tft.chunk_wait_ns]/[tft.chunk_run_ns].
+    With [obs]: a [tft.dataset] span over one [tft.chunk] span per
+    chunk, each on the track of the domain that ran it; the records of
+    the per-snapshot sweeps ({!Engine.Ac.transfer_sweep},
+    {!Engine.Ratkrylov.sweep}); chunk wait/run times in
+    [tft.chunk_wait_ns]/[tft.chunk_run_ns]. [metrics] without [obs]
+    records into that registry through a fresh hub.
 
     With [guard], a quarantine pass runs after the sweep: samples with
     non-finite transfer data are counted ([dataset.quarantined]) and
     either rebuilt by time-weighted interpolation between the nearest
     healthy neighbors ([dataset.repaired], policy
     [guard.snapshot_repair = Interpolate]) or removed
-    ([dataset.dropped]), with a [diag] warning either way — and, with
-    [obs], a [quarantine] event carrying the counts (per-frequency
-    pencil factorizations also emit ["ac.pencil"] rcond samples).
+    ([dataset.dropped]), with a warning and a [quarantine] event.
     Raises [Guard.Violation] when every sample is corrupt. Hosts the
     ["dataset.snapshot_burst"] fault probe; firing is decided per
     snapshot index in a sequential pre-pass, so injected bursts are

@@ -23,7 +23,7 @@ let snapshot_finite (s : Engine.Tran.snapshot) =
   && finite_mat s.Engine.Tran.g_mat
   && finite_mat s.Engine.Tran.c_mat
 
-let build ?guard ?diag ~mna snapshots =
+let build ?guard ~mna snapshots =
   (* snapshot quarantine: the TPW database interpolates raw snapshots
      directly, so a corrupt one is dropped before indexing (there is no
      meaningful neighbor repair once the x-ordering is rebuilt) *)
@@ -31,14 +31,7 @@ let build ?guard ?diag ~mna snapshots =
     match guard with
     | None -> snapshots
     | Some _ ->
-        let kept = Array.of_list (List.filter snapshot_finite (Array.to_list snapshots)) in
-        let n_bad = Array.length snapshots - Array.length kept in
-        if n_bad > 0 then begin
-          Diag.add diag "tpw.quarantined" n_bad;
-          Diag.warn diag ~stage:"tft.tpw"
-            (Printf.sprintf "dropped %d corrupt snapshot(s)" n_bad)
-        end;
-        kept
+        Array.of_list (List.filter snapshot_finite (Array.to_list snapshots))
   in
   if Array.length snapshots < 2 then invalid_arg "Tpw.build: need >= 2 snapshots";
   if Engine.Mna.n_inputs mna <> 1 || Engine.Mna.n_outputs mna <> 1 then

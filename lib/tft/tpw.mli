@@ -16,16 +16,14 @@ type t
 
 val build :
   ?guard:Guard.t ->
-  ?diag:Diag.t ->
   mna:Engine.Mna.t ->
   Engine.Tran.snapshot array ->
   t
 (** Index the snapshots by the first input value. Requires ≥ 2 snapshots
     and a SISO input/output configuration. With [guard], snapshots with
-    non-finite state or Jacobian data are dropped before indexing
-    ([tpw.quarantined] counter plus a [diag] warning); interpolation
-    repair does not apply here because the database is re-ordered by
-    input value. *)
+    non-finite state or Jacobian data are dropped before indexing;
+    interpolation repair does not apply here because the database is
+    re-ordered by input value. *)
 
 val size_in_floats : t -> int
 (** Storage footprint of the snapshot database (floats held at runtime) —

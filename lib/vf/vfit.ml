@@ -479,17 +479,20 @@ let relocate_poles ?pool ~rws ~opts ~poles ~points ~data ~weights () =
           match Linalg.Eig.eigenvalues m with
           | exception Linalg.Eig.No_convergence -> None
           | eigs ->
-              let eigs =
-                if opts.max_magnitude <= 0.0 then eigs
-                else
-                  Array.map
-                    (fun a ->
-                      let m = Complex.norm a in
-                      if m > opts.max_magnitude then
-                        Linalg.Cx.scale (opts.max_magnitude /. m) a
-                      else a)
-                    eigs
-              in
+              (* clamp in place ([eigs] is fresh); |re| + |im| bounds the
+                 modulus, so a pole inside the limit costs no boxed norm *)
+              if opts.max_magnitude > 0.0 then
+                for i = 0 to Array.length eigs - 1 do
+                  let a = eigs.(i) in
+                  if
+                    Float.abs a.Complex.re +. Float.abs a.Complex.im
+                    > opts.max_magnitude
+                  then begin
+                    let m = Complex.norm a in
+                    if m > opts.max_magnitude then
+                      eigs.(i) <- Linalg.Cx.scale (opts.max_magnitude /. m) a
+                  end
+                done;
               let flips =
                 if not opts.enforce_stable then 0
                 else
@@ -571,15 +574,15 @@ let finite_model (m : Model.t) =
   && Guard.finite_array m.Model.consts
   && Guard.finite_array m.Model.slopes
 
-let fit ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace ?metrics
-    ?obs ?pool ?(label = "vfit") ~poles ~points ~data () =
+let fit ?(opts = default_frequency_opts) ?guard ?cancel ?obs ?pool
+    ?(label = "vfit") ~poles ~points ~data () =
   if Array.length data = 0 then invalid_arg "Vfit.fit: no elements";
   Array.iter
     (fun row ->
       if Array.length row <> Array.length points then
         invalid_arg "Vfit.fit: data/points length mismatch")
     data;
-  Trace.span trace
+  Obs.span obs
     ~args:
       [ ("label", Trace.Str label);
         ("poles", Trace.Int (Array.length poles));
@@ -595,7 +598,7 @@ let fit ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace ?metrics
   let rws = make_reloc_ws () in
   (try
      for it = 1 to opts.iterations do
-       Trace.span trace ~args:[ ("it", Trace.Int it) ] "vf.relocate"
+       Obs.span obs ~args:[ ("it", Trace.Int it) ] "vf.relocate"
        @@ fun () ->
        Cancel.check cancel ~site:"vf.relocate";
        if Fault.should_fire "vf.spin" then Cancel.hang cancel ~site:"vf.relocate";
@@ -621,28 +624,26 @@ let fit ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace ?metrics
              if poles'.(0).Complex.im <> 0.0 && Array.length poles' > 1 then
                flip 1
            end;
-           Diag.observe diag (label ^ ".sigma_rms") rd.sigma_rms;
-           Diag.observe diag (label ^ ".column_scale_spread") rd.scale_spread;
-           Metrics.observe metrics (label ^ ".sigma_rms") rd.sigma_rms;
+           Obs.observe obs (label ^ ".sigma_rms") rd.sigma_rms;
+           Obs.observe ~only:`Diag obs (label ^ ".column_scale_spread")
+             rd.scale_spread;
            if rd.flips > 0 then
-             Diag.add diag (label ^ ".unstable_pole_flips") rd.flips;
+             Obs.count ~only:`Diag obs (label ^ ".unstable_pole_flips")
+               rd.flips;
            (match obs with
            | None -> ()
            | Some _ ->
                (* the fast kernel's condensed-system QR is the most
                   condition-sensitive factorization in the stack; the
                   dense kernel has no workspace to read, so skip it *)
-               (match opts.relocation_kernel with
-               | Fast ->
-                   Obs.rcond obs ~site:"vf.sigma_qr"
-                     (Linalg.Qr.last_rcond rws.qbig)
-               | Dense -> ());
+               if opts.relocation_kernel = Fast then
+                 Obs.rcond obs ~site:"vf.sigma_qr" Linalg.Qr.last_rcond rws.qbig;
                Obs.vf_iteration obs ~label ~iteration:it
                  ~sigma_rms:rd.sigma_rms ~d_tilde:rd.d_tilde
                  ~scale_spread:rd.scale_spread ~flips:rd.flips !poles)
        | None ->
            Log.debug (fun m -> m "pole relocation stalled at iteration %d" it);
-           Diag.incr diag (label ^ ".stalled_relocations");
+           Obs.count ~only:`Diag obs (label ^ ".stalled_relocations") 1;
            raise Exit
      done
    with Exit -> ());
@@ -678,9 +679,8 @@ let fit ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace ?metrics
             (fun acc a -> if a.Complex.re >= 0.0 then acc + 1 else acc)
             0 p
         in
-        Diag.add diag (label ^ ".guard_stabilized") n_unstable;
-        Metrics.add metrics (label ^ ".guard_stabilized") n_unstable;
-        Diag.warn diag ~stage:label
+        Obs.count obs (label ^ ".guard_stabilized") n_unstable;
+        Obs.warn obs ~stage:label
           (Printf.sprintf
              "guard reflected %d unstable pole(s) into the left half plane"
              n_unstable);
@@ -696,8 +696,7 @@ let fit ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace ?metrics
           "non-finite coefficients in fitted model");
   let rms = Model.rms_error model ~points ~data in
   let max_err = Model.max_error model ~points ~data in
-  Diag.observe diag (label ^ ".fit_rms") rms;
-  Metrics.observe metrics (label ^ ".fit_rms") rms;
+  Obs.observe obs (label ^ ".fit_rms") rms;
   ( model,
     {
       rms;
@@ -706,10 +705,10 @@ let fit ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace ?metrics
       pole_count = Array.length !poles;
     } )
 
-let fit_auto ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace
-    ?metrics ?obs ?pool ?(label = "vfit") ~make_poles ?(start = 2) ?(step = 2)
-    ?(max_poles = 40) ~tol ~points ~data () =
-  Trace.span trace ~args:[ ("label", Trace.Str label) ] "vf.fit_auto"
+let fit_auto ?(opts = default_frequency_opts) ?guard ?cancel ?obs ?pool
+    ?(label = "vfit") ~make_poles ?(start = 2) ?(step = 2) ?(max_poles = 40)
+    ~tol ~points ~data () =
+  Obs.span obs ~args:[ ("label", Trace.Str label) ] "vf.fit_auto"
   @@ fun () ->
   (* the last per-attempt failure, kept so that a fully unsuccessful
      escalation can report *why* instead of a bare "no successful fit" *)
@@ -723,12 +722,12 @@ let fit_auto ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace
           Printf.sprintf " (no pole count attempted: start %d > max_poles %d)"
             start max_poles
     in
-    Diag.error diag ~stage:label ("fit_auto: no successful fit" ^ detail);
+    Obs.error obs ~stage:label ("fit_auto: no successful fit" ^ detail);
     invalid_arg ("Vfit.fit_auto: no successful fit" ^ detail)
   in
   let settle (model, (info : info)) =
-    Diag.note diag (label ^ ".settled_poles") (string_of_int info.pole_count);
-    Diag.observe diag (label ^ ".settled_rms") info.rms;
+    Obs.note obs (label ^ ".settled_poles") (string_of_int info.pole_count);
+    Obs.observe ~only:`Diag obs (label ^ ".settled_rms") info.rms;
     Obs.vf_settled obs ~label ~pole_count:info.pole_count ~rms:info.rms;
     (model, info)
   in
@@ -737,11 +736,10 @@ let fit_auto ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace
       match best with Some mi -> settle mi | None -> fail_no_fit ()
     end
     else begin
-      Diag.incr diag (label ^ ".attempts");
-      Metrics.incr metrics (label ^ ".attempts");
+      Obs.count obs (label ^ ".attempts") 1;
       Cancel.check cancel ~site:"vf.fit_auto";
       match
-        fit ~opts ?guard ?cancel ?diag ?trace ?metrics ?obs ?pool ~label
+        fit ~opts ?guard ?cancel ?obs ?pool ~label
           ~poles:(make_poles count) ~points ~data ()
       with
       | exception Guard.Violation v ->
@@ -749,8 +747,8 @@ let fit_auto ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace
              model) may vanish with a different start-pole set — keep
              escalating instead of giving up *)
           last_failure := Some (count, Guard.describe v);
-          Diag.incr diag (label ^ ".guard_violations");
-          Diag.warn diag ~stage:label
+          Obs.count ~only:`Diag obs (label ^ ".guard_violations") 1;
+          Obs.warn obs ~stage:label
             (Printf.sprintf "attempt with %d poles hit a guard: %s" count
                (Guard.describe v));
           Obs.violation obs ~site:label
@@ -761,7 +759,7 @@ let fit_auto ?(opts = default_frequency_opts) ?guard ?cancel ?diag ?trace
              escalating and keep the best admissible model *)
           Log.info (fun m -> m "fit_auto: stopping at %d poles (%s)" count msg);
           last_failure := Some (count, msg);
-          Diag.warn diag ~stage:label
+          Obs.warn obs ~stage:label
             (Printf.sprintf "attempt with %d poles failed: %s" count msg);
           match best with Some mi -> settle mi | None -> fail_no_fit ()
         end

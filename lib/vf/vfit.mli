@@ -63,9 +63,6 @@ val fit :
   ?opts:opts ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
   ?label:string ->
@@ -78,24 +75,16 @@ val fit :
     with common poles, starting the relocation from [poles].
     Requires [2·length points ≥ unknowns].
 
-    With [diag], each relocation sweep records (prefixed by [label],
-    default ["vfit"]): the per-iteration sigma RMS
-    ([<label>.sigma_rms], the non-constant part of σ — goes to zero as
-    the poles converge), the column-scale spread conditioning proxy
+    With [obs]: a [vf.fit] span over one [vf.relocate] span per
+    relocation sweep. Names are prefixed by [label] (default
+    ["vfit"]). Each sweep records the sigma RMS ([<label>.sigma_rms],
+    the non-constant part of σ — goes to zero as the poles converge),
+    and in Diag the column-scale spread conditioning proxy
     ([<label>.column_scale_spread]) and the number of relocated poles
-    reflected into the left half plane
-    ([<label>.unstable_pole_flips]).
-
-    With [trace], the fit records a [vf.fit] span containing one
-    [vf.relocate] span per relocation sweep; with [metrics], the
-    per-iteration sigma RMS and the final fit RMS land in the
-    [<label>.sigma_rms]/[<label>.fit_rms] histograms.
-
-    With [obs], every relocation sweep emits a [vf_iteration] event
-    carrying the full relocated pole set plus the sweep telemetry
-    (sigma RMS, d̃, scale spread, stability flips), and — with the fast
-    relocation kernel — a ["vf.sigma_qr"] rcond sample from the
-    condensed-system QR.
+    reflected into the left half plane ([<label>.unstable_pole_flips]);
+    a [vf_iteration] event with the relocated pole set and the sweep
+    telemetry; and with the fast kernel a ["vf.sigma_qr"] rcond sample.
+    The final fit RMS lands in [<label>.fit_rms].
 
     With [guard], the relocated poles are checked after the sweeps:
     non-finite poles or a pole whose modulus exceeds
@@ -116,9 +105,6 @@ val fit_auto :
   ?opts:opts ->
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
-  ?diag:Diag.t ->
-  ?trace:Trace.buf ->
-  ?metrics:Metrics.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
   ?label:string ->
@@ -137,16 +123,16 @@ val fit_auto :
     if [max_poles] is exhausted.
 
     Raises [Invalid_argument] when no pole count yields a model at all;
-    the message (and, with [diag], an [Error] event) carries the last
+    the message (and, with [obs], a Diag [Error] event) carries the last
     per-attempt failure reason instead of a bare "no successful fit".
-    With [diag], also records the attempt count and which pole count
-    the escalation settled on ([<label>.settled_poles] note). With
-    [guard], a per-attempt [Guard.Violation] is recorded
-    ([<label>.guard_violations]) and the escalation continues to the
-    next pole count instead of giving up. With [obs], each completed
-    attempt emits a [vf_attempt] event (pole count, rms, tol,
-    accepted), guarded failures a [violation] event, and the final
-    choice a [vf_settled] event. With [cancel], the token is probed
+    With [obs]: a [vf.fit_auto] span; the attempt count
+    ([<label>.attempts]); the settled pole count and RMS (Diag
+    [<label>.settled_poles] note, [<label>.settled_rms] stat); a
+    [vf_attempt] event per completed attempt and a [vf_settled] event.
+    With [guard], a per-attempt [Guard.Violation] is recorded
+    ([<label>.guard_violations] in Diag, plus a [violation] event) and
+    the escalation continues to the next pole count instead of giving
+    up. With [cancel], the token is probed
     before every attempt (site ["vf.fit_auto"]) and inside each fit;
     [Cancel.Cancelled]/[Cancel.Deadline_exceeded] abort the escalation
     rather than being swallowed as attempt failures. *)

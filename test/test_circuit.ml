@@ -161,17 +161,24 @@ let test_parser_continuation () =
   | _ -> Alcotest.fail "R1 not parsed"
 
 let test_parser_errors () =
+  (* every malformed input is a typed Parse_error, never the
+     Invalid_argument of a Netlist constructor *)
   let expect_error text =
     match Circuit.Parser.parse_string text with
     | exception Circuit.Parser.Parse_error _ -> true
-    | exception Invalid_argument _ -> true
     | _ -> false
   in
   Alcotest.(check bool) "bad value" true (expect_error "R1 a 0 abc");
   Alcotest.(check bool) "bad directive" true (expect_error ".include foo\nR1 a 0 1k");
   Alcotest.(check bool) "unbalanced paren" true (expect_error "V1 a 0 SIN(0 1");
   Alcotest.(check bool) "unknown card" true (expect_error "X1 a b c sub");
-  Alcotest.(check bool) "bad bits" true (expect_error "V1 a 0 BITS(0 1 1g 1p 10x1)")
+  Alcotest.(check bool) "bad bits" true (expect_error "V1 a 0 BITS(0 1 1g 1p 10x1)");
+  Alcotest.(check bool) "zero resistor" true (expect_error "R1 a 0 0");
+  Alcotest.(check bool) "negative capacitor" true (expect_error "C1 a 0 -1p");
+  Alcotest.(check bool) "duplicate name" true
+    (expect_error "R1 a 0 1k\nR1 a 0 2k");
+  Alcotest.(check bool) "no ground" true (expect_error "R1 a b 1k");
+  Alcotest.(check bool) "comment only" true (expect_error "* nothing\n")
 
 let test_parser_roundtrip_pp () =
   (* pp output of a parsed netlist parses again to the same component count *)

@@ -15,8 +15,8 @@
 let test_counters_and_stats () =
   let d = Diag.create () in
   let diag = Some d in
-  Diag.incr diag "c";
-  Diag.incr diag "c";
+  Diag.add diag "c" 1;
+  Diag.add diag "c" 1;
   Diag.add diag "c" 3;
   Diag.observe diag "s" 1.0;
   Diag.observe diag "s" 3.0;
@@ -65,7 +65,6 @@ let test_span_survives_raise () =
 
 let test_none_is_noop () =
   (* every entry point must tolerate an absent collector *)
-  Diag.incr None "c";
   Diag.add None "c" 2;
   Diag.observe None "s" 1.0;
   Diag.note None "k" "v";
@@ -77,7 +76,7 @@ let test_none_is_noop () =
 let test_diag_json_shape_and_escaping () =
   let d = Diag.create () in
   let diag = Some d in
-  Diag.incr diag "tran.steps";
+  Diag.add diag "tran.steps" 1;
   Diag.observe diag "vf.freq.sigma_rms" 0.5;
   Diag.note diag "quoted" "say \"hi\"\nthere";
   Diag.warn diag ~stage:"engine.tran" "tab\there";
@@ -133,7 +132,7 @@ let stiff_mna () =
   Engine.Mna.build ~inputs:[ "Vin" ] ~outputs:[ Engine.Mna.Node "b" ]
     (stiff_circuit ())
 
-let run_stiff ~diag =
+let run_stiff ~obs =
   let opts =
     {
       Engine.Tran.default_opts with
@@ -141,22 +140,22 @@ let run_stiff ~diag =
     }
   in
   let mna = stiff_mna () in
-  (mna, Engine.Tran.run ~opts ~diag mna ~t_stop:20e-6 ~dt:5e-7)
+  (mna, Engine.Tran.run ~opts ~obs mna ~t_stop:20e-6 ~dt:5e-7)
 
 let test_dc_solve_counts_iterations () =
-  let d = Diag.create () in
-  let v = Engine.Dc.solve ~diag:d ~time:3e-6 (stiff_mna ()) in
+  let o = Obs.create () in
+  let v = Engine.Dc.solve ~obs:o ~time:3e-6 (stiff_mna ()) in
   Alcotest.(check bool) "solved" true (Array.length v > 0);
   Alcotest.(check bool) "dc.newton_iterations recorded" true
-    (Diag.counter (Diag.report d) "dc.newton_iterations" > 0)
+    (Diag.counter (Diag.report (Obs.diag o)) "dc.newton_iterations" > 0)
 
 let test_newton_counted_per_iteration () =
   (* regression: the counter used to be bumped once per time step, not
      once per Newton iteration, so it always equalled the step count *)
-  let d = Diag.create () in
-  let _, r = run_stiff ~diag:d in
+  let o = Obs.create () in
+  let _, r = run_stiff ~obs:o in
   let steps = Array.length r.Engine.Tran.times - 1 in
-  let report = Diag.report d in
+  let report = Diag.report (Obs.diag o) in
   Alcotest.(check int) "tran.steps counter" steps
     (Diag.counter report "tran.steps");
   Alcotest.(check int) "field and counter agree" r.Engine.Tran.newton_iterations
@@ -181,9 +180,9 @@ let parse_fallback_time msg =
       float_of_string_opt (String.sub rest 0 stop)
 
 let test_be_fallback_consistency () =
-  let d = Diag.create () in
-  let mna, r = run_stiff ~diag:d in
-  let report = Diag.report d in
+  let o = Obs.create () in
+  let mna, r = run_stiff ~obs:o in
+  let report = Diag.report (Obs.diag o) in
   Alcotest.(check bool) "at least one fallback" true
     (r.Engine.Tran.be_fallbacks >= 1);
   Alcotest.(check int) "fallback counter agrees" r.Engine.Tran.be_fallbacks
@@ -237,10 +236,10 @@ let test_be_fallback_consistency () =
     true (!worst < 1e-6)
 
 let test_adaptive_counters_agree () =
-  let d = Diag.create () in
+  let o = Obs.create () in
   let mna = stiff_mna () in
-  let r = Engine.Tran.run_adaptive ~diag:d mna ~t_stop:20e-6 ~dt:5e-7 in
-  let report = Diag.report d in
+  let r = Engine.Tran.run_adaptive ~obs:o mna ~t_stop:20e-6 ~dt:5e-7 in
+  let report = Diag.report (Obs.diag o) in
   Alcotest.(check int) "rejection counter agrees" r.Engine.Tran.step_rejections
     (Diag.counter report "tran.step_rejections");
   Alcotest.(check int) "accepted steps counted"
@@ -257,11 +256,11 @@ let test_fit_auto_reports_reason () =
   let make_poles n =
     Array.init n (fun k -> { Complex.re = -1.0 -. float_of_int k; im = 0.0 })
   in
-  let d = Diag.create () in
+  let o = Obs.create () in
   let raised =
     try
       let _ =
-        Vf.Vfit.fit_auto ~diag:d ~label:"vf.test" ~make_poles ~start:4
+        Vf.Vfit.fit_auto ~obs:o ~label:"vf.test" ~make_poles ~start:4
           ~max_poles:4 ~tol:1e-6 ~points ~data ()
       in
       None
@@ -282,7 +281,7 @@ let test_fit_auto_reports_reason () =
         true
         (contains "last attempt: 4 poles");
       Alcotest.(check bool) "error event recorded" true
-        (Diag.has_errors (Diag.report d))
+        (Diag.has_errors (Diag.report (Obs.diag o)))
 
 (* ---------------- graceful degradation ---------------- *)
 

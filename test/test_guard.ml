@@ -141,11 +141,11 @@ let test_dc_gmin_recovery () =
       let mna = Circuits.Buffer.mna ~input_wave:(Circuit.Netlist.Dc 0.9) () in
       let clean = Engine.Dc.solve mna in
       Fault.arm ~site:"dc.newton_diverge" ~seed:0 ();
-      let diag = Diag.create () in
-      let v = Engine.Dc.solve ~guard:Guard.default ~diag mna in
+      let obs = Obs.create () in
+      let v = Engine.Dc.solve ~guard:Guard.default ~obs mna in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check bool) "probe fired" true (stats.Fault.fires >= 1);
-      let report = Diag.report diag in
+      let report = Diag.report (Obs.diag obs) in
       Alcotest.(check bool) "gmin stepping engaged" true
         (Diag.counter report "dc.gmin_continuations" >= 1
         || Diag.counter report "dc.gmin_levels" >= 1);
@@ -175,13 +175,13 @@ let test_tran_step_halving () =
   (* ... with a guard the step is re-integrated as BE substeps *)
   with_plan (fun () ->
       Fault.arm_exact ~site:"tran.newton_diverge" ~fire_at:3 ~burst:2 ();
-      let diag = Diag.create () in
+      let obs = Obs.create () in
       let guarded =
-        Engine.Tran.run ~guard:Guard.default ~diag mna ~t_stop ~dt
+        Engine.Tran.run ~guard:Guard.default ~obs mna ~t_stop ~dt
       in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check int) "both attempts hit" 2 stats.Fault.fires;
-      let report = Diag.report diag in
+      let report = Diag.report (Obs.diag obs) in
       Alcotest.(check bool) "halving recorded" true
         (Diag.counter report "tran.step_halvings" >= 1);
       Alcotest.(check int) "step_rejections mirrors counter"
@@ -241,14 +241,14 @@ let test_quarantine_interpolate () =
   let clean = Tft.Dataset.of_snapshots ~mna ~estimator ~freqs_hz snaps in
   with_plan (fun () ->
       Fault.arm_exact ~site:"dataset.snapshot_burst" ~fire_at:3 ~burst:2 ();
-      let diag = Diag.create () in
+      let obs = Obs.create () in
       let ds =
-        Tft.Dataset.of_snapshots ~guard:Guard.default ~diag ~mna ~estimator
+        Tft.Dataset.of_snapshots ~guard:Guard.default ~obs ~mna ~estimator
           ~freqs_hz snaps
       in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check int) "two snapshots corrupted" 2 stats.Fault.fires;
-      let report = Diag.report diag in
+      let report = Diag.report (Obs.diag obs) in
       Alcotest.(check int) "quarantined" 2
         (Diag.counter report "dataset.quarantined");
       Alcotest.(check int) "repaired" 2 (Diag.counter report "dataset.repaired");
@@ -262,13 +262,13 @@ let test_quarantine_drop () =
   let clean = Tft.Dataset.of_snapshots ~mna ~estimator ~freqs_hz snaps in
   with_plan (fun () ->
       Fault.arm_exact ~site:"dataset.snapshot_burst" ~fire_at:3 ~burst:2 ();
-      let diag = Diag.create () in
+      let obs = Obs.create () in
       let guard = { Guard.default with Guard.snapshot_repair = Guard.Drop } in
       let ds =
-        Tft.Dataset.of_snapshots ~guard ~diag ~mna ~estimator ~freqs_hz snaps
+        Tft.Dataset.of_snapshots ~guard ~obs ~mna ~estimator ~freqs_hz snaps
       in
       ignore (Fault.disarm ());
-      let report = Diag.report diag in
+      let report = Diag.report (Obs.diag obs) in
       Alcotest.(check int) "dropped" 2 (Diag.counter report "dataset.dropped");
       Alcotest.(check int) "two samples removed"
         (Array.length clean.Tft.Dataset.samples - 2)
@@ -320,14 +320,14 @@ let test_vf_pole_flip_repaired () =
   let poles0 = Vf.Pole.initial_frequency ~f_min:1e2 ~f_max:1e6 ~count:2 in
   with_plan (fun () ->
       Fault.arm ~site:"vf.pole_flip" ~seed:0 ();
-      let diag = Diag.create () in
+      let obs = Obs.create () in
       (* a single relocation sweep: the injected flip lands on the last
          sweep, so only the post-loop guard can repair it *)
       let opts =
         { Vf.Vfit.default_frequency_opts with Vf.Vfit.iterations = 1 }
       in
       let model, _ =
-        Vf.Vfit.fit ~opts ~guard:Guard.default ~diag ~poles:poles0 ~points
+        Vf.Vfit.fit ~opts ~guard:Guard.default ~obs ~poles:poles0 ~points
           ~data ()
       in
       let stats = Option.get (Fault.disarm ()) in
@@ -336,7 +336,7 @@ let test_vf_pole_flip_repaired () =
         (fun a ->
           Alcotest.(check bool) "repaired to LHP" true (a.Complex.re < 0.0))
         model.Vf.Model.poles;
-      let report = Diag.report diag in
+      let report = Diag.report (Obs.diag obs) in
       Alcotest.(check bool) "repair counted" true
         (Diag.counter report "vfit.guard_stabilized" >= 1))
 

@@ -41,17 +41,28 @@ let test_none_is_noop_zero_clock_reads () =
      the whole point of the [?obs] threading is that an un-instrumented
      run pays nothing *)
   let before = Clock.reads () in
-  Obs.event None ~kind:"x" [];
-  Obs.rcond None ~site:"dc.lu" 0.5;
+  Obs.rcond None ~site:"dc.lu" Fun.id 0.5;
   Obs.vf_iteration None ~label:"vf" ~iteration:1 ~sigma_rms:1.0 ~d_tilde:1.0
     ~scale_spread:1.0 ~flips:0 [| Complex.one |];
   Obs.vf_attempt None ~label:"vf" ~pole_count:2 ~rms:1.0 ~tol:1e-3
     ~accepted:false;
   Obs.vf_settled None ~label:"vf" ~pole_count:2 ~rms:1.0;
-  Obs.stage None "s";
   Obs.escalation None ~rung:"base" ~outcome:"ok" ~detail:"";
   Obs.violation None ~site:"s" "d";
   Obs.quarantine None ~n_bad:0 ~repaired:0 ~dropped:0;
+  Obs.stage None "s" ignore;
+  Obs.span None ~args:[ ("k", Trace.Int 1) ] "s" ignore;
+  Obs.add_args None [ ("k", Trace.Int 1) ];
+  Obs.count None "c" 1;
+  Obs.count ~only:`Diag None "c" 1;
+  Obs.count ~only:`Metrics None "c" 1;
+  Obs.observe None "v" 1.0;
+  Obs.observe ~only:`Diag None "v" 1.0;
+  Obs.observe ~only:`Metrics None "v" 1.0;
+  Obs.observe_since_ns None "ns" (Obs.now_if None);
+  Obs.note None "k" "v";
+  Obs.warn None ~stage:"s" "w";
+  Obs.error None ~stage:"s" "e";
   Alcotest.(check int) "zero clock reads on the disabled path" before
     (Clock.reads ())
 
@@ -60,8 +71,8 @@ let test_none_is_noop_zero_clock_reads () =
 let test_event_stream_shape () =
   let o = Obs.create () in
   let h = Some o in
-  Obs.stage h "a";
-  Obs.rcond h ~site:"dc.lu" 0.25;
+  Obs.stage h "a" ignore;
+  Obs.rcond h ~site:"dc.lu" Fun.id 0.25;
   Obs.vf_iteration h ~label:"vf.freq" ~iteration:0 ~sigma_rms:2.0
     ~d_tilde:1.0 ~scale_spread:3.0 ~flips:1
     [| { Complex.re = -1.0; im = 2.0 }; { Complex.re = -1.0; im = -2.0 } |];
@@ -100,8 +111,8 @@ let roundtrip_manifest () =
 let test_bundle_roundtrip () =
   let o = Obs.create () in
   let h = Some o in
-  Obs.stage h "pipeline.train";
-  Obs.rcond h ~site:"ac.pencil" 1e-3;
+  Obs.stage h "pipeline.train" ignore;
+  Obs.rcond h ~site:"ac.pencil" Fun.id 1e-3;
   Obs.vf_iteration h ~label:"vf.freq" ~iteration:0 ~sigma_rms:0.5
     ~d_tilde:1.25 ~scale_spread:10.0 ~flips:0
     [| { Complex.re = -3.5e8; im = 1.25e9 } |];
@@ -147,8 +158,8 @@ let test_bundle_roundtrip () =
 
 let write_minimal_bundle () =
   let o = Obs.create () in
-  Obs.stage (Some o) "a";
-  Obs.stage (Some o) "b";
+  Obs.stage (Some o) "a" ignore;
+  Obs.stage (Some o) "b" ignore;
   let dir = fresh_dir ".bad" in
   Obs_bundle.write ~dir ~manifest:(roundtrip_manifest ()) o;
   dir
@@ -208,6 +219,134 @@ let test_extraction_bit_identical_with_obs () =
     (events_of_kind "vf_iteration" (Obs.events o) <> []);
   Alcotest.(check bool) "rcond series recorded" true
     (events_of_kind "rcond" (Obs.events o) <> [])
+
+(* ---------------- one handle ---------------- *)
+
+(* Each stage function takes [?obs] as its only telemetry argument: given
+   nothing else, it must write every collector its documentation names. *)
+
+let diag_report o = Diag.report (Obs.diag o)
+let metrics_snap o = Metrics.snapshot (Obs.metrics o)
+
+let metric_counter o name =
+  Option.value ~default:0 (List.assoc_opt name (metrics_snap o).Metrics.counters)
+
+let hist_samples o name =
+  List.fold_left
+    (fun n (h : Metrics.histogram) ->
+      if h.Metrics.hist_name = name then n + h.Metrics.count else n)
+    0 (metrics_snap o).Metrics.histograms
+
+let stat_samples o name =
+  List.fold_left
+    (fun n (st : Diag.stat) -> if st.Diag.name = name then st.Diag.samples else n)
+    0 (diag_report o).Diag.stats
+
+let trace_spans o name =
+  List.length
+    (List.filter
+       (fun (sp : Trace.span) -> sp.Trace.name = name)
+       (Trace.spans (Obs.tracer o)))
+
+let diag_spans o name =
+  List.length
+    (List.filter
+       (fun (sp : Diag.span) -> sp.Diag.stage = name)
+       (diag_report o).Diag.spans)
+
+let check_count what expected actual =
+  Alcotest.(check int) what expected actual
+
+let clipper_mna () =
+  Engine.Mna.build ~inputs:[ "Vin" ] ~outputs:[ Engine.Mna.Node "out" ]
+    (Circuit.Parser.parse_string
+       "Vin in 0 SIN(0.3 0.5 1e6)\nR1 in out 1k\nD1 out 0 IS=1e-9 N=1.8\n\
+        C1 out 0 1p\n")
+
+let test_stage_functions_take_one_handle () =
+  let mna = clipper_mna () in
+  (* transient: counters in Diag and Metrics, a tran.run span over one
+     tran.step span per step, per-step and LU histograms *)
+  let o = Obs.create () in
+  let run =
+    Engine.Tran.run ~obs:o
+      ~opts:{ Engine.Tran.default_opts with Engine.Tran.snapshot_every = 4 }
+      mna ~t_stop:1e-6 ~dt:2.5e-8
+  in
+  let steps = Array.length run.Engine.Tran.times - 1 in
+  let newton = run.Engine.Tran.newton_iterations in
+  check_count "diag tran.steps" steps (Diag.counter (diag_report o) "tran.steps");
+  check_count "metrics tran.steps" steps (metric_counter o "tran.steps");
+  check_count "diag tran.newton_iterations" newton
+    (Diag.counter (diag_report o) "tran.newton_iterations");
+  check_count "metrics tran.newton_iterations" newton
+    (metric_counter o "tran.newton_iterations");
+  check_count "tran.newton_iters_per_step samples" steps
+    (hist_samples o "tran.newton_iters_per_step");
+  check_count "one tran.run span" 1 (trace_spans o "tran.run");
+  check_count "one tran.step span per step" steps (trace_spans o "tran.step");
+  check_count "one dc.solve span" 1 (trace_spans o "dc.solve");
+  Alcotest.(check bool) "dc.lu_factor_ns samples" true
+    (hist_samples o "dc.lu_factor_ns" > 0);
+  Alcotest.(check bool) "dc.lu rcond events" true
+    (events_of_kind "rcond" (Obs.events o) <> []);
+  (* TFT transform: one timed pencil solve per (snapshot, frequency),
+     one rcond event per factorization including each H(0) *)
+  let snapshots = run.Engine.Tran.snapshots in
+  let freqs_hz = Signal.Grid.frequencies_hz ~f_min:1e3 ~f_max:1e9 ~points:6 in
+  let o = Obs.create () in
+  let _ =
+    Tft.Dataset.of_snapshots ~obs:o ~mna ~estimator:(Tft.Estimator.make ())
+      ~freqs_hz snapshots
+  in
+  let k = Array.length snapshots and l = Array.length freqs_hz in
+  check_count "ac.pencil_solve_ns samples = pencil solves" (k * l)
+    (hist_samples o "ac.pencil_solve_ns");
+  check_count "ac.pencil rcond events" (k * (l + 1))
+    (List.length (events_of_kind "rcond" (Obs.events o)));
+  check_count "one tft.dataset span" 1 (trace_spans o "tft.dataset");
+  check_count "one tft.chunk span" 1 (trace_spans o "tft.chunk");
+  check_count "tft.chunk_run_ns samples" 1 (hist_samples o "tft.chunk_run_ns");
+  (* VF engine: mirrored attempt counter and sigma stat, one
+     vf_iteration event per relocation *)
+  let ds = Oracle.Synth.dataset_of Oracle.Synth.default in
+  let _, data = Tft.Dataset.siso (Tft.Dataset.dynamic_part ds) ~input:0 ~output:0 in
+  let points = Array.map Signal.Grid.s_of_hz ds.Tft.Dataset.freqs_hz in
+  let o = Obs.create () in
+  let _ =
+    Vf.Vfit.fit_auto ~obs:o ~label:"vf.t"
+      ~make_poles:(fun count ->
+        Vf.Pole.initial_frequency ~f_min:1e3 ~f_max:1e10 ~count)
+      ~tol:1e-6 ~points ~data ()
+  in
+  let attempts = List.length (events_of_kind "vf_attempt" (Obs.events o)) in
+  let sweeps = List.length (events_of_kind "vf_iteration" (Obs.events o)) in
+  Alcotest.(check bool) "at least one attempt" true (attempts > 0);
+  check_count "diag vf.t.attempts" attempts
+    (Diag.counter (diag_report o) "vf.t.attempts");
+  check_count "metrics vf.t.attempts" attempts (metric_counter o "vf.t.attempts");
+  check_count "diag vf.t.sigma_rms samples" sweeps (stat_samples o "vf.t.sigma_rms");
+  check_count "metrics vf.t.sigma_rms samples" sweeps
+    (hist_samples o "vf.t.sigma_rms");
+  check_count "one vf.relocate span per sweep" sweeps (trace_spans o "vf.relocate");
+  check_count "one vf.fit span per attempt" attempts (trace_spans o "vf.fit");
+  check_count "one vf.fit_auto span" 1 (trace_spans o "vf.fit_auto");
+  Alcotest.(check bool) "settled note" true
+    (Diag.find_note (diag_report o) "vf.t.settled_poles" <> None);
+  (* RVF: each stage is a stage event, a Diag span and a Trace span *)
+  let o = Obs.create () in
+  let _ = Rvf.extract ~obs:o ~dataset:ds ~input:0 ~output:0 () in
+  List.iter
+    (fun stage ->
+      check_count (stage ^ " diag span") 1 (diag_spans o stage);
+      check_count (stage ^ " trace span") 1 (trace_spans o stage))
+    [ "rvf.frequency_stage"; "rvf.state_stage"; "rvf.static_stage" ];
+  check_count "stage events" 3
+    (List.length (events_of_kind "stage" (Obs.events o)));
+  Alcotest.(check bool) "vf.freq.attempts in metrics" true
+    (metric_counter o "vf.freq.attempts" > 0);
+  Alcotest.(check bool) "rvf.freq_poles note" true
+    (Diag.find_note (diag_report o) "rvf.freq_poles" <> None)
 
 (* ---------------- pole-trajectory residual decay ---------------- *)
 
@@ -281,4 +420,6 @@ let suite =
     Alcotest.test_case "bit-identical extraction" `Slow
       test_extraction_bit_identical_with_obs;
     Alcotest.test_case "synth residual decay" `Slow test_synth_residual_decay;
+    Alcotest.test_case "stage functions take one handle" `Quick
+      test_stage_functions_take_one_handle;
   ]

@@ -281,48 +281,61 @@ let prop_guarded_sweep_bit_identical =
 
 (* 5. the extracted model of a random linear ladder tracks the circuit
    under the paper's training signal *)
+let ladder_tracking_nrmse s =
+  let o = Oracle.Gen.rc_ladder s in
+  let mags = Array.map Complex.norm o.Ladder.exact.Ladder.poles in
+  let w_min = Array.fold_left Float.min Float.infinity mags in
+  let w_max = Array.fold_left Float.max 0.0 mags in
+  let two_pi = 2.0 *. Float.pi in
+  let f_train = w_min /. two_pi /. 50.0 in
+  let wave =
+    Circuit.Netlist.Sine
+      { offset = 0.5; ampl = 0.4; freq = f_train; phase = 0.0 }
+  in
+  let t_stop = 1.0 /. f_train in
+  let training =
+    {
+      Tft_rvf.Pipeline.wave;
+      t_stop;
+      dt = t_stop /. 240.0;
+      snapshot_every = 8;
+    }
+  in
+  let config =
+    Tft_rvf.Pipeline.default_config_for ~points:16
+      ~f_min:(w_min /. two_pi /. 30.0)
+      ~f_max:(w_max /. two_pi *. 30.0)
+      ~training ()
+  in
+  let outcome =
+    Tft_rvf.Pipeline.extract ~config ~netlist:o.Ladder.netlist
+      ~input:o.Ladder.input ~output:o.Ladder.output ()
+  in
+  let v =
+    Tft_rvf.Report.validate ~model:outcome.Tft_rvf.Pipeline.model
+      ~netlist:o.Ladder.netlist ~input:o.Ladder.input
+      ~output:o.Ladder.output ~wave ~t_stop ~dt:(t_stop /. 240.0) ()
+  in
+  v.Tft_rvf.Report.nrmse
+
 let prop_model_vs_circuit_transient =
   QCheck.Test.make ~count:100 ~name:"extracted model tracks random rc ladder"
     (Oracle.Gen.arb ~max_size:3 ())
     (fun s ->
-      let o = Oracle.Gen.rc_ladder s in
-      let mags = Array.map Complex.norm o.Ladder.exact.Ladder.poles in
-      let w_min = Array.fold_left Float.min Float.infinity mags in
-      let w_max = Array.fold_left Float.max 0.0 mags in
-      let two_pi = 2.0 *. Float.pi in
-      let f_train = w_min /. two_pi /. 50.0 in
-      let wave =
-        Circuit.Netlist.Sine
-          { offset = 0.5; ampl = 0.4; freq = f_train; phase = 0.0 }
-      in
-      let t_stop = 1.0 /. f_train in
-      let training =
-        {
-          Tft_rvf.Pipeline.wave;
-          t_stop;
-          dt = t_stop /. 240.0;
-          snapshot_every = 8;
-        }
-      in
-      let config =
-        Tft_rvf.Pipeline.default_config_for ~points:16
-          ~f_min:(w_min /. two_pi /. 30.0)
-          ~f_max:(w_max /. two_pi *. 30.0)
-          ~training ()
-      in
-      let outcome =
-        Tft_rvf.Pipeline.extract ~config ~netlist:o.Ladder.netlist
-          ~input:o.Ladder.input ~output:o.Ladder.output ()
-      in
-      let v =
-        Tft_rvf.Report.validate ~model:outcome.Tft_rvf.Pipeline.model
-          ~netlist:o.Ladder.netlist ~input:o.Ladder.input
-          ~output:o.Ladder.output ~wave ~t_stop ~dt:(t_stop /. 240.0) ()
-      in
-      if v.Tft_rvf.Report.nrmse <= 1e-4 then true
+      let nrmse = ladder_tracking_nrmse s in
+      if nrmse <= 1e-4 then true
       else
         QCheck.Test.fail_reportf "model-vs-circuit nrmse %.3e for %d stages"
-          v.Tft_rvf.Report.nrmse s.Oracle.Gen.size)
+          nrmse s.Oracle.Gen.size)
+
+(* the property's shrunk failure before state poles were bounded by the
+   trajectory hull: the state fit parked a pole pair near 1e14 over
+   x in [0.1, 0.9] and its cancelling coefficients left nrmse 0.143 *)
+let test_shrunk_ladder_tracks () =
+  let nrmse = ladder_tracking_nrmse { Oracle.Gen.seed = 229303; size = 2 } in
+  Alcotest.(check bool)
+    (Printf.sprintf "model-vs-circuit nrmse %.3e <= 1e-4" nrmse)
+    true (nrmse <= 1e-4)
 
 let suite =
   [
@@ -347,3 +360,4 @@ let suite =
         prop_guarded_sweep_bit_identical;
         prop_model_vs_circuit_transient;
       ]
+  @ [ Alcotest.test_case "shrunk ladder tracks" `Quick test_shrunk_ladder_tracks ]

@@ -432,13 +432,13 @@ let test_fit_auto_rms_escalation_keeps_best () =
      unknown count exceeds the 7 points, and fit_auto must settle on the
      best admissible model instead of raising *)
   let points, data = degenerate_grid_data () in
-  let diag = Diag.create () in
+  let obs = Obs.create () in
   let _, info =
-    Vf.Vfit.fit_auto ~diag ~make_poles:(fun n ->
+    Vf.Vfit.fit_auto ~obs ~make_poles:(fun n ->
         Vf.Pole.initial_frequency ~f_min:1e2 ~f_max:1e6 ~count:n)
       ~start:2 ~step:2 ~max_poles:40 ~tol:1e-300 ~points ~data ()
   in
-  let report = Diag.report diag in
+  let report = Diag.report (Obs.diag obs) in
   let attempts = Diag.counter report "vfit.attempts" in
   Alcotest.(check bool)
     (Printf.sprintf "several rungs exercised (%d attempts)" attempts)
@@ -456,9 +456,9 @@ let test_fit_auto_guard_violation_escalates () =
      the last rung's guard detail *)
   let points, data = degenerate_grid_data () in
   let guard = { Guard.default with Guard.max_pole_growth = 1e-12 } in
-  let diag = Diag.create () in
+  let obs = Obs.create () in
   (match
-     Vf.Vfit.fit_auto ~guard ~diag ~make_poles:(fun n ->
+     Vf.Vfit.fit_auto ~guard ~obs ~make_poles:(fun n ->
          Vf.Pole.initial_frequency ~f_min:1e2 ~f_max:1e6 ~count:n)
        ~start:2 ~step:2 ~max_poles:6 ~tol:1e-12 ~points ~data ()
    with
@@ -475,7 +475,7 @@ let test_fit_auto_guard_violation_escalates () =
          in
          has "last attempt" && has "6 poles")
   | _ -> Alcotest.fail "a fully-guarded ladder cannot produce a model");
-  let report = Diag.report diag in
+  let report = Diag.report (Obs.diag obs) in
   Alcotest.(check int) "every rung attempted" 3
     (Diag.counter report "vfit.attempts");
   Alcotest.(check int) "every rung guarded" 3
