@@ -43,8 +43,10 @@ let sites =
     };
     {
       name = "clu.pivot_zero";
-      where = "Linalg.Clu.factor_into";
-      what = "zeroes the first pencil pivot so the factorization raises Singular";
+      where = "Linalg.Clu.factor_into / Linalg.Hess.factor";
+      what =
+        "zeroes the first pencil pivot: the complex LU raises Singular, the \
+         Hessenberg elimination sends its grid point to the complex LU";
       kind = Numeric;
     };
     {
@@ -61,8 +63,8 @@ let sites =
     };
     {
       name = "ac.pencil_nan";
-      where = "Engine.Ac.transfer_ws";
-      what = "writes NaN into a pencil-solve solution column";
+      where = "Engine.Ac.transfer_sweep";
+      what = "writes NaN into a pencil-solve solution column after its certificate";
       kind = Numeric;
     };
     {

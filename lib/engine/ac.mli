@@ -5,9 +5,21 @@
     by the TFT transform, exposed here for validation against the
     extracted models.
 
-    The sweep entry points share a {!ws} workspace holding the pencil
-    buffer, the LU workspace and the solve scratch, so evaluating a
-    whole trajectory (K snapshots × L frequencies) allocates nothing
+    A sweep with at least three nonzero grid points uses Laub's
+    Hessenberg frequency response (IEEE TAC 1981): one real LU of [G],
+    [A = G⁻¹C] and the reduction [A = Q·H·Qᵀ] (about 7n³ flops once),
+    then an O(n²) shifted Hessenberg solve per grid point. Every such
+    answer is certified by its true relative residual
+    [‖(G + s·C)x − b‖/‖b‖ ≤ 1e-12] and then refined once against it; a
+    point that fails, or a sweep whose [G] is singular, is answered by
+    one complex LU of the pencil per point — the algorithm of shorter
+    sweeps and of {!transfer_at}. The two agree to rounding, not bit
+    for bit (7e-14 relative per point on the buffer); a grid point
+    [s = 0] answered from [G]'s LU equals the complex LU at [s = 0]
+    exactly.
+
+    The sweep shares a {!ws} workspace holding every buffer both
+    algorithms need, so a whole K×L TFT trajectory allocates little
     beyond the small per-point transfer matrices. One workspace must
     only be used by one domain at a time. *)
 
@@ -17,55 +29,48 @@ type ws
 val make_ws : b:Linalg.Mat.t -> d:Linalg.Mat.t -> ws
 (** Allocate a workspace for systems of [B]'s row dimension. [b] and
     [d] are captured by reference and must not be mutated while the
-    workspace is in use. *)
+    workspace is in use. The reduction's buffers are allocated by the
+    first sweep that uses it. *)
 
 val ws_matches : ws -> b:Linalg.Mat.t -> d:Linalg.Mat.t -> bool
 (** Whether the workspace was built for an equal [(B, D)] pair (same
     shape and contents) — the validity predicate for reusing pool-cached
     workspaces across pipeline stages and circuits. *)
 
-val transfer_ws :
-  ?guard:Guard.t ->
-  ?obs:Obs.t ->
-  ws ->
-  g:Linalg.Mat.t ->
-  c:Linalg.Mat.t ->
-  s:Complex.t ->
-  Linalg.Cmat.t
-(** Pencil solve at one complex frequency, reusing the workspace.
-    Returns the freshly allocated [n_outputs × n_inputs] transfer
-    matrix. Without a [guard], bit-identical to {!transfer_at} on the
-    same operands; with one, the factorization gets a
-    reciprocal-condition floor and every solution column a NaN/Inf
-    sentinel ([Guard.Violation] at site ["ac.transfer"]). With [obs],
-    each factorization emits an ["ac.pencil"] rcond event (thread-safe,
-    so pool workers may share one hub). Hosts the ["ac.pencil_nan"]
-    fault probe. *)
+val certified : float -> bool
+(** The sweep's acceptance test for a relative residual: [r <= 1e-12].
+    A NaN residual fails it. *)
 
 val transfer_sweep :
   ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
-  ?pool:Exec.t ->
   ws ->
   g:Linalg.Mat.t ->
   c:Linalg.Mat.t ->
   ss:Complex.t array ->
   Linalg.Cmat.t array
-(** [transfer_ws] over a grid of complex frequencies: one in-place
-    pencil build + factorization per grid point. With [obs], each
-    point's solve time lands in the [ac.pencil_solve_ns] histogram and
-    each factorization emits an ["ac.pencil"] rcond event, both
-    worker-safe; without, the sweep is the plain map, no clock reads.
+(** The freshly allocated [n_outputs × n_inputs] transfer matrix at
+    every complex frequency of [ss], which may include [s = 0] (the DC
+    transfer [Dᵀ G⁻¹ B], taken from [G]'s LU when the reduction runs).
+    Which algorithm answers a point depends only on [g], [c] and [ss]
+    (see above).
 
-    With [pool], the frequency grid is fanned out across domains using
-    pool-cached workspace clones (chunk 0 reuses [ws]); results are
-    bit-identical to the sequential sweep. An armed fault probe forces
-    the sequential path so injections stay deterministic. Do not pass a
-    pool from inside a worker of that same pool — it would just run
-    sequentially anyway. With [cancel], every pencil solve probes the
-    token (site ["ac.sweep"]), on the sequential and pooled paths
-    alike. *)
+    With [guard], the LU of [G] and every complex LU that runs get its
+    reciprocal-condition floor ([Lu.Singular] / [Clu.Singular]), and
+    every returned solution column a NaN/Inf sentinel
+    ([Guard.Violation] at site ["ac.transfer"]); a clean guarded sweep
+    is bit-identical to the unguarded one. With [obs], every nonzero
+    point's solve time lands in the [ac.pencil_solve_ns] histogram,
+    every point emits one ["ac.pencil"] rcond event (of [G]'s LU at
+    [s = 0], else of the factorization that answered), and a reduced
+    sweep adds the points the complex LU answered to the
+    [ac.sweep_fallbacks] counter — all worker-safe; without [obs], no
+    clock reads. With [cancel], every point probes the token (site
+    ["ac.sweep"]). Hosts the ["ac.pencil_nan"] fault probe, which
+    writes NaN into an answered solution after its certificate; the
+    ["clu.pivot_zero"] probe of the Hessenberg elimination sends its
+    point to the complex LU. *)
 
 val transfer_at :
   g:Linalg.Mat.t ->
@@ -74,22 +79,11 @@ val transfer_at :
   d:Linalg.Mat.t ->
   s:Complex.t ->
   Linalg.Cmat.t
-(** One-shot convenience: {!make_ws} + {!transfer_ws} at a single
-    frequency. *)
-
-val sweep :
-  ?pool:Exec.t ->
-  Mna.t ->
-  at:Linalg.Vec.t ->
-  freqs_hz:float array ->
-  Linalg.Cmat.t array
-(** Linearize at [at] and sweep the given frequencies (Hz), optionally
-    fanned across a warm pool. *)
+(** One-shot convenience at a single frequency: {!make_ws} + one
+    complex LU of the pencil. *)
 
 val sweep_siso :
-  ?pool:Exec.t ->
-  Mna.t ->
-  at:Linalg.Vec.t ->
-  freqs_hz:float array ->
-  Complex.t array
-(** Convenience for single-input single-output setups: element (0,0). *)
+  Mna.t -> at:Linalg.Vec.t -> freqs_hz:float array -> Complex.t array
+(** Linearize at [at], sweep the given frequencies (Hz) with
+    {!transfer_sweep} and return element (0,0): the single-input
+    single-output response. *)

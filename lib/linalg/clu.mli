@@ -1,13 +1,17 @@
 (** LU factorization with partial pivoting for dense complex matrices.
 
-    Used to evaluate the MNA pencil solves [(G + s·C)⁻¹ B] that turn
-    Jacobian snapshots into transfer-function samples.
+    One factorization of the MNA pencil [G + s·C] per grid point is the
+    reference algorithm for [(G + s·C)⁻¹ B]: [Engine.Ac] answers short
+    sweeps and single points with it, falls back to it wherever its
+    Hessenberg sweep cannot certify a point, and checks that sweep
+    against it. [Engine.Ratkrylov] also uses it for its small projected
+    pencils.
 
-    The factorization state doubles as a reusable workspace: the TFT
-    sweep allocates one {!workspace} per domain and re-factors into it
-    for every (snapshot, frequency) pair, so the hot path allocates
-    nothing. [factor] and [solve] are thin wrappers over the [_into]
-    kernels and perform bit-identical floating-point operations. *)
+    The factorization state doubles as a reusable workspace that
+    {!factor_into} overwrites. [factor] and [solve] are thin wrappers
+    over the [_into] kernels and perform bit-identical floating-point
+    operations. Storage is boxed [Complex.t], so every update
+    allocates. *)
 
 exception Singular of { pivot_index : int; magnitude : float }
 (** Raised when elimination meets a pivot whose norm is zero,

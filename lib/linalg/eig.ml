@@ -45,62 +45,103 @@ let balance a =
   done;
   a
 
-(* Householder similarity reduction to upper Hessenberg form. *)
-let hessenberg a =
+(* Householder similarity reduction to upper Hessenberg form, in place
+   on the flat row-major store. With [q], also accumulates the product
+   of the reflectors, Q = P_0·P_1·…, so that the input equals Q·H·Qᵀ.
+   Inner loops run along rows and skip bounds checks (every index stays
+   below n·n); each dot product still accumulates in row order, as the
+   column-at-a-time loops it replaced did, so [eigenvalues] is
+   unchanged to the bit. *)
+let hessenberg_into ?q a =
   let n = Mat.rows a in
-  let a = Mat.copy a in
-  let v = Array.make n 0.0 in
+  if Mat.cols a <> n then invalid_arg "Eig.hessenberg_into: matrix not square";
+  let h = Mat.unsafe_data a in
+  let qd =
+    match q with
+    | None -> [||]
+    | Some q ->
+        if Mat.rows q <> n || Mat.cols q <> n then
+          invalid_arg "Eig.hessenberg_into: Q size mismatch";
+        let qd = Mat.unsafe_data q in
+        Array.fill qd 0 (n * n) 0.0;
+        for i = 0 to n - 1 do
+          qd.((i * n) + i) <- 1.0
+        done;
+        qd
+  in
+  let v = Array.make n 0.0 and w = Array.make n 0.0 in
+  (* A <- A·(I - beta v vT) on cols k+1..n-1 of every row *)
+  let reflect_right m ~k ~beta =
+    for i = 0 to n - 1 do
+      let ri = i * n in
+      let dot = ref 0.0 in
+      for j = k + 1 to n - 1 do
+        dot :=
+          !dot +. (Array.unsafe_get m (ri + j) *. Array.unsafe_get v j)
+      done;
+      let s = beta *. !dot in
+      if s <> 0.0 then
+        for j = k + 1 to n - 1 do
+          Array.unsafe_set m (ri + j)
+            (Array.unsafe_get m (ri + j) -. (s *. Array.unsafe_get v j))
+        done
+    done
+  in
   for k = 0 to n - 3 do
     let nrm = ref 0.0 in
     for i = k + 1 to n - 1 do
-      let x = Mat.get a i k in
+      let x = h.((i * n) + k) in
       nrm := !nrm +. (x *. x)
     done;
     let nrm = sqrt !nrm in
     if nrm > 0.0 then begin
-      let x0 = Mat.get a (k + 1) k in
+      let x0 = h.(((k + 1) * n) + k) in
       let alpha = if x0 >= 0.0 then -.nrm else nrm in
       let vtv = ref 0.0 in
       for i = k + 1 to n - 1 do
-        v.(i) <- Mat.get a i k;
+        v.(i) <- h.((i * n) + k);
         if i = k + 1 then v.(i) <- v.(i) -. alpha;
         vtv := !vtv +. (v.(i) *. v.(i))
       done;
       if !vtv > 0.0 then begin
         let beta = 2.0 /. !vtv in
-        (* left: A <- (I - beta v vT) A on rows k+1..n-1 *)
+        (* left: A <- (I - beta v vT) A on rows k+1..n-1; w.(j) is
+           the dot of v with column j *)
+        Array.fill w k (n - k) 0.0;
+        for i = k + 1 to n - 1 do
+          let vi = v.(i) and ri = i * n in
+          for j = k to n - 1 do
+            Array.unsafe_set w j
+              (Array.unsafe_get w j +. (vi *. Array.unsafe_get h (ri + j)))
+          done
+        done;
         for j = k to n - 1 do
-          let dot = ref 0.0 in
-          for i = k + 1 to n - 1 do
-            dot := !dot +. (v.(i) *. Mat.get a i j)
-          done;
-          let s = beta *. !dot in
-          if s <> 0.0 then
-            for i = k + 1 to n - 1 do
-              Mat.set a i j (Mat.get a i j -. (s *. v.(i)))
-            done
+          w.(j) <- beta *. w.(j)
         done;
-        (* right: A <- A (I - beta v vT) on cols k+1..n-1 *)
-        for i = 0 to n - 1 do
-          let dot = ref 0.0 in
-          for j = k + 1 to n - 1 do
-            dot := !dot +. (Mat.get a i j *. v.(j))
-          done;
-          let s = beta *. !dot in
-          if s <> 0.0 then
-            for j = k + 1 to n - 1 do
-              Mat.set a i j (Mat.get a i j -. (s *. v.(j)))
-            done
+        for i = k + 1 to n - 1 do
+          let vi = v.(i) and ri = i * n in
+          for j = k to n - 1 do
+            let s = Array.unsafe_get w j in
+            if s <> 0.0 then
+              Array.unsafe_set h (ri + j)
+                (Array.unsafe_get h (ri + j) -. (s *. vi))
+          done
         done;
+        reflect_right h ~k ~beta;
+        if Option.is_some q then reflect_right qd ~k ~beta;
         (* zero out the annihilated entries exactly *)
-        Mat.set a (k + 1) k alpha;
+        h.(((k + 1) * n) + k) <- alpha;
         for i = k + 2 to n - 1 do
-          Mat.set a i k 0.0
+          h.((i * n) + k) <- 0.0
         done
       end
     end
-  done;
-  a
+  done
+
+let hessenberg a =
+  let h = Mat.copy a in
+  hessenberg_into h;
+  h
 
 let sign_of x y = if y >= 0.0 then Float.abs x else -.Float.abs x
 

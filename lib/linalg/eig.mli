@@ -3,7 +3,9 @@
     Pipeline: Parlett–Reinsch balancing → Householder reduction to upper
     Hessenberg form → Francis implicit double-shift QR iteration. Only
     eigenvalues are computed; this is all vector-fitting pole relocation
-    needs (new poles = eigenvalues of [A − b·c̃ᵀ/d̃]). *)
+    needs (new poles = eigenvalues of [A − b·c̃ᵀ/d̃]). The Hessenberg
+    reduction is also the per-snapshot step of the dense frequency
+    sweep ([Engine.Ac]), which asks it to accumulate Q. *)
 
 exception No_convergence
 (** Raised when the QR iteration fails to deflate within the iteration
@@ -12,8 +14,18 @@ exception No_convergence
 val balance : Mat.t -> Mat.t
 (** Diagonal similarity scaling that roughly equalizes row/column norms. *)
 
+val hessenberg_into : ?q:Mat.t -> Mat.t -> unit
+(** [hessenberg_into ?q a] overwrites the square [a] with its upper
+    Hessenberg form [H] by Householder similarity reflections (about
+    (10/3)n³ flops), indexing the flat store without allocating beyond
+    one n-vector. With [q] (n×n, overwritten), also accumulates the
+    orthogonal factor (about n³ more), so that the original [a] equals
+    [Q·H·Qᵀ]. The frequency sweeps of [Engine.Ac] reduce [G⁻¹C] with
+    it; {!eigenvalues} runs the same kernel, so its results do not
+    depend on whether [q] is requested. *)
+
 val hessenberg : Mat.t -> Mat.t
-(** Orthogonal similarity reduction to upper Hessenberg form. *)
+(** [hessenberg_into] on a copy. *)
 
 val eigenvalues : Mat.t -> Cx.t array
 (** Eigenvalues of a square real matrix, in no particular order. Complex

@@ -22,25 +22,46 @@ let workspace n =
    largest |U_ii|. With partial pivoting this tracks the true 1-norm
    rcond within a few orders of magnitude — enough for a guard floor. *)
 let rcond_estimate { lu; _ } =
-  let n = Mat.rows lu in
+  let n = Mat.rows lu and a = Mat.unsafe_data lu in
   let mn = ref infinity and mx = ref 0.0 in
   for i = 0 to n - 1 do
-    let d = Float.abs (Mat.get lu i i) in
+    let d = Float.abs a.((i * n) + i) in
     if d < !mn then mn := d;
     if d > !mx then mx := d
   done;
   if !mx = 0.0 || not (Float.is_finite !mx) then 0.0 else !mn /. !mx
 
+let check_rcond guard ws =
+  match guard with
+  | None -> ()
+  | Some (g : Guard.t) ->
+      if rcond_estimate ws < g.Guard.rcond_min then begin
+        (* report the weakest pivot, the one that bounds the estimate *)
+        let n = Mat.rows ws.lu and a = Mat.unsafe_data ws.lu in
+        let idx = ref 0 and mn = ref infinity in
+        for i = 0 to n - 1 do
+          let d = Float.abs a.((i * n) + i) in
+          if d < !mn then begin
+            mn := d;
+            idx := i
+          end
+        done;
+        raise (Singular { pivot_index = !idx; magnitude = !mn })
+      end
+
 (* Doolittle factorization with partial pivoting, stored packed in the
    workspace's [lu]. [factor] wraps this with a fresh workspace, so both
-   paths perform identical floating-point ops. *)
+   paths perform identical floating-point ops. The kernels index the flat
+   row-major store directly: a cross-module [Mat.get] returns a boxed
+   float wherever the call is not inlined. *)
 let factor_into ?guard ws a =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Lu.factor_into: matrix not square";
   if Mat.rows ws.lu <> n then invalid_arg "Lu.factor_into: workspace size mismatch";
   let inject = Fault.should_fire "lu.pivot_zero" in
-  let lu = ws.lu and perm = ws.perm in
-  Mat.blit ~src:a ~dst:lu;
+  let perm = ws.perm in
+  Mat.blit ~src:a ~dst:ws.lu;
+  let lu = Mat.unsafe_data ws.lu in
   for i = 0 to n - 1 do
     perm.(i) <- i
   done;
@@ -49,43 +70,36 @@ let factor_into ?guard ws a =
     (* pivot search in column k *)
     let piv = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !piv k) then piv := i
+      if Float.abs lu.((i * n) + k) > Float.abs lu.((!piv * n) + k) then
+        piv := i
     done;
     if !piv <> k then begin
-      Mat.swap_rows lu k !piv;
+      let rk = k * n and rp = !piv * n in
+      for j = 0 to n - 1 do
+        let tmp = lu.(rk + j) in
+        lu.(rk + j) <- lu.(rp + j);
+        lu.(rp + j) <- tmp
+      done;
       let tmp = perm.(k) in
       perm.(k) <- perm.(!piv);
       perm.(!piv) <- tmp;
       ws.sign <- -.ws.sign
     end;
-    let pivot = if inject && k = 0 then 0.0 else Mat.get lu k k in
+    let rk = k * n in
+    let pivot = if inject && k = 0 then 0.0 else lu.(rk + k) in
     if Float.abs pivot < tiny_pivot || not (Float.is_finite pivot) then
       raise (Singular { pivot_index = k; magnitude = Float.abs pivot });
     for i = k + 1 to n - 1 do
-      let m = Mat.get lu i k /. pivot in
-      Mat.set lu i k m;
+      let ri = i * n in
+      let m = lu.(ri + k) /. pivot in
+      lu.(ri + k) <- m;
       if m <> 0.0 then
         for j = k + 1 to n - 1 do
-          Mat.set lu i j (Mat.get lu i j -. (m *. Mat.get lu k j))
+          lu.(ri + j) <- lu.(ri + j) -. (m *. lu.(rk + j))
         done
     done
   done;
-  match guard with
-  | None -> ()
-  | Some (g : Guard.t) ->
-      let rc = rcond_estimate ws in
-      if rc < g.Guard.rcond_min then begin
-        (* report the weakest pivot, the one that bounds the estimate *)
-        let idx = ref 0 and mn = ref infinity in
-        for i = 0 to n - 1 do
-          let d = Float.abs (Mat.get lu i i) in
-          if d < !mn then begin
-            mn := d;
-            idx := i
-          end
-        done;
-        raise (Singular { pivot_index = !idx; magnitude = !mn })
-      end
+  check_rcond guard ws
 
 let factor ?guard a =
   let ws = workspace (Mat.rows a) in
@@ -95,28 +109,31 @@ let factor ?guard a =
 (* substitution into a caller-owned [x]; [b] and [x] must be distinct
    (the permuted load reads b out of order). *)
 let solve_into { lu; perm; _ } b x =
-  let n = Mat.rows lu in
+  let n = Mat.rows lu and lu = Mat.unsafe_data lu in
   if Array.length b <> n || Array.length x <> n then
     invalid_arg "Lu.solve_into: dimension mismatch";
   if b == x then invalid_arg "Lu.solve_into: b and x must not alias";
   for i = 0 to n - 1 do
     x.(i) <- b.(perm.(i))
   done;
-  (* forward substitution (unit lower) *)
+  (* forward substitution (unit lower); inner indices stay below n·n
+     and n, checked above *)
   for i = 1 to n - 1 do
+    let ri = i * n in
     let acc = ref x.(i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (Mat.get lu i j *. x.(j))
+      acc := !acc -. (Array.unsafe_get lu (ri + j) *. Array.unsafe_get x j)
     done;
     x.(i) <- !acc
   done;
   (* back substitution *)
   for i = n - 1 downto 0 do
+    let ri = i * n in
     let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get lu i j *. x.(j))
+      acc := !acc -. (Array.unsafe_get lu (ri + j) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !acc /. Mat.get lu i i
+    x.(i) <- !acc /. lu.(ri + i)
   done
 
 let solve f b =
@@ -124,15 +141,55 @@ let solve f b =
   solve_into f b x;
   x
 
+(* every column at once, row by row: each column sees exactly the
+   operations of [solve_into], in the same order *)
+let solve_mat_into { lu; perm; _ } b x =
+  let n = Mat.rows lu and m = Mat.cols b in
+  if Mat.rows b <> n || Mat.rows x <> n || Mat.cols x <> m then
+    invalid_arg "Lu.solve_mat_into: dimension mismatch";
+  if b == x then invalid_arg "Lu.solve_mat_into: b and x must not alias";
+  let lu = Mat.unsafe_data lu
+  and bd = Mat.unsafe_data b
+  and xd = Mat.unsafe_data x in
+  for i = 0 to n - 1 do
+    Array.blit bd (perm.(i) * m) xd (i * m) m
+  done;
+  (* in bounds: rows i, j < n of the checked n×m store *)
+  for i = 1 to n - 1 do
+    let ri = i * m in
+    for j = 0 to i - 1 do
+      let lij = lu.((i * n) + j) and rj = j * m in
+      for c = 0 to m - 1 do
+        let v = Array.unsafe_get xd (ri + c) in
+        Array.unsafe_set xd (ri + c) (v -. (lij *. Array.unsafe_get xd (rj + c)))
+      done
+    done
+  done;
+  for i = n - 1 downto 0 do
+    let ri = i * m in
+    for j = i + 1 to n - 1 do
+      let uij = lu.((i * n) + j) and rj = j * m in
+      for c = 0 to m - 1 do
+        let v = Array.unsafe_get xd (ri + c) in
+        Array.unsafe_set xd (ri + c) (v -. (uij *. Array.unsafe_get xd (rj + c)))
+      done
+    done;
+    let uii = lu.((i * n) + i) in
+    for c = 0 to m - 1 do
+      xd.(ri + c) <- xd.(ri + c) /. uii
+    done
+  done
+
 let solve_mat f b =
-  let cols = Array.init (Mat.cols b) (fun j -> solve f (Mat.col b j)) in
-  Mat.init (Mat.rows b) (Mat.cols b) (fun i j -> cols.(j).(i))
+  let x = Mat.create (Mat.rows b) (Mat.cols b) in
+  solve_mat_into f b x;
+  x
 
 let det { lu; sign; _ } =
-  let n = Mat.rows lu in
+  let n = Mat.rows lu and a = Mat.unsafe_data lu in
   let d = ref sign in
   for i = 0 to n - 1 do
-    d := !d *. Mat.get lu i i
+    d := !d *. a.((i * n) + i)
   done;
   !d
 

@@ -1,4 +1,9 @@
-(** LU factorization with partial pivoting for dense real matrices. *)
+(** LU factorization with partial pivoting for dense real matrices.
+
+    The kernels of DC and transient Newton, of [Tft.Tpw], and of the
+    dense frequency sweep's once-per-snapshot factorization of [G]
+    ([Engine.Ac]). They index the matrices' flat store directly, so
+    factoring and solving allocate nothing. *)
 
 exception Singular of { pivot_index : int; magnitude : float }
 (** Raised when elimination meets a pivot that is zero, non-finite or
@@ -24,6 +29,12 @@ val factor_into : ?guard:Guard.t -> t -> Mat.t -> unit
     ["lu.pivot_zero"] fault probe. Performs the same floating-point
     operations as {!factor}. *)
 
+val check_rcond : Guard.t option -> t -> unit
+(** The guard's floor on a finished factorization: raises {!Singular}
+    (at the weakest pivot) when {!rcond_estimate} falls below
+    [rcond_min]; a no-op without a guard. [factor_into ?guard] ends
+    with exactly this check. *)
+
 val factor : ?guard:Guard.t -> Mat.t -> t
 (** Factorize a square matrix. Raises {!Singular} if rank-deficient. *)
 
@@ -39,8 +50,13 @@ val solve_into : t -> Vec.t -> Vec.t -> unit
 val solve : t -> Vec.t -> Vec.t
 (** Solve [A x = b] using the factorization. *)
 
+val solve_mat_into : t -> Mat.t -> Mat.t -> unit
+(** [solve_mat_into f b x] writes the solution of [A X = B] into the
+    caller-owned [x] (same shape as [b], distinct from it). Every column
+    gets exactly the floating-point operations of {!solve_into}. *)
+
 val solve_mat : t -> Mat.t -> Mat.t
-(** Solve [A X = B] column-wise. *)
+(** Allocating wrapper over {!solve_mat_into}. *)
 
 val det : t -> float
 val solve_system : Mat.t -> Vec.t -> Vec.t

@@ -82,16 +82,40 @@ let mulv a x =
       done;
       !acc)
 
+(* indexes [data] directly: [get] is not inlined into the loop, and
+   each call would return a boxed float *)
 let mulv_into a x y =
   if a.nc <> Array.length x || a.nr <> Array.length y then
     invalid_arg "Mat.mulv_into: dimension mismatch";
   if x == y then invalid_arg "Mat.mulv_into: x and y must not alias";
   for i = 0 to a.nr - 1 do
+    let ri = i * a.nc in
     let acc = ref 0.0 in
     for j = 0 to a.nc - 1 do
-      acc := !acc +. (get a i j *. x.(j))
+      (* in bounds: the shape checks above *)
+      acc := !acc +. (Array.unsafe_get a.data (ri + j) *. Array.unsafe_get x j)
     done;
     y.(i) <- !acc
+  done
+
+let mulv2_into a x1 x2 y1 y2 =
+  if
+    a.nc <> Array.length x1 || a.nc <> Array.length x2
+    || a.nr <> Array.length y1 || a.nr <> Array.length y2
+  then invalid_arg "Mat.mulv2_into: dimension mismatch";
+  if x1 == y1 || x1 == y2 || x2 == y1 || x2 == y2 then
+    invalid_arg "Mat.mulv2_into: inputs and outputs must not alias";
+  for i = 0 to a.nr - 1 do
+    let ri = i * a.nc in
+    let acc1 = ref 0.0 and acc2 = ref 0.0 in
+    for j = 0 to a.nc - 1 do
+      (* in bounds: the shape checks above *)
+      let aij = Array.unsafe_get a.data (ri + j) in
+      acc1 := !acc1 +. (aij *. Array.unsafe_get x1 j);
+      acc2 := !acc2 +. (aij *. Array.unsafe_get x2 j)
+    done;
+    y1.(i) <- !acc1;
+    y2.(i) <- !acc2
   done
 
 let mulv_t a x =

@@ -34,6 +34,12 @@ val mulv_into : t -> Vec.t -> Vec.t -> unit
 (** [mulv_into a x y] writes [a*x] into the caller-owned [y]; [x] and
     [y] must be distinct buffers. *)
 
+val mulv2_into : t -> Vec.t -> Vec.t -> Vec.t -> Vec.t -> unit
+(** [mulv2_into a x1 x2 y1 y2] writes [a*x1] into [y1] and [a*x2] into
+    [y2] in one pass over [a], each with exactly the operations of
+    {!mulv_into}: a real matrix times a complex vector held as its real
+    and imaginary parts. No output may alias an input. *)
+
 val mulv_t : t -> Vec.t -> Vec.t
 (** [mulv_t a x] computes [aᵀ x] without forming the transpose. *)
 

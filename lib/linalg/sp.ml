@@ -83,17 +83,35 @@ let of_triplets ~nrows ~ncols trips =
   Array.iteri (fun k (_, _, x) -> t.v.(slots.(k)) <- t.v.(slots.(k)) +. x) trips;
   t
 
+(* straight to CSC: a column-major scan meets the kept entries already
+   in pattern order, so there is nothing to sort or deduplicate *)
 let of_dense ?(drop = 0.0) m =
   let nrows = Mat.rows m and ncols = Mat.cols m in
-  let trips = ref [] in
-  for c = ncols - 1 downto 0 do
-    for r = nrows - 1 downto 0 do
-      let x = Mat.get m r c in
+  if nrows <= 0 || ncols <= 0 then invalid_arg "Sp.of_dense: empty shape";
+  let d = Mat.unsafe_data m in
+  let colptr = Array.make (ncols + 1) 0 in
+  for c = 0 to ncols - 1 do
+    for r = 0 to nrows - 1 do
+      let x = d.((r * ncols) + c) in
       if Float.abs x > drop || (x <> 0.0 && drop = 0.0) then
-        trips := (r, c, x) :: !trips
+        colptr.(c + 1) <- colptr.(c + 1) + 1
+    done;
+    colptr.(c + 1) <- colptr.(c + 1) + colptr.(c)
+  done;
+  let nz = colptr.(ncols) in
+  let rowind = Array.make nz 0 and v = Array.make (max 1 nz) 0.0 in
+  for c = 0 to ncols - 1 do
+    let p = ref colptr.(c) in
+    for r = 0 to nrows - 1 do
+      let x = d.((r * ncols) + c) in
+      if Float.abs x > drop || (x <> 0.0 && drop = 0.0) then begin
+        rowind.(!p) <- r;
+        v.(!p) <- x;
+        incr p
+      end
     done
   done;
-  of_triplets ~nrows ~ncols (Array.of_list !trips)
+  { pat = { nrows; ncols; colptr; rowind }; v }
 
 let to_dense t =
   let m = Mat.create t.pat.nrows t.pat.ncols in

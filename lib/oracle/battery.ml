@@ -320,6 +320,90 @@ let check_pipeline ~quick () =
     m "model_surface_rel_err" surface_err 1e-6;
   ]
 
+(* ---------------- dense TFT sweep vs the per-point LU ---------------- *)
+
+(* The dense sweep's contract on the circuit it serves: at every buffer
+   snapshot of the Table I training run, the Hessenberg answers match
+   one complex LU per point, no point is sent to the fallback, every
+   returned solution's residual is within the certificate's tolerance,
+   and H(0), taken from G's LU, is the complex LU at s = 0 exactly. A
+   second workspace with D = I returns the full solutions, so the
+   residuals are recomputed here from G, C and B. *)
+let check_dense_parity ~quick () =
+  checked "dense-tft-parity" @@ fun () ->
+  let config =
+    Tft_rvf.Pipeline.buffer_config ~snapshots:(if quick then 3 else 100) ()
+  in
+  let tr = config.Tft_rvf.Pipeline.training in
+  let mna = Circuits.Buffer.mna ~input_wave:tr.Tft_rvf.Pipeline.wave () in
+  let run =
+    Engine.Tran.run
+      ~opts:
+        {
+          Engine.Tran.default_opts with
+          Engine.Tran.snapshot_every = tr.Tft_rvf.Pipeline.snapshot_every;
+        }
+      mna ~t_stop:tr.Tft_rvf.Pipeline.t_stop ~dt:tr.Tft_rvf.Pipeline.dt
+  in
+  let b = Engine.Mna.b_matrix mna and d = Engine.Mna.d_matrix mna in
+  let n = Linalg.Mat.rows b in
+  let ss =
+    Array.append
+      (Array.map Signal.Grid.s_of_hz config.Tft_rvf.Pipeline.freqs_hz)
+      [| Complex.zero |]
+  in
+  let l = Array.length ss - 1 in
+  let ws = Engine.Ac.make_ws ~b ~d in
+  let full = Engine.Ac.make_ws ~b ~d:(Linalg.Mat.identity n) in
+  (* a one-point sweep is one complex LU of the pencil *)
+  let lu_ws = Engine.Ac.make_ws ~b ~d in
+  let obs = Obs.create () in
+  let b0 = Linalg.Mat.col b 0 in
+  let b0_norm = Linalg.Vec.norm2 b0 in
+  let max_abs_diff x y =
+    Linalg.Cmat.max_abs
+      (Linalg.Cmat.init (Linalg.Cmat.rows x) (Linalg.Cmat.cols x) (fun i j ->
+           Complex.sub (Linalg.Cmat.get x i j) (Linalg.Cmat.get y i j)))
+  in
+  let rel_err = ref 0.0 and residual = ref 0.0 and dc_diff = ref 0.0 in
+  Array.iter
+    (fun (snap : Engine.Tran.snapshot) ->
+      let g = snap.Engine.Tran.g_mat and c = snap.Engine.Tran.c_mat in
+      let h = Engine.Ac.transfer_sweep ~obs ws ~g ~c ~ss in
+      let x = Engine.Ac.transfer_sweep full ~g ~c ~ss in
+      Array.iteri
+        (fun k s ->
+          let r = (Engine.Ac.transfer_sweep lu_ws ~g ~c ~ss:[| s |]).(0) in
+          let diff = max_abs_diff h.(k) r in
+          if k = l then dc_diff := Float.max !dc_diff diff
+          else begin
+            rel_err := Float.max !rel_err (diff /. Linalg.Cmat.max_abs r);
+            let ax =
+              Linalg.Cmat.mulv
+                (Linalg.Cmat.lincomb Complex.one g s c)
+                (Array.init n (fun i -> Linalg.Cmat.get x.(k) i 0))
+            in
+            let r2 = ref 0.0 in
+            Array.iteri
+              (fun i z ->
+                r2 := !r2 +. Complex.norm2 (Complex.sub z (Linalg.Cx.re b0.(i))))
+              ax;
+            residual := Float.max !residual (sqrt !r2 /. b0_norm)
+          end)
+        ss)
+    run.Engine.Tran.snapshots;
+  let fallbacks =
+    Option.value ~default:0
+      (List.assoc_opt "ac.sweep_fallbacks"
+         (Metrics.snapshot (Obs.metrics obs)).Metrics.counters)
+  in
+  [
+    m "transfer_rel_err" !rel_err 1e-12;
+    m "solution_residual" !residual 1e-12;
+    m "sweep_fallbacks" (float_of_int fallbacks) 0.0;
+    m "dc_abs_diff" !dc_diff 0.0;
+  ]
+
 (* ---------------- sparse backend vs dense backend ---------------- *)
 
 (* the sparse tier's contract: re-stamped CSC Jacobians and certified
@@ -454,6 +538,7 @@ let run ?(quick = false) () =
     check_hammerstein_transient ~quick ();
     check_kernel_parity ~quick ();
     check_pipeline ~quick ();
+    check_dense_parity ~quick ();
     check_sparse_parity ~quick ();
     check_large_ladder ~quick ();
   ]

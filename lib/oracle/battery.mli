@@ -23,6 +23,13 @@
     - ["pipeline-linear-model"]: the full pipeline front door
       ({!Tft_rvf.Pipeline.extract}) on the RC ladder produces a model
       whose validation transient tracks the circuit.
+    - ["dense-tft-parity"]: at every snapshot of the buffer's Table I
+      training run, the dense sweep (Hessenberg reduction, certified
+      O(n²) points) matches one complex LU per grid point to ≤ 1e-12
+      relative, every point's recomputed residual
+      [‖(G + s·C)x − b‖/‖b‖] is ≤ 1e-12 with no point sent to the
+      fallback, and [H(0)] from [G]'s LU equals the complex LU at
+      [s = 0] exactly.
     - ["sparse-tft-parity"]: the sparse backend's TFT dataset of a
       diode-sprinkled RC grid (re-stamped CSC Jacobians, rational-Krylov
       sweeps) matches the dense backend's per-snapshot transfer

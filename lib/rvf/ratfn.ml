@@ -45,8 +45,11 @@ let deriv t x =
     t.pairs;
   !acc
 
+(* the offset is added last, so [set_value ~at ~value:0.0] makes the
+   function vanish at [at] exactly: the sum of the terms there cancels
+   against its own negation, however large the terms are *)
 let eval t x =
-  let acc = ref (t.offset +. (t.const *. x)) in
+  let acc = ref (t.const *. x) in
   Array.iter
     (fun { beta; alpha; c1; c2 } ->
       let dx = x -. beta in
@@ -54,11 +57,11 @@ let eval t x =
       acc :=
         !acc +. (c1 *. log den) -. (2.0 *. c2 *. atan (dx /. alpha)))
     t.pairs;
-  !acc
+  !acc +. t.offset
 
 let set_value t ~at ~value =
-  let current = eval t at in
-  { t with offset = t.offset +. value -. current }
+  let terms = eval { t with offset = 0.0 } at in
+  { t with offset = value -. terms }
 
 let formula t =
   let buf = Buffer.create 256 in

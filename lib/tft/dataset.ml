@@ -179,6 +179,10 @@ let of_snapshots ?pool ?guard ?cancel ?metrics ?obs
     @@ fun () ->
     match backend with
     | Engine.Mna.Dense ->
+        (* one sweep call per snapshot: H(0) rides last on the grid and
+           comes from the same factorization of G *)
+        let l = Array.length ss in
+        let ss_dc = Array.append ss [| Complex.zero |] in
         Exec.parallel_map_ws ?pool ?cancel ?trace ?metrics ~label:"tft"
           ~ws:(fun chunk ->
             match pool with
@@ -189,11 +193,8 @@ let of_snapshots ?pool ?guard ?cancel ?metrics ?obs
             | None -> Engine.Ac.make_ws ~b ~d)
           (fun ws ((i, snap) : int * Engine.Tran.snapshot) ->
             let g = snap.Engine.Tran.g_mat and c = snap.Engine.Tran.c_mat in
-            let h =
-              Engine.Ac.transfer_sweep ?cancel ?obs ws ~g ~c ~ss
-            in
-            let h0 = Engine.Ac.transfer_ws ?obs ws ~g ~c ~s:Complex.zero in
-            make_sample snap i h h0)
+            let h = Engine.Ac.transfer_sweep ?cancel ?obs ws ~g ~c ~ss:ss_dc in
+            make_sample snap i (Array.sub h 0 l) h.(l))
           (Array.mapi (fun i snap -> (i, snap)) snapshots)
     | Engine.Mna.Sparse ->
         (* Snapshots carry placeholder Jacobians on this backend: the

@@ -36,7 +36,10 @@ val of_snapshots :
   t
 (** Evaluate [H^(k)(s) = Dᵀ(G_k + s·C_k)⁻¹B] on the frequency grid for
     every snapshot. The estimator is evaluated from the designated input
-    sources of the MNA system.
+    sources of the MNA system. On the dense backend each snapshot is one
+    {!Engine.Ac.transfer_sweep} over the grid extended by [s = 0]: one
+    Hessenberg reduction, certified O(n²) grid points, and [H(0)] from
+    the same factorization of [G_k].
 
     With [?pool], snapshots are partitioned across the pool's domains
     with one preallocated solve workspace per domain; the result is

@@ -515,6 +515,88 @@ let test_ac_matches_tft_pencil () =
   Alcotest.(check bool) "pencil solve consistent" true
     (Complex.norm (Complex.sub h1 h2) < 1e-10)
 
+(* ---------------- dense sweep: reduction, certificate, fallback ------ *)
+
+let bits_equal (a : Complex.t) (b : Complex.t) =
+  Int64.bits_of_float a.Complex.re = Int64.bits_of_float b.Complex.re
+  && Int64.bits_of_float a.Complex.im = Int64.bits_of_float b.Complex.im
+
+let sweep_fallbacks o =
+  Option.value ~default:0
+    (List.assoc_opt "ac.sweep_fallbacks"
+       (Metrics.snapshot (Obs.metrics o)).Metrics.counters)
+
+let test_grid = Array.map Signal.Grid.s_of_hz [| 1e3; 1e6; 1e8; 1e9; 1e10 |]
+
+(* Vin drives two series capacitors: their middle node has no DC path,
+   so G is singular and every point of the sweep is one complex LU —
+   bit for bit the per-point solve, and the divider ratio *)
+let test_ac_singular_g_falls_back () =
+  let c1 = 1e-12 and c2 = 3e-12 in
+  (* unknowns: v(in), v(out), i(Vin) *)
+  let g =
+    Linalg.Mat.of_arrays
+      [| [| 0.0; 0.0; 1.0 |]; [| 0.0; 0.0; 0.0 |]; [| 1.0; 0.0; 0.0 |] |]
+  and c =
+    Linalg.Mat.of_arrays
+      [| [| c1; -.c1; 0.0 |]; [| -.c1; c1 +. c2; 0.0 |]; [| 0.0; 0.0; 0.0 |] |]
+  and b = Linalg.Mat.of_arrays [| [| 0.0 |]; [| 0.0 |]; [| 1.0 |] |]
+  and d = Linalg.Mat.of_arrays [| [| 0.0 |]; [| 1.0 |]; [| 0.0 |] |] in
+  let o = Obs.create () in
+  let h =
+    Engine.Ac.transfer_sweep ~obs:o (Engine.Ac.make_ws ~b ~d) ~g ~c ~ss:test_grid
+  in
+  Alcotest.(check int) "every point answered by the complex LU"
+    (Array.length test_grid) (sweep_fallbacks o);
+  Array.iteri
+    (fun l s ->
+      let z = Linalg.Cmat.get h.(l) 0 0 in
+      let lu = Linalg.Cmat.get (Engine.Ac.transfer_at ~g ~c ~b ~d ~s) 0 0 in
+      Alcotest.(check bool) "bit-identical to the per-point LU" true
+        (bits_equal z lu);
+      check_close 1e-12 "C1/(C1+C2)" (c1 /. (c1 +. c2)) z.Complex.re;
+      check_close 1e-12 "no phase" 0.0 z.Complex.im)
+    test_grid
+
+(* the Hessenberg elimination hosts the complex-LU pivot probe: its
+   firing sends exactly that point to the per-point LU *)
+let test_ac_pivot_probe_falls_back () =
+  let mna = Circuits.Buffer.mna () in
+  let at = Engine.Dc.solve mna in
+  let ev = Engine.Mna.eval mna ~with_matrices:true ~time:0.0 at in
+  let g = Option.get ev.Engine.Mna.g_mat
+  and c = Option.get ev.Engine.Mna.c_mat
+  and b = Engine.Mna.b_matrix mna
+  and d = Engine.Mna.d_matrix mna in
+  let sweep ?obs () =
+    Engine.Ac.transfer_sweep ?obs (Engine.Ac.make_ws ~b ~d) ~g ~c ~ss:test_grid
+  in
+  let clean_obs = Obs.create () in
+  let clean = sweep ~obs:clean_obs () in
+  Alcotest.(check int) "clean sweep: no fallback" 0 (sweep_fallbacks clean_obs);
+  let o = Obs.create () in
+  let faulted =
+    Fun.protect ~finally:(fun () -> ignore (Fault.disarm ())) (fun () ->
+        Fault.arm_exact ~site:"clu.pivot_zero" ~fire_at:2 ~burst:1 ();
+        sweep ~obs:o ())
+  in
+  Alcotest.(check int) "one point answered by the complex LU" 1
+    (sweep_fallbacks o);
+  Array.iteri
+    (fun l hm ->
+      let a = Linalg.Cmat.get hm 0 0 and b = Linalg.Cmat.get faulted.(l) 0 0 in
+      Alcotest.(check bool) "within 1e-12 of the clean sweep" true
+        (Complex.norm (Complex.sub a b) <= 1e-12 *. Complex.norm a))
+    clean
+
+let test_ac_certificate () =
+  Alcotest.(check bool) "1e-13 passes" true (Engine.Ac.certified 1e-13);
+  Alcotest.(check bool) "1e-12 passes" true (Engine.Ac.certified 1e-12);
+  Alcotest.(check bool) "1e-11 fails" false (Engine.Ac.certified 1e-11);
+  Alcotest.(check bool) "infinity fails" false
+    (Engine.Ac.certified Float.infinity);
+  Alcotest.(check bool) "NaN fails" false (Engine.Ac.certified Float.nan)
+
 (* ---------------- generative circuit property ---------------- *)
 
 (* random ladder of resistors/diodes/capacitors driven by a DC source:
@@ -598,5 +680,10 @@ let suite =
     Alcotest.test_case "ac rc" `Quick test_ac_rc;
     Alcotest.test_case "ac rlc peak" `Quick test_ac_rlc_peak;
     Alcotest.test_case "ac pencil consistency" `Quick test_ac_matches_tft_pencil;
+    Alcotest.test_case "ac singular G falls back" `Quick
+      test_ac_singular_g_falls_back;
+    Alcotest.test_case "ac pivot probe falls back" `Quick
+      test_ac_pivot_probe_falls_back;
+    Alcotest.test_case "ac certificate" `Quick test_ac_certificate;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_dc_kcl_random_ladders ]

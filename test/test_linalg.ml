@@ -337,6 +337,19 @@ let prop_clu_residual =
             (fun z bz -> Complex.norm (Complex.sub z bz) < 1e-7)
             back b)
 
+(* the probe zeroes the first pivot: the elimination reports failure
+   instead of raising, so the caller can answer the point another way *)
+let test_hess_pivot_probe () =
+  let h = Linalg.Eig.hessenberg (Linalg.Mat.random (rand_state 7) 4 4) in
+  let ws = Linalg.Hess.workspace 4 in
+  let s = { Complex.re = 0.0; im = 1.0 } in
+  Fun.protect ~finally:(fun () -> ignore (Fault.disarm ())) (fun () ->
+      Fault.arm_exact ~site:"clu.pivot_zero" ~fire_at:1 ~burst:1 ();
+      Alcotest.(check bool) "fired: no factorization" false
+        (Linalg.Hess.factor ws h s);
+      Alcotest.(check bool) "spent: factors again" true
+        (Linalg.Hess.factor ws h s))
+
 (* ---------------- workspace kernels ---------------- *)
 
 let random_cpencil st n =
@@ -566,10 +579,150 @@ let test_cx_ops () =
   Alcotest.(check bool) "inv" true
     (Linalg.Cx.approx_equal Linalg.Cx.(inv (inv z)) z)
 
+(* ---------------- Hessenberg frequency-response kernels ---------------- *)
+
+let rand_complex st =
+  {
+    Complex.re = Random.State.float st 2.0 -. 1.0;
+    im = Random.State.float st 2.0 -. 1.0;
+  }
+
+(* the allocating column-wise solve: the order [solve_mat_into] keeps *)
+let prop_lu_solve_mat_into_bitwise =
+  QCheck.Test.make ~count:50 ~name:"lu solve_mat_into = column solve_into"
+    QCheck.(triple (int_range 1 9) (int_range 1 4) (int_bound 10000))
+    (fun (n, m, seed) ->
+      let st = rand_state (seed + 113) in
+      let f = Linalg.Lu.factor (random_dd_matrix st n) in
+      let b = Linalg.Mat.random st n m in
+      let x = Linalg.Mat.create n m in
+      Linalg.Lu.solve_mat_into f b x;
+      List.for_all
+        (fun j -> Linalg.Lu.solve f (Linalg.Mat.col b j) = Linalg.Mat.col x j)
+        (List.init m Fun.id))
+
+(* The column-at-a-time Householder reduction [Eig] ran before its
+   kernel went flat and row-oriented. Vector-fitting pole relocation
+   depends on [Eig.eigenvalues] staying bit-identical, so the kernel
+   must reproduce this reference to the bit. *)
+let reference_hessenberg a =
+  let n = Linalg.Mat.rows a in
+  let a = Linalg.Mat.copy a in
+  let get = Linalg.Mat.get and set = Linalg.Mat.set in
+  let v = Array.make n 0.0 in
+  for k = 0 to n - 3 do
+    let nrm = ref 0.0 in
+    for i = k + 1 to n - 1 do
+      nrm := !nrm +. (get a i k *. get a i k)
+    done;
+    let nrm = sqrt !nrm in
+    if nrm > 0.0 then begin
+      let x0 = get a (k + 1) k in
+      let alpha = if x0 >= 0.0 then -.nrm else nrm in
+      let vtv = ref 0.0 in
+      for i = k + 1 to n - 1 do
+        v.(i) <- get a i k;
+        if i = k + 1 then v.(i) <- v.(i) -. alpha;
+        vtv := !vtv +. (v.(i) *. v.(i))
+      done;
+      if !vtv > 0.0 then begin
+        let beta = 2.0 /. !vtv in
+        for j = k to n - 1 do
+          let dot = ref 0.0 in
+          for i = k + 1 to n - 1 do
+            dot := !dot +. (v.(i) *. get a i j)
+          done;
+          let s = beta *. !dot in
+          if s <> 0.0 then
+            for i = k + 1 to n - 1 do
+              set a i j (get a i j -. (s *. v.(i)))
+            done
+        done;
+        for i = 0 to n - 1 do
+          let dot = ref 0.0 in
+          for j = k + 1 to n - 1 do
+            dot := !dot +. (get a i j *. v.(j))
+          done;
+          let s = beta *. !dot in
+          if s <> 0.0 then
+            for j = k + 1 to n - 1 do
+              set a i j (get a i j -. (s *. v.(j)))
+            done
+        done;
+        set a (k + 1) k alpha;
+        for i = k + 2 to n - 1 do
+          set a i k 0.0
+        done
+      end
+    end
+  done;
+  a
+
+let prop_hessenberg_bitwise_reference =
+  QCheck.Test.make ~count:50 ~name:"hessenberg_into = column-wise reference"
+    QCheck.(pair (int_range 1 12) (int_bound 10000))
+    (fun (n, seed) ->
+      let a = Linalg.Mat.random (rand_state (seed + 167)) n n in
+      let bits m = Array.map Int64.bits_of_float (Linalg.Mat.unsafe_data m) in
+      bits (Linalg.Eig.hessenberg a) = bits (reference_hessenberg a))
+
+(* Q is orthogonal, A = Q·H·Qᵀ, and asking for Q leaves H unchanged *)
+let prop_hessenberg_into_q =
+  QCheck.Test.make ~count:50 ~name:"hessenberg_into accumulates Q"
+    QCheck.(pair (int_range 1 10) (int_bound 10000))
+    (fun (n, seed) ->
+      let st = rand_state (seed + 131) in
+      let a = Linalg.Mat.random st n n in
+      let h = Linalg.Mat.copy a and q = Linalg.Mat.create n n in
+      Linalg.Eig.hessenberg_into ~q h;
+      let qt = Linalg.Mat.transpose q in
+      Linalg.Mat.unsafe_data h
+      = Linalg.Mat.unsafe_data (Linalg.Eig.hessenberg a)
+      && Linalg.Mat.approx_equal ~tol:1e-12
+           (Linalg.Mat.mul (Linalg.Mat.mul q h) qt) a
+      && Linalg.Mat.approx_equal ~tol:1e-12 (Linalg.Mat.mul qt q)
+           (Linalg.Mat.identity n))
+
+(* (I + s·H) y = b through the O(n²) kernel, checked against the dense
+   complex LU of the same matrix *)
+let prop_hess_shifted_solve =
+  QCheck.Test.make ~count:50 ~name:"hess shifted solve = dense clu"
+    QCheck.(pair (int_range 1 10) (int_bound 10000))
+    (fun (n, seed) ->
+      let st = rand_state (seed + 149) in
+      let h = Linalg.Eig.hessenberg (Linalg.Mat.random st n n) in
+      let s = Complex.mul (rand_complex st) { Complex.re = 3.0; im = 0.0 } in
+      let b = Array.init n (fun _ -> rand_complex st) in
+      let dense =
+        Linalg.Cmat.lincomb Complex.one (Linalg.Mat.identity n) s h
+      in
+      match Linalg.Clu.solve_system dense b with
+      | exception Linalg.Clu.Singular _ -> QCheck.assume_fail ()
+      | x_ref ->
+          let ws = Linalg.Hess.workspace n in
+          QCheck.assume (Linalg.Hess.factor ws h s);
+          let yre = Array.map (fun z -> z.Complex.re) b
+          and yim = Array.map (fun z -> z.Complex.im) b in
+          Linalg.Hess.solve_into ws yre yim;
+          let scale =
+            Array.fold_left (fun a z -> Float.max a (Complex.norm z)) 0.0 x_ref
+          in
+          let err = ref 0.0 in
+          Array.iteri
+            (fun i z ->
+              let y = { Complex.re = yre.(i); im = yim.(i) } in
+              err := Float.max !err (Complex.norm (Complex.sub z y)))
+            x_ref;
+          !err <= 1e-10 *. scale
+          && Linalg.Hess.rcond_estimate ws > 0.0
+          && Linalg.Hess.rcond_estimate ws <= 1.0)
+
 let qsuite = [ prop_lu_residual; prop_qr_residual_orthogonal; prop_eig_trace;
                prop_eig_det; prop_poly_roots_reconstruct; prop_clu_residual;
                prop_lu_factor_into_agrees; prop_clu_factor_into_agrees;
-               prop_lincomb_into_agrees ]
+               prop_lincomb_into_agrees; prop_lu_solve_mat_into_bitwise;
+               prop_hessenberg_bitwise_reference; prop_hessenberg_into_q;
+               prop_hess_shifted_solve ]
 
 let suite =
   [
@@ -595,6 +748,7 @@ let suite =
     Alcotest.test_case "poly roots cubic" `Quick test_poly_roots_cubic;
     Alcotest.test_case "poly roots complex" `Quick test_poly_roots_complex;
     Alcotest.test_case "hessenberg structure" `Quick test_hessenberg_preserves_eigs;
+    Alcotest.test_case "hess pivot probe" `Quick test_hess_pivot_probe;
     Alcotest.test_case "clu pencil solve" `Quick test_clu_solve;
     Alcotest.test_case "cmat identity" `Quick test_cmat_mul_identity;
     Alcotest.test_case "cx ops" `Quick test_cx_ops;

@@ -291,7 +291,8 @@ let test_stage_functions_take_one_handle () =
   Alcotest.(check bool) "dc.lu rcond events" true
     (events_of_kind "rcond" (Obs.events o) <> []);
   (* TFT transform: one timed pencil solve per (snapshot, frequency),
-     one rcond event per factorization including each H(0) *)
+     one rcond event per point including each H(0), and a clean buffer
+     answered entirely by the Hessenberg sweep *)
   let snapshots = run.Engine.Tran.snapshots in
   let freqs_hz = Signal.Grid.frequencies_hz ~f_min:1e3 ~f_max:1e9 ~points:6 in
   let o = Obs.create () in
@@ -304,6 +305,8 @@ let test_stage_functions_take_one_handle () =
     (hist_samples o "ac.pencil_solve_ns");
   check_count "ac.pencil rcond events" (k * (l + 1))
     (List.length (events_of_kind "rcond" (Obs.events o)));
+  Alcotest.(check (option int)) "no point left the Hessenberg sweep" (Some 0)
+    (List.assoc_opt "ac.sweep_fallbacks" (metrics_snap o).Metrics.counters);
   check_count "one tft.dataset span" 1 (trace_spans o "tft.dataset");
   check_count "one tft.chunk span" 1 (trace_spans o "tft.chunk");
   check_count "tft.chunk_run_ns samples" 1 (hist_samples o "tft.chunk_run_ns");
