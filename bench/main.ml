@@ -726,42 +726,6 @@ let parallel () =
     (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
-(* Guard-layer overhead: guarded vs unguarded extraction                *)
-
-let guard_overhead () =
-  let snapshots = if !quick then 12 else 100 in
-  Printf.printf
-    "## Guard-layer overhead (buffer extraction, %d snapshots)\n%!" snapshots;
-  let config = Tft_rvf.Pipeline.buffer_config ~snapshots () in
-  let netlist = Circuits.Buffer.netlist () in
-  let extract ?guard () =
-    let t0 = Clock.now () in
-    let o =
-      Tft_rvf.Pipeline.extract ?guard ~config ~netlist
-        ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()
-    in
-    (o, Clock.elapsed t0)
-  in
-  let o_plain, t_plain = extract () in
-  let o_guard, t_guard = extract ~guard:Guard.default () in
-  (* the guard contract: a clean guarded run is bit-for-bit the
-     unguarded one — checks are read-only until something trips *)
-  let identical =
-    String.equal
-      (Hammerstein.Hmodel.equations o_plain.Tft_rvf.Pipeline.model)
-      (Hammerstein.Hmodel.equations o_guard.Tft_rvf.Pipeline.model)
-  in
-  if not identical then bench_failed := true;
-  let ratio = t_guard /. Float.max t_plain 1e-9 in
-  record "guard.unguarded_seconds" t_plain;
-  record "guard.guarded_seconds" t_guard;
-  record "guard.overhead_ratio" ratio;
-  record "guard.bit_identical" (if identical then 1.0 else 0.0);
-  Printf.printf "%-24s %10.4f s\n" "unguarded" t_plain;
-  Printf.printf "%-24s %10.4f s   overhead %5.2fx   bit-identical %b\n"
-    "guarded" t_guard ratio identical
-
-(* ------------------------------------------------------------------ *)
 (* Resilience overhead: cancellation probes, checkpoint stores, resume  *)
 
 let resilience () =
@@ -1116,7 +1080,6 @@ let all_targets =
     ("ablation", ablation);
     ("kernels", kernels);
     ("parallel", parallel);
-    ("guard", guard_overhead);
     ("resilience", resilience);
     ("oracle", oracle_battery);
     ("sparse", sparse_tier);

@@ -1,16 +1,17 @@
 (* Chaos sweep over the fault-injection registry: arm every registered
-   site in turn against a guarded buffer extraction and check the
-   recovery contract — each probe actually fires, and the pipeline
-   either recovers to a finite model or returns a structured typed
-   error. A silent NaN in a "successful" model or an escaped exception
-   fails the sweep.
+   site in turn against a buffer extraction and check the recovery
+   contract — each probe actually fires, and the pipeline either
+   recovers to a finite model or returns a structured typed error. A
+   silent NaN in a "successful" model or an escaped exception fails the
+   sweep.
 
    With the tft_extract binary's path as argv(1), also validates the
    CLI failure contract end-to-end: an armed fault that defeats every
    escalation rung, an invalid netlist, a bad flag combination or grid
    and an uncreatable directory must each exit 1 with a schema-versioned
    JSON error object on stderr; an unknown enumerated flag value is a
-   usage error (exit 124). No input may end in an uncaught exception.
+   usage error (exit 124); a fault the numerical checks repair exits 0.
+   No input may end in an uncaught exception.
 
    Exits 0 and prints "fault ok" on success. Wired into `dune runtest`
    as the @fault-smoke alias. *)
@@ -45,7 +46,7 @@ let sweep_site (site : Fault.site) =
   let result =
     try
       Ok
-        (Tft_rvf.Pipeline.try_extract ~guard:Guard.default ~config
+        (Tft_rvf.Pipeline.try_extract ~config
            ~netlist:(Circuits.Buffer.netlist ())
            ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ())
     with e -> Error e
@@ -142,7 +143,7 @@ let check_cli_error_json exe =
      forcing the structured-error exit path *)
   let status, text =
     run_cli exe
-      [ "--builtin"; "buffer"; "--snapshots"; "30"; "--guard"; "--fault";
+      [ "--builtin"; "buffer"; "--snapshots"; "30"; "--fault";
         "rvf.trace_nan:40" ]
   in
   if status <> 1 then
@@ -154,6 +155,18 @@ let check_cli_error_json exe =
       | Some r when r >= 5.0 -> ()
       | _ -> fail "cli: fit_retries missing or < 5 with the ladder exhausted");
       Printf.printf "  %-24s exit 1 + JSON error object\n%!" "cli contract"
+
+(* a corrupted snapshot burst is repaired by the dataset quarantine, so
+   the run ends like a clean one *)
+let check_cli_repaired exe =
+  let status, _ =
+    run_cli exe
+      [ "--builtin"; "buffer"; "--snapshots"; "30"; "--fault";
+        "dataset.snapshot_burst:0" ]
+  in
+  if status <> 0 then
+    fail "cli repaired burst: expected exit 0, got %d" status
+  else Printf.printf "  %-24s exit 0\n%!" "repaired snapshot burst"
 
 (* every input boundary of the CLI fails typed: exit 1 with the JSON
    error object, or Cmdliner's usage error for an unknown enumerated
@@ -230,6 +243,7 @@ let () =
         else exe
       in
       check_cli_error_json exe;
+      check_cli_repaired exe;
       check_cli_inputs exe
   | _ -> fail "usage: fault_check <tft_extract.exe>");
   match !failures with

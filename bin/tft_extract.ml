@@ -10,16 +10,16 @@
    run's complete record into DIR as a schema-versioned bundle
    (manifest, trace, metrics, diag, convergence.jsonl — and, on
    failure, a replayable repro capsule) renderable with `obs_report`.
-   `--guard` arms the numerical guard layer, `--fault SITE[:seed]` arms
-   one deterministic fault-injection probe (`--fault list` prints the
-   registry). `--backend sparse` routes the engine stages through the
-   compressed-column MNA assembly, sparse LU and rational-Krylov
-   frequency sweeps (for large circuits; falls back to dense on a
-   sparse-path failure). An unknown `--backend`, `--format` or
-   `--builtin` value is a usage error (exit 124); every other failure
-   — a malformed netlist, a bad flag combination or grid, an unwritable
-   directory, a failed extraction — ends with a structured JSON error
-   object on stderr and exit 1. *)
+   `--fault SITE[:seed]` arms one deterministic fault-injection probe
+   (`--fault list` prints the registry); the numerical checks that
+   repair or report what it corrupts are always on. `--backend sparse`
+   routes the engine stages through the compressed-column MNA
+   assembly, sparse LU and rational-Krylov frequency sweeps (for large
+   circuits; falls back to dense on a sparse-path failure). An unknown
+   `--backend`, `--format` or `--builtin` value is a usage error (exit
+   124); every other failure — a malformed netlist, a bad flag
+   combination or grid, an unwritable directory, a failed extraction —
+   ends with a structured JSON error object on stderr and exit 1. *)
 
 let formats =
   [ ("equations", `Equations); ("verilog-a", `Verilog_a); ("matlab", `Matlab) ]
@@ -82,8 +82,7 @@ let typed_input_failures f =
 
 let run netlist_path builtin input output output_diff train_freq train_ampl
     train_offset f_min f_max points eps snapshots domains backend out_path
-    export_format obs_dir guard_on fault_spec deadline checkpoint_dir resume
-    verbose =
+    export_format obs_dir fault_spec deadline checkpoint_dir resume verbose =
   typed_input_failures @@ fun () ->
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -120,7 +119,6 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
         Fault.arm ~site ~seed ();
         true
   in
-  let guard = if guard_on then Some Guard.default else None in
   let netlist, input, out_spec, config =
     match (builtin, netlist_path) with
     | Some `Buffer, None ->
@@ -187,8 +185,8 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
   in
   if not non_raising then begin
     match
-      Tft_rvf.Pipeline.extract ?guard ?cancel ?checkpoint_dir ~config ~netlist
-        ~input ~output:out_spec ()
+      Tft_rvf.Pipeline.extract ?cancel ?checkpoint_dir ~config ~netlist ~input
+        ~output:out_spec ()
     with
     | outcome ->
         print_string (Tft_rvf.Report.summary outcome);
@@ -197,12 +195,12 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
         fail ~stage:"pipeline" (Tft_rvf.Pipeline.describe_exn e)
   end
   else begin
-    (* an obs bundle, a guard or an armed fault: run the non-raising
+    (* an obs bundle, an armed fault or a deadline: run the non-raising
        pipeline so a failed extraction still produces its report and
        bundle — and a structured error object *)
     let obs = Option.map (fun _ -> Obs.create ()) obs_dir in
     let outcome, report =
-      Tft_rvf.Pipeline.try_extract ?guard ?cancel ?checkpoint_dir ?obs ~config
+      Tft_rvf.Pipeline.try_extract ?cancel ?checkpoint_dir ?obs ~config
         ~netlist ~input ~output:out_spec ()
     in
     report_fault_stats ();
@@ -231,7 +229,6 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
             ("snapshots", num_i snapshots);
             ("domains", num_i domains);
             ("backend", Minijson.Str (name_of backends backend));
-            ("guard", Minijson.Bool guard_on);
             ( "fault",
               match fault_spec with
               | Some s -> Minijson.Str s
@@ -389,19 +386,6 @@ let obs_dir_arg =
            or chrome://tracing; render the whole bundle with \
            $(b,obs_report). Implies the non-raising pipeline.")
 
-let guard_arg =
-  Arg.(
-    value & flag
-    & info [ "guard" ]
-        ~doc:
-          "Enable the numerical guard layer: reciprocal-condition floors \
-           on every LU factorization, NaN/Inf sentinels on solver and \
-           fitting outputs, transient step-halving recovery, snapshot \
-           quarantine (neighbor interpolation) and vector-fitting \
-           pole-runaway checks. A clean guarded run produces a \
-           bit-identical model; detected corruption is repaired or \
-           reported as a typed failure.")
-
 let fault_arg =
   Arg.(
     value
@@ -478,7 +462,7 @@ let cmd =
       $ points_arg
       $ ffloat [ "eps" ] ~default:1e-3 ~doc:"RVF error bound (relative)."
       $ snapshots_arg $ domains_arg $ backend_arg $ out_arg $ format_arg
-      $ obs_dir_arg $ guard_arg $ fault_arg $ deadline_arg
+      $ obs_dir_arg $ fault_arg $ deadline_arg
       $ checkpoint_dir_arg $ resume_arg $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

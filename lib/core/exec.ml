@@ -98,24 +98,24 @@ let slot pool key ~chunk ~valid ~make =
       Mutex.unlock pool.mutex;
       ws
 
-(* Chunked fan-out: fixed contiguous chunks, workers take chunks
-   1..chunks-1 from the queue while the submitting domain runs chunk 0,
-   then waits for the stragglers. Each chunk writes disjoint slots of
-   [results], so no ordering decision ever reaches the output.
+(* Chunked fan-out: one fixed contiguous chunk per domain (fewer when
+   n is smaller); workers take chunks 1..chunks-1 from the queue while
+   the submitting domain runs chunk 0, then waits for the stragglers.
+   Each chunk writes disjoint slots of [results], so no ordering
+   decision ever reaches the output.
 
    With [?trace]/[?metrics] attached, each chunk runs inside a
    [<label>.chunk] span on the executing domain's track (worker-side
    buffers attach under the caller's innermost open span). Per-chunk
    wait/run times land in [<label>.chunk_wait_ns]/[<label>.chunk_run_ns]
-   histograms; load balance is judged per worker *domain* (chunks > domains
-   would otherwise overstate imbalance): busy time summed by executing
+   histograms; load balance is judged per worker *domain* (a domain that
+   finishes early may take a second chunk): busy time summed by executing
    domain feeds [<label>.domain_run_ns] / [<label>.domain_wait_ns] and the
    [<label>.imbalance] max/mean ratio, mirrored into the merged
    [exec.pool.imbalance] gauge. Instrumentation never touches [results]
    or the chunk boundaries, and the uninstrumented path performs no clock
    reads, so outputs stay bit-identical. *)
-let run_ws ?cancel ?trace ?metrics ?(label = "exec") ?(chunks_per_domain = 1)
-    pool make_ws n f =
+let run_ws ?cancel ?trace ?metrics ?(label = "exec") pool make_ws n f =
   if n = 0 then [||]
   else begin
     let instrumented = Option.is_some trace || Option.is_some metrics in
@@ -167,9 +167,7 @@ let run_ws ?cancel ?trace ?metrics ?(label = "exec") ?(chunks_per_domain = 1)
         seq_chunk ()
     | Some pool ->
         Fun.protect ~finally:(fun () -> release pool) @@ fun () ->
-        let chunks =
-          Stdlib.min (pool.size * Stdlib.max 1 chunks_per_domain) n
-        in
+        let chunks = Stdlib.min pool.size n in
         let bound c = c * n / chunks in
         let remaining = ref (chunks - 1) in
         let first_exn = ref None in
@@ -280,24 +278,22 @@ let run_ws ?cancel ?trace ?metrics ?(label = "exec") ?(chunks_per_domain = 1)
       results
   end
 
-let parallel_init_ws ?pool ?cancel ?trace ?metrics ?label ?chunks_per_domain
-    ~ws n f =
-  run_ws ?cancel ?trace ?metrics ?label ?chunks_per_domain pool ws n f
+let parallel_init_ws ?pool ?cancel ?trace ?metrics ?label ~ws n f =
+  run_ws ?cancel ?trace ?metrics ?label pool ws n f
 
-let parallel_init ?pool ?cancel ?trace ?metrics ?label ?chunks_per_domain n f =
-  run_ws ?cancel ?trace ?metrics ?label ?chunks_per_domain pool
+let parallel_init ?pool ?cancel ?trace ?metrics ?label n f =
+  run_ws ?cancel ?trace ?metrics ?label pool
     (fun _ -> ())
     n
     (fun () i -> f i)
 
-let parallel_map_ws ?pool ?cancel ?trace ?metrics ?label ?chunks_per_domain ~ws
-    f arr =
-  run_ws ?cancel ?trace ?metrics ?label ?chunks_per_domain pool ws
+let parallel_map_ws ?pool ?cancel ?trace ?metrics ?label ~ws f arr =
+  run_ws ?cancel ?trace ?metrics ?label pool ws
     (Array.length arr)
     (fun w i -> f w arr.(i))
 
-let parallel_map ?pool ?cancel ?trace ?metrics ?label ?chunks_per_domain f arr =
-  run_ws ?cancel ?trace ?metrics ?label ?chunks_per_domain pool
+let parallel_map ?pool ?cancel ?trace ?metrics ?label f arr =
+  run_ws ?cancel ?trace ?metrics ?label pool
     (fun _ -> ())
     (Array.length arr)
     (fun () i -> f arr.(i))

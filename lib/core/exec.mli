@@ -5,8 +5,7 @@
     is always produced by evaluating [f] on input [i] alone, workers
     write disjoint slots of a shared result array, and no reduction or
     reordering happens — so for a pure [f] the output is bit-identical
-    to the sequential path regardless of the domain count or the
-    [chunks_per_domain] setting.
+    to the sequential path regardless of the domain count.
 
     Pools are designed to be {e warm and persistent}: create one per
     pipeline run (or per process), reuse it across stages, and shut it
@@ -15,11 +14,10 @@
     kernels stay allocation-free across stages.
 
     Workspace variants ([parallel_init_ws]/[parallel_map_ws]) evaluate
-    the workspace maker once per chunk (hence at most
-    [chunks_per_domain] live workspaces per domain) so hot kernels can
-    run allocation-free; a workspace must only carry buffers that each
-    call fully overwrites, never state that affects results across
-    elements. *)
+    the workspace maker once per chunk (one chunk per domain) so hot
+    kernels can run allocation-free; a workspace must only carry
+    buffers that each call fully overwrites, never state that affects
+    results across elements. *)
 
 type t
 (** A pool of worker domains. A [parallel_*] call issued while another
@@ -71,22 +69,16 @@ val parallel_init :
   ?trace:Trace.buf ->
   ?metrics:Metrics.t ->
   ?label:string ->
-  ?chunks_per_domain:int ->
   int ->
   (int -> 'a) ->
   'a array
 (** [parallel_init ?pool n f] is [Array.init n f] with the index range
     chunked across the pool. [f] must be pure (or at least safe to call
     concurrently from several domains). Without [pool], or with a
-    1-domain pool, it runs sequentially in the caller. The first
-    exception raised by any chunk is re-raised in the caller after all
-    chunks finish.
-
-    [chunks_per_domain] (default 1) splits the range into
-    [domains × chunks_per_domain] chunks; more, smaller chunks let the
-    queue balance uneven per-element costs at slightly higher dispatch
-    overhead. Pick it so a chunk holds roughly a millisecond of work
-    (e.g. several ~168 µs pencil solves).
+    1-domain pool, it runs sequentially in the caller. The range is
+    split into [min domains n] contiguous chunks. The first exception
+    raised by any chunk is re-raised in the caller after all chunks
+    finish.
 
     With [?trace], each chunk records a [<label>.chunk] span (default
     label ["exec"]) on the track of the domain that ran it, parented
@@ -113,7 +105,6 @@ val parallel_map :
   ?trace:Trace.buf ->
   ?metrics:Metrics.t ->
   ?label:string ->
-  ?chunks_per_domain:int ->
   ('a -> 'b) ->
   'a array ->
   'b array
@@ -125,7 +116,6 @@ val parallel_init_ws :
   ?trace:Trace.buf ->
   ?metrics:Metrics.t ->
   ?label:string ->
-  ?chunks_per_domain:int ->
   ws:(int -> 'w) ->
   int ->
   ('w -> int -> 'a) ->
@@ -133,8 +123,8 @@ val parallel_init_ws :
 (** Like {!parallel_init} but [ws chunk] is evaluated once per chunk and
     passed to every [f] call of that chunk, so scratch buffers are
     reused across the chunk instead of reallocated per element. The
-    chunk index is stable for fixed [(n, domains, chunks_per_domain)]
-    and can be used with {!slot} to reuse buffers across calls. *)
+    chunk index is stable for fixed [(n, domains)] and can be used with
+    {!slot} to reuse buffers across calls. *)
 
 val parallel_map_ws :
   ?pool:t ->
@@ -142,7 +132,6 @@ val parallel_map_ws :
   ?trace:Trace.buf ->
   ?metrics:Metrics.t ->
   ?label:string ->
-  ?chunks_per_domain:int ->
   ws:(int -> 'w) ->
   ('w -> 'a -> 'b) ->
   'a array ->

@@ -1,45 +1,17 @@
-(* Numerical guard layer for the extraction stack.
+(* The numerical safety policy of the extraction stack.
 
-   A [t] is a bundle of thresholds threaded through the numerical
-   layers as an optional [?guard] argument, exactly like [?obs]:
-   [None] makes every check a no-op branch, so the unguarded
-   path performs bit-for-bit the same floating-point operations as a
-   build without the guard layer at all. With a guard attached, each
-   stage *checks* (reciprocal-condition estimates on LU pivots,
-   NaN/Inf sentinels on solver outputs, pole-runaway detection) and
-   either *repairs* locally (snapshot quarantine, transient
-   step-halving, unstable-pole reflection) or raises the typed
-   {!Violation} that the pipeline's escalation ladder knows how to
-   catch. Guard checks are read-only: when nothing trips, a guarded
-   run returns bit-identical results to an unguarded one. *)
+   Every stage *checks* unconditionally (reciprocal-condition floors on
+   the Newton factorizations, NaN/Inf sentinels on solver outputs,
+   pole-runaway detection) and either *repairs* locally (snapshot
+   quarantine, transient step halving, unstable-pole reflection) or
+   raises the typed {!Violation} that the pipeline's escalation ladder
+   knows how to catch. Checks are read-only: when nothing trips, a run
+   performs exactly the floating-point operations it would without
+   them. *)
 
-type repair = Drop | Interpolate
-
-type t = {
-  rcond_min : float;
-      (* factorizations whose diagonal-ratio reciprocal-condition
-         estimate falls below this raise Singular *)
-  check_finite : bool;  (* NaN/Inf sentinels on solver outputs *)
-  max_step_halvings : int;
-      (* transient step retry budget: the k-th retry splits the failed
-         step into 2^k backward-Euler substeps *)
-  snapshot_repair : repair;
-      (* what Dataset.of_snapshots does with quarantined snapshots *)
-  max_pole_growth : float;
-      (* a relocated pole whose magnitude exceeds this multiple of the
-         largest fit point is a runaway *)
-}
-
-let default =
-  {
-    rcond_min = 1e-12;
-    check_finite = true;
-    max_step_halvings = 4;
-    snapshot_repair = Interpolate;
-    max_pole_growth = 1e4;
-  }
-
-let repair_to_string = function Drop -> "drop" | Interpolate -> "interpolate"
+let rcond_min = 1e-12
+let max_step_halvings = 4
+let max_pole_growth = 1e4
 
 type violation = { site : string; detail : string }
 
@@ -57,7 +29,14 @@ let () =
     | Violation v -> Some ("Guard.Violation: " ^ describe v)
     | _ -> None)
 
-let finite_array a = Array.for_all Float.is_finite a
+(* a monomorphic loop: the polymorphic [Array.for_all] would box every
+   element of the float array it reads *)
+let finite_array (a : float array) =
+  let rec from i =
+    i >= Array.length a
+    || (Float.is_finite (Array.unsafe_get a i) && from (i + 1))
+  in
+  from 0
 
 let finite_complex_array a =
   Array.for_all
@@ -65,18 +44,5 @@ let finite_complex_array a =
       Float.is_finite z.Complex.re && Float.is_finite z.Complex.im)
     a
 
-(* finite-output sentinel: no-op without a guard or with [check_finite]
-   off, a raise naming [site] otherwise *)
-let check_vec guard ~site v =
-  match guard with
-  | None -> ()
-  | Some g ->
-      if g.check_finite && not (finite_array v) then
-        fail ~site "non-finite entries in solver output"
-
-let check_complex_vec guard ~site v =
-  match guard with
-  | None -> ()
-  | Some g ->
-      if g.check_finite && not (finite_complex_array v) then
-        fail ~site "non-finite entries in solver output"
+let check_vec ~site v =
+  if not (finite_array v) then fail ~site "non-finite entries in solver output"

@@ -1,43 +1,29 @@
-(** Numerical guard layer for the extraction stack.
+(** The numerical safety policy of the extraction stack.
 
-    A {!t} bundles the thresholds that the numerical layers consult
-    when a [?guard] argument is supplied — reciprocal-condition floors
-    for the LU kernels, NaN/Inf sentinels on solver outputs, the
-    transient step-halving retry budget, the snapshot-quarantine repair
-    policy and the vector-fitting pole-runaway bound. Without a guard
-    ([None], the default everywhere) every check is a single-branch
-    no-op and the code path is bit-for-bit the pre-guard one; with a
-    guard, checks are read-only unless a violation occurs, so a clean
-    guarded run still returns bit-identical results.
+    Every check that keeps corrupt numbers out of a model runs on every
+    call; there is no switch. The numerical layers consult the three
+    constants below and the helpers here: reciprocal-condition floors
+    on the Newton factorizations ([Linalg.Lu], [Linalg.Splu]), NaN/Inf
+    sentinels on solver outputs, transient step halving
+    ([Engine.Tran]), snapshot quarantine ([Tft.Dataset]) and
+    vector-fitting pole-runaway detection ([Vf.Vfit]). Checks are
+    read-only until something trips, so a clean run performs exactly
+    the arithmetic it would without them.
 
     Detected-but-unrepairable conditions raise the typed {!Violation},
     which [Pipeline]'s escalation ladder treats as recoverable. *)
 
-type repair = Drop | Interpolate
-(** Quarantined-snapshot policy: remove the sample, or rebuild its
-    transfer matrices by linear interpolation between the nearest
-    healthy neighbours. *)
+val rcond_min : float
+(** [1e-12]: a Newton factorization whose diagonal-ratio
+    reciprocal-condition estimate falls below this raises [Singular]. *)
 
-type t = {
-  rcond_min : float;
-      (** Factorizations whose diagonal-ratio reciprocal-condition
-          estimate falls below this raise [Singular]. *)
-  check_finite : bool;  (** NaN/Inf sentinels on solver outputs. *)
-  max_step_halvings : int;
-      (** Transient retry budget: the k-th retry integrates the failed
-          step as [2^k] backward-Euler substeps. *)
-  snapshot_repair : repair;
-  max_pole_growth : float;
-      (** A relocated pole whose magnitude exceeds this multiple of the
-          largest fit point is flagged as a runaway. *)
-}
+val max_step_halvings : int
+(** [4]: a transient step that no integrator could take whole is
+    retried as [2^j] backward-Euler substeps for [j = 1 .. 4]. *)
 
-val default : t
-(** [rcond_min = 1e-12], [check_finite = true],
-    [max_step_halvings = 4], [snapshot_repair = Interpolate],
-    [max_pole_growth = 1e4]. *)
-
-val repair_to_string : repair -> string
+val max_pole_growth : float
+(** [1e4]: a relocated pole whose modulus exceeds this multiple of the
+    largest fit point is a runaway. *)
 
 type violation = { site : string; detail : string }
 
@@ -51,8 +37,6 @@ val fail : site:string -> string -> 'a
 val finite_array : float array -> bool
 val finite_complex_array : Complex.t array -> bool
 
-val check_vec : t option -> site:string -> float array -> unit
-(** Raise {!Violation} when a guard with [check_finite] is attached and
-    the array contains a NaN or infinity; no-op otherwise. *)
-
-val check_complex_vec : t option -> site:string -> Complex.t array -> unit
+val check_vec : site:string -> float array -> unit
+(** The NaN/Inf sentinel: raise {!Violation} naming [site] when the
+    array holds a NaN or an infinity. *)

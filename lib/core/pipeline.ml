@@ -64,15 +64,6 @@ type budgets = {
 
 let no_budgets = { train = None; tft = None; fit = None; rung = None }
 
-type retry = {
-  attempts : int;
-  backoff_seconds : float;
-  backoff_multiplier : float;
-}
-
-(* one attempt per rung: exactly the historical ladder behaviour *)
-let no_retry = { attempts = 1; backoff_seconds = 0.05; backoff_multiplier = 2.0 }
-
 (* per-stage budgets only make sense against a token; when the caller
    supplies budgets without one, arm a private token so the deadlines
    are live *)
@@ -81,19 +72,6 @@ let resolve_cancel cancel (budgets : budgets option) =
   | (Some _ as c), _ -> c
   | None, Some _ -> Some (Cancel.create ())
   | None, None -> None
-
-(* bounded backoff between rung retries; cooperative so an armed
-   deadline still reaps a run sleeping between attempts. No Unix
-   dependency — the busy-wait is bounded by [retry.backoff_seconds]
-   growth and the caller's deadline. *)
-let backoff_wait cancel seconds =
-  if seconds > 0.0 then begin
-    let t0 = Clock.now () in
-    while Clock.now () -. t0 < seconds do
-      Cancel.check cancel ~site:"pipeline.backoff";
-      Domain.cpu_relax ()
-    done
-  end
 
 (* swap the designated input source's wave for the training pump *)
 let with_wave netlist ~input ~wave =
@@ -128,7 +106,6 @@ let with_wave netlist ~input ~wave =
 
 (* Everything a stage needs besides its data. *)
 type run = {
-  guard : Guard.t option;
   cancel : Cancel.t option;
   budgets : budgets;
   ck : Checkpoint.t option;
@@ -232,7 +209,7 @@ let json_of_rung_fit (rung, rvf) =
 let recoverable = function
   | Invalid_argument _ | Failure _ | Engine.Dc.No_convergence _
   | Linalg.Lu.Singular _ | Linalg.Clu.Singular _ | Linalg.Splu.Singular _
-  | Linalg.Spclu.Singular _ | Guard.Violation _ ->
+  | Linalg.Spclu.Singular _ | Guard.Violation _ | Rvf.Ratfn.Not_integrable _ ->
       true
   | _ -> false
 
@@ -253,6 +230,7 @@ let describe_exn = function
       Printf.sprintf "Singular: sparse complex LU pivot %d has magnitude %.3e"
         pivot_index magnitude
   | Guard.Violation v -> Guard.describe v
+  | Rvf.Ratfn.Not_integrable m -> "Not_integrable: " ^ m
   | Cancel.Cancelled { site } -> Printf.sprintf "Cancelled: at %s" site
   | Cancel.Deadline_exceeded { site; stage; budget_seconds; elapsed_seconds } ->
       Printf.sprintf
@@ -289,8 +267,8 @@ let run_train r ~config ~mna =
   Obs.stage r.obs "pipeline.train" @@ fun () ->
   Fault.in_scope "stage:train" @@ fun () ->
   let go backend =
-    Engine.Tran.run ~opts:tran_opts ?guard:r.guard ?cancel:r.cancel ?obs:r.obs
-      ~backend mna ~t_stop:config.training.t_stop ~dt:config.training.dt
+    Engine.Tran.run ~opts:tran_opts ?cancel:r.cancel ?obs:r.obs ~backend mna
+      ~t_stop:config.training.t_stop ~dt:config.training.dt
   in
   match config.backend with
   | Engine.Mna.Dense -> go Engine.Mna.Dense
@@ -326,8 +304,8 @@ let tft_stage r ~pool ~config ~mna ~training_run =
   Obs.stage r.obs "pipeline.tft" @@ fun () ->
   Fault.in_scope "stage:tft" @@ fun () ->
   let build backend snapshots =
-    Tft.Dataset.of_snapshots ?pool ?guard:r.guard ?cancel:r.cancel ?obs:r.obs
-      ~backend ~mna ~estimator ~freqs_hz:config.freqs_hz snapshots
+    Tft.Dataset.of_snapshots ?pool ?cancel:r.cancel ?obs:r.obs ~backend ~mna
+      ~estimator ~freqs_hz:config.freqs_hz snapshots
   in
   let snapshots = training_run.Engine.Tran.snapshots in
   match config.backend with
@@ -359,8 +337,8 @@ let fit_rung r ~pool ~dataset ~output (rung, rvf_config) =
     ?seconds:r.budgets.rung
   @@ fun () ->
   Obs.stage r.obs "pipeline.fit" @@ fun () ->
-  Rvf.extract ~config:rvf_config ?guard:r.guard ?cancel:r.cancel ?obs:r.obs
-    ?pool ~dataset ~input:0 ~output ()
+  Rvf.extract ~config:rvf_config ?cancel:r.cancel ?obs:r.obs ?pool ~dataset
+    ~input:0 ~output ()
 
 (* --- graceful degradation ------------------------------------------- *)
 
@@ -398,9 +376,8 @@ let escalation_ladder (rvf : Rvf.config) =
     ("combined", relax_min_imag (switch_weighting (more_poles rvf)));
   ]
 
-(* Climb the ladder for one output: each rung is tried up to
-   [retry.attempts] times, and the first rung that fits wins. *)
-let climb_ladder r ~retry ~fit ~rvf ~output =
+(* Climb the ladder for one output: the first rung that fits wins. *)
+let climb_ladder r ~fit ~rvf ~output =
   let rec climb = function
     | [] ->
         Obs.error r.obs ~stage:"pipeline.fit"
@@ -411,47 +388,8 @@ let climb_ladder r ~retry ~fit ~rvf ~output =
              output);
         None
     | ((rung, _) as step) :: rest -> (
-        let rec tries n =
-          match fit step with
-          | fitted -> Some fitted
-          | exception ((Cancel.Cancelled _ | Cancel.Deadline_exceeded _) as e)
-            ->
-              (* a tripped deadline aborts the whole ladder: retrying or
-                 escalating after the budget ran out would turn a
-                 bounded run into an unbounded one *)
-              Obs.escalation r.obs ~rung ~outcome:"deadline"
-                ~detail:(describe_exn e);
-              raise e
-          | exception e when recoverable e ->
-              if n < retry.attempts then begin
-                (* transient failure with attempts left: retry this rung
-                   after a bounded backoff, keeping the already settled
-                   train/TFT stages in memory rather than restarting the
-                   ladder from zero *)
-                Obs.count ~only:`Diag r.obs "pipeline.rung_retries" 1;
-                Obs.warn r.obs ~stage:"pipeline.fit"
-                  (Printf.sprintf
-                     "rung %S attempt %d/%d failed (%s); retrying after \
-                      backoff"
-                     rung n retry.attempts (describe_exn e));
-                Obs.escalation r.obs ~rung ~outcome:"retry"
-                  ~detail:(describe_exn e);
-                backoff_wait r.cancel
-                  (retry.backoff_seconds
-                  *. (retry.backoff_multiplier ** float_of_int (n - 1)));
-                tries (n + 1)
-              end
-              else begin
-                Obs.count ~only:`Diag r.obs "pipeline.fit_retries" 1;
-                Obs.warn r.obs ~stage:"pipeline.fit"
-                  (Printf.sprintf "rung %S failed: %s" rung (describe_exn e));
-                Obs.escalation r.obs ~rung ~outcome:"failed"
-                  ~detail:(describe_exn e);
-                None
-              end
-        in
-        match tries 1 with
-        | Some fitted ->
+        match fit step with
+        | fitted ->
             Obs.escalation r.obs ~rung ~outcome:"ok" ~detail:"";
             if rung <> "base" then
               Obs.warn r.obs ~stage:"pipeline.fit"
@@ -460,7 +398,20 @@ let climb_ladder r ~retry ~fit ~rvf ~output =
                     produced the model"
                    rung);
             Some (rung, fitted)
-        | None -> climb rest)
+        | exception ((Cancel.Cancelled _ | Cancel.Deadline_exceeded _) as e) ->
+            (* a tripped deadline aborts the whole ladder: escalating
+               after the budget ran out would turn a bounded run into an
+               unbounded one *)
+            Obs.escalation r.obs ~rung ~outcome:"deadline"
+              ~detail:(describe_exn e);
+            raise e
+        | exception e when recoverable e ->
+            Obs.count ~only:`Diag r.obs "pipeline.fit_retries" 1;
+            Obs.warn r.obs ~stage:"pipeline.fit"
+              (Printf.sprintf "rung %S failed: %s" rung (describe_exn e));
+            Obs.escalation r.obs ~rung ~outcome:"failed"
+              ~detail:(describe_exn e);
+            climb rest)
   in
   climb (escalation_ladder rvf)
 
@@ -469,16 +420,15 @@ let climb_ladder r ~retry ~fit ~rvf ~output =
 (* How a run answers a failure: [Raise] lets the first one propagate
    from the base rung; [Ladder] records it against its stage and climbs
    the escalation ladder. *)
-type policy = Raise | Ladder of retry
+type policy = Raise | Ladder
 
 (* The one extraction sequence of Fig. 1: build MNA → train → warm pool
    → TFT → per-output fit. Every entry point runs it; one [outcome
    option] per output comes back, and [Raise] never yields [None]. *)
-let run_stages ~policy ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool
-    ~config ~netlist ~input ~outputs () =
+let run_stages ~policy ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
+    ~netlist ~input ~outputs () =
   let r =
     {
-      guard;
       cancel = resolve_cancel cancel budgets;
       budgets = Option.value budgets ~default:no_budgets;
       ck = ck_of ~config ~netlist ~input ~outputs checkpoint_dir;
@@ -486,7 +436,7 @@ let run_stages ~policy ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool
     }
   in
   let guarded ~stage f =
-    match policy with Raise -> Some (f ()) | Ladder _ -> recover r ~stage f
+    match policy with Raise -> Some (f ()) | Ladder -> recover r ~stage f
   in
   (* a checkpointed stage: loaded when settled on disk, else computed
      and stored; a failed computation stores nothing *)
@@ -530,7 +480,7 @@ let run_stages ~policy ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool
       let fit = fit_rung r ~pool ~dataset ~output in
       match policy with
       | Raise -> Some ("base", fit ("base", config.rvf))
-      | Ladder retry -> climb_ladder r ~retry ~fit ~rvf:config.rvf ~output
+      | Ladder -> climb_ladder r ~fit ~rvf:config.rvf ~output
     in
     Cancel.check r.cancel ~site:"pipeline.fit";
     Some
@@ -566,32 +516,26 @@ let run_stages ~policy ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool
 
 (* --- entry points ----------------------------------------------------- *)
 
-let extract_simo ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
-    ~netlist ~input ~outputs () =
+let extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist
+    ~input ~outputs () =
   if outputs = [] then invalid_arg "Pipeline.extract_simo: no outputs";
-  run_stages ~policy:Raise ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool
-    ~config ~netlist ~input ~outputs ()
+  run_stages ~policy:Raise ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
+    ~netlist ~input ~outputs ()
   |> List.map Option.get
 
-let extract ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
-    ~netlist ~input ~output () =
+let extract ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist ~input
+    ~output () =
   List.hd
-    (extract_simo ?guard ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
-       ~netlist ~input ~outputs:[ output ] ())
+    (extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist
+       ~input ~outputs:[ output ] ())
 
-let try_extract_simo ?guard ?cancel ?budgets ?checkpoint_dir
-    ?(retry = no_retry) ?obs ?pool ~config ~netlist ~input ~outputs () =
+let try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
+    ~netlist ~input ~outputs () =
   (* the hub's diag collector is the run's narrative, so the returned
      report is exactly the bundle's diag.json; a run without a hub makes
      its own *)
   let hub = match obs with Some o -> o | None -> Obs.create () in
   let obs = Some hub in
-  (match guard with
-  | None -> ()
-  | Some (g : Guard.t) ->
-      Obs.note obs "guard.enabled" "true";
-      Obs.note obs "guard.snapshot_repair"
-        (Guard.repair_to_string g.Guard.snapshot_repair));
   let none () = List.map (fun _ -> None) outputs in
   let outcomes =
     if outputs = [] then begin
@@ -600,8 +544,8 @@ let try_extract_simo ?guard ?cancel ?budgets ?checkpoint_dir
     end
     else
       try
-        run_stages ~policy:(Ladder retry) ?guard ?cancel ?budgets
-          ?checkpoint_dir ?obs ?pool ~config ~netlist ~input ~outputs ()
+        run_stages ~policy:Ladder ?cancel ?budgets ?checkpoint_dir ?obs ?pool
+          ~config ~netlist ~input ~outputs ()
       with
       | Cancel.Cancelled { site } as e ->
           (* the supervisor contract: a cancelled or deadline-tripped run
@@ -617,11 +561,11 @@ let try_extract_simo ?guard ?cancel ?budgets ?checkpoint_dir
   in
   (outcomes, Diag.report (Obs.diag hub))
 
-let try_extract ?guard ?cancel ?budgets ?checkpoint_dir ?retry ?obs ?pool
-    ~config ~netlist ~input ~output () =
+let try_extract ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist
+    ~input ~output () =
   let outcomes, report =
-    try_extract_simo ?guard ?cancel ?budgets ?checkpoint_dir ?retry ?obs ?pool
-      ~config ~netlist ~input ~outputs:[ output ] ()
+    try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
+      ~netlist ~input ~outputs:[ output ] ()
   in
   (List.hd outcomes, report)
 

@@ -83,23 +83,6 @@ type budgets = {
 val no_budgets : budgets
 (** All stages unbounded. *)
 
-type retry = {
-  attempts : int;  (** total attempts per ladder rung (1 = no retry) *)
-  backoff_seconds : float;  (** wait before the first retry *)
-  backoff_multiplier : float;  (** growth factor per further retry *)
-}
-(** Bounded retry-with-backoff for the escalation ladder: a transient
-    recoverable failure retries the {e failing rung} from the already
-    materialized train/TFT stages (and, with a checkpoint store armed,
-    from the on-disk artifacts) rather than restarting the run from
-    zero. Counter [pipeline.rung_retries] counts within-rung retries;
-    [pipeline.fit_retries] keeps its historical meaning of exhausted
-    rungs. The backoff wait is cooperative: an armed deadline or a
-    cancellation request reaps a run sleeping between attempts. *)
-
-val no_retry : retry
-(** One attempt per rung — exactly the historical ladder behaviour. *)
-
 type outcome = {
   model : Hammerstein.Hmodel.t;
   rvf : Rvf.result;
@@ -110,7 +93,6 @@ type outcome = {
 }
 
 val extract_simo :
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
@@ -166,19 +148,17 @@ val extract_simo :
     Telemetry never changes the numerics: the extracted model is
     bit-for-bit the same with or without a hub.
 
-    With [guard], the {!Guard} layer threads through every stage:
-    reciprocal-condition floors on LU factorizations, NaN/Inf sentinels
-    on solver outputs and fitted models, transient step-halving
-    recovery, snapshot quarantine in the TFT transform and VF
-    pole-runaway checks. A clean guarded run returns a bit-identical
-    model; a detected-but-unrepairable condition raises
-    [Guard.Violation] (or a typed [Singular]) that {!try_extract_simo}
-    treats as recoverable.
+    Every run applies the {!Guard} checks: reciprocal-condition floors
+    on the Newton factorizations, NaN/Inf sentinels on solver outputs
+    and fitted models, transient step-halving recovery, snapshot
+    quarantine in the TFT transform and VF pole-runaway checks. They
+    are read-only until something trips; a detected-but-unrepairable
+    condition raises [Guard.Violation] (or a typed [Singular]) that
+    {!try_extract_simo} treats as recoverable.
 
     Raises [Invalid_argument] when [outputs] is empty. *)
 
 val extract :
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
@@ -209,7 +189,7 @@ val extract_buffer : ?obs:Obs.t -> ?config:config -> unit -> outcome
     ([Invalid_argument], [Failure], {!Engine.Dc.No_convergence},
     {!Linalg.Lu.Singular}, {!Linalg.Clu.Singular},
     {!Linalg.Splu.Singular}, {!Linalg.Spclu.Singular},
-    {!Guard.Violation}).
+    {!Guard.Violation}, {!Rvf.Ratfn.Not_integrable}).
     The [try_]* variants below never raise on those: they climb an
     escalation ladder of progressively more permissive RVF
     configurations and, when every rung fails, return [None] together
@@ -236,11 +216,9 @@ val describe_exn : exn -> string
     error object. *)
 
 val try_extract_simo :
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
-  ?retry:retry ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
   config:config ->
@@ -265,27 +243,24 @@ val try_extract_simo :
     bundled [diag.json] and the report coincide); without [obs] the run
     records into a hub of its own and returns that hub's report. Every
     ladder rung emits an [escalation] event (outcome
-    ["ok"]/["failed"]/["retry"]/["deadline"] with the failure detail)
+    ["ok"]/["failed"]/["deadline"] with the failure detail)
     and recoverable stage failures emit [violation] events; the trace
     and metrics of the stages that ran before a failure are kept, so a
     failed extraction still shows where the time went.
 
     Cancellation and deadlines are {e not} recoverable: a tripped
-    budget aborts the ladder (no retry, no further rungs), records an
+    budget aborts the ladder (no further rungs), records an
     [Error] event whose stage carries the rung label
     (["pipeline.fit:<rung>"]) plus an [obs] [deadline] event, and
     yields all-[None]. [Checkpoint.Killed] (the chaos harness's
     simulated crash) propagates to the caller. With [checkpoint_dir]
-    armed, a rung retry resumes from the on-disk train/TFT artifacts,
-    and a settled fit artifact short-circuits the ladder entirely on
+    armed, a settled fit artifact short-circuits the ladder entirely on
     resume. *)
 
 val try_extract :
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
-  ?retry:retry ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
   config:config ->

@@ -14,14 +14,15 @@
    [Ratkrylov] certifies its projected points with, and is then refined
    once against that residual (see [solve_hessenberg]). A point that
    fails the certificate, or whose elimination meets a zero pivot, is
-   answered by the per-point LU instead; a singular G sends the whole
-   sweep there.
+   answered by the per-point LU instead; a G that is singular, or whose
+   LU falls below the [Guard.rcond_min] floor, sends the whole sweep
+   there.
 
    The reduction costs about as much as three complex LUs, so it is
    used when the grid has at least three nonzero points. Which
-   algorithm answers a point depends on the operands alone: a guard,
-   a hub, a cancel token or an armed fault probe only add checks and
-   records around the same arithmetic. *)
+   algorithm answers a point depends on the operands alone: a hub, a
+   cancel token or an armed fault probe only add checks and records
+   around the same arithmetic. *)
 
 let tol = 1e-12
 let certified r = r <= tol
@@ -114,9 +115,9 @@ let ws_matches ws ~b ~d =
   same ws.b b && same ws.d d
 
 (* The reference: one complex LU of G + s·C, solution into xre/xim *)
-let solve_lu ?guard ?obs ws ~g ~c ~s =
+let solve_lu ?obs ws ~g ~c ~s =
   Linalg.Cmat.lincomb_into ws.pencil Linalg.Cx.one g s c;
-  Linalg.Clu.factor_into ?guard ws.lu ws.pencil;
+  Linalg.Clu.factor_into ws.lu ws.pencil;
   Obs.rcond obs ~site:"ac.pencil" Linalg.Clu.rcond_estimate ws.lu;
   Array.iteri
     (fun j xr ->
@@ -140,13 +141,12 @@ type reduced = {
 }
 
 (* Once per snapshot: G's factorization, H, Q and Qᵀ·G⁻¹B. [None] when
-   G is singular. *)
-let reduce ?guard ws ~g ~c =
+   G is singular or below the rcond floor. *)
+let reduce ws ~g ~c =
   let red = Lazy.force ws.reduction in
   match Linalg.Lu.factor_into red.glu g with
   | exception Linalg.Lu.Singular _ -> None
   | () ->
-      Linalg.Lu.check_rcond guard red.glu;
       Linalg.Lu.solve_mat_into red.glu c red.hm;
       Linalg.Eig.hessenberg_into ~q:red.q red.hm;
       let qt = Linalg.Mat.transpose red.q in
@@ -213,17 +213,12 @@ let solve_hessenberg ws ({ red; _ } as r) ~s =
   done;
   !ok
 
-(* the answered point's tail: fault probe, sentinel, H = Dᵀx *)
-let output ?guard ws =
+(* the answered point's tail: fault probe, H = Dᵀx *)
+let output ws =
   if Fault.should_fire "ac.pencil_nan" && Array.length ws.xre > 0 then begin
     ws.xre.(0).(0) <- Float.nan;
     ws.xim.(0).(0) <- Float.nan
   end;
-  Array.iteri
-    (fun j xr ->
-      Guard.check_vec guard ~site:"ac.transfer" xr;
-      Guard.check_vec guard ~site:"ac.transfer" ws.xim.(j))
-    ws.xre;
   Linalg.Cmat.init (Array.length ws.dcols) (Array.length ws.xre) (fun o j ->
       let dc = ws.dcols.(o) and xr = ws.xre.(j) and xi = ws.xim.(j) in
       let are = ref 0.0 and aim = ref 0.0 in
@@ -240,12 +235,12 @@ let is_zero (s : Complex.t) = s.Complex.re = 0.0 && s.Complex.im = 0.0
 
 (* Sweeps run inside dataset workers, so they record only worker-safe
    calls. Without [obs] there are no clock reads. *)
-let transfer_sweep ?guard ?cancel ?obs ws ~g ~c ~ss =
+let transfer_sweep ?cancel ?obs ws ~g ~c ~ss =
   let nonzero =
     Array.fold_left (fun k s -> if is_zero s then k else k + 1) 0 ss
   in
   let reduced = nonzero >= 3 in
-  let red = if reduced then reduce ?guard ws ~g ~c else None in
+  let red = if reduced then reduce ws ~g ~c else None in
   let fallbacks = ref 0 in
   let point s =
     Cancel.check cancel ~site:"ac.sweep";
@@ -264,10 +259,10 @@ let transfer_sweep ?guard ?cancel ?obs ws ~g ~c ~ss =
             Obs.rcond obs ~site:"ac.pencil" Linalg.Hess.rcond_estimate r.red.hs
         | _ ->
             if reduced then incr fallbacks;
-            solve_lu ?guard ?obs ws ~g ~c ~s);
+            solve_lu ?obs ws ~g ~c ~s);
         if not (is_zero s) then
           Obs.observe_since_ns obs "ac.pencil_solve_ns" t0);
-    output ?guard ws
+    output ws
   in
   let hs = Array.map point ss in
   if reduced then

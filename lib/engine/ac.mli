@@ -11,12 +11,12 @@
     then an O(n²) shifted Hessenberg solve per grid point. Every such
     answer is certified by its true relative residual
     [‖(G + s·C)x − b‖/‖b‖ ≤ 1e-12] and then refined once against it; a
-    point that fails, or a sweep whose [G] is singular, is answered by
-    one complex LU of the pencil per point — the algorithm of shorter
-    sweeps and of {!transfer_at}. The two agree to rounding, not bit
-    for bit (7e-14 relative per point on the buffer); a grid point
-    [s = 0] answered from [G]'s LU equals the complex LU at [s = 0]
-    exactly.
+    point that fails, or a sweep whose [G] is singular or below the
+    [Guard.rcond_min] floor of {!Linalg.Lu}, is answered by one complex
+    LU of the pencil per point — the algorithm of shorter sweeps and of
+    {!transfer_at}. The two agree to rounding, not bit for bit (7e-14
+    relative per point on the buffer); a grid point [s = 0] answered
+    from [G]'s LU equals the complex LU at [s = 0] exactly.
 
     The sweep shares a {!ws} workspace holding every buffer both
     algorithms need, so a whole K×L TFT trajectory allocates little
@@ -42,7 +42,6 @@ val certified : float -> bool
     A NaN residual fails it. *)
 
 val transfer_sweep :
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
   ws ->
@@ -54,22 +53,18 @@ val transfer_sweep :
     every complex frequency of [ss], which may include [s = 0] (the DC
     transfer [Dᵀ G⁻¹ B], taken from [G]'s LU when the reduction runs).
     Which algorithm answers a point depends only on [g], [c] and [ss]
-    (see above).
+    (see above). Returned values are not NaN-checked: the TFT dataset's
+    quarantine pass covers them.
 
-    With [guard], the LU of [G] and every complex LU that runs get its
-    reciprocal-condition floor ([Lu.Singular] / [Clu.Singular]), and
-    every returned solution column a NaN/Inf sentinel
-    ([Guard.Violation] at site ["ac.transfer"]); a clean guarded sweep
-    is bit-identical to the unguarded one. With [obs], every nonzero
-    point's solve time lands in the [ac.pencil_solve_ns] histogram,
-    every point emits one ["ac.pencil"] rcond event (of [G]'s LU at
-    [s = 0], else of the factorization that answered), and a reduced
-    sweep adds the points the complex LU answered to the
-    [ac.sweep_fallbacks] counter — all worker-safe; without [obs], no
-    clock reads. With [cancel], every point probes the token (site
-    ["ac.sweep"]). Hosts the ["ac.pencil_nan"] fault probe, which
-    writes NaN into an answered solution after its certificate; the
-    ["clu.pivot_zero"] probe of the Hessenberg elimination sends its
+    With [obs], every nonzero point's solve time lands in the
+    [ac.pencil_solve_ns] histogram, every point emits one ["ac.pencil"]
+    rcond event (of [G]'s LU at [s = 0], else of the factorization that
+    answered), and a reduced sweep adds the points the complex LU
+    answered to the [ac.sweep_fallbacks] counter — all worker-safe;
+    without [obs], no clock reads. With [cancel], every point probes the
+    token (site ["ac.sweep"]). Hosts the ["ac.pencil_nan"] fault probe,
+    which writes NaN into an answered solution after its certificate;
+    the ["clu.pivot_zero"] probe of the Hessenberg elimination sends its
     point to the complex LU. *)
 
 val transfer_at :

@@ -19,7 +19,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
    the full residual and g_mat/c_mat with the Jacobians; the dynamic term
    is folded in by the caller. Returns ((solution, last eval) option,
    iterations actually run) — the count is meaningful on failure too. *)
-let newton ?guard ?cancel ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
+let newton ?cancel ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
     ~initial () =
   let n = Mna.size mna in
   let n_nodes = Mna.n_nodes mna in
@@ -45,7 +45,7 @@ let newton ?guard ?cancel ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
         done;
       let f_norm = Linalg.Vec.norm_inf f in
       let t_factor = Obs.now_if obs in
-      match Linalg.Lu.factor ?guard j with
+      match Linalg.Lu.factor j with
       | exception Linalg.Lu.Singular _ ->
           Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
           None
@@ -112,15 +112,13 @@ let sparse_ws ?ctx mna =
     dv = Linalg.Vec.create n;
   }
 
-let sparse_ws_ctx sws = sws.ctx
-
 (* Sparse twin of [newton]: same contraction test, step limiting, gmin
    regularization, fault probe and telemetry sites, with the residual
    fold for the dynamic term passed in as a closure and the Jacobian
    pencil J = G + α·C blended over the shared pattern. Returns the
    solution only — the caller re-evaluates if it needs residual pieces
    at the solution. *)
-let newton_sparse ?guard ?cancel ?obs ~opts ~mna ~sws ~gmin ~time
+let newton_sparse ?cancel ?obs ~opts ~mna ~sws ~gmin ~time
     ~alpha ~fold ~initial () =
   let n = Mna.size mna in
   let n_nodes = Mna.n_nodes mna in
@@ -147,7 +145,7 @@ let newton_sparse ?guard ?cancel ?obs ~opts ~mna ~sws ~gmin ~time
         done;
       let f_norm = Linalg.Vec.norm_inf f in
       let t_factor = Obs.now_if obs in
-      match Linalg.Splu.factor_into ?guard sws.slu sws.j with
+      match Linalg.Splu.factor_into sws.slu sws.j with
       | exception Linalg.Splu.Singular _ ->
           Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
           None
@@ -185,7 +183,7 @@ let dc_residual mna time v =
   (* DC: drop the dq/dt term entirely *)
   ev
 
-let solve ?(opts = default_opts) ?guard ?cancel ?obs ?initial ?(time = 0.0)
+let solve ?(opts = default_opts) ?cancel ?obs ?initial ?(time = 0.0)
     ?(backend = Mna.Dense) ?sparse mna =
   Obs.span obs "dc.solve" @@ fun () ->
   let n = Mna.size mna in
@@ -204,12 +202,12 @@ let solve ?(opts = default_opts) ?guard ?cancel ?obs ?initial ?(time = 0.0)
       match sws with
       | None ->
           let r, iters =
-            newton ?guard ?cancel ?obs ~opts ~mna ~gmin
+            newton ?cancel ?obs ~opts ~mna ~gmin
               ~residual_of:(dc_residual mna time) ~jac_of ~initial:start ()
           in
           ((match r with Some (v, _) -> Some v | None -> None), iters)
       | Some sws ->
-          newton_sparse ?guard ?cancel ?obs ~opts ~mna ~sws ~gmin
+          newton_sparse ?cancel ?obs ~opts ~mna ~sws ~gmin
             ~time ~alpha:0.0
             ~fold:(fun _ _ -> ())
             ~initial:start ()
@@ -218,7 +216,7 @@ let solve ?(opts = default_opts) ?guard ?cancel ?obs ?initial ?(time = 0.0)
     r
   in
   let finish v =
-    Guard.check_vec guard ~site:"dc.solve" v;
+    Guard.check_vec ~site:"dc.solve" v;
     v
   in
   match attempt opts.gmin_final initial with
@@ -247,7 +245,7 @@ let solve ?(opts = default_opts) ?guard ?cancel ?obs ?initial ?(time = 0.0)
       in
       steps initial levels
 
-let newton_dynamic ?(opts = default_opts) ?guard ?cancel ?obs
+let newton_dynamic ?(opts = default_opts) ?cancel ?obs
     ?(backend = Mna.Dense) ?sparse ~mna ~time ~alpha ~q_prev ~qdot_term
     ~initial () =
   match backend with
@@ -260,13 +258,13 @@ let newton_dynamic ?(opts = default_opts) ?guard ?cancel ?obs
         done
       in
       let result, iters =
-        newton_sparse ?guard ?cancel ?obs ~opts ~mna ~sws
+        newton_sparse ?cancel ?obs ~opts ~mna ~sws
           ~gmin:opts.gmin_final ~time ~alpha ~fold ~initial ()
       in
       Obs.count obs "dc.newton_iterations" iters;
       (match result with
       | Some v ->
-          Guard.check_vec guard ~site:"dc.newton_dynamic" v;
+          Guard.check_vec ~site:"dc.newton_dynamic" v;
           (* residual pieces at the solution, without dense Jacobians —
              the transient needs q(v), not G/C matrices *)
           let ev = Mna.eval mna ~with_matrices:false ~time v in
@@ -301,7 +299,7 @@ let newton_dynamic ?(opts = default_opts) ?guard ?cancel ?obs
     | _, _ -> None
   in
   let result, iters =
-    newton ?guard ?cancel ?obs ~opts ~mna ~gmin:opts.gmin_final
+    newton ?cancel ?obs ~opts ~mna ~gmin:opts.gmin_final
       ~residual_of ~jac_of ~initial ()
   in
   (* the count covers failed attempts too, so the diagnostics layer sees
@@ -309,7 +307,7 @@ let newton_dynamic ?(opts = default_opts) ?guard ?cancel ?obs
   Obs.count obs "dc.newton_iterations" iters;
   match result with
   | Some (v, _) ->
-      Guard.check_vec guard ~site:"dc.newton_dynamic" v;
+      Guard.check_vec ~site:"dc.newton_dynamic" v;
       (* re-evaluate to return clean (unmodified) Jacobians at the solution *)
       let ev = Mna.eval mna ~with_matrices:true ~time v in
       (v, ev, iters)

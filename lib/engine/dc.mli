@@ -21,11 +21,8 @@ type sparse_ws
 val sparse_ws : ?ctx:Mna.sparse_ctx -> Mna.t -> sparse_ws
 (** Compile a sparse workspace, reusing [ctx] when provided. *)
 
-val sparse_ws_ctx : sparse_ws -> Mna.sparse_ctx
-
 val solve :
   ?opts:opts ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
   ?initial:Linalg.Vec.t ->
@@ -41,12 +38,13 @@ val solve :
     (every Newton iteration, across all gmin levels) and the Diag-only
     [dc.gmin_levels]/[dc.gmin_continuations]; the
     [dc.lu_factor_ns]/[dc.lu_solve_ns] histograms; a ["dc.lu"] rcond
-    event per LU factorization. With [guard], Jacobian factorizations get
-    reciprocal-condition floors and the returned operating point a
-    NaN/Inf sentinel. Hosts the ["dc.newton_diverge"] fault probe (one
-    invocation per Newton run; a firing reports divergence, engaging
-    gmin stepping). With [cancel], every Newton iteration probes the
-    token (site ["dc.newton"]).
+    event per LU factorization. A Jacobian factorization below the
+    [Guard.rcond_min] floor counts as a failed Newton run, and the
+    returned operating point passes a NaN/Inf sentinel
+    ([Guard.Violation] at site ["dc.solve"]). Hosts the
+    ["dc.newton_diverge"] fault probe (one invocation per Newton run; a
+    firing reports divergence, engaging gmin stepping). With [cancel],
+    every Newton iteration probes the token (site ["dc.newton"]).
 
     With [backend:Sparse], the Newton systems assemble into compiled
     CSC patterns and factor with {!Linalg.Splu}; [sparse] supplies a
@@ -55,7 +53,6 @@ val solve :
 
 val newton_dynamic :
   ?opts:opts ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
   ?backend:Mna.backend ->
@@ -73,6 +70,8 @@ val newton_dynamic :
     integration methods in {!Tran}. Returns the solution, the final
     evaluation at the solution (with dense Jacobians on the dense
     backend, residual pieces only on the sparse one), and the number of
-    Newton iterations actually run. With [obs], records as {!solve}
-    does apart from the span; on {!No_convergence} the iterations spent
-    on the failed attempt are still counted ([dc.newton_iterations]). *)
+    Newton iterations actually run. The rcond floor and the sentinel
+    (site ["dc.newton_dynamic"]) apply as in {!solve}. With [obs],
+    records as {!solve} does apart from the span; on {!No_convergence}
+    the iterations spent on the failed attempt are still counted
+    ([dc.newton_iterations]). *)

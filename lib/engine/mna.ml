@@ -430,15 +430,6 @@ let sparse_ctx t =
     c_sp = Linalg.Sp.create pattern;
   }
 
-(* fresh value buffers over the shared compiled pattern — what each
-   worker domain needs to re-stamp snapshots concurrently *)
-let sparse_ctx_copy ctx =
-  {
-    ctx with
-    g_sp = Linalg.Sp.create ctx.pattern;
-    c_sp = Linalg.Sp.create ctx.pattern;
-  }
-
 let sparse_pattern ctx = ctx.pattern
 
 let eval_sparse t ctx ~time v =

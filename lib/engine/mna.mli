@@ -56,11 +56,6 @@ type sparse_ctx
 val sparse_ctx : t -> sparse_ctx
 (** Compile the sparsity pattern and allocate value storage. *)
 
-val sparse_ctx_copy : sparse_ctx -> sparse_ctx
-(** Fresh value buffers over the same compiled pattern (physical
-    pattern equality is preserved, so LU workspaces keyed on the
-    pattern stay valid). Use one copy per worker domain. *)
-
 val sparse_pattern : sparse_ctx -> Linalg.Sp.pattern
 
 type sparse_eval = {

@@ -86,7 +86,7 @@ let output_col_into h ~d ~xre ~xim j =
     Linalg.Cmat.set h o j (Linalg.Cx.make !are !aim)
   done
 
-let sweep ?(opts = default_opts) ?guard ?cancel ?obs ws ~g ~c ~ss =
+let sweep ?(opts = default_opts) ?cancel ?obs ws ~g ~c ~ss =
   if not (g.Linalg.Sp.pat == ws.pat && c.Linalg.Sp.pat == ws.pat) then
     invalid_arg "Ratkrylov.sweep: G/C must carry the workspace pattern";
   let n = ws.pat.Linalg.Sp.nrows in
@@ -98,7 +98,7 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?obs ws ~g ~c ~ss =
   let exact s =
     Cancel.check cancel ~site:"krylov.sweep";
     Linalg.Sp.pencil_into ws.pencil g c s;
-    Linalg.Spclu.factor_into ?guard ws.slu ws.pencil;
+    Linalg.Spclu.factor_into ws.slu ws.pencil;
     Obs.rcond obs ~site:"krylov.pencil" Linalg.Spclu.rcond_estimate ws.slu;
     let h = Linalg.Cmat.create p m in
     for j = 0 to m - 1 do
@@ -106,7 +106,6 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?obs ws ~g ~c ~ss =
         ws.bcol.(i) <- Linalg.Cx.re (Linalg.Mat.get ws.b i j)
       done;
       Linalg.Spclu.solve_into ws.slu ws.bcol ws.xcol;
-      Guard.check_complex_vec guard ~site:"krylov.transfer" ws.xcol;
       for i = 0 to n - 1 do
         xre_full.(i) <- ws.xcol.(i).Complex.re;
         xim_full.(i) <- ws.xcol.(i).Complex.im
@@ -159,14 +158,13 @@ let sweep ?(opts = default_opts) ?guard ?cancel ?obs ws ~g ~c ~ss =
     let add_shift s =
       Cancel.check cancel ~site:"krylov.sweep";
       Linalg.Sp.pencil_into ws.pencil g c s;
-      Linalg.Spclu.factor_into ?guard ws.slu ws.pencil;
+      Linalg.Spclu.factor_into ws.slu ws.pencil;
       Obs.rcond obs ~site:"krylov.pencil" Linalg.Spclu.rcond_estimate ws.slu;
       for j = 0 to m - 1 do
         for i = 0 to n - 1 do
           ws.bcol.(i) <- Linalg.Cx.re (Linalg.Mat.get ws.b i j)
         done;
         Linalg.Spclu.solve_into ws.slu ws.bcol ws.xcol;
-        Guard.check_complex_vec guard ~site:"krylov.transfer" ws.xcol;
         add_vec (Array.init n (fun i -> ws.xcol.(i).Complex.re));
         add_vec (Array.init n (fun i -> ws.xcol.(i).Complex.im))
       done

@@ -49,7 +49,6 @@ val ws_matches :
 
 val sweep :
   ?opts:opts ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
   ws ->
@@ -63,15 +62,13 @@ val sweep :
     in grid order, plus convergence statistics.
 
     Grids of ≤ 2 points are solved exactly (a subspace cannot amortize
-    there). With [guard], every sparse and projected factorization gets
-    the rcond floor and every full-space solution column a NaN/Inf
-    sentinel (site ["krylov.transfer"]). With [obs], each shift or
-    fallback factorization emits a ["krylov.pencil"] rcond event and
-    the sweep records the [krylov.shifts] / [krylov.fallback_points]
-    counters and the [krylov.subspace_dim] histogram, all worker-safe
-    (Metrics and the event log only). With [cancel],
-    every shift solve and grid point probes the token (site
-    ["krylov.sweep"]). Hosts the ["krylov.stall"] fault probe (one
-    invocation per sweep): a firing declares the subspace stalled and
-    degrades the whole sweep to exact per-point solves — results stay
-    correct, only the speedup is lost. *)
+    there). Returned values are not NaN-checked: the TFT dataset's
+    quarantine pass covers them. With [obs], each shift or fallback
+    factorization emits a ["krylov.pencil"] rcond event and the sweep
+    records the [krylov.shifts] / [krylov.fallback_points] counters and
+    the [krylov.subspace_dim] histogram, all worker-safe (Metrics and
+    the event log only). With [cancel], every shift solve and grid
+    point probes the token (site ["krylov.sweep"]). Hosts the
+    ["krylov.stall"] fault probe (one invocation per sweep): a firing
+    declares the subspace stalled and degrades the whole sweep to exact
+    per-point solves — results stay correct, only the speedup is lost. *)

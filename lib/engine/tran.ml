@@ -37,7 +37,7 @@ let snapshot_matrices (ev : Mna.eval) =
   | Some g, Some c -> (Linalg.Mat.copy g, Linalg.Mat.copy c)
   | _, _ -> (Linalg.Mat.create 0 0, Linalg.Mat.create 0 0)
 
-let run ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ?initial
+let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
     ?(backend = Mna.Dense) ?sparse mna ~t_stop ~dt =
   if dt <= 0.0 || t_stop <= 0.0 then invalid_arg "Tran.run: dt and t_stop must be > 0";
   let obs =
@@ -60,7 +60,7 @@ let run ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ?initial
     match initial with
     | Some v -> Linalg.Vec.copy v
     | None ->
-        Dc.solve ~opts:opts.newton ?guard ?cancel ?obs ~time:0.0 ~backend
+        Dc.solve ~opts:opts.newton ?cancel ?obs ~time:0.0 ~backend
           ?sparse mna
   in
   let ev0 = Mna.eval mna ~with_matrices ~time:0.0 v0 in
@@ -93,55 +93,49 @@ let run ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ?initial
   let q_prev = ref ev0.Mna.q_vec in
   let qdot_prev = ref (Linalg.Vec.create n) in
   let v_prev = ref v0 in
-  (* guard recovery of last resort for a step no integrator could take
+  (* recovery of last resort for a step no integrator could take
      whole: re-integrate [t_prev, time] as 2^j backward-Euler substeps,
-     doubling the split until the guard's halving budget runs out.
-     Returns the end-of-step solution and total Newton iterations. *)
+     doubling the split until the halving budget runs out. Returns the
+     end-of-step solution and total Newton iterations. *)
   let halve_step ~t_prev ~time =
-    match guard with
-    | None -> None
-    | Some (g : Guard.t) ->
-        let rec attempt j =
-          if j > g.Guard.max_step_halvings then None
-          else begin
-            incr halving_count;
-            (* each halving attempt rejects the step at its previous
-               resolution, so the rejection counter stays in agreement
-               with the result's [step_rejections] field *)
-            Obs.count obs "tran.step_halvings" 1;
-            Obs.count obs "tran.step_rejections" 1;
-            let m = 1 lsl j in
-            let hs = (time -. t_prev) /. float_of_int m in
-            let rec substeps i q v iters =
-              if i = m then Some (v, iters)
-              else
-                let t_sub =
-                  if i = m - 1 then time
-                  else t_prev +. (float_of_int (i + 1) *. hs)
-                in
-                match
-                  Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?obs
-                    ~backend ?sparse ~mna ~time:t_sub
-                    ~alpha:(1.0 /. hs) ~q_prev:q
-                    ~qdot_term:(Linalg.Vec.create n) ~initial:v ()
-                with
-                | exception Dc.No_convergence _ -> None
-                | v', ev', it ->
-                    substeps (i + 1) ev'.Mna.q_vec v' (iters + it)
+    let rec attempt j =
+      if j > Guard.max_step_halvings then None
+      else begin
+        incr halving_count;
+        (* each halving attempt rejects the step at its previous
+           resolution, so the rejection counter stays in agreement with
+           the result's [step_rejections] field *)
+        Obs.count obs "tran.step_halvings" 1;
+        Obs.count obs "tran.step_rejections" 1;
+        let m = 1 lsl j in
+        let hs = (time -. t_prev) /. float_of_int m in
+        let rec substeps i q v iters =
+          if i = m then Some (v, iters)
+          else
+            let t_sub =
+              if i = m - 1 then time else t_prev +. (float_of_int (i + 1) *. hs)
             in
-            match substeps 0 !q_prev !v_prev 0 with
-            | Some (v, iters) ->
-                Obs.warn obs ~stage:"engine.tran"
-                  (Printf.sprintf
-                     "step at t=%.6e recovered as %d backward-Euler substeps"
-                     time m);
-                (* re-evaluate for the snapshot-quality Jacobians *)
-                let ev = Mna.eval mna ~with_matrices ~time v in
-                Some (v, ev, iters)
-            | None -> attempt (j + 1)
-          end
+            match
+              Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ~backend
+                ?sparse ~mna ~time:t_sub ~alpha:(1.0 /. hs) ~q_prev:q
+                ~qdot_term:(Linalg.Vec.create n) ~initial:v ()
+            with
+            | exception Dc.No_convergence _ -> None
+            | v', ev', it -> substeps (i + 1) ev'.Mna.q_vec v' (iters + it)
         in
-        attempt 1
+        match substeps 0 !q_prev !v_prev 0 with
+        | Some (v, iters) ->
+            Obs.warn obs ~stage:"engine.tran"
+              (Printf.sprintf
+                 "step at t=%.6e recovered as %d backward-Euler substeps" time
+                 m);
+            (* re-evaluate for the snapshot-quality Jacobians *)
+            let ev = Mna.eval mna ~with_matrices ~time v in
+            Some (v, ev, iters)
+        | None -> attempt (j + 1)
+      end
+    in
+    attempt 1
   in
   for k = 1 to steps do
     Obs.span obs ~args:[ ("k", Trace.Int k) ] "tran.step" @@ fun () ->
@@ -172,8 +166,8 @@ let run ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ?initial
            "trapezoidal step at t=%.6e retreated to backward Euler" time);
       inject_diverge ();
       let v, ev, iters =
-        Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?obs ~backend
-          ?sparse ~mna ~time ~alpha:(1.0 /. h) ~q_prev:!q_prev
+        Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ~backend ?sparse
+          ~mna ~time ~alpha:(1.0 /. h) ~q_prev:!q_prev
           ~qdot_term:(Linalg.Vec.create n) ~initial:!v_prev ()
       in
       (v, ev, iters, true)
@@ -187,8 +181,8 @@ let run ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ?initial
       try
         inject_diverge ();
         let v, ev, iters =
-          Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?obs ~backend
-            ?sparse ~mna ~time ~alpha ~q_prev:!q_prev ~qdot_term
+          Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ~backend ?sparse
+            ~mna ~time ~alpha ~q_prev:!q_prev ~qdot_term
             ~initial:!v_prev ()
         in
         (v, ev, iters, false)
@@ -242,7 +236,7 @@ let run ?(opts = default_opts) ?guard ?cancel ?metrics ?obs ?initial
 let output_waveform r j =
   Signal.Waveform.make r.times (Linalg.Mat.col r.outputs j)
 
-let run_adaptive ?(opts = default_opts) ?guard ?cancel ?obs ?initial
+let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
     ?(reltol = 1e-3) ?(abstol = 1e-6) ?dt_min ?dt_max ?(backend = Mna.Dense)
     ?sparse mna ~t_stop ~dt =
   if dt <= 0.0 || t_stop <= 0.0 then
@@ -262,7 +256,7 @@ let run_adaptive ?(opts = default_opts) ?guard ?cancel ?obs ?initial
     match initial with
     | Some v -> Linalg.Vec.copy v
     | None ->
-        Dc.solve ~opts:opts.newton ?guard ?cancel ?obs ~time:0.0 ~backend
+        Dc.solve ~opts:opts.newton ?cancel ?obs ~time:0.0 ~backend
           ?sparse mna
   in
   let ev0 = Mna.eval mna ~with_matrices ~time:0.0 v0 in
@@ -300,8 +294,8 @@ let run_adaptive ?(opts = default_opts) ?guard ?cancel ?obs ?initial
     let step_ok, v_new, ev_new =
       try
         let v, ev, iters =
-          Dc.newton_dynamic ~opts:opts.newton ?guard ?cancel ?obs ~backend
-            ?sparse ~mna ~time ~alpha:(2.0 /. h_try) ~q_prev:!q_prev
+          Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ~backend ?sparse
+            ~mna ~time ~alpha:(2.0 /. h_try) ~q_prev:!q_prev
             ~qdot_term:(Linalg.Vec.copy !qdot_prev) ~initial:!v_prev ()
         in
         newton_count := !newton_count + iters;

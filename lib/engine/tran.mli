@@ -41,13 +41,11 @@ type result = {
           (always 0 for {!run_adaptive} and pure-BE runs) *)
   step_rejections : int;
       (** rejected step attempts of {!run_adaptive}; for fixed-step
-          {!run} this counts guard step-halving retries (0 without a
-          guard) *)
+          {!run} this counts step-halving retries *)
 }
 
 val run :
   ?opts:opts ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?metrics:Metrics.t ->
   ?obs:Obs.t ->
@@ -70,9 +68,9 @@ val run :
     [tran.be_fallbacks] counters; a warning per fallback; the
     [tran.newton_iters_per_step] histogram; and the records of the
     inner {!Dc} solves. [metrics] without [obs] records into that
-    registry through a fresh hub. With [guard], a step that fails even the backward-Euler retreat is
-    re-integrated as [2^j] backward-Euler substeps for
-    [j = 1 .. guard.max_step_halvings] before giving up
+    registry through a fresh hub. A step that fails even the
+    backward-Euler retreat is re-integrated as [2^j] backward-Euler
+    substeps for [j = 1 .. Guard.max_step_halvings] before giving up
     ([tran.step_halvings] counts the attempts); the qdot estimate for
     such a step uses the backward-Euler difference quotient over the
     whole step, as for an ordinary fallback. Hosts the
@@ -92,7 +90,6 @@ val output_waveform : result -> int -> Signal.Waveform.t
 
 val run_adaptive :
   ?opts:opts ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
   ?initial:Linalg.Vec.t ->

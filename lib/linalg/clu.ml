@@ -31,7 +31,7 @@ let rcond_estimate { lu; _ } =
 (* In-place Doolittle with partial pivoting, overwriting the workspace.
    This is the one implementation; [factor] wraps it with a fresh
    workspace, so both paths perform identical floating-point ops. *)
-let factor_into ?guard ws a =
+let factor_into ws a =
   let n = Cmat.rows a in
   if Cmat.cols a <> n then invalid_arg "Clu.factor_into: matrix not square";
   if Cmat.rows ws.lu <> n then invalid_arg "Clu.factor_into: workspace size mismatch";
@@ -65,26 +65,11 @@ let factor_into ?guard ws a =
           Cmat.set lu i j Cx.(luij -: (m *: lukj))
         done
     done
-  done;
-  match guard with
-  | None -> ()
-  | Some (g : Guard.t) ->
-      let rc = rcond_estimate ws in
-      if rc < g.Guard.rcond_min then begin
-        let idx = ref 0 and mn = ref infinity in
-        for i = 0 to n - 1 do
-          let d = Cx.norm (Cmat.get lu i i) in
-          if d < !mn then begin
-            mn := d;
-            idx := i
-          end
-        done;
-        raise (Singular { pivot_index = !idx; magnitude = !mn })
-      end
+  done
 
-let factor ?guard a =
+let factor a =
   let ws = workspace (Cmat.rows a) in
-  factor_into ?guard ws a;
+  factor_into ws a;
   ws
 
 (* Forward/back substitution into a caller-owned [x]; [x] and [b] must

@@ -15,9 +15,7 @@
 
 exception Singular of { pivot_index : int; magnitude : float }
 (** Raised when elimination meets a pivot whose norm is zero,
-    non-finite or below the tiny-pivot floor (1e-300), or — under a
-    [?guard] — when the finished factorization's reciprocal-condition
-    estimate falls below [Guard.rcond_min]. *)
+    non-finite or below the tiny-pivot floor (1e-300). *)
 
 type t
 (** A factorization [P*A = L*U]; also the caller-owned workspace that
@@ -27,15 +25,14 @@ val workspace : int -> t
 (** [workspace n] preallocates buffers for [n×n] factorizations. The
     contents are meaningless until the first {!factor_into}. *)
 
-val factor_into : ?guard:Guard.t -> t -> Cmat.t -> unit
+val factor_into : t -> Cmat.t -> unit
 (** [factor_into ws a] factors [a] into [ws], fully overwriting any
     previous factorization. [a] is left untouched. Raises {!Singular}
-    on a zero or non-finite pivot — or, with a [?guard], when
-    {!rcond_estimate} of the result falls below [guard.rcond_min] —
-    and [Invalid_argument] if [ws] was created for a different size.
-    Hosts the ["clu.pivot_zero"] fault probe. *)
+    on a zero or non-finite pivot and [Invalid_argument] if [ws] was
+    created for a different size. Hosts the ["clu.pivot_zero"] fault
+    probe. *)
 
-val factor : ?guard:Guard.t -> Cmat.t -> t
+val factor : Cmat.t -> t
 (** [factor a] is [factor_into] on a fresh workspace. *)
 
 val rcond_estimate : t -> float

@@ -18,43 +18,35 @@ let workspace n =
   if n <= 0 then invalid_arg "Lu.workspace: size must be positive";
   { lu = Mat.create n n; perm = Array.init n (fun i -> i); sign = 1.0 }
 
-(* cheap reciprocal-condition proxy: the ratio of the smallest to the
-   largest |U_ii|. With partial pivoting this tracks the true 1-norm
-   rcond within a few orders of magnitude — enough for a guard floor. *)
-let rcond_estimate { lu; _ } =
+(* The one diagonal scan behind both the reciprocal-condition proxy
+   and the floor: the weakest pivot (index, |U_ii|) and the ratio of the
+   smallest to the largest |U_ii|, 0 when the diagonal is degenerate or
+   non-finite. With partial pivoting the ratio tracks the true 1-norm
+   rcond within a few orders of magnitude — enough for a floor. *)
+let diagonal_ratio { lu; _ } =
   let n = Mat.rows lu and a = Mat.unsafe_data lu in
-  let mn = ref infinity and mx = ref 0.0 in
+  let idx = ref 0 and mn = ref infinity and mx = ref 0.0 in
   for i = 0 to n - 1 do
     let d = Float.abs a.((i * n) + i) in
-    if d < !mn then mn := d;
+    if d < !mn then begin
+      mn := d;
+      idx := i
+    end;
     if d > !mx then mx := d
   done;
-  if !mx = 0.0 || not (Float.is_finite !mx) then 0.0 else !mn /. !mx
+  let rc = if !mx = 0.0 || not (Float.is_finite !mx) then 0.0 else !mn /. !mx in
+  (!idx, !mn, rc)
 
-let check_rcond guard ws =
-  match guard with
-  | None -> ()
-  | Some (g : Guard.t) ->
-      if rcond_estimate ws < g.Guard.rcond_min then begin
-        (* report the weakest pivot, the one that bounds the estimate *)
-        let n = Mat.rows ws.lu and a = Mat.unsafe_data ws.lu in
-        let idx = ref 0 and mn = ref infinity in
-        for i = 0 to n - 1 do
-          let d = Float.abs a.((i * n) + i) in
-          if d < !mn then begin
-            mn := d;
-            idx := i
-          end
-        done;
-        raise (Singular { pivot_index = !idx; magnitude = !mn })
-      end
+let rcond_estimate ws =
+  let _, _, rc = diagonal_ratio ws in
+  rc
 
 (* Doolittle factorization with partial pivoting, stored packed in the
    workspace's [lu]. [factor] wraps this with a fresh workspace, so both
    paths perform identical floating-point ops. The kernels index the flat
    row-major store directly: a cross-module [Mat.get] returns a boxed
    float wherever the call is not inlined. *)
-let factor_into ?guard ws a =
+let factor_into ws a =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Lu.factor_into: matrix not square";
   if Mat.rows ws.lu <> n then invalid_arg "Lu.factor_into: workspace size mismatch";
@@ -99,11 +91,15 @@ let factor_into ?guard ws a =
         done
     done
   done;
-  check_rcond guard ws
+  (* the floor, reporting the weakest pivot: the one that bounds the
+     estimate *)
+  let idx, mn, rc = diagonal_ratio ws in
+  if rc < Guard.rcond_min then
+    raise (Singular { pivot_index = idx; magnitude = mn })
 
-let factor ?guard a =
+let factor a =
   let ws = workspace (Mat.rows a) in
-  factor_into ?guard ws a;
+  factor_into ws a;
   ws
 
 (* substitution into a caller-owned [x]; [b] and [x] must be distinct

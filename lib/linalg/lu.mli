@@ -7,10 +7,11 @@
 
 exception Singular of { pivot_index : int; magnitude : float }
 (** Raised when elimination meets a pivot that is zero, non-finite or
-    below the tiny-pivot floor (1e-300), or — under a [?guard] — when
-    the finished factorization's reciprocal-condition estimate falls
-    below [Guard.rcond_min]. [pivot_index] is the offending column,
-    [magnitude] the absolute pivot value. *)
+    below the tiny-pivot floor (1e-300), or when the finished
+    factorization's reciprocal-condition estimate falls below
+    [Guard.rcond_min]. [pivot_index] is the offending column (the
+    weakest pivot for the floor), [magnitude] the absolute pivot
+    value. *)
 
 type t
 (** A factorization [P*A = L*U] of a square matrix; also the
@@ -21,22 +22,15 @@ val workspace : int -> t
 (** [workspace n] preallocates buffers for [n×n] factorizations. The
     contents are meaningless until the first {!factor_into}. *)
 
-val factor_into : ?guard:Guard.t -> t -> Mat.t -> unit
+val factor_into : t -> Mat.t -> unit
 (** [factor_into ws a] factors [a] into [ws], fully overwriting any
     previous factorization; [a] is left untouched. Raises {!Singular}
-    if rank-deficient, or — with a [?guard] — when {!rcond_estimate}
-    of the result falls below [guard.rcond_min]. Hosts the
-    ["lu.pivot_zero"] fault probe. Performs the same floating-point
-    operations as {!factor}. *)
+    if rank-deficient or when {!rcond_estimate} of the result falls
+    below [Guard.rcond_min]. Hosts the ["lu.pivot_zero"] fault probe.
+    Performs the same floating-point operations as {!factor}. *)
 
-val check_rcond : Guard.t option -> t -> unit
-(** The guard's floor on a finished factorization: raises {!Singular}
-    (at the weakest pivot) when {!rcond_estimate} falls below
-    [rcond_min]; a no-op without a guard. [factor_into ?guard] ends
-    with exactly this check. *)
-
-val factor : ?guard:Guard.t -> Mat.t -> t
-(** Factorize a square matrix. Raises {!Singular} if rank-deficient. *)
+val factor : Mat.t -> t
+(** Factorize a square matrix; raises {!Singular} as {!factor_into}. *)
 
 val rcond_estimate : t -> float
 (** Diagonal-ratio reciprocal-condition proxy of a finished

@@ -160,7 +160,7 @@ let reach_of ws (pat : Sp.pattern) ~col ~k =
   done;
   !top
 
-let factor_into ?guard ws (a : Sp.ct) =
+let factor_into ws (a : Sp.ct) =
   if not (a.Sp.cpat == ws.pat) then
     invalid_arg "Spclu.factor_into: matrix pattern does not match workspace";
   let inject = Fault.should_fire "sp.singular" in
@@ -243,29 +243,11 @@ let factor_into ?guard ws (a : Sp.ct) =
   for p = 0 to ws.lnz - 1 do
     ws.li.(p) <- ws.pinv.(ws.li.(p))
   done;
-  ws.factored <- true;
-  match guard with
-  | None -> ()
-  | Some (g : Guard.t) ->
-      let mn = ref infinity and mx = ref 0.0 and idx = ref 0 in
-      for k = 0 to n - 1 do
-        let p = ws.up.(k + 1) - 1 in
-        let d = mag ws.ure.(p) ws.uim.(p) in
-        if d < !mn then begin
-          mn := d;
-          idx := k
-        end;
-        if d > !mx then mx := d
-      done;
-      let rc =
-        if !mx = 0.0 || not (Float.is_finite !mx) then 0.0 else !mn /. !mx
-      in
-      if rc < g.Guard.rcond_min then
-        raise (Singular { pivot_index = !idx; magnitude = !mn })
+  ws.factored <- true
 
-let factor ?guard a =
+let factor a =
   let ws = workspace a.Sp.cpat in
-  factor_into ?guard ws a;
+  factor_into ws a;
   ws
 
 let rcond_estimate ws =

@@ -15,13 +15,13 @@ val workspace : Sp.pattern -> t
 
 val ws_matches : t -> Sp.pattern -> bool
 
-val factor_into : ?guard:Guard.t -> t -> Sp.ct -> unit
+val factor_into : t -> Sp.ct -> unit
 (** Factor [P·A·Q = L·U]. The matrix must carry the workspace's
     pattern (physical equality). Raises {!Singular} on a pivot below
-    [1e-300] or a guard rcond-floor breach. Fault site [sp.singular]
-    forces a zero pivot in column 0. *)
+    [1e-300]. Fault site [sp.singular] forces a zero pivot in
+    column 0. *)
 
-val factor : ?guard:Guard.t -> Sp.ct -> t
+val factor : Sp.ct -> t
 
 val rcond_estimate : t -> float
 (** min|U_ii| / max|U_ii|, as in {!Clu.rcond_estimate}. *)

@@ -142,7 +142,24 @@ let reach_of ws (a : Sp.t) ~col ~k =
   done;
   !top
 
-let factor_into ?guard ws (a : Sp.t) =
+(* The one diagonal scan behind both [rcond_estimate] and the floor:
+   the weakest pivot (position, |U_kk|) and min |U_kk| / max |U_kk|, 0
+   when the diagonal is degenerate or non-finite. U's diagonal is the
+   last entry of each column. *)
+let diagonal_ratio ws =
+  let idx = ref 0 and mn = ref infinity and mx = ref 0.0 in
+  for k = 0 to ws.n - 1 do
+    let d = Float.abs ws.ux.(ws.up.(k + 1) - 1) in
+    if d < !mn then begin
+      mn := d;
+      idx := k
+    end;
+    if d > !mx then mx := d
+  done;
+  let rc = if !mx = 0.0 || not (Float.is_finite !mx) then 0.0 else !mn /. !mx in
+  (!idx, !mn, rc)
+
+let factor_into ws (a : Sp.t) =
   if not (a.Sp.pat == ws.pat) then
     invalid_arg "Splu.factor_into: matrix pattern does not match workspace";
   let inject = Fault.should_fire "sp.singular" in
@@ -220,40 +237,20 @@ let factor_into ?guard ws (a : Sp.t) =
     ws.li.(p) <- ws.pinv.(ws.li.(p))
   done;
   ws.factored <- true;
-  match guard with
-  | None -> ()
-  | Some (g : Guard.t) ->
-      let mn = ref infinity and mx = ref 0.0 and idx = ref 0 in
-      for k = 0 to n - 1 do
-        let d = Float.abs ws.ux.(ws.up.(k + 1) - 1) in
-        if d < !mn then begin
-          mn := d;
-          idx := k
-        end;
-        if d > !mx then mx := d
-      done;
-      let rc =
-        if !mx = 0.0 || not (Float.is_finite !mx) then 0.0 else !mn /. !mx
-      in
-      if rc < g.Guard.rcond_min then
-        raise (Singular { pivot_index = !idx; magnitude = !mn })
+  let idx, mn, rc = diagonal_ratio ws in
+  if rc < Guard.rcond_min then
+    raise (Singular { pivot_index = idx; magnitude = mn })
 
-let factor ?guard a =
+let factor a =
   let ws = workspace a.Sp.pat in
-  factor_into ?guard ws a;
+  factor_into ws a;
   ws
 
 let rcond_estimate ws =
   if not ws.factored then 0.0
-  else begin
-    let mn = ref infinity and mx = ref 0.0 in
-    for k = 0 to ws.n - 1 do
-      let d = Float.abs ws.ux.(ws.up.(k + 1) - 1) in
-      if d < !mn then mn := d;
-      if d > !mx then mx := d
-    done;
-    if !mx = 0.0 || not (Float.is_finite !mx) then 0.0 else !mn /. !mx
-  end
+  else
+    let _, _, rc = diagonal_ratio ws in
+    rc
 
 let solve_into ws b x =
   if not ws.factored then invalid_arg "Splu.solve_into: not factored";

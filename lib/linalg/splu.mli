@@ -5,8 +5,8 @@
     preordering, mirroring the {!Lu} workspace conventions:
     [factor_into] reuses a workspace keyed to one compiled pattern,
     [solve_into] writes into a caller-owned vector, and
-    [rcond_estimate] is the same diagonal-ratio proxy the [Guard]
-    rcond floors consume. *)
+    [rcond_estimate] is the same diagonal-ratio proxy that the
+    factorization's [Guard.rcond_min] floor reads. *)
 
 exception Singular of { pivot_index : int; magnitude : float }
 
@@ -21,14 +21,15 @@ val workspace : Sp.pattern -> t
 val ws_matches : t -> Sp.pattern -> bool
 (** Whether the workspace was compiled for exactly this pattern. *)
 
-val factor_into : ?guard:Guard.t -> t -> Sp.t -> unit
+val factor_into : t -> Sp.t -> unit
 (** Factor [P·A·Q = L·U] into the workspace. The matrix must carry the
     workspace's pattern (physical equality). Raises {!Singular} when a
-    column has no admissible pivot above [1e-300], or — with a guard —
-    when the factored rcond estimate falls below the guard's floor.
-    Fault site [sp.singular] forces a zero pivot in column 0. *)
+    column has no admissible pivot above [1e-300], or when
+    {!rcond_estimate} of the result falls below [Guard.rcond_min] (at
+    the weakest pivot). Fault site [sp.singular] forces a zero pivot in
+    column 0. *)
 
-val factor : ?guard:Guard.t -> Sp.t -> t
+val factor : Sp.t -> t
 
 val rcond_estimate : t -> float
 (** min|U_ii| / max|U_ii| over the factored diagonal, as in

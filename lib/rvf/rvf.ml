@@ -70,7 +70,7 @@ type freq_stage = {
   dc : float array;
 }
 
-let frequency_stage ?(config = default_config) ?guard ?cancel ?obs ?pool
+let frequency_stage ?(config = default_config) ?cancel ?obs ?pool
     ~dataset ~input ~output () =
   let samples = dataset.Tft.Dataset.samples in
   if Array.length samples < 4 then begin
@@ -126,7 +126,7 @@ let frequency_stage ?(config = default_config) ?guard ?cancel ?obs ?pool
   in
   let freq_model, freq_info =
     Obs.stage obs "rvf.frequency_stage" (fun () ->
-        Vf.Vfit.fit_auto ~opts:freq_opts ?guard ?cancel ?obs ?pool
+        Vf.Vfit.fit_auto ~opts:freq_opts ?cancel ?obs ?pool
           ~label:"vf.freq" ~make_poles:make_freq_poles ~start:config.freq_start
           ~step:config.freq_step ~max_poles:config.max_freq_poles
           ~tol:(config.eps *. freq_scale) ~points:points_f ~data:dyn_data ())
@@ -172,14 +172,14 @@ let assemble_model ~freq_model ~residue_model ~static_model ~has_const ~x0 ~y0 =
   Assemble.hammerstein ~name:"rvf" ~freq_poles:freq_model.Vf.Model.poles
     ~stage:stage_fn ~static_path
 
-let extract ?(config = default_config) ?guard ?cancel ?metrics ?obs ?pool
+let extract ?(config = default_config) ?cancel ?metrics ?obs ?pool
     ~dataset ~input ~output () =
   let t_start = Clock.now () in
   let obs =
     if Option.is_none obs then Option.map Obs.of_metrics metrics else obs
   in
   let stage =
-    frequency_stage ~config ?guard ?cancel ?obs ?pool ~dataset ~input ~output ()
+    frequency_stage ~config ?cancel ?obs ?pool ~dataset ~input ~output ()
   in
   let freq_model = stage.fs_model and freq_info = stage.fs_info in
   let xs = stage.xs and x_lo = stage.x_lo and x_hi = stage.x_hi in
@@ -221,17 +221,12 @@ let extract ?(config = default_config) ?guard ?cancel ?metrics ?obs ?pool
     && n_traces > 0
     && Array.length trace_data.(0) > 0
   then trace_data.(0).(0) <- { Complex.re = Float.nan; im = 0.0 };
-  (match guard with
-  | None -> ()
-  | Some (g : Guard.t) ->
-      if g.Guard.check_finite then
-        Array.iteri
-          (fun pi t ->
-            if not (Guard.finite_complex_array t) then
-              Guard.fail ~site:"rvf.trace"
-                (Printf.sprintf
-                   "non-finite residue coefficient trace %d" pi))
-          trace_data);
+  Array.iteri
+    (fun pi t ->
+      if not (Guard.finite_complex_array t) then
+        Guard.fail ~site:"rvf.trace"
+          (Printf.sprintf "non-finite residue coefficient trace %d" pi))
+    trace_data;
   let min_imag = config.min_imag_fraction *. (x_hi -. x_lo) in
   let state_opts =
     {
@@ -246,7 +241,7 @@ let extract ?(config = default_config) ?guard ?cancel ?metrics ?obs ?pool
   let make_state_poles count = Vf.Pole.initial_real_axis ~lo:x_lo ~hi:x_hi ~count in
   let residue_model, residue_info =
     Obs.stage obs "rvf.state_stage" (fun () ->
-        Vf.Vfit.fit_auto ~opts:state_opts ?guard ?cancel ?obs ?pool
+        Vf.Vfit.fit_auto ~opts:state_opts ?cancel ?obs ?pool
           ~label:"vf.state" ~make_poles:make_state_poles
           ~start:config.state_start ~step:config.state_step
           ~max_poles:config.max_state_poles ~tol:config.eps ~points:points_x
@@ -292,19 +287,12 @@ let extract ?(config = default_config) ?guard ?cancel ?metrics ?obs ?pool
   let static_data =
     [| Array.map (fun v -> { Complex.re = v; im = 0.0 }) stage.dc |]
   in
-  (match guard with
-  | None -> ()
-  | Some (g : Guard.t) ->
-      if
-        g.Guard.check_finite
-        && not (Guard.finite_complex_array static_data.(0))
-      then
-        Guard.fail ~site:"rvf.static_trace"
-          "non-finite DC conductance trace");
+  if not (Guard.finite_complex_array static_data.(0)) then
+    Guard.fail ~site:"rvf.static_trace" "non-finite DC conductance trace";
   let static_scale = Float.max (rms_of_rows static_data) 1e-300 in
   let static_model, static_info =
     Obs.stage obs "rvf.static_stage" (fun () ->
-        Vf.Vfit.fit_auto ~opts:state_opts ?guard ?cancel ?obs ?pool
+        Vf.Vfit.fit_auto ~opts:state_opts ?cancel ?obs ?pool
           ~label:"vf.static" ~make_poles:make_state_poles
           ~start:config.state_start ~step:config.state_step
           ~max_poles:config.max_state_poles ~tol:(config.eps *. static_scale)

@@ -52,7 +52,6 @@ type result = {
 
 val extract :
   ?config:config ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?metrics:Metrics.t ->
   ?obs:Obs.t ->
@@ -72,11 +71,11 @@ val extract :
     fresh hub. The state and static fits clamp relocated poles to 100
     times the largest magnitude in [x_range].
 
-    With [guard], the residue coefficient traces and the DC conductance
-    trace are NaN/Inf-checked before fitting ([Guard.Violation] at
-    sites [rvf.trace]/[rvf.static_trace]) and the guard threads into
-    every VF stage's pole and model checks. Hosts the ["rvf.trace_nan"]
-    fault probe (one invocation per extraction).
+    The residue coefficient traces and the DC conductance trace are
+    NaN/Inf-checked before fitting ([Guard.Violation] at sites
+    [rvf.trace]/[rvf.static_trace]), on top of every VF stage's pole
+    and model checks. Hosts the ["rvf.trace_nan"] fault probe (one
+    invocation per extraction).
 
     With [pool], the three VF stages fan their independent per-element
     relocation blocks and residue fits across the warm pool; results are
@@ -119,7 +118,6 @@ type freq_stage = {
 
 val frequency_stage :
   ?config:config ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->

@@ -40,85 +40,74 @@ let lerp_cmat a b w =
       })
 
 (* Snapshot quarantine: flag samples with non-finite transfer data and
-   either rebuild their H matrices from the nearest healthy neighbors
-   (time-weighted linear interpolation, one-sided copy at the ends) or
-   drop them. A sample whose state/input/output coordinates are
-   themselves corrupt cannot keep its place on the trajectory and is
-   dropped under either policy. Raises when nothing is left to repair
-   from. *)
-let quarantine guard obs t =
-  match guard with
-  | None -> t
-  | Some (g : Guard.t) ->
-      let n = Array.length t.samples in
-      let bad = Array.map (fun s -> not (sample_finite s)) t.samples in
-      let n_bad = Array.fold_left (fun a b -> if b then a + 1 else a) 0 bad in
-      if n_bad = 0 then t
+   rebuild their H matrices from the nearest healthy neighbors
+   (time-weighted linear interpolation, one-sided copy at the ends). A
+   sample whose state/input/output coordinates are themselves corrupt
+   cannot keep its place on the trajectory and is dropped. Raises when
+   nothing is left to repair from. *)
+let quarantine obs t =
+  let n = Array.length t.samples in
+  let bad = Array.map (fun s -> not (sample_finite s)) t.samples in
+  let n_bad = Array.fold_left (fun a b -> if b then a + 1 else a) 0 bad in
+  if n_bad = 0 then t
+  else begin
+    Obs.count obs "dataset.quarantined" n_bad;
+    if n_bad = n then
+      Guard.fail ~site:"dataset.quarantine" "every snapshot sample is corrupt";
+    let repaired = ref 0 and dropped = ref 0 in
+    let healthy_before i =
+      let j = ref (i - 1) in
+      while !j >= 0 && bad.(!j) do decr j done;
+      if !j >= 0 then Some t.samples.(!j) else None
+    in
+    let healthy_after i =
+      let j = ref (i + 1) in
+      while !j < n && bad.(!j) do incr j done;
+      if !j < n then Some t.samples.(!j) else None
+    in
+    let repair i s =
+      if
+        not
+          (Guard.finite_array s.x && Guard.finite_array s.u
+         && Guard.finite_array s.y)
+      then None
       else begin
-        Obs.count obs "dataset.quarantined" n_bad;
-        if n_bad = n then
-          Guard.fail ~site:"dataset.quarantine"
-            "every snapshot sample is corrupt";
-        let repaired = ref 0 and dropped = ref 0 in
-        let healthy_before i =
-          let j = ref (i - 1) in
-          while !j >= 0 && bad.(!j) do decr j done;
-          if !j >= 0 then Some t.samples.(!j) else None
-        in
-        let healthy_after i =
-          let j = ref (i + 1) in
-          while !j < n && bad.(!j) do incr j done;
-          if !j < n then Some t.samples.(!j) else None
-        in
-        let repair i s =
-          match g.Guard.snapshot_repair with
-          | Guard.Drop -> None
-          | Guard.Interpolate ->
-              if
-                not
-                  (Guard.finite_array s.x && Guard.finite_array s.u
-                 && Guard.finite_array s.y)
-              then None
-              else begin
-                match (healthy_before i, healthy_after i) with
-                | None, None -> None
-                | Some a, None -> Some { s with h = a.h; h0 = a.h0 }
-                | None, Some b -> Some { s with h = b.h; h0 = b.h0 }
-                | Some a, Some b ->
-                    let span = b.time -. a.time in
-                    let w =
-                      if span <= 0.0 then 0.5 else (s.time -. a.time) /. span
-                    in
-                    Some
-                      {
-                        s with
-                        h = Array.map2 (fun ha hb -> lerp_cmat ha hb w) a.h b.h;
-                        h0 = lerp_cmat a.h0 b.h0 w;
-                      }
-              end
-        in
-        let kept = ref [] in
-        Array.iteri
-          (fun i s ->
-            if not bad.(i) then kept := s :: !kept
-            else
-              match repair i s with
-              | Some s' ->
-                  incr repaired;
-                  kept := s' :: !kept
-              | None -> incr dropped)
-          t.samples;
-        Obs.count obs "dataset.repaired" !repaired;
-        Obs.count obs "dataset.dropped" !dropped;
-        Obs.warn obs ~stage:"tft.dataset"
-          (Printf.sprintf
-             "quarantined %d snapshot sample(s): %d repaired by %s, %d dropped"
-             n_bad !repaired
-             (Guard.repair_to_string g.Guard.snapshot_repair)
-             !dropped);
-        Obs.quarantine obs ~n_bad ~repaired:!repaired ~dropped:!dropped;
-        { t with samples = Array.of_list (List.rev !kept) }
+        match (healthy_before i, healthy_after i) with
+        | None, None -> None
+        | Some a, None -> Some { s with h = a.h; h0 = a.h0 }
+        | None, Some b -> Some { s with h = b.h; h0 = b.h0 }
+        | Some a, Some b ->
+            let span = b.time -. a.time in
+            let w = if span <= 0.0 then 0.5 else (s.time -. a.time) /. span in
+            Some
+              {
+                s with
+                h = Array.map2 (fun ha hb -> lerp_cmat ha hb w) a.h b.h;
+                h0 = lerp_cmat a.h0 b.h0 w;
+              }
       end
+    in
+    let kept = ref [] in
+    Array.iteri
+      (fun i s ->
+        if not bad.(i) then kept := s :: !kept
+        else
+          match repair i s with
+          | Some s' ->
+              incr repaired;
+              kept := s' :: !kept
+          | None -> incr dropped)
+      t.samples;
+    Obs.count obs "dataset.repaired" !repaired;
+    Obs.count obs "dataset.dropped" !dropped;
+    Obs.warn obs ~stage:"tft.dataset"
+      (Printf.sprintf
+         "quarantined %d snapshot sample(s): %d repaired by interpolate, %d \
+          dropped"
+         n_bad !repaired !dropped);
+    Obs.quarantine obs ~n_bad ~repaired:!repaired ~dropped:!dropped;
+    { t with samples = Array.of_list (List.rev !kept) }
+  end
 
 (* per-chunk pencil-solve workspaces parked in the warm pool between
    calls; revalidated against the current (B, D) so one pool can serve
@@ -126,7 +115,7 @@ let quarantine guard obs t =
 let ac_ws_key : Engine.Ac.ws Exec.key = Exec.new_key ()
 let rk_ws_key : Engine.Ratkrylov.ws Exec.key = Exec.new_key ()
 
-let of_snapshots ?pool ?guard ?cancel ?metrics ?obs
+let of_snapshots ?pool ?cancel ?metrics ?obs
     ?(backend = Engine.Mna.Dense) ?sparse_ctx ~mna ~estimator ~freqs_hz
     snapshots =
   let obs =
@@ -154,8 +143,8 @@ let of_snapshots ?pool ?guard ?cancel ?metrics ?obs
   in
   (* snapshots are independent: fan them out across the pool, one solve
      workspace per domain. Each sample depends only on its own snapshot,
-     so the result is bit-identical to the sequential path. Guard
-     finite-checks run in the quarantine pass below, not in the workers,
+     so the result is bit-identical to the sequential path. The
+     finite checks run in the quarantine pass below, not in the workers,
      so corrupt samples are collected rather than racing to raise. *)
   let make_sample (snap : Engine.Tran.snapshot) i h h0 =
     if corrupt.(i) then
@@ -246,8 +235,7 @@ let of_snapshots ?pool ?guard ?cancel ?metrics ?obs
             make_sample snap i h h0.(0))
           (Array.mapi (fun i snap -> (i, snap)) snapshots)
   in
-  quarantine guard obs
-    { freqs_hz; samples; n_inputs = mi; n_outputs = mo }
+  quarantine obs { freqs_hz; samples; n_inputs = mi; n_outputs = mo }
 
 let dynamic_part t =
   let samples =

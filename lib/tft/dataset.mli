@@ -23,7 +23,6 @@ type t = {
 
 val of_snapshots :
   ?pool:Exec.t ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?metrics:Metrics.t ->
   ?obs:Obs.t ->
@@ -55,13 +54,13 @@ val of_snapshots :
     [tft.chunk_wait_ns]/[tft.chunk_run_ns]. [metrics] without [obs]
     records into that registry through a fresh hub.
 
-    With [guard], a quarantine pass runs after the sweep: samples with
-    non-finite transfer data are counted ([dataset.quarantined]) and
-    either rebuilt by time-weighted interpolation between the nearest
-    healthy neighbors ([dataset.repaired], policy
-    [guard.snapshot_repair = Interpolate]) or removed
-    ([dataset.dropped]), with a warning and a [quarantine] event.
-    Raises [Guard.Violation] when every sample is corrupt. Hosts the
+    A quarantine pass runs after the sweep: samples with non-finite
+    transfer data are counted ([dataset.quarantined]) and rebuilt by
+    time-weighted interpolation between the nearest healthy neighbors
+    ([dataset.repaired]); a sample whose own coordinates are non-finite
+    is removed ([dataset.dropped]). Either comes with a warning and a
+    [quarantine] event. Raises [Guard.Violation] when every sample is
+    corrupt. Hosts the
     ["dataset.snapshot_burst"] fault probe; firing is decided per
     snapshot index in a sequential pre-pass, so injected bursts are
     deterministic for any domain count.

@@ -23,15 +23,12 @@ let snapshot_finite (s : Engine.Tran.snapshot) =
   && finite_mat s.Engine.Tran.g_mat
   && finite_mat s.Engine.Tran.c_mat
 
-let build ?guard ~mna snapshots =
+let build ~mna snapshots =
   (* snapshot quarantine: the TPW database interpolates raw snapshots
      directly, so a corrupt one is dropped before indexing (there is no
      meaningful neighbor repair once the x-ordering is rebuilt) *)
   let snapshots =
-    match guard with
-    | None -> snapshots
-    | Some _ ->
-        Array.of_list (List.filter snapshot_finite (Array.to_list snapshots))
+    Array.of_list (List.filter snapshot_finite (Array.to_list snapshots))
   in
   if Array.length snapshots < 2 then invalid_arg "Tpw.build: need >= 2 snapshots";
   if Engine.Mna.n_inputs mna <> 1 || Engine.Mna.n_outputs mna <> 1 then
@@ -96,7 +93,7 @@ let blend_vec a b lambda =
    G·z + C·dz/dt = B·(u(t) − u_star)  with  z = v − v_star; trapezoidal:
    (G + 2C/h)·z_next = B·(u_next − u_star) + rhs_history.
    Freezing the interpolation per step keeps the update linear. *)
-let simulate ?guard t ~u ~t_stop ~dt =
+let simulate t ~u ~t_stop ~dt =
   if dt <= 0.0 || t_stop <= 0.0 then invalid_arg "Tpw.simulate: dt, t_stop > 0";
   let steps = Stdlib.max 1 (int_of_float (Float.ceil ((t_stop /. dt) -. 1e-9))) in
   let times = Array.make (steps + 1) 0.0 in
@@ -130,7 +127,7 @@ let simulate ?guard t ~u ~t_stop ~dt =
     (* trapezoidal on z = v − v_star, using dz/dt ≈ dv/dt since v_star
        is frozen within the step *)
     Linalg.Mat.lincomb_into a 1.0 g (2.0 /. h) c;
-    Linalg.Lu.factor_into ?guard lu a;
+    Linalg.Lu.factor_into lu a;
     let z_n = Linalg.Vec.sub !v v_star in
     for i = 0 to t.n - 1 do
       zdot.(i) <- ((2.0 /. h) *. z_n.(i)) +. (!dvdt).(i)
@@ -140,7 +137,7 @@ let simulate ?guard t ~u ~t_stop ~dt =
       Array.init t.n (fun i -> (t.b.(i) *. (w -. u_star)) +. hist.(i))
     in
     Linalg.Lu.solve_into lu rhs z_next;
-    Guard.check_vec guard ~site:"tpw.simulate" z_next;
+    Guard.check_vec ~site:"tpw.simulate" z_next;
     let v_next = Linalg.Vec.add v_star z_next in
     dvdt :=
       Array.init t.n (fun i -> ((v_next.(i) -. (!v).(i)) *. 2.0 /. h) -. (!dvdt).(i));

@@ -14,13 +14,9 @@
 
 type t
 
-val build :
-  ?guard:Guard.t ->
-  mna:Engine.Mna.t ->
-  Engine.Tran.snapshot array ->
-  t
-(** Index the snapshots by the first input value. Requires ≥ 2 snapshots
-    and a SISO input/output configuration. With [guard], snapshots with
+val build : mna:Engine.Mna.t -> Engine.Tran.snapshot array -> t
+(** Index the snapshots by the first input value. Requires ≥ 2 finite
+    snapshots and a SISO input/output configuration. Snapshots with
     non-finite state or Jacobian data are dropped before indexing;
     interpolation repair does not apply here because the database is
     re-ordered by input value. *)
@@ -30,7 +26,6 @@ val size_in_floats : t -> int
     the "large database" cost of the TPW approach. *)
 
 val simulate :
-  ?guard:Guard.t ->
   t ->
   u:(float -> float) ->
   t_stop:float ->
@@ -38,5 +33,6 @@ val simulate :
   Signal.Waveform.t
 (** Trapezoidal integration of the interpolated linearized dynamics; one
     [n×n] LU solve per step (no Newton iteration, but no model-order
-    reduction either). With [guard], each step's factorization gets a
-    reciprocal-condition floor and each solve a NaN/Inf sentinel. *)
+    reduction either). Each step's factorization gets the
+    [Guard.rcond_min] floor ({!Linalg.Lu.Singular}) and each solve a
+    NaN/Inf sentinel ([Guard.Violation] at site ["tpw.simulate"]). *)

@@ -574,7 +574,7 @@ let finite_model (m : Model.t) =
   && Guard.finite_array m.Model.consts
   && Guard.finite_array m.Model.slopes
 
-let fit ?(opts = default_frequency_opts) ?guard ?cancel ?obs ?pool
+let fit ?(opts = default_frequency_opts) ?cancel ?obs ?pool
     ?(label = "vfit") ~poles ~points ~data () =
   if Array.length data = 0 then invalid_arg "Vfit.fit: no elements";
   Array.iter
@@ -647,53 +647,43 @@ let fit ?(opts = default_frequency_opts) ?guard ?cancel ?obs ?pool
            raise Exit
      done
    with Exit -> ());
-  (* post-relocation guard: finite poles, runaway detection against the
-     span of the fit points, and stability repair for the injected (or
-     numerically produced) right-half-plane pole that slipped past the
-     in-loop normalization *)
-  (match guard with
-  | None -> ()
-  | Some (g : Guard.t) ->
-      let p = !poles in
-      if g.Guard.check_finite && not (Guard.finite_complex_array p) then
-        Guard.fail ~site:(label ^ ".poles") "non-finite relocated poles";
-      let zmax =
-        Array.fold_left (fun m z -> Float.max m (Complex.norm z)) 0.0 points
-      in
-      Array.iter
-        (fun a ->
-          if zmax > 0.0 && Complex.norm a > g.Guard.max_pole_growth *. zmax
-          then
-            Guard.fail ~site:(label ^ ".poles")
-              (Printf.sprintf
-                 "pole runaway: |p| = %.3e exceeds %g x the largest fit \
-                  point %.3e"
-                 (Complex.norm a) g.Guard.max_pole_growth zmax))
-        p;
-      if
-        opts.enforce_stable
-        && Array.exists (fun a -> a.Complex.re >= 0.0) p
-      then begin
-        let n_unstable =
-          Array.fold_left
-            (fun acc a -> if a.Complex.re >= 0.0 then acc + 1 else acc)
-            0 p
-        in
-        Obs.count obs (label ^ ".guard_stabilized") n_unstable;
-        Obs.warn obs ~stage:label
+  (* post-relocation checks: finite poles, runaway detection against
+     the span of the fit points, and stability repair for the injected
+     (or numerically produced) right-half-plane pole that slipped past
+     the in-loop normalization *)
+  let p = !poles in
+  if not (Guard.finite_complex_array p) then
+    Guard.fail ~site:(label ^ ".poles") "non-finite relocated poles";
+  let zmax =
+    Array.fold_left (fun m z -> Float.max m (Complex.norm z)) 0.0 points
+  in
+  Array.iter
+    (fun a ->
+      if zmax > 0.0 && Complex.norm a > Guard.max_pole_growth *. zmax then
+        Guard.fail ~site:(label ^ ".poles")
           (Printf.sprintf
-             "guard reflected %d unstable pole(s) into the left half plane"
-             n_unstable);
-        poles :=
-          Pole.normalize ~enforce_stable:true ~min_imag:opts.min_imag p
-      end);
+             "pole runaway: |p| = %.3e exceeds %g x the largest fit point \
+              %.3e"
+             (Complex.norm a) Guard.max_pole_growth zmax))
+    p;
+  if opts.enforce_stable && Array.exists (fun a -> a.Complex.re >= 0.0) p
+  then begin
+    let n_unstable =
+      Array.fold_left
+        (fun acc a -> if a.Complex.re >= 0.0 then acc + 1 else acc)
+        0 p
+    in
+    Obs.count obs (label ^ ".guard_stabilized") n_unstable;
+    Obs.warn obs ~stage:label
+      (Printf.sprintf
+         "guard reflected %d unstable pole(s) into the left half plane"
+         n_unstable);
+    poles := Pole.normalize ~enforce_stable:true ~min_imag:opts.min_imag p
+  end;
   let model = identify ?pool ~opts ~poles:!poles ~points ~data ~weights () in
-  (match guard with
-  | None -> ()
-  | Some g ->
-      if g.Guard.check_finite && not (finite_model model) then
-        Guard.fail ~site:(label ^ ".model")
-          "non-finite coefficients in fitted model");
+  if not (finite_model model) then
+    Guard.fail ~site:(label ^ ".model")
+      "non-finite coefficients in fitted model";
   let rms = Model.rms_error model ~points ~data in
   let max_err = Model.max_error model ~points ~data in
   Obs.observe obs (label ^ ".fit_rms") rms;
@@ -705,7 +695,7 @@ let fit ?(opts = default_frequency_opts) ?guard ?cancel ?obs ?pool
       pole_count = Array.length !poles;
     } )
 
-let fit_auto ?(opts = default_frequency_opts) ?guard ?cancel ?obs ?pool
+let fit_auto ?(opts = default_frequency_opts) ?cancel ?obs ?pool
     ?(label = "vfit") ~make_poles ?(start = 2) ?(step = 2) ?(max_poles = 40)
     ~tol ~points ~data () =
   Obs.span obs ~args:[ ("label", Trace.Str label) ] "vf.fit_auto"
@@ -739,11 +729,11 @@ let fit_auto ?(opts = default_frequency_opts) ?guard ?cancel ?obs ?pool
       Obs.count obs (label ^ ".attempts") 1;
       Cancel.check cancel ~site:"vf.fit_auto";
       match
-        fit ~opts ?guard ?cancel ?obs ?pool ~label
+        fit ~opts ?cancel ?obs ?pool ~label
           ~poles:(make_poles count) ~points ~data ()
       with
       | exception Guard.Violation v ->
-          (* a guarded failure at this count (pole runaway, non-finite
+          (* a guard failure at this count (pole runaway, non-finite
              model) may vanish with a different start-pole set — keep
              escalating instead of giving up *)
           last_failure := Some (count, Guard.describe v);

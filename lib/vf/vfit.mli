@@ -61,7 +61,6 @@ type info = {
 
 val fit :
   ?opts:opts ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
@@ -86,13 +85,13 @@ val fit :
     telemetry; and with the fast kernel a ["vf.sigma_qr"] rcond sample.
     The final fit RMS lands in [<label>.fit_rms].
 
-    With [guard], the relocated poles are checked after the sweeps:
-    non-finite poles or a pole whose modulus exceeds
-    [guard.max_pole_growth] times the largest fit point raise
-    [Guard.Violation]; a right-half-plane pole under [enforce_stable]
-    is repaired by reflection ([<label>.guard_stabilized] counter plus
-    a warning), and the identified model is NaN/Inf-checked. Hosts the
-    ["vf.pole_flip"] fault probe (one invocation per relocation
+    The relocated poles are checked after the sweeps: non-finite poles
+    or a pole whose modulus exceeds [Guard.max_pole_growth] times the
+    largest fit point raise [Guard.Violation] (site [<label>.poles]); a
+    right-half-plane pole under [enforce_stable] is repaired by
+    reflection ([<label>.guard_stabilized] counter plus a warning), and
+    a non-finite identified model raises at site [<label>.model]. Hosts
+    the ["vf.pole_flip"] fault probe (one invocation per relocation
     sweep) and the hang-class ["vf.spin"] site. With [cancel], every
     relocation sweep probes the token (site ["vf.relocate"]).
 
@@ -103,7 +102,6 @@ val fit :
 
 val fit_auto :
   ?opts:opts ->
-  ?guard:Guard.t ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
   ?pool:Exec.t ->
@@ -129,7 +127,7 @@ val fit_auto :
     ([<label>.attempts]); the settled pole count and RMS (Diag
     [<label>.settled_poles] note, [<label>.settled_rms] stat); a
     [vf_attempt] event per completed attempt and a [vf_settled] event.
-    With [guard], a per-attempt [Guard.Violation] is recorded
+    A per-attempt [Guard.Violation] is recorded
     ([<label>.guard_violations] in Diag, plus a [violation] event) and
     the escalation continues to the next pole count instead of giving
     up. With [cancel], the token is probed

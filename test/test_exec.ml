@@ -152,17 +152,6 @@ let test_nested_fan_out_falls_back () =
         "pool usable afterwards" (Array.init 4 succ)
         (Exec.parallel_init ~pool 4 succ))
 
-let test_chunks_per_domain () =
-  Exec.with_pool ~domains:2 (fun pool ->
-      let f i = (7 * i) - 2 in
-      List.iter
-        (fun n ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "n = %d, 4 chunks/domain" n)
-            (Array.init n f)
-            (Exec.parallel_init ~pool ~chunks_per_domain:4 n f))
-        [ 1; 2; 7; 8; 100 ])
-
 let ran_outside_caller pool n =
   let caller = (Domain.self () :> int) in
   let ids = Exec.parallel_init ~pool n (fun _ -> (Domain.self () :> int)) in
@@ -210,7 +199,6 @@ let suite =
       test_slot_invalidation_rebuilds;
     Alcotest.test_case "nested fan-out falls back" `Quick
       test_nested_fan_out_falls_back;
-    Alcotest.test_case "chunks per domain" `Quick test_chunks_per_domain;
     Alcotest.test_case "busy flag reset after exn" `Quick
       test_busy_flag_reset_after_exception;
     Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;

@@ -1,8 +1,8 @@
-(* Tests for the numerical guard layer (typed Singular payloads,
-   reciprocal-condition floors, step-halving, snapshot quarantine) and
-   the deterministic fault-injection harness, including per-rung
-   coverage of the escalation ladder and the guard-off bit-parity
-   contract. *)
+(* Tests for the always-on numerical checks (typed Singular payloads,
+   reciprocal-condition floors, step halving, snapshot quarantine, VF
+   pole repair) and the deterministic fault-injection harness, including
+   per-rung coverage of the escalation ladder and the recovery of the
+   plain pipeline entry points. *)
 
 let cx re im = { Complex.re; im }
 
@@ -34,22 +34,22 @@ let test_lu_tiny_pivot () =
       Alcotest.(check bool) "tiny" true (magnitude < 1e-300)
   | _ -> Alcotest.fail "tiny pivot accepted"
 
-let test_lu_rcond_estimate_and_guard () =
+let test_lu_rcond_floor () =
   let id = Linalg.Lu.factor (Linalg.Mat.identity 3) in
   Alcotest.(check (float 1e-12)) "identity rcond" 1.0
     (Linalg.Lu.rcond_estimate id);
-  let ill = Linalg.Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 1e-8 |] |] in
-  let f = Linalg.Lu.factor ill in
+  let diag d = Linalg.Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; d |] |] in
+  (* a diagonal ratio of 1e-8 is above the 1e-12 floor ... *)
+  let f = Linalg.Lu.factor (diag 1e-8) in
   Alcotest.(check bool) "diagonal ratio" true
     (let r = Linalg.Lu.rcond_estimate f in
      r > 1e-9 && r < 1e-7);
-  (* permissive floor passes, strict floor raises the typed Singular *)
-  ignore (Linalg.Lu.factor ~guard:Guard.default ill);
-  match
-    Linalg.Lu.factor ~guard:{ Guard.default with Guard.rcond_min = 1e-6 } ill
-  with
-  | exception Linalg.Lu.Singular { magnitude; _ } ->
-      Alcotest.(check (float 1e-12)) "weakest pivot reported" 1e-8 magnitude
+  (* ... one of 1e-13 is below it: the typed Singular names the weakest
+     pivot *)
+  match Linalg.Lu.factor (diag 1e-13) with
+  | exception Linalg.Lu.Singular { pivot_index; magnitude } ->
+      Alcotest.(check int) "weakest pivot index" 1 pivot_index;
+      Alcotest.(check (float 1e-27)) "weakest pivot reported" 1e-13 magnitude
   | _ -> Alcotest.fail "rcond floor not enforced"
 
 let test_clu_singular_and_rcond () =
@@ -67,12 +67,7 @@ let test_clu_singular_and_rcond () =
   in
   Alcotest.(check bool) "complex rcond" true
     (let r = Linalg.Clu.rcond_estimate (Linalg.Clu.factor ill) in
-     r > 1e-9 && r < 1e-7);
-  match
-    Linalg.Clu.factor ~guard:{ Guard.default with Guard.rcond_min = 1e-6 } ill
-  with
-  | exception Linalg.Clu.Singular _ -> ()
-  | _ -> Alcotest.fail "complex rcond floor not enforced"
+     r > 1e-9 && r < 1e-7)
 
 let test_guard_violation_printable () =
   match Guard.fail ~site:"test.site" "synthetic" with
@@ -142,7 +137,7 @@ let test_dc_gmin_recovery () =
       let clean = Engine.Dc.solve mna in
       Fault.arm ~site:"dc.newton_diverge" ~seed:0 ();
       let obs = Obs.create () in
-      let v = Engine.Dc.solve ~guard:Guard.default ~obs mna in
+      let v = Engine.Dc.solve ~obs mna in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check bool) "probe fired" true (stats.Fault.fires >= 1);
       let report = Diag.report (Obs.diag obs) in
@@ -165,20 +160,11 @@ let test_tran_step_halving () =
   let t_stop = 20.0 *. dt in
   let clean = Engine.Tran.run mna ~t_stop ~dt in
   (* invocations 3 and 4 are one step's trapezoidal attempt and its
-     backward-Euler retreat: without a guard the step is lost ... *)
-  with_plan (fun () ->
-      Fault.arm_exact ~site:"tran.newton_diverge" ~fire_at:3 ~burst:2 ();
-      Alcotest.(check bool) "unguarded run dies" true
-        (match Engine.Tran.run mna ~t_stop ~dt with
-        | exception Engine.Dc.No_convergence _ -> true
-        | _ -> false));
-  (* ... with a guard the step is re-integrated as BE substeps *)
+     backward-Euler retreat: the step is re-integrated as BE substeps *)
   with_plan (fun () ->
       Fault.arm_exact ~site:"tran.newton_diverge" ~fire_at:3 ~burst:2 ();
       let obs = Obs.create () in
-      let guarded =
-        Engine.Tran.run ~guard:Guard.default ~obs mna ~t_stop ~dt
-      in
+      let halved = Engine.Tran.run ~obs mna ~t_stop ~dt in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check int) "both attempts hit" 2 stats.Fault.fires;
       let report = Diag.report (Obs.diag obs) in
@@ -186,15 +172,15 @@ let test_tran_step_halving () =
         (Diag.counter report "tran.step_halvings" >= 1);
       Alcotest.(check int) "step_rejections mirrors counter"
         (Diag.counter report "tran.step_rejections")
-        guarded.Engine.Tran.step_rejections;
+        halved.Engine.Tran.step_rejections;
       Alcotest.(check int) "full step count"
         (Array.length clean.Engine.Tran.times)
-        (Array.length guarded.Engine.Tran.times);
+        (Array.length halved.Engine.Tran.times);
       let n = Array.length clean.Engine.Tran.times - 1 in
       let diff =
         Float.abs
           (Linalg.Mat.get clean.Engine.Tran.outputs n 0
-          -. Linalg.Mat.get guarded.Engine.Tran.outputs n 0)
+          -. Linalg.Mat.get halved.Engine.Tran.outputs n 0)
       in
       Alcotest.(check bool)
         (Printf.sprintf "endpoint agrees (%.2e)" diff)
@@ -243,8 +229,7 @@ let test_quarantine_interpolate () =
       Fault.arm_exact ~site:"dataset.snapshot_burst" ~fire_at:3 ~burst:2 ();
       let obs = Obs.create () in
       let ds =
-        Tft.Dataset.of_snapshots ~guard:Guard.default ~obs ~mna ~estimator
-          ~freqs_hz snaps
+        Tft.Dataset.of_snapshots ~obs ~mna ~estimator ~freqs_hz snaps
       in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check int) "two snapshots corrupted" 2 stats.Fault.fires;
@@ -257,31 +242,12 @@ let test_quarantine_interpolate () =
         (Array.length ds.Tft.Dataset.samples);
       Alcotest.(check bool) "all finite after repair" true (dataset_finite ds))
 
-let test_quarantine_drop () =
-  let mna, estimator, freqs_hz, snaps = quarantine_fixture () in
-  let clean = Tft.Dataset.of_snapshots ~mna ~estimator ~freqs_hz snaps in
-  with_plan (fun () ->
-      Fault.arm_exact ~site:"dataset.snapshot_burst" ~fire_at:3 ~burst:2 ();
-      let obs = Obs.create () in
-      let guard = { Guard.default with Guard.snapshot_repair = Guard.Drop } in
-      let ds =
-        Tft.Dataset.of_snapshots ~guard ~obs ~mna ~estimator ~freqs_hz snaps
-      in
-      ignore (Fault.disarm ());
-      let report = Diag.report (Obs.diag obs) in
-      Alcotest.(check int) "dropped" 2 (Diag.counter report "dataset.dropped");
-      Alcotest.(check int) "two samples removed"
-        (Array.length clean.Tft.Dataset.samples - 2)
-        (Array.length ds.Tft.Dataset.samples);
-      Alcotest.(check bool) "all finite after drop" true (dataset_finite ds))
-
 let test_quarantine_pool_deterministic () =
   let mna, estimator, freqs_hz, snaps = quarantine_fixture () in
   let build ?pool () =
     with_plan (fun () ->
         Fault.arm_exact ~site:"dataset.snapshot_burst" ~fire_at:3 ~burst:2 ();
-        Tft.Dataset.of_snapshots ?pool ~guard:Guard.default ~mna ~estimator
-          ~freqs_hz snaps)
+        Tft.Dataset.of_snapshots ?pool ~mna ~estimator ~freqs_hz snaps)
   in
   let seq = build () in
   let par = Exec.with_pool ~domains:2 (fun pool -> build ~pool ()) in
@@ -322,13 +288,12 @@ let test_vf_pole_flip_repaired () =
       Fault.arm ~site:"vf.pole_flip" ~seed:0 ();
       let obs = Obs.create () in
       (* a single relocation sweep: the injected flip lands on the last
-         sweep, so only the post-loop guard can repair it *)
+         sweep, so only the post-loop check can repair it *)
       let opts =
         { Vf.Vfit.default_frequency_opts with Vf.Vfit.iterations = 1 }
       in
       let model, _ =
-        Vf.Vfit.fit ~opts ~guard:Guard.default ~obs ~poles:poles0 ~points
-          ~data ()
+        Vf.Vfit.fit ~opts ~obs ~poles:poles0 ~points ~data ()
       in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check bool) "flip injected" true (stats.Fault.fires >= 1);
@@ -364,16 +329,16 @@ let test_error_json_shape () =
 
 (* ---------------- ladder rung coverage (slow) ---------------- *)
 
-let buffer_try ?fault () =
+let buffer_try ?(config = Tft_rvf.Pipeline.buffer_config ~snapshots:30 ())
+    ~arm () =
   with_plan (fun () ->
-      (match fault with
-      | None -> ()
-      | Some burst ->
-          Fault.arm_exact ~site:"rvf.trace_nan" ~fire_at:1 ~burst ());
-      let config = Tft_rvf.Pipeline.buffer_config ~snapshots:30 () in
-      Tft_rvf.Pipeline.try_extract ~guard:Guard.default ~config
+      arm ();
+      Tft_rvf.Pipeline.try_extract ~config
         ~netlist:(Circuits.Buffer.netlist ())
         ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ())
+
+let trace_nan_burst burst () =
+  Fault.arm_exact ~site:"rvf.trace_nan" ~fire_at:1 ~burst ()
 
 let test_ladder_every_rung () =
   (* rvf.trace_nan fires once per Rvf.extract call, so a burst of k
@@ -385,7 +350,7 @@ let test_ladder_every_rung () =
   in
   List.iteri
     (fun burst expected ->
-      let outcome, report = buffer_try ~fault:burst () in
+      let outcome, report = buffer_try ~arm:(trace_nan_burst burst) () in
       Alcotest.(check bool)
         (Printf.sprintf "burst %d yields a model" burst)
         true (outcome <> None);
@@ -399,64 +364,90 @@ let test_ladder_every_rung () =
         (Diag.counter report "pipeline.fit_retries"))
     rungs;
   (* one more than the ladder's length: exhaustion, typed error *)
-  let outcome, report = buffer_try ~fault:(List.length rungs) () in
+  let outcome, report =
+    buffer_try ~arm:(trace_nan_burst (List.length rungs)) ()
+  in
   Alcotest.(check bool) "exhausted ladder yields no model" true
     (outcome = None);
   Alcotest.(check bool) "failure recorded as Error" true
     (Diag.has_errors report)
 
-(* ---------------- bit-for-bit parity (slow) ---------------- *)
+(* ---------------- the plain entry points (slow) ---------------- *)
 
-let test_guard_off_bit_parity () =
-  let config = Tft_rvf.Pipeline.buffer_config ~snapshots:30 () in
-  let netlist = Circuits.Buffer.netlist () in
-  let plain =
-    Tft_rvf.Pipeline.extract ~config ~netlist ~input:Circuits.Buffer.input_name
-      ~output:Circuits.Buffer.output ()
+let finite_model (o : Tft_rvf.Pipeline.outcome) =
+  let se =
+    Tft_rvf.Report.surface_error ~model:o.Tft_rvf.Pipeline.model
+      ~dataset:o.Tft_rvf.Pipeline.dataset ~input:0 ~output:0
   in
-  let guarded =
-    Tft_rvf.Pipeline.extract ~guard:Guard.default ~config ~netlist
-      ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()
+  Float.is_finite se.Tft_rvf.Report.rms
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let test_snapshot_burst_repaired () =
+  (* the first snapshot's transfer data turns NaN: the quarantine
+     rebuilds it from its neighbour, so the base rung still fits *)
+  let outcome, report =
+    buffer_try
+      ~arm:(fun () -> Fault.arm ~site:"dataset.snapshot_burst" ~seed:0 ())
+      ()
   in
-  let tried, report = buffer_try () in
-  let tried = Option.get tried in
-  Alcotest.(check (option string)) "base rung" (Some "base")
+  match outcome with
+  | None -> Alcotest.fail "a repaired burst must still yield a model"
+  | Some o ->
+      Alcotest.(check bool) "finite model" true (finite_model o);
+      Alcotest.(check (option string)) "base rung" (Some "base")
+        (Diag.find_note report "pipeline.ladder_rung");
+      Alcotest.(check bool) "sample repaired" true
+        (Diag.counter report "dataset.repaired" >= 1)
+
+let test_trace_nan_escalates () =
+  (* a NaN residue trace is caught before the state fit and the ladder
+     climbs one rung *)
+  let outcome, report =
+    buffer_try ~arm:(fun () -> Fault.arm ~site:"rvf.trace_nan" ~seed:0 ()) ()
+  in
+  Alcotest.(check bool) "model recovered" true (outcome <> None);
+  Alcotest.(check (option string)) "second rung" (Some "more-start-poles")
     (Diag.find_note report "pipeline.ladder_rung");
-  Alcotest.(check (option string)) "guard noted" (Some "true")
-    (Diag.find_note report "guard.enabled");
-  (* a clean guarded run, and the non-raising path's base rung, are
-     bit-for-bit the unguarded extraction *)
-  let eq = Hammerstein.Hmodel.equations plain.Tft_rvf.Pipeline.model in
-  Alcotest.(check string) "guarded equations identical" eq
-    (Hammerstein.Hmodel.equations guarded.Tft_rvf.Pipeline.model);
-  Alcotest.(check string) "try_extract equations identical" eq
-    (Hammerstein.Hmodel.equations tried.Tft_rvf.Pipeline.model);
-  List.iter
-    (fun x ->
-      List.iter
-        (fun f ->
-          let s = Signal.Grid.s_of_hz f in
-          let tp =
-            Hammerstein.Hmodel.transfer plain.Tft_rvf.Pipeline.model ~x ~s
-          in
-          let tg =
-            Hammerstein.Hmodel.transfer guarded.Tft_rvf.Pipeline.model ~x ~s
-          in
-          let tt =
-            Hammerstein.Hmodel.transfer tried.Tft_rvf.Pipeline.model ~x ~s
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "transfer bits at x=%.1f f=%.0e" x f)
-            true
-            (cx_bits_equal tp tg && cx_bits_equal tp tt))
-        [ 1e6; 1e9 ])
-    [ 0.6; 0.9; 1.2 ]
+  Alcotest.(check bool) "rvf.trace violation recorded" true
+    (List.exists
+       (fun (e : Diag.event) ->
+         e.Diag.level = Diag.Warning
+         && contains ~needle:"guard violation at rvf.trace" e.Diag.message)
+       report.Diag.events)
+
+let test_slope_term_fails_typed () =
+  (* a state-axis slope term cannot be integrated into a static
+     function: every rung fails typed instead of raising *)
+  let base = Tft_rvf.Pipeline.buffer_config ~snapshots:30 () in
+  let rvf = base.Tft_rvf.Pipeline.rvf in
+  let config =
+    {
+      base with
+      Tft_rvf.Pipeline.rvf =
+        {
+          rvf with
+          Rvf.state_opts =
+            { rvf.Rvf.state_opts with Vf.Vfit.with_slope = true };
+        };
+    }
+  in
+  let outcome, report = buffer_try ~config ~arm:ignore () in
+  Alcotest.(check bool) "no model" true (outcome = None);
+  Alcotest.(check bool) "Error event at pipeline.fit" true
+    (List.exists
+       (fun (e : Diag.event) ->
+         e.Diag.level = Diag.Error && e.Diag.stage = "pipeline.fit")
+       report.Diag.events)
 
 let suite =
   [
     Alcotest.test_case "lu singular payload" `Quick test_lu_singular_payload;
     Alcotest.test_case "lu tiny pivot" `Quick test_lu_tiny_pivot;
-    Alcotest.test_case "lu rcond floor" `Quick test_lu_rcond_estimate_and_guard;
+    Alcotest.test_case "lu rcond floor" `Quick test_lu_rcond_floor;
     Alcotest.test_case "clu singular + rcond" `Quick test_clu_singular_and_rcond;
     Alcotest.test_case "violation printable" `Quick test_guard_violation_printable;
     Alcotest.test_case "fault schedule" `Quick test_fault_schedule;
@@ -464,11 +455,14 @@ let suite =
     Alcotest.test_case "dc gmin recovery" `Quick test_dc_gmin_recovery;
     Alcotest.test_case "tran step halving" `Quick test_tran_step_halving;
     Alcotest.test_case "quarantine interpolate" `Quick test_quarantine_interpolate;
-    Alcotest.test_case "quarantine drop" `Quick test_quarantine_drop;
     Alcotest.test_case "quarantine pool determinism" `Quick
       test_quarantine_pool_deterministic;
     Alcotest.test_case "vf pole flip repaired" `Quick test_vf_pole_flip_repaired;
     Alcotest.test_case "error json shape" `Quick test_error_json_shape;
     Alcotest.test_case "ladder every rung" `Slow test_ladder_every_rung;
-    Alcotest.test_case "guard-off bit parity" `Slow test_guard_off_bit_parity;
+    Alcotest.test_case "snapshot burst repaired" `Slow
+      test_snapshot_burst_repaired;
+    Alcotest.test_case "trace nan escalates" `Slow test_trace_nan_escalates;
+    Alcotest.test_case "slope term fails typed" `Slow
+      test_slope_term_fails_typed;
   ]

@@ -242,44 +242,7 @@ let prop_parallel_map_bit_identical =
       if !identical then true
       else QCheck.Test.fail_reportf "parallel result differs from sequential")
 
-(* 4. a clean guarded AC sweep is bit-identical to the unguarded one *)
-let prop_guarded_sweep_bit_identical =
-  QCheck.Test.make ~count:100 ~name:"guarded ac sweep bit-identical"
-    (Oracle.Gen.arb ~max_size:3 ())
-    (fun s ->
-      let o = Oracle.Gen.rc_ladder s in
-      let mna =
-        Engine.Mna.build ~inputs:[ o.Ladder.input ] ~outputs:[ o.Ladder.output ]
-          o.Ladder.netlist
-      in
-      let at = Engine.Dc.solve mna in
-      let ev = Engine.Mna.eval mna ~with_matrices:true ~time:0.0 at in
-      let g = Option.get ev.Engine.Mna.g_mat
-      and c = Option.get ev.Engine.Mna.c_mat in
-      let ss = Array.map Signal.Grid.s_of_hz Oracle.Gen.grid_hz in
-      let sweep ?guard () =
-        let ws =
-          Engine.Ac.make_ws ~b:(Engine.Mna.b_matrix mna)
-            ~d:(Engine.Mna.d_matrix mna)
-        in
-        Engine.Ac.transfer_sweep ?guard ws ~g ~c ~ss
-      in
-      let plain = sweep () in
-      let guarded = sweep ~guard:Guard.default () in
-      let identical = ref true in
-      Array.iteri
-        (fun l h ->
-          let a = Linalg.Cmat.get h 0 0
-          and b = Linalg.Cmat.get guarded.(l) 0 0 in
-          if
-            Int64.bits_of_float a.Complex.re <> Int64.bits_of_float b.Complex.re
-            || Int64.bits_of_float a.Complex.im <> Int64.bits_of_float b.Complex.im
-          then identical := false)
-        plain;
-      if !identical then true
-      else QCheck.Test.fail_reportf "guarded sweep differs on a clean run")
-
-(* 4b. the dense sweep (Hessenberg reduction + certified O(n²) points)
+(* 4. the dense sweep (Hessenberg reduction + certified O(n²) points)
    against the path it replaced, one complex LU per point, on every
    generated circuit family. The difference is measured against the
    response's scale over the grid: toward the far corner of a mesh |H|
@@ -415,7 +378,6 @@ let suite =
         prop_vf_pole_recovery;
         prop_rvf_residue_fit;
         prop_parallel_map_bit_identical;
-        prop_guarded_sweep_bit_identical;
         prop_dense_sweep_matches_lu;
         prop_model_vs_circuit_transient;
       ]

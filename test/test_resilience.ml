@@ -1,4 +1,4 @@
-(* Deadline supervisor, checkpoint store and retry ladder:
+(* Deadline supervisor, checkpoint store and escalation ladder:
 
    - cancellation token semantics (cancel, budgets, nesting, zero-cost
      None path measured against the Clock.reads counter)
@@ -8,8 +8,6 @@
      plan) at each escalation rung must surface as a typed
      Deadline_exceeded whose stage carries the rung label, and
      try_extract must never return a model after a tripped deadline
-   - retry-with-backoff: a transient rung failure retries the rung
-     without consuming an escalation step
    - pool exception safety: a poisoned fan-out leaves the pool usable *)
 
 let with_clean_faults f =
@@ -136,9 +134,8 @@ let test_poisoned_fanout () =
 
 let config = Tft_rvf.Pipeline.buffer_config ~snapshots:24 ()
 
-let try_extract ?cancel ?budgets ?checkpoint_dir ?retry () =
-  Tft_rvf.Pipeline.try_extract ~guard:Guard.default ?cancel ?budgets
-    ?checkpoint_dir ?retry ~config
+let try_extract ?cancel ?budgets ?checkpoint_dir () =
+  Tft_rvf.Pipeline.try_extract ?cancel ?budgets ?checkpoint_dir ~config
     ~netlist:(Circuits.Buffer.netlist ())
     ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()
 
@@ -189,27 +186,6 @@ let test_rung_deadline k label () =
             (label ^ ": typed deadline in message")
             true
             (contains ~needle:"Deadline_exceeded" e.Diag.message))
-
-let test_retry_recovers_rung () =
-  with_clean_faults (fun () ->
-      (* one transient failure at the base rung's first attempt *)
-      Fault.arm_exact ~site:"rvf.trace_nan" ~fire_at:1 ~burst:1 ();
-      let retry =
-        {
-          Tft_rvf.Pipeline.attempts = 2;
-          backoff_seconds = 0.01;
-          backoff_multiplier = 2.0;
-        }
-      in
-      let outcome, report = try_extract ~retry () in
-      Alcotest.(check bool) "model recovered" true (outcome <> None);
-      Alcotest.(check (option string))
-        "still the base rung" (Some "base")
-        (Diag.find_note report "pipeline.ladder_rung");
-      Alcotest.(check int) "one within-rung retry" 1
-        (Diag.counter report "pipeline.rung_retries");
-      Alcotest.(check int) "no escalation consumed" 0
-        (Diag.counter report "pipeline.fit_retries"))
 
 let test_budgets_arm_private_token () =
   (* budgets without an explicit token must still be live *)
@@ -275,7 +251,6 @@ let suite =
     Alcotest.test_case "checkpoint kill hook" `Quick
       test_checkpoint_kill_hook;
     Alcotest.test_case "poisoned fan-out" `Quick test_poisoned_fanout;
-    Alcotest.test_case "retry recovers rung" `Quick test_retry_recovers_rung;
     Alcotest.test_case "budgets arm private token" `Quick
       test_budgets_arm_private_token;
     Alcotest.test_case "extract checkpoint resume" `Quick

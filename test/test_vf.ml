@@ -450,15 +450,15 @@ let test_fit_auto_rms_escalation_keeps_best () =
     = Some (string_of_int info.Vf.Vfit.pole_count))
 
 let test_fit_auto_guard_violation_escalates () =
-  (* rung 3 (Guard.Violation -> count it and keep climbing): a guard
-     with an absurdly small pole-growth bound trips on every attempt, so
-     the ladder must be exhausted and the exhaustion report must carry
-     the last rung's guard detail *)
+  (* rung 3 (Guard.Violation -> count it and keep climbing): one NaN
+     sample makes every attempt's model non-finite, so the ladder must
+     be exhausted and the exhaustion report must carry the last rung's
+     guard detail *)
   let points, data = degenerate_grid_data () in
-  let guard = { Guard.default with Guard.max_pole_growth = 1e-12 } in
+  data.(0).(3) <- { Complex.re = Float.nan; im = 0.0 };
   let obs = Obs.create () in
   (match
-     Vf.Vfit.fit_auto ~guard ~obs ~make_poles:(fun n ->
+     Vf.Vfit.fit_auto ~obs ~make_poles:(fun n ->
          Vf.Pole.initial_frequency ~f_min:1e2 ~f_max:1e6 ~count:n)
        ~start:2 ~step:2 ~max_poles:6 ~tol:1e-12 ~points ~data ()
    with
