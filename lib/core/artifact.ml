@@ -131,18 +131,17 @@ let json_of_snapshot (s : Engine.Tran.snapshot) =
       ("state", json_of_vec s.Engine.Tran.state);
       ("inputs", json_of_vec s.Engine.Tran.inputs);
       ("outputs", json_of_vec s.Engine.Tran.outputs);
-      ("g_mat", json_of_mat s.Engine.Tran.g_mat);
-      ("c_mat", json_of_mat s.Engine.Tran.c_mat);
     ]
 
+(* artifacts written before snapshots dropped their Jacobians also
+   carry "g_mat"/"c_mat" keys; they are functions of the state, so the
+   decoder skips them and those checkpoints keep resuming *)
 let snapshot_of_json j : Engine.Tran.snapshot =
   {
     Engine.Tran.time = num j "time";
     state = vec_of_json (get j "state");
     inputs = vec_of_json (get j "inputs");
     outputs = vec_of_json (get j "outputs");
-    g_mat = mat_of_json (get j "g_mat");
-    c_mat = mat_of_json (get j "c_mat");
   }
 
 let json_of_tran (r : Engine.Tran.result) =

@@ -27,8 +27,10 @@ val complexes_of_json : Minijson.t -> Complex.t array
 
 val json_of_tran : Engine.Tran.result -> Minijson.t
 val tran_of_json : Minijson.t -> Engine.Tran.result
-(** Full transient result including the Jacobian snapshots — the
-    ["train"] checkpoint stage. *)
+(** Full transient result including the state-only snapshots — the
+    ["train"] checkpoint stage. The decoder also reads artifacts whose
+    snapshots carry ["g_mat"]/["c_mat"] Jacobians, as written before
+    snapshots held the state only; those keys are ignored. *)
 
 val json_of_dataset : Tft.Dataset.t -> Minijson.t
 val dataset_of_json : Minijson.t -> Tft.Dataset.t

@@ -27,16 +27,12 @@ let default_config_for ?(points = 40) ?(domains = 1)
 
 (* One warm pool per pipeline run: created before the first fan-out
    stage, reused by every stage (TFT pencil solves, VF relocation
-   blocks, residue fits), shut down when the run returns. A caller who
-   owns a longer-lived pool passes it in and keeps ownership — it is
-   borrowed, never shut down here. [domains <= 1] never spawns and
-   takes the sequential paths throughout. *)
-let with_run_pool ?pool ~domains f =
-  match pool with
-  | Some _ -> f pool
-  | None ->
-      if domains <= 1 then f None
-      else Exec.with_pool ~domains (fun pool -> f (Some pool))
+   blocks, residue fits), shut down when the run returns.
+   [domains <= 1] never spawns and takes the sequential paths
+   throughout. *)
+let with_run_pool ~domains f =
+  if domains <= 1 then f None
+  else Exec.with_pool ~domains (fun pool -> f (Some pool))
 
 type timing = {
   train_seconds : float;
@@ -282,39 +278,22 @@ let run_train r ~config ~mna =
         Obs.count ~only:`Diag r.obs "pipeline.sparse_fallbacks" 1;
         go Engine.Mna.Dense)
 
-(* snapshots from a sparse training run carry 0×0 placeholder
-   Jacobians; a dense retry re-stamps them from the recorded state —
-   exactly the matrices a dense run would have captured *)
-let densify_snapshots ~mna snapshots =
-  Array.map
-    (fun (snap : Engine.Tran.snapshot) ->
-      if Linalg.Mat.rows snap.Engine.Tran.g_mat > 0 then snap
-      else
-        let ev =
-          Engine.Mna.eval mna ~with_matrices:true ~time:snap.Engine.Tran.time
-            snap.Engine.Tran.state
-        in
-        match (ev.Engine.Mna.g_mat, ev.Engine.Mna.c_mat) with
-        | Some g, Some c -> { snap with Engine.Tran.g_mat = g; c_mat = c }
-        | _, _ -> assert false)
-    snapshots
-
 let tft_stage r ~pool ~config ~mna ~training_run =
   let estimator = Tft.Estimator.make ~delays:config.estimator_delays () in
   Obs.stage r.obs "pipeline.tft" @@ fun () ->
   Fault.in_scope "stage:tft" @@ fun () ->
-  let build backend snapshots =
+  let build backend =
     Tft.Dataset.of_snapshots ?pool ?cancel:r.cancel ?obs:r.obs ~backend ~mna
-      ~estimator ~freqs_hz:config.freqs_hz snapshots
+      ~estimator ~freqs_hz:config.freqs_hz training_run.Engine.Tran.snapshots
   in
-  let snapshots = training_run.Engine.Tran.snapshots in
   match config.backend with
-  | Engine.Mna.Dense -> build Engine.Mna.Dense snapshots
+  | Engine.Mna.Dense -> build Engine.Mna.Dense
   | Engine.Mna.Sparse -> (
       (* escalation: a singular sparse factorization or a guard breach
-         on the sparse path retries the transform densely — the retry
-         result is exactly what an all-dense run would have produced *)
-      try build Engine.Mna.Sparse snapshots
+         on the sparse path retries the transform densely over the same
+         state-only snapshots — the retry result is exactly what an
+         all-dense transform of this training run produces *)
+      try build Engine.Mna.Sparse
       with
       | (Linalg.Splu.Singular _ | Linalg.Spclu.Singular _ | Guard.Violation _)
         as e
@@ -324,7 +303,7 @@ let tft_stage r ~pool ~config ~mna ~training_run =
              (Printexc.to_string e));
         Obs.count ~only:`Diag r.obs "pipeline.sparse_fallbacks" 1;
         Obs.violation r.obs ~site:"pipeline.tft" (Printexc.to_string e);
-        build Engine.Mna.Dense (densify_snapshots ~mna snapshots))
+        build Engine.Mna.Dense)
 
 (* One rung of the fit, and the pipeline's only call into RVF. The rung
    label scopes both the per-rung deadline budget (stage
@@ -425,8 +404,8 @@ type policy = Raise | Ladder
 (* The one extraction sequence of Fig. 1: build MNA → train → warm pool
    → TFT → per-output fit. Every entry point runs it; one [outcome
    option] per output comes back, and [Raise] never yields [None]. *)
-let run_stages ~policy ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
-    ~netlist ~input ~outputs () =
+let run_stages ~policy ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist
+    ~input ~outputs () =
   let r =
     {
       cancel = resolve_cancel cancel budgets;
@@ -464,7 +443,7 @@ let run_stages ~policy ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
                 ?seconds:r.budgets.train (fun () -> run_train r ~config ~mna)))
     in
     let t1 = Clock.now () in
-    with_run_pool ?pool ~domains:config.domains @@ fun pool ->
+    with_run_pool ~domains:config.domains @@ fun pool ->
     Cancel.check r.cancel ~site:"pipeline.tft";
     let* dataset =
       settled ~stage:"tft" Artifact.dataset_of_json Artifact.json_of_dataset
@@ -516,21 +495,21 @@ let run_stages ~policy ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
 
 (* --- entry points ----------------------------------------------------- *)
 
-let extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist
-    ~input ~outputs () =
+let extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist ~input
+    ~outputs () =
   if outputs = [] then invalid_arg "Pipeline.extract_simo: no outputs";
-  run_stages ~policy:Raise ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
+  run_stages ~policy:Raise ?cancel ?budgets ?checkpoint_dir ?obs ~config
     ~netlist ~input ~outputs ()
   |> List.map Option.get
 
-let extract ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist ~input
+let extract ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist ~input
     ~output () =
   List.hd
-    (extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist
-       ~input ~outputs:[ output ] ())
+    (extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist ~input
+       ~outputs:[ output ] ())
 
-let try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
-    ~netlist ~input ~outputs () =
+let try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist
+    ~input ~outputs () =
   (* the hub's diag collector is the run's narrative, so the returned
      report is exactly the bundle's diag.json; a run without a hub makes
      its own *)
@@ -544,8 +523,8 @@ let try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
     end
     else
       try
-        run_stages ~policy:Ladder ?cancel ?budgets ?checkpoint_dir ?obs ?pool
-          ~config ~netlist ~input ~outputs ()
+        run_stages ~policy:Ladder ?cancel ?budgets ?checkpoint_dir ?obs ~config
+          ~netlist ~input ~outputs ()
       with
       | Cancel.Cancelled { site } as e ->
           (* the supervisor contract: a cancelled or deadline-tripped run
@@ -561,11 +540,11 @@ let try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
   in
   (outcomes, Diag.report (Obs.diag hub))
 
-let try_extract ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config ~netlist
-    ~input ~output () =
+let try_extract ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist ~input
+    ~output () =
   let outcomes, report =
-    try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ?pool ~config
-      ~netlist ~input ~outputs:[ output ] ()
+    try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist
+      ~input ~outputs:[ output ] ()
   in
   (List.hd outcomes, report)
 

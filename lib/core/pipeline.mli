@@ -31,7 +31,9 @@ type config = {
           large-circuit path. A singular sparse factorization or a
           guard breach on the sparse path falls back to the dense
           stage transparently (counter [pipeline.sparse_fallbacks],
-          [Warning] event); the fit stages are backend-independent. *)
+          [Warning] event): training snapshots hold the state only, so
+          a dense TFT retry stamps G/C from the same snapshots. The fit
+          stages are backend-independent. *)
 }
 
 val default_config_for :
@@ -97,7 +99,6 @@ val extract_simo :
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
   ?obs:Obs.t ->
-  ?pool:Exec.t ->
   config:config ->
   netlist:Circuit.Netlist.t ->
   input:string ->
@@ -127,12 +128,11 @@ val extract_simo :
     ["store"]/["load"]/["stale"]/["invalid"]). A checkpoint-disabled
     run and a clean checkpointed run are bit-identical.
 
-    When [config.domains > 1] a single warm {!Exec} pool is created for
-    the whole run and reused by every fan-out stage (TFT pencil solves,
-    VF relocation blocks, residue fits) — workers are spawned once, not
-    per stage. Passing [?pool] instead lends a caller-owned pool (e.g.
-    across repeated extractions); it overrides [config.domains] for
-    pool selection and is never shut down here.
+    [config.domains] is the one parallelism setting: when it exceeds 1,
+    a single warm {!Exec} pool is created for the whole run, reused by
+    every fan-out stage (TFT pencil solves, VF relocation blocks,
+    residue fits) and shut down when the run returns — workers are
+    spawned once, not per stage.
 
     [obs] is the only telemetry argument: the hub's {!Diag} collector
     records spans for the three pipeline stages ([pipeline.train],
@@ -163,7 +163,6 @@ val extract :
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
   ?obs:Obs.t ->
-  ?pool:Exec.t ->
   config:config ->
   netlist:Circuit.Netlist.t ->
   input:string ->
@@ -220,7 +219,6 @@ val try_extract_simo :
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
   ?obs:Obs.t ->
-  ?pool:Exec.t ->
   config:config ->
   netlist:Circuit.Netlist.t ->
   input:string ->
@@ -262,7 +260,6 @@ val try_extract :
   ?budgets:budgets ->
   ?checkpoint_dir:string ->
   ?obs:Obs.t ->
-  ?pool:Exec.t ->
   config:config ->
   netlist:Circuit.Netlist.t ->
   input:string ->

@@ -15,14 +15,108 @@ let src = Logs.Src.create "engine.dc" ~doc:"DC operating point solver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* One Newton run at a fixed gmin level. [residual_of] must fill i_vec with
-   the full residual and g_mat/c_mat with the Jacobians; the dynamic term
-   is folded in by the caller. Returns ((solution, last eval) option,
-   iterations actually run) — the count is meaningful on failure too. *)
-let newton ?cancel ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
-    ~initial () =
+(* --- the Newton workspace --------------------------------------------- *)
+
+(* The backend half of a workspace: the Newton pencil J in its
+   backend's storage and the LU workspace that factors it. The sparse
+   side also holds the compiled assembly context its evaluations refill
+   in place; dense evaluations allocate their own G and C. *)
+type lin =
+  | Dense_lin of { j : Linalg.Mat.t; lu : Linalg.Lu.t }
+  | Sparse_lin of {
+      ctx : Mna.sparse_ctx;
+      j : Linalg.Sp.t;
+      slu : Linalg.Splu.t;
+    }
+
+(* Everything one system's Newton solves need, allocated once and
+   reused across iterations, gmin levels and transient steps: the
+   backend half; [jv], the flat value array of J that the loop fills
+   (the dense matrix's row-major store or the CSC values — G and C
+   evaluate into the same layout); the slots of [jv] that gmin lands in
+   on the node diagonal; and the right-hand side and update vectors. *)
+type ws = {
+  mna : Mna.t;
+  lin : lin;
+  jv : float array;
+  diag_slots : int array;
+  neg_f : Linalg.Vec.t;
+  dv : Linalg.Vec.t;
+}
+
+let workspace ~backend mna =
   let n = Mna.size mna in
-  let n_nodes = Mna.n_nodes mna in
+  let lin, jv, diag_slot =
+    match backend with
+    | Mna.Dense ->
+        let j = Linalg.Mat.create n n in
+        ( Dense_lin { j; lu = Linalg.Lu.workspace n },
+          Linalg.Mat.unsafe_data j,
+          fun k -> (k * n) + k )
+    | Mna.Sparse ->
+        let ctx = Mna.sparse_ctx mna in
+        let pattern = Mna.sparse_pattern ctx in
+        let j = Linalg.Sp.create pattern in
+        ( Sparse_lin { ctx; j; slu = Linalg.Splu.workspace pattern },
+          j.Linalg.Sp.v,
+          fun k ->
+            match Linalg.Sp.find pattern k k with
+            | Some s -> s
+            | None -> assert false (* the union pattern includes the diagonal *)
+        )
+  in
+  {
+    mna;
+    lin;
+    jv;
+    diag_slots = Array.init (Mna.n_nodes mna) diag_slot;
+    neg_f = Linalg.Vec.create n;
+    dv = Linalg.Vec.create n;
+  }
+
+(* i(v) − s(t), q(v) and the value arrays of G and C in [jv]'s layout *)
+let linearize ws ~time v =
+  match ws.lin with
+  | Dense_lin _ ->
+      let ev = Mna.eval ws.mna ~time v in
+      ( ev.Mna.i_vec,
+        ev.Mna.q_vec,
+        Linalg.Mat.unsafe_data (Option.get ev.Mna.g_mat),
+        Linalg.Mat.unsafe_data (Option.get ev.Mna.c_mat) )
+  | Sparse_lin { ctx; _ } ->
+      let sev = Mna.eval_sparse ws.mna ctx ~time v in
+      ( sev.Mna.si_vec,
+        sev.Mna.sq_vec,
+        sev.Mna.sg.Linalg.Sp.v,
+        sev.Mna.sc.Linalg.Sp.v )
+
+let factor ws =
+  match ws.lin with
+  | Dense_lin { j; lu } -> Linalg.Lu.factor_into lu j
+  | Sparse_lin { j; slu; _ } -> Linalg.Splu.factor_into slu j
+
+let rcond_estimate ws =
+  match ws.lin with
+  | Dense_lin { lu; _ } -> Linalg.Lu.rcond_estimate lu
+  | Sparse_lin { slu; _ } -> Linalg.Splu.rcond_estimate slu
+
+(* dv := J⁻¹·neg_f *)
+let solve_update ws =
+  match ws.lin with
+  | Dense_lin { lu; _ } -> Linalg.Lu.solve_into lu ws.neg_f ws.dv
+  | Sparse_lin { slu; _ } -> Linalg.Splu.solve_into slu ws.neg_f ws.dv
+
+(* --- the Newton loop --------------------------------------------------- *)
+
+(* One Newton run at a fixed gmin level on
+   i(v) − s(t) + α·(q(v) − q_prev) − qdot_term = 0, with [fold] adding
+   the charge term to the residual. DC is α = 0 with a no-op fold, and
+   its Jacobian is G itself; a transient step's is J = G + α·C. Returns
+   the solution, when the run contracted, and the iterations actually
+   run — the count is meaningful on failure too. *)
+let newton_loop ?cancel ?obs ~opts ws ~gmin ~time ~alpha ~fold ~initial () =
+  let n = Mna.size ws.mna in
+  let jv = ws.jv and dv = ws.dv in
   let v = Linalg.Vec.copy initial in
   let iters = ref 0 in
   let rec iterate it =
@@ -30,30 +124,34 @@ let newton ?cancel ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
     if it >= opts.max_iter then None
     else begin
       incr iters;
-      let ev : Mna.eval = residual_of v in
-      let f = ev.Mna.i_vec in
-      let j =
-        match jac_of ev with
-        | Some j -> j
-        | None -> invalid_arg "Dc.newton: evaluation without Jacobian"
-      in
+      let f, q, gv, cv = linearize ws ~time v in
+      fold f q;
+      if alpha = 0.0 then Array.blit gv 0 jv 0 (Array.length jv)
+      else
+        for k = 0 to Array.length jv - 1 do
+          jv.(k) <- gv.(k) +. (alpha *. cv.(k))
+        done;
       (* gmin to ground on node rows keeps the matrix nonsingular *)
       if gmin > 0.0 then
-        for k = 0 to n_nodes - 1 do
-          Linalg.Mat.update j k k (fun x -> x +. gmin);
+        for k = 0 to Array.length ws.diag_slots - 1 do
+          let s = ws.diag_slots.(k) in
+          jv.(s) <- jv.(s) +. gmin;
           f.(k) <- f.(k) +. (gmin *. v.(k))
         done;
       let f_norm = Linalg.Vec.norm_inf f in
       let t_factor = Obs.now_if obs in
-      match Linalg.Lu.factor j with
-      | exception Linalg.Lu.Singular _ ->
+      match factor ws with
+      | exception (Linalg.Lu.Singular _ | Linalg.Splu.Singular _) ->
           Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
           None
-      | lu ->
+      | () ->
           Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
-          Obs.rcond obs ~site:"dc.lu" Linalg.Lu.rcond_estimate lu;
+          Obs.rcond obs ~site:"dc.lu" rcond_estimate ws;
           let t_solve = Obs.now_if obs in
-          let dv = Linalg.Lu.solve lu (Linalg.Vec.neg f) in
+          for k = 0 to n - 1 do
+            ws.neg_f.(k) <- -.f.(k)
+          done;
+          solve_update ws;
           Obs.observe_since_ns obs "dc.lu_solve_ns" t_solve;
           let dv_norm = Linalg.Vec.norm_inf dv in
           let scale =
@@ -66,7 +164,7 @@ let newton ?cancel ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
             Float.is_finite dv_norm
             && dv_norm *. scale < opts.vtol
             && f_norm < opts.abstol
-          then Some (v, ev)
+          then Some v
           else iterate (it + 1)
     end
   in
@@ -79,138 +177,18 @@ let newton ?cancel ?obs ~opts ~mna ~gmin ~residual_of ~jac_of
   in
   (result, !iters)
 
-(* --- sparse Newton --------------------------------------------------- *)
-
-(* Everything one sparse Newton solve needs, compiled once per system
-   and reused across iterations, gmin levels and transient steps: the
-   assembly context, the pencil value buffer J = G + α·C over the same
-   pattern, the LU workspace (which caches the fill-reducing ordering),
-   and the diagonal slots gmin regularization lands in. *)
-type sparse_ws = {
-  ctx : Mna.sparse_ctx;
-  j : Linalg.Sp.t;
-  slu : Linalg.Splu.t;
-  diag_slots : int array;
-  neg_f : Linalg.Vec.t;
-  dv : Linalg.Vec.t;
-}
-
-let sparse_ws ?ctx mna =
-  let ctx = match ctx with Some c -> c | None -> Mna.sparse_ctx mna in
-  let pattern = Mna.sparse_pattern ctx in
-  let n = Mna.size mna in
-  {
-    ctx;
-    j = Linalg.Sp.create pattern;
-    slu = Linalg.Splu.workspace pattern;
-    diag_slots =
-      Array.init (Mna.n_nodes mna) (fun k ->
-          match Linalg.Sp.find pattern k k with
-          | Some s -> s
-          | None -> assert false (* the union pattern includes the diagonal *));
-    neg_f = Linalg.Vec.create n;
-    dv = Linalg.Vec.create n;
-  }
-
-(* Sparse twin of [newton]: same contraction test, step limiting, gmin
-   regularization, fault probe and telemetry sites, with the residual
-   fold for the dynamic term passed in as a closure and the Jacobian
-   pencil J = G + α·C blended over the shared pattern. Returns the
-   solution only — the caller re-evaluates if it needs residual pieces
-   at the solution. *)
-let newton_sparse ?cancel ?obs ~opts ~mna ~sws ~gmin ~time
-    ~alpha ~fold ~initial () =
-  let n = Mna.size mna in
-  let n_nodes = Mna.n_nodes mna in
-  let v = Linalg.Vec.copy initial in
-  let iters = ref 0 in
-  let jv = sws.j.Linalg.Sp.v in
-  let rec iterate it =
-    Cancel.check cancel ~site:"dc.newton";
-    if it >= opts.max_iter then None
-    else begin
-      incr iters;
-      let sev = Mna.eval_sparse mna sws.ctx ~time v in
-      let f = sev.Mna.si_vec in
-      fold f sev.Mna.sq_vec;
-      let gv = sev.Mna.sg.Linalg.Sp.v and cv = sev.Mna.sc.Linalg.Sp.v in
-      for k = 0 to Array.length jv - 1 do
-        jv.(k) <- gv.(k) +. (alpha *. cv.(k))
-      done;
-      if gmin > 0.0 then
-        for k = 0 to n_nodes - 1 do
-          let s = sws.diag_slots.(k) in
-          jv.(s) <- jv.(s) +. gmin;
-          f.(k) <- f.(k) +. (gmin *. v.(k))
-        done;
-      let f_norm = Linalg.Vec.norm_inf f in
-      let t_factor = Obs.now_if obs in
-      match Linalg.Splu.factor_into sws.slu sws.j with
-      | exception Linalg.Splu.Singular _ ->
-          Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
-          None
-      | () ->
-          Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
-          Obs.rcond obs ~site:"dc.lu" Linalg.Splu.rcond_estimate sws.slu;
-          let t_solve = Obs.now_if obs in
-          for k = 0 to n - 1 do
-            sws.neg_f.(k) <- -.f.(k)
-          done;
-          Linalg.Splu.solve_into sws.slu sws.neg_f sws.dv;
-          Obs.observe_since_ns obs "dc.lu_solve_ns" t_solve;
-          let dv_norm = Linalg.Vec.norm_inf sws.dv in
-          let scale =
-            if dv_norm > opts.dv_max then opts.dv_max /. dv_norm else 1.0
-          in
-          for k = 0 to n - 1 do
-            v.(k) <- v.(k) +. (scale *. sws.dv.(k))
-          done;
-          if
-            Float.is_finite dv_norm
-            && dv_norm *. scale < opts.vtol
-            && f_norm < opts.abstol
-          then Some v
-          else iterate (it + 1)
-    end
-  in
-  let result =
-    if Fault.should_fire "dc.newton_diverge" then None else iterate 0
-  in
-  (result, !iters)
-
-let dc_residual mna time v =
-  let ev = Mna.eval mna ~with_matrices:true ~time v in
-  (* DC: drop the dq/dt term entirely *)
-  ev
-
-let solve ?(opts = default_opts) ?cancel ?obs ?initial ?(time = 0.0)
-    ?(backend = Mna.Dense) ?sparse mna =
+let solve_ws ?(opts = default_opts) ?cancel ?obs ?initial ?(time = 0.0) ws =
   Obs.span obs "dc.solve" @@ fun () ->
-  let n = Mna.size mna in
   let initial =
-    match initial with Some v -> v | None -> Linalg.Vec.create n
+    match initial with
+    | Some v -> v
+    | None -> Linalg.Vec.create (Mna.size ws.mna)
   in
-  let sws =
-    match backend with
-    | Mna.Dense -> None
-    | Mna.Sparse ->
-        Some (match sparse with Some s -> s | None -> sparse_ws mna)
-  in
-  let jac_of (ev : Mna.eval) = ev.Mna.g_mat in
   let attempt gmin start =
     let r, iters =
-      match sws with
-      | None ->
-          let r, iters =
-            newton ?cancel ?obs ~opts ~mna ~gmin
-              ~residual_of:(dc_residual mna time) ~jac_of ~initial:start ()
-          in
-          ((match r with Some (v, _) -> Some v | None -> None), iters)
-      | Some sws ->
-          newton_sparse ?cancel ?obs ~opts ~mna ~sws ~gmin
-            ~time ~alpha:0.0
-            ~fold:(fun _ _ -> ())
-            ~initial:start ()
+      newton_loop ?cancel ?obs ~opts ws ~gmin ~time ~alpha:0.0
+        ~fold:(fun _ _ -> ())
+        ~initial:start ()
     in
     Obs.count obs "dc.newton_iterations" iters;
     r
@@ -245,72 +223,30 @@ let solve ?(opts = default_opts) ?cancel ?obs ?initial ?(time = 0.0)
       in
       steps initial levels
 
-let newton_dynamic ?(opts = default_opts) ?cancel ?obs
-    ?(backend = Mna.Dense) ?sparse ~mna ~time ~alpha ~q_prev ~qdot_term
-    ~initial () =
-  match backend with
-  | Mna.Sparse ->
-      let sws = match sparse with Some s -> s | None -> sparse_ws mna in
-      let n = Mna.size mna in
-      let fold f q =
-        for k = 0 to n - 1 do
-          f.(k) <- f.(k) +. (alpha *. (q.(k) -. q_prev.(k))) -. qdot_term.(k)
-        done
-      in
-      let result, iters =
-        newton_sparse ?cancel ?obs ~opts ~mna ~sws
-          ~gmin:opts.gmin_final ~time ~alpha ~fold ~initial ()
-      in
-      Obs.count obs "dc.newton_iterations" iters;
-      (match result with
-      | Some v ->
-          Guard.check_vec ~site:"dc.newton_dynamic" v;
-          (* residual pieces at the solution, without dense Jacobians —
-             the transient needs q(v), not G/C matrices *)
-          let ev = Mna.eval mna ~with_matrices:false ~time v in
-          (v, ev, iters)
-      | None ->
-          raise
-            (No_convergence
-               (Printf.sprintf "transient Newton failed at t=%.6e" time)))
-  | Mna.Dense ->
-  let n = Mna.size mna in
-  let residual_of v =
-    let ev = Mna.eval mna ~with_matrices:true ~time v in
-    let f = ev.Mna.i_vec in
+let solve ?opts ?cancel ?obs ?initial ?time ?(backend = Mna.Dense) mna =
+  solve_ws ?opts ?cancel ?obs ?initial ?time (workspace ~backend mna)
+
+let newton_dynamic ?(opts = default_opts) ?cancel ?obs ws ~time ~alpha ~q_prev
+    ~qdot_term ~initial () =
+  let n = Mna.size ws.mna in
+  let fold f q =
     for k = 0 to n - 1 do
-      f.(k) <-
-        f.(k) +. (alpha *. (ev.Mna.q_vec.(k) -. q_prev.(k))) -. qdot_term.(k)
-    done;
-    ev
-  in
-  let jac_of (ev : Mna.eval) =
-    match (ev.Mna.g_mat, ev.Mna.c_mat) with
-    | Some g, Some c ->
-        (* J = G + alpha·C; reuse G's storage *)
-        let nmat = Linalg.Mat.rows g in
-        for r = 0 to nmat - 1 do
-          for col = 0 to nmat - 1 do
-            Linalg.Mat.update g r col (fun x ->
-                x +. (alpha *. Linalg.Mat.get c r col))
-          done
-        done;
-        Some g
-    | _, _ -> None
+      f.(k) <- f.(k) +. (alpha *. (q.(k) -. q_prev.(k))) -. qdot_term.(k)
+    done
   in
   let result, iters =
-    newton ?cancel ?obs ~opts ~mna ~gmin:opts.gmin_final
-      ~residual_of ~jac_of ~initial ()
+    newton_loop ?cancel ?obs ~opts ws ~gmin:opts.gmin_final ~time ~alpha ~fold
+      ~initial ()
   in
   (* the count covers failed attempts too, so the diagnostics layer sees
      the true cost of steps that later retreat to another integrator *)
   Obs.count obs "dc.newton_iterations" iters;
   match result with
-  | Some (v, _) ->
+  | Some v ->
       Guard.check_vec ~site:"dc.newton_dynamic" v;
-      (* re-evaluate to return clean (unmodified) Jacobians at the solution *)
-      let ev = Mna.eval mna ~with_matrices:true ~time v in
-      (v, ev, iters)
+      (* the charge at the solution is all the integrator carries on *)
+      let ev = Mna.eval ws.mna ~with_matrices:false ~time v in
+      (v, ev.Mna.q_vec, iters)
   | None ->
       raise
         (No_convergence (Printf.sprintf "transient Newton failed at t=%.6e" time))

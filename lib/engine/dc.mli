@@ -1,4 +1,10 @@
-(** DC operating-point solver: damped Newton–Raphson with gmin stepping. *)
+(** DC operating-point solver: damped Newton–Raphson with gmin stepping,
+    and the Newton solve of each transient step.
+
+    One Newton loop serves the DC solve and every transient step on
+    both MNA backends: one contraction test, step limit, gmin rule, set
+    of fault probes and set of telemetry records. Only the storage of
+    the Newton pencil and its LU differ, and a {!ws} holds both. *)
 
 type opts = {
   max_iter : int;  (** Newton iterations per gmin level (default 100) *)
@@ -12,14 +18,17 @@ val default_opts : opts
 
 exception No_convergence of string
 
-type sparse_ws
-(** Reusable state for the sparse Newton backend: assembly context,
-    Newton pencil value buffer, sparse LU workspace (with its cached
-    fill-reducing ordering) and the diagonal slots gmin lands in. Build
-    one per system and share it across DC solves and transient steps. *)
+type ws
+(** One system's Newton workspace: the pencil buffer and its LU
+    workspace, {!Linalg.Lu} on the dense backend and {!Linalg.Splu} on
+    the sparse one (with the compiled assembly context and the cached
+    fill-reducing ordering), plus the diagonal slots gmin lands in.
+    Build one per system and share it across its DC solve and
+    transient steps; it is not safe to share across domains. *)
 
-val sparse_ws : ?ctx:Mna.sparse_ctx -> Mna.t -> sparse_ws
-(** Compile a sparse workspace, reusing [ctx] when provided. *)
+val workspace : backend:Mna.backend -> Mna.t -> ws
+(** Allocate a workspace; on the sparse backend this compiles the
+    system's sparsity pattern. *)
 
 val solve :
   ?opts:opts ->
@@ -28,15 +37,25 @@ val solve :
   ?initial:Linalg.Vec.t ->
   ?time:float ->
   ?backend:Mna.backend ->
-  ?sparse:sparse_ws ->
   Mna.t ->
   Linalg.Vec.t
-(** Solve [i(v) = s(time)] (capacitors open, inductors short). Applies
-    gmin stepping automatically when plain Newton fails. Raises
-    {!No_convergence} when even the stepped continuation fails.
-    With [obs]: a [dc.solve] span; the [dc.newton_iterations] counter
-    (every Newton iteration, across all gmin levels) and the Diag-only
-    [dc.gmin_levels]/[dc.gmin_continuations]; the
+(** Solve [i(v) = s(time)] (capacitors open, inductors short) through a
+    fresh {!workspace} of [backend] (default [Dense]): {!solve_ws}. *)
+
+val solve_ws :
+  ?opts:opts ->
+  ?cancel:Cancel.t ->
+  ?obs:Obs.t ->
+  ?initial:Linalg.Vec.t ->
+  ?time:float ->
+  ws ->
+  Linalg.Vec.t
+(** Solve [i(v) = s(time)] in the given workspace. The Newton Jacobian
+    is [G] itself. Applies gmin stepping automatically when plain Newton
+    fails. Raises {!No_convergence} when even the stepped continuation
+    fails. With [obs]: a [dc.solve] span; the [dc.newton_iterations]
+    counter (every Newton iteration, across all gmin levels) and the
+    Diag-only [dc.gmin_levels]/[dc.gmin_continuations]; the
     [dc.lu_factor_ns]/[dc.lu_solve_ns] histograms; a ["dc.lu"] rcond
     event per LU factorization. A Jacobian factorization below the
     [Guard.rcond_min] floor counts as a failed Newton run, and the
@@ -44,34 +63,26 @@ val solve :
     ([Guard.Violation] at site ["dc.solve"]). Hosts the
     ["dc.newton_diverge"] fault probe (one invocation per Newton run; a
     firing reports divergence, engaging gmin stepping). With [cancel],
-    every Newton iteration probes the token (site ["dc.newton"]).
-
-    With [backend:Sparse], the Newton systems assemble into compiled
-    CSC patterns and factor with {!Linalg.Splu}; [sparse] supplies a
-    prebuilt workspace (one is compiled on the fly otherwise). The
-    dense path is bit-identical to before the knob existed. *)
+    every Newton iteration probes the token (site ["dc.newton"]). *)
 
 val newton_dynamic :
   ?opts:opts ->
   ?cancel:Cancel.t ->
   ?obs:Obs.t ->
-  ?backend:Mna.backend ->
-  ?sparse:sparse_ws ->
-  mna:Mna.t ->
+  ws ->
   time:float ->
   alpha:float ->
   q_prev:Linalg.Vec.t ->
   qdot_term:Linalg.Vec.t ->
   initial:Linalg.Vec.t ->
   unit ->
-  Linalg.Vec.t * Mna.eval * int
+  Linalg.Vec.t * Linalg.Vec.t * int
 (** Newton solve of the discretized transient equation
-    [i(v) − s(t) + alpha·(q(v) − q_prev) − qdot_term = 0]; shared by the
-    integration methods in {!Tran}. Returns the solution, the final
-    evaluation at the solution (with dense Jacobians on the dense
-    backend, residual pieces only on the sparse one), and the number of
-    Newton iterations actually run. The rcond floor and the sentinel
-    (site ["dc.newton_dynamic"]) apply as in {!solve}. With [obs],
-    records as {!solve} does apart from the span; on {!No_convergence}
-    the iterations spent on the failed attempt are still counted
-    ([dc.newton_iterations]). *)
+    [i(v) − s(t) + alpha·(q(v) − q_prev) − qdot_term = 0], with
+    Jacobian [G + alpha·C]; shared by the integration methods in
+    {!Tran}. Returns the solution, the charge vector [q] at the solution
+    and the number of Newton iterations actually run. The rcond floor,
+    the fault probe and the sentinel (site ["dc.newton_dynamic"]) apply
+    as in {!solve_ws}. With [obs], records as {!solve_ws} does apart
+    from the span; on {!No_convergence} the iterations spent on the
+    failed attempt are still counted ([dc.newton_iterations]). *)

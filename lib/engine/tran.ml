@@ -14,8 +14,6 @@ type snapshot = {
   state : Linalg.Vec.t;
   inputs : Linalg.Vec.t;
   outputs : Linalg.Vec.t;
-  g_mat : Linalg.Mat.t;
-  c_mat : Linalg.Mat.t;
 }
 
 type result = {
@@ -28,28 +26,26 @@ type result = {
   step_rejections : int;
 }
 
-(* Snapshot Jacobians: dense evaluations carry them; the sparse backend
-   stores 0×0 placeholders instead — the TFT dataset re-stamps G/C from
-   the recorded state through the compiled sparse pattern, so keeping
-   n×n copies per snapshot would only burn memory at large n. *)
-let snapshot_matrices (ev : Mna.eval) =
-  match (ev.Mna.g_mat, ev.Mna.c_mat) with
-  | Some g, Some c -> (Linalg.Mat.copy g, Linalg.Mat.copy c)
-  | _, _ -> (Linalg.Mat.create 0 0, Linalg.Mat.create 0 0)
+(* A snapshot records where the trajectory was; its Jacobians G_k and
+   C_k are functions of the state alone, so consumers stamp them with
+   [Mna.eval] at [state] — the bits the step's last evaluation held. *)
+let take_snapshot mna snapshots time v =
+  snapshots :=
+    {
+      time;
+      state = Linalg.Vec.copy v;
+      inputs = Mna.input_values mna time;
+      outputs = Mna.output_values mna v;
+    }
+    :: !snapshots
 
 let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
-    ?(backend = Mna.Dense) ?sparse mna ~t_stop ~dt =
+    ?(backend = Mna.Dense) mna ~t_stop ~dt =
   if dt <= 0.0 || t_stop <= 0.0 then invalid_arg "Tran.run: dt and t_stop must be > 0";
   let obs =
     if Option.is_none obs then Option.map Obs.of_metrics metrics else obs
   in
-  let sparse =
-    match backend with
-    | Mna.Dense -> None
-    | Mna.Sparse ->
-        Some (match sparse with Some s -> s | None -> Dc.sparse_ws mna)
-  in
-  let with_matrices = backend = Mna.Dense in
+  let ws = Dc.workspace ~backend mna in
   let n = Mna.size mna in
   (* the small slack avoids a spurious zero-length final step when
      t_stop/dt is an integer up to roundoff *)
@@ -60,10 +56,9 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
     match initial with
     | Some v -> Linalg.Vec.copy v
     | None ->
-        Dc.solve ~opts:opts.newton ?cancel ?obs ~time:0.0 ~backend
-          ?sparse mna
+        Dc.solve_ws ~opts:opts.newton ?cancel ?obs ~time:0.0 ws
   in
-  let ev0 = Mna.eval mna ~with_matrices ~time:0.0 v0 in
+  let q0 = (Mna.eval mna ~with_matrices:false ~time:0.0 v0).Mna.q_vec in
   let times = Array.make (steps + 1) 0.0 in
   let states = Array.make (steps + 1) v0 in
   let outputs = Linalg.Mat.create (steps + 1) (Mna.n_outputs mna) in
@@ -73,30 +68,17 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
   in
   record_output 0 v0;
   let snapshots = ref [] in
-  let take_snapshot time v (ev : Mna.eval) =
-    let g, c = snapshot_matrices ev in
-    snapshots :=
-      {
-        time;
-        state = Linalg.Vec.copy v;
-        inputs = Mna.input_values mna time;
-        outputs = Mna.output_values mna v;
-        g_mat = g;
-        c_mat = c;
-      }
-      :: !snapshots
-  in
-  if opts.snapshot_every > 0 then take_snapshot 0.0 v0 ev0;
+  if opts.snapshot_every > 0 then take_snapshot mna snapshots 0.0 v0;
   let newton_count = ref 0 in
   let fallback_count = ref 0 in
   let halving_count = ref 0 in
-  let q_prev = ref ev0.Mna.q_vec in
+  let q_prev = ref q0 in
   let qdot_prev = ref (Linalg.Vec.create n) in
   let v_prev = ref v0 in
   (* recovery of last resort for a step no integrator could take
      whole: re-integrate [t_prev, time] as 2^j backward-Euler substeps,
      doubling the split until the halving budget runs out. Returns the
-     end-of-step solution and total Newton iterations. *)
+     end-of-step solution and charge and total Newton iterations. *)
   let halve_step ~t_prev ~time =
     let rec attempt j =
       if j > Guard.max_step_halvings then None
@@ -110,28 +92,26 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
         let m = 1 lsl j in
         let hs = (time -. t_prev) /. float_of_int m in
         let rec substeps i q v iters =
-          if i = m then Some (v, iters)
+          if i = m then Some (v, q, iters)
           else
             let t_sub =
               if i = m - 1 then time else t_prev +. (float_of_int (i + 1) *. hs)
             in
             match
-              Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ~backend
-                ?sparse ~mna ~time:t_sub ~alpha:(1.0 /. hs) ~q_prev:q
-                ~qdot_term:(Linalg.Vec.create n) ~initial:v ()
+              Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time:t_sub
+                ~alpha:(1.0 /. hs) ~q_prev:q ~qdot_term:(Linalg.Vec.create n)
+                ~initial:v ()
             with
             | exception Dc.No_convergence _ -> None
-            | v', ev', it -> substeps (i + 1) ev'.Mna.q_vec v' (iters + it)
+            | v', q', it -> substeps (i + 1) q' v' (iters + it)
         in
         match substeps 0 !q_prev !v_prev 0 with
-        | Some (v, iters) ->
+        | Some _ as recovered ->
             Obs.warn obs ~stage:"engine.tran"
               (Printf.sprintf
                  "step at t=%.6e recovered as %d backward-Euler substeps" time
                  m);
-            (* re-evaluate for the snapshot-quality Jacobians *)
-            let ev = Mna.eval mna ~with_matrices ~time v in
-            Some (v, ev, iters)
+            recovered
         | None -> attempt (j + 1)
       end
     in
@@ -165,27 +145,26 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
         (Printf.sprintf
            "trapezoidal step at t=%.6e retreated to backward Euler" time);
       inject_diverge ();
-      let v, ev, iters =
-        Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ~backend ?sparse
-          ~mna ~time ~alpha:(1.0 /. h) ~q_prev:!q_prev
-          ~qdot_term:(Linalg.Vec.create n) ~initial:!v_prev ()
+      let v, q, iters =
+        Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time
+          ~alpha:(1.0 /. h) ~q_prev:!q_prev ~qdot_term:(Linalg.Vec.create n)
+          ~initial:!v_prev ()
       in
-      (v, ev, iters, true)
+      (v, q, iters, true)
     in
     let recover exn =
       match halve_step ~t_prev:times.(k - 1) ~time with
-      | Some (v, ev, iters) -> (v, ev, iters, true)
+      | Some (v, q, iters) -> (v, q, iters, true)
       | None -> raise exn
     in
-    let v, ev, iters, fell_back =
+    let v, q_new, iters, fell_back =
       try
         inject_diverge ();
-        let v, ev, iters =
-          Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ~backend ?sparse
-            ~mna ~time ~alpha ~q_prev:!q_prev ~qdot_term
-            ~initial:!v_prev ()
+        let v, q, iters =
+          Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time ~alpha
+            ~q_prev:!q_prev ~qdot_term ~initial:!v_prev ()
         in
-        (v, ev, iters, false)
+        (v, q, iters, false)
       with
       | Dc.No_convergence _ when opts.integration = Trapezoidal -> (
           try be_retry () with Dc.No_convergence _ as e -> recover e)
@@ -196,7 +175,6 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
       [ ("iters", Trace.Int iters); ("be_fallback", Trace.Bool fell_back) ];
     Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
       (float_of_int iters);
-    let q_new = ev.Mna.q_vec in
     let qdot_new =
       (* the derivative estimate must match the integrator that actually
          produced the step: applying the trapezoidal formula to a
@@ -216,7 +194,7 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
     states.(k) <- Linalg.Vec.copy v;
     record_output k v;
     if opts.snapshot_every > 0 && k mod opts.snapshot_every = 0 then
-      take_snapshot time v ev;
+      take_snapshot mna snapshots time v;
     q_prev := q_new;
     qdot_prev := qdot_new;
     v_prev := v
@@ -238,17 +216,11 @@ let output_waveform r j =
 
 let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
     ?(reltol = 1e-3) ?(abstol = 1e-6) ?dt_min ?dt_max ?(backend = Mna.Dense)
-    ?sparse mna ~t_stop ~dt =
+    mna ~t_stop ~dt =
   if dt <= 0.0 || t_stop <= 0.0 then
     invalid_arg "Tran.run_adaptive: dt and t_stop must be > 0";
   Obs.span obs "tran.run_adaptive" @@ fun () ->
-  let sparse =
-    match backend with
-    | Mna.Dense -> None
-    | Mna.Sparse ->
-        Some (match sparse with Some s -> s | None -> Dc.sparse_ws mna)
-  in
-  let with_matrices = backend = Mna.Dense in
+  let ws = Dc.workspace ~backend mna in
   let dt_min = match dt_min with Some v -> v | None -> dt /. 1e6 in
   let dt_max = match dt_max with Some v -> v | None -> 50.0 *. dt in
   let n = Mna.size mna in
@@ -256,31 +228,17 @@ let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
     match initial with
     | Some v -> Linalg.Vec.copy v
     | None ->
-        Dc.solve ~opts:opts.newton ?cancel ?obs ~time:0.0 ~backend
-          ?sparse mna
+        Dc.solve_ws ~opts:opts.newton ?cancel ?obs ~time:0.0 ws
   in
-  let ev0 = Mna.eval mna ~with_matrices ~time:0.0 v0 in
+  let q0 = (Mna.eval mna ~with_matrices:false ~time:0.0 v0).Mna.q_vec in
   let times = ref [ 0.0 ] in
   let states = ref [ v0 ] in
   let outputs = ref [ Mna.output_values mna v0 ] in
   let snapshots = ref [] in
-  let take_snapshot time v (ev : Mna.eval) =
-    let g, c = snapshot_matrices ev in
-    snapshots :=
-      {
-        time;
-        state = Linalg.Vec.copy v;
-        inputs = Mna.input_values mna time;
-        outputs = Mna.output_values mna v;
-        g_mat = g;
-        c_mat = c;
-      }
-      :: !snapshots
-  in
-  if opts.snapshot_every > 0 then take_snapshot 0.0 v0 ev0;
+  if opts.snapshot_every > 0 then take_snapshot mna snapshots 0.0 v0;
   let newton_count = ref 0 in
   let rejections = ref 0 in
-  let q_prev = ref ev0.Mna.q_vec in
+  let q_prev = ref q0 in
   let qdot_prev = ref (Linalg.Vec.create n) in
   let v_prev = ref v0 in
   let t_now = ref 0.0 in
@@ -291,18 +249,18 @@ let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
     if Fault.should_fire "tran.stall" then Cancel.hang cancel ~site:"tran.step";
     let h_try = Float.min !h (t_stop -. !t_now) in
     let time = !t_now +. h_try in
-    let step_ok, v_new, ev_new =
+    let step_ok, v_new, q_new =
       try
-        let v, ev, iters =
-          Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ~backend ?sparse
-            ~mna ~time ~alpha:(2.0 /. h_try) ~q_prev:!q_prev
+        let v, q, iters =
+          Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time
+            ~alpha:(2.0 /. h_try) ~q_prev:!q_prev
             ~qdot_term:(Linalg.Vec.copy !qdot_prev) ~initial:!v_prev ()
         in
         newton_count := !newton_count + iters;
         Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
           (float_of_int iters);
-        (true, v, ev)
-      with Dc.No_convergence _ -> (false, !v_prev, ev0)
+        (true, v, q)
+      with Dc.No_convergence _ -> (false, !v_prev, q0)
     in
     if not step_ok then begin
       (* convergence failure: halve the step *)
@@ -341,7 +299,6 @@ let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
       end
       else begin
         (* accept *)
-        let q_new = ev_new.Mna.q_vec in
         let qdot_new =
           Array.init n (fun j ->
               ((2.0 /. h_try) *. (q_new.(j) -. (!q_prev).(j))) -. (!qdot_prev).(j))
@@ -352,7 +309,7 @@ let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
         outputs := Mna.output_values mna v_new :: !outputs;
         incr accepted;
         if opts.snapshot_every > 0 && !accepted mod opts.snapshot_every = 0 then
-          take_snapshot time v_new ev_new;
+          take_snapshot mna snapshots time v_new;
         q_prev := q_new;
         qdot_prev := qdot_new;
         v_prev := v_new;

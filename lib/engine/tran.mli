@@ -1,9 +1,12 @@
-(** Nonlinear transient analysis with Jacobian snapshot capture.
+(** Nonlinear transient analysis with snapshot capture.
 
     This replaces the role of the commercial simulator in the paper's
     flow: it integrates [d/dt q(v) + i(v) = s(t)] and, at selected
-    accepted time points, records the linearization
-    [(G_k, C_k, u_k, y_k)] that the TFT transform consumes. *)
+    accepted time points, records the converged state [x(t_k)] with
+    [u_k] and [y_k]. The linearization [(G_k, C_k)] that the TFT
+    transform consumes is a function of that state alone: consumers
+    stamp it with {!Mna.eval} (dense) or {!Mna.eval_sparse}, which
+    reproduces the bits the step's last evaluation held. *)
 
 type integration = Backward_euler | Trapezoidal
 
@@ -21,11 +24,6 @@ type snapshot = {
   state : Linalg.Vec.t;  (** converged unknown vector *)
   inputs : Linalg.Vec.t;  (** u(t_k) of the designated inputs *)
   outputs : Linalg.Vec.t;  (** y(t_k) = Dᵀ v *)
-  g_mat : Linalg.Mat.t;
-      (** ∂i/∂v at the solution; a 0×0 placeholder on the sparse
-          backend, where consumers re-stamp it from [state] through a
-          compiled sparse pattern instead of carrying n×n copies *)
-  c_mat : Linalg.Mat.t;  (** ∂q/∂v at the solution; likewise *)
 }
 
 type result = {
@@ -51,7 +49,6 @@ val run :
   ?obs:Obs.t ->
   ?initial:Linalg.Vec.t ->
   ?backend:Mna.backend ->
-  ?sparse:Dc.sparse_ws ->
   Mna.t ->
   t_stop:float ->
   dt:float ->
@@ -80,10 +77,11 @@ val run :
     (site ["tran.step"]) before integrating, as does every inner
     Newton iteration.
 
-    With [backend:Sparse], every Newton system (DC operating point and
-    each time step) assembles and factors sparsely through one shared
-    {!Dc.sparse_ws} ([sparse] supplies it, otherwise one is compiled
-    up front), and snapshots carry 0×0 placeholder Jacobians. *)
+    Every Newton system of the run (DC operating point and each time
+    step) goes through one {!Dc.workspace} of [backend] (default
+    [Dense]), allocated up front: with [Sparse] it assembles into the
+    compiled CSC pattern and factors with {!Linalg.Splu}, compiling the
+    pattern once per run. *)
 
 val output_waveform : result -> int -> Signal.Waveform.t
 (** Extract output channel [j] as a waveform. *)
@@ -98,7 +96,6 @@ val run_adaptive :
   ?dt_min:float ->
   ?dt_max:float ->
   ?backend:Mna.backend ->
-  ?sparse:Dc.sparse_ws ->
   Mna.t ->
   t_stop:float ->
   dt:float ->
@@ -109,6 +106,7 @@ val run_adaptive :
     quiet intervals. [dt] is the initial step; [reltol]/[abstol]
     (defaults 1e-3 / 1e-6) bound the per-step estimate; [dt_min]
     defaults to [dt/1e6] and [dt_max] to [50·dt]. Snapshots are captured
-    on accepted steps as in {!run}. With [obs], records as {!run} does,
+    on accepted steps, and the Newton systems share one workspace, as
+    in {!run}. With [obs], records as {!run} does,
     with a [tran.run_adaptive] span and no per-step spans; rejected
     attempts count in [tran.step_rejections]. *)

@@ -368,7 +368,11 @@ let check_dense_parity ~quick () =
   let rel_err = ref 0.0 and residual = ref 0.0 and dc_diff = ref 0.0 in
   Array.iter
     (fun (snap : Engine.Tran.snapshot) ->
-      let g = snap.Engine.Tran.g_mat and c = snap.Engine.Tran.c_mat in
+      let ev =
+        Engine.Mna.eval mna ~time:snap.Engine.Tran.time snap.Engine.Tran.state
+      in
+      let g = Option.get ev.Engine.Mna.g_mat
+      and c = Option.get ev.Engine.Mna.c_mat in
       let h = Engine.Ac.transfer_sweep ~obs ws ~g ~c ~ss in
       let x = Engine.Ac.transfer_sweep full ~g ~c ~ss in
       Array.iteri
@@ -492,9 +496,8 @@ let check_large_ladder ~quick () =
   checked "large-ladder-recovery" @@ fun () ->
   let o = Ladder.rc ~stages:1000 () in
   let mna = mna_of o in
+  let at = Engine.Dc.solve ~backend:Engine.Mna.Sparse mna in
   let ctx = Engine.Mna.sparse_ctx mna in
-  let sw = Engine.Dc.sparse_ws ~ctx mna in
-  let at = Engine.Dc.solve ~backend:Engine.Mna.Sparse ~sparse:sw mna in
   let sev = Engine.Mna.eval_sparse mna ctx ~time:0.0 at in
   let g = sev.Engine.Mna.sg and c = sev.Engine.Mna.sc in
   let ws =

@@ -5,9 +5,17 @@ type t = { pairs : pair_term array; const : float; offset : float }
 exception Not_integrable of string
 
 let of_model (m : Vf.Model.t) ~elem =
+  let coeffs = m.Vf.Model.coeffs.(elem) in
+  (* a NaN compares unequal to 0, so the structural tests below would
+     misreport a corrupt element as a slope term or a real pole *)
+  if
+    not
+      (Float.is_finite m.Vf.Model.slopes.(elem)
+      && Float.is_finite m.Vf.Model.consts.(elem)
+      && Guard.finite_array coeffs)
+  then Guard.fail ~site:"rvf.ratfn" "non-finite model coefficients";
   if m.Vf.Model.slopes.(elem) <> 0.0 then
     raise (Not_integrable "model has a linear slope term");
-  let coeffs = m.Vf.Model.coeffs.(elem) in
   let pairs = ref [] in
   List.iter
     (fun slot ->

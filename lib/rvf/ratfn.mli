@@ -25,6 +25,10 @@ exception Not_integrable of string
     term. *)
 
 val of_model : Vf.Model.t -> elem:int -> t
+(** The closed form of one model element. Raises [Guard.Violation] at
+    site ["rvf.ratfn"] when the element's slope, constant or
+    coefficients are not finite, before any structural test, and
+    {!Not_integrable} otherwise as described above. *)
 
 val deriv : t -> float -> float
 (** r(x). *)

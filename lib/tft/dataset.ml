@@ -181,18 +181,25 @@ let of_snapshots ?pool ?cancel ?metrics ?obs
                   ~make:(fun () -> Engine.Ac.make_ws ~b ~d)
             | None -> Engine.Ac.make_ws ~b ~d)
           (fun ws ((i, snap) : int * Engine.Tran.snapshot) ->
-            let g = snap.Engine.Tran.g_mat and c = snap.Engine.Tran.c_mat in
+            (* G_k and C_k stamped from the snapshot's state: the bits
+               its step's last evaluation held *)
+            let ev =
+              Engine.Mna.eval mna ~time:snap.Engine.Tran.time
+                snap.Engine.Tran.state
+            in
+            let g = Option.get ev.Engine.Mna.g_mat
+            and c = Option.get ev.Engine.Mna.c_mat in
             let h = Engine.Ac.transfer_sweep ?cancel ?obs ws ~g ~c ~ss:ss_dc in
             make_sample snap i (Array.sub h 0 l) h.(l))
           (Array.mapi (fun i snap -> (i, snap)) snapshots)
     | Engine.Mna.Sparse ->
-        (* Snapshots carry placeholder Jacobians on this backend: the
-           sequential pre-pass re-stamps G/C from each snapshot's
+        (* The sequential pre-pass stamps G/C from each snapshot's
            converged state through the compiled pattern (bit-identical
            values — same accumulation order as the dense stamps) and
-           keeps only the nnz-sized value arrays. Workers then run the
-           rational-Krylov sweep on private views, so nothing shared is
-           mutated during the fan-out. *)
+           keeps only the nnz-sized value arrays: the context is shared
+           and refilled in place. Workers then run the rational-Krylov
+           sweep on private views, so nothing shared is mutated during
+           the fan-out. *)
         let ctx =
           match sparse_ctx with
           | Some c -> c

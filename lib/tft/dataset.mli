@@ -34,8 +34,11 @@ val of_snapshots :
   Engine.Tran.snapshot array ->
   t
 (** Evaluate [H^(k)(s) = Dᵀ(G_k + s·C_k)⁻¹B] on the frequency grid for
-    every snapshot. The estimator is evaluated from the designated input
-    sources of the MNA system. On the dense backend each snapshot is one
+    every snapshot. Snapshots hold the state only: both backends stamp
+    [G_k] and [C_k] from it, which reproduces the Jacobians of the
+    transient step that produced it bit for bit. The estimator is
+    evaluated from the designated input sources of the MNA system. On
+    the dense backend each snapshot is one {!Engine.Mna.eval} and one
     {!Engine.Ac.transfer_sweep} over the grid extended by [s = 0]: one
     Hessenberg reduction, certified O(n²) grid points, and [H(0)] from
     the same factorization of [G_k].
@@ -65,14 +68,13 @@ val of_snapshots :
     snapshot index in a sequential pre-pass, so injected bursts are
     deterministic for any domain count.
 
-    With [backend:Sparse], the snapshots' (placeholder) dense Jacobians
-    are ignored: G/C are re-stamped from each snapshot's converged
-    state through the compiled pattern of [sparse_ctx] (compiled on the
-    fly when omitted) in a sequential pre-pass, and each snapshot's
-    grid sweep runs through {!Engine.Ratkrylov} — a few sparse shift
-    factorizations plus certified projected solves instead of one dense
-    factorization per grid point. [H(0)] comes from an exact sparse
-    solve. An armed fault site forces the sequential path so injections
+    With [backend:Sparse], G/C are stamped from each snapshot's
+    converged state through the compiled pattern of [sparse_ctx]
+    (compiled on the fly when omitted) in a sequential pre-pass, and
+    each snapshot's grid sweep runs through {!Engine.Ratkrylov} — a few
+    sparse shift factorizations plus certified projected solves instead
+    of one dense factorization per grid point. [H(0)] comes from an
+    exact sparse solve. An armed fault site forces the sequential path so injections
     ([sp.singular], [krylov.stall]) land deterministically; a sparse
     singularity escapes as {!Linalg.Spclu.Singular} for the pipeline's
     escalation ladder to catch. *)

@@ -17,18 +17,27 @@ let finite_mat m =
   done;
   !ok
 
-let snapshot_finite (s : Engine.Tran.snapshot) =
-  Guard.finite_array s.Engine.Tran.state
-  && Guard.finite_array s.Engine.Tran.inputs
-  && finite_mat s.Engine.Tran.g_mat
-  && finite_mat s.Engine.Tran.c_mat
+(* A snapshot with its linearization (G_k, C_k), stamped from its state
+   — the bits its transient step's last evaluation held — or [None]
+   when the state, the inputs or the stamped matrices are not finite. *)
+let linearize mna (s : Engine.Tran.snapshot) =
+  if
+    not
+      (Guard.finite_array s.Engine.Tran.state
+      && Guard.finite_array s.Engine.Tran.inputs)
+  then None
+  else
+    let ev = Engine.Mna.eval mna ~time:s.Engine.Tran.time s.Engine.Tran.state in
+    let g = Option.get ev.Engine.Mna.g_mat
+    and c = Option.get ev.Engine.Mna.c_mat in
+    if finite_mat g && finite_mat c then Some (s, g, c) else None
 
 let build ~mna snapshots =
   (* snapshot quarantine: the TPW database interpolates raw snapshots
      directly, so a corrupt one is dropped before indexing (there is no
      meaningful neighbor repair once the x-ordering is rebuilt) *)
   let snapshots =
-    Array.of_list (List.filter snapshot_finite (Array.to_list snapshots))
+    Array.of_list (List.filter_map (linearize mna) (Array.to_list snapshots))
   in
   if Array.length snapshots < 2 then invalid_arg "Tpw.build: need >= 2 snapshots";
   if Engine.Mna.n_inputs mna <> 1 || Engine.Mna.n_outputs mna <> 1 then
@@ -36,28 +45,27 @@ let build ~mna snapshots =
   let order =
     Array.init (Array.length snapshots) (fun k -> k)
   in
-  Array.sort
-    (fun a b ->
-      Float.compare snapshots.(a).Engine.Tran.inputs.(0)
-        snapshots.(b).Engine.Tran.inputs.(0))
-    order;
+  let x_of k =
+    let s, _, _ = snapshots.(k) in
+    s.Engine.Tran.inputs.(0)
+  in
+  Array.sort (fun a b -> Float.compare (x_of a) (x_of b)) order;
   (* drop duplicates in x to keep interpolation well defined *)
   let kept = ref [] in
   Array.iter
     (fun k ->
-      let x = snapshots.(k).Engine.Tran.inputs.(0) in
       match !kept with
-      | k' :: _ when Float.abs (snapshots.(k').Engine.Tran.inputs.(0) -. x) < 1e-12 -> ()
+      | k' :: _ when Float.abs (x_of k' -. x_of k) < 1e-12 -> ()
       | _ -> kept := k :: !kept)
     order;
   let kept = Array.of_list (List.rev !kept) in
   if Array.length kept < 2 then invalid_arg "Tpw.build: degenerate trajectory";
   let pick f = Array.map (fun k -> f snapshots.(k)) kept in
   {
-    xs = pick (fun s -> s.Engine.Tran.inputs.(0));
-    states = pick (fun s -> Linalg.Vec.copy s.Engine.Tran.state);
-    gs = pick (fun s -> Linalg.Mat.copy s.Engine.Tran.g_mat);
-    cs = pick (fun s -> Linalg.Mat.copy s.Engine.Tran.c_mat);
+    xs = Array.map x_of kept;
+    states = pick (fun (s, _, _) -> Linalg.Vec.copy s.Engine.Tran.state);
+    gs = pick (fun (_, g, _) -> g);
+    cs = pick (fun (_, _, c) -> c);
     b = Linalg.Mat.col (Engine.Mna.b_matrix mna) 0;
     d = Linalg.Mat.col (Engine.Mna.d_matrix mna) 0;
     n = Engine.Mna.size mna;

@@ -15,11 +15,12 @@
 type t
 
 val build : mna:Engine.Mna.t -> Engine.Tran.snapshot array -> t
-(** Index the snapshots by the first input value. Requires ≥ 2 finite
-    snapshots and a SISO input/output configuration. Snapshots with
-    non-finite state or Jacobian data are dropped before indexing;
-    interpolation repair does not apply here because the database is
-    re-ordered by input value. *)
+(** Index the snapshots by the first input value, stamping each one's
+    [(G_k, C_k)] from its state with {!Engine.Mna.eval}. Requires ≥ 2
+    finite snapshots and a SISO input/output configuration. Snapshots
+    with non-finite state, inputs or stamped Jacobians are dropped
+    before indexing; interpolation repair does not apply here because
+    the database is re-ordered by input value. *)
 
 val size_in_floats : t -> int
 (** Storage footprint of the snapshot database (floats held at runtime) —

@@ -113,6 +113,74 @@ let test_checkpoint_kill_hook () =
     [ "a"; "b"; "c" ];
   Sys.rmdir dir
 
+(* Train artifacts written while snapshots carried their Jacobians have
+   "g_mat"/"c_mat" keys in every snapshot object. They must decode to
+   the snapshots of the state-only encoding, so checkpoint directories
+   written then keep resuming under the same schema version. *)
+let test_legacy_train_artifact () =
+  let nl =
+    Circuit.Parser.parse_string
+      {|
+Vin in 0 SIN(0.3 0.5 1e6)
+R1 in out 1k
+D1 out 0 IS=1e-9 N=1.8
+C1 out 0 1p
+|}
+  in
+  let mna =
+    Engine.Mna.build ~inputs:[ "Vin" ] ~outputs:[ Engine.Mna.Node "out" ] nl
+  in
+  let run =
+    Engine.Tran.run
+      ~opts:{ Engine.Tran.default_opts with Engine.Tran.snapshot_every = 10 }
+      mna ~t_stop:1e-6 ~dt:1e-8
+  in
+  (* the older writer's snapshot object: the state-only fields followed
+     by G and C at the snapshot's state *)
+  let with_jacobians (s : Engine.Tran.snapshot) = function
+    | Minijson.Obj fields ->
+        let ev =
+          Engine.Mna.eval mna ~time:s.Engine.Tran.time s.Engine.Tran.state
+        in
+        Minijson.Obj
+          (fields
+          @ [
+              ("g_mat", Tft_rvf.Artifact.json_of_mat (Option.get ev.Engine.Mna.g_mat));
+              ("c_mat", Tft_rvf.Artifact.json_of_mat (Option.get ev.Engine.Mna.c_mat));
+            ])
+    | _ -> Alcotest.fail "snapshot is not a JSON object"
+  in
+  let encoded = Tft_rvf.Artifact.json_of_tran run in
+  let legacy =
+    match encoded with
+    | Minijson.Obj fields ->
+        Minijson.Obj
+          (List.map
+             (function
+               | "snapshots", Minijson.Arr snaps ->
+                   ( "snapshots",
+                     Minijson.Arr
+                       (List.map2 with_jacobians
+                          (Array.to_list run.Engine.Tran.snapshots)
+                          snaps) )
+               | field -> field)
+             fields)
+    | _ -> Alcotest.fail "training run is not a JSON object"
+  in
+  let decode j = Tft_rvf.Artifact.tran_of_json (Minijson.parse (Minijson.emit j)) in
+  let current = decode encoded and old = decode legacy in
+  Alcotest.(check bool) "legacy artifact carries Jacobians" true
+    (String.length (Minijson.emit legacy)
+    > String.length (Minijson.emit encoded));
+  Alcotest.(check int) "snapshot count" 11
+    (Array.length old.Engine.Tran.snapshots);
+  Alcotest.(check bool) "same snapshots, bit for bit" true
+    (Marshal.to_string old.Engine.Tran.snapshots []
+    = Marshal.to_string current.Engine.Tran.snapshots []);
+  Alcotest.(check bool) "same as the run's own snapshots" true
+    (Marshal.to_string old.Engine.Tran.snapshots []
+    = Marshal.to_string run.Engine.Tran.snapshots [])
+
 (* --- pool exception safety ------------------------------------------- *)
 
 let test_poisoned_fanout () =
@@ -250,6 +318,8 @@ let suite =
       test_checkpoint_round_trip;
     Alcotest.test_case "checkpoint kill hook" `Quick
       test_checkpoint_kill_hook;
+    Alcotest.test_case "legacy train artifact" `Quick
+      test_legacy_train_artifact;
     Alcotest.test_case "poisoned fan-out" `Quick test_poisoned_fanout;
     Alcotest.test_case "budgets arm private token" `Quick
       test_budgets_arm_private_token;

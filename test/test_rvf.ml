@@ -74,6 +74,23 @@ let test_ratfn_rejects_real_poles () =
     | exception Rvf.Ratfn.Not_integrable _ -> true
     | _ -> false)
 
+(* a NaN slope is corruption, not a slope term: it fails typed at the
+   closed form's own site *)
+let test_ratfn_nan_slope_is_violation () =
+  let model =
+    {
+      Vf.Model.poles = [| cx 0.8 0.3; cx 0.8 (-0.3) |];
+      coeffs = [| [| 1.5; -0.4 |] |];
+      consts = [| 0.25 |];
+      slopes = [| Float.nan |];
+    }
+  in
+  Alcotest.(check bool) "guard violation at rvf.ratfn" true
+    (match Rvf.Ratfn.of_model model ~elem:0 with
+    | exception Guard.Violation { Guard.site = "rvf.ratfn"; _ } -> true
+    | exception _ -> false
+    | _ -> false)
+
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec scan k = k + nn <= nh && (String.sub hay k nn = needle || scan (k + 1)) in
@@ -247,6 +264,8 @@ let suite =
     Alcotest.test_case "ratfn set_value" `Quick test_ratfn_set_value;
     Alcotest.test_case "ratfn of_model" `Quick test_ratfn_of_model;
     Alcotest.test_case "ratfn rejects real poles" `Quick test_ratfn_rejects_real_poles;
+    Alcotest.test_case "ratfn nan slope is a violation" `Quick
+      test_ratfn_nan_slope_is_violation;
     Alcotest.test_case "ratfn formula" `Quick test_ratfn_formula_mentions_terms;
     Alcotest.test_case "ratfn to_static_fn" `Quick test_ratfn_to_static_fn;
     Alcotest.test_case "rvf linear circuit" `Slow test_rvf_linear_circuit;

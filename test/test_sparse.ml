@@ -271,9 +271,8 @@ let test_splu_singular_typed () =
     | exception Linalg.Splu.Singular _ -> true
     | _ -> false)
 
-(* sparse transient backend: snapshots carry placeholder Jacobians and
-   the sparse dataset path re-stamps them — the state trajectories of
-   the two backends must agree to Newton tolerance *)
+(* sparse transient backend: the state trajectories of the two
+   backends must agree to Newton tolerance *)
 let test_tran_backend_parity () =
   let netlist = Circuits.Library.rc_grid ~rows:4 ~cols:4 () in
   let mna =
@@ -284,8 +283,11 @@ let test_tran_backend_parity () =
   in
   let t_stop = 1e-4 in
   let dt = 1e-6 in
-  let rd = Engine.Tran.run mna ~t_stop ~dt in
-  let rs = Engine.Tran.run ~backend:Mna.Sparse mna ~t_stop ~dt in
+  let opts = { Engine.Tran.default_opts with Engine.Tran.snapshot_every = 10 } in
+  let rd = Engine.Tran.run ~opts mna ~t_stop ~dt in
+  let rs = Engine.Tran.run ~opts ~backend:Mna.Sparse mna ~t_stop ~dt in
+  Alcotest.(check int) "dense snapshot count" 11
+    (Array.length rd.Engine.Tran.snapshots);
   Alcotest.(check int) "same snapshot count"
     (Array.length rd.Engine.Tran.snapshots)
     (Array.length rs.Engine.Tran.snapshots);
@@ -297,13 +299,44 @@ let test_tran_backend_parity () =
         (fun j v ->
           worst :=
             Float.max !worst (Float.abs (v -. sp.Engine.Tran.state.(j))))
-        sd.Engine.Tran.state;
-      Alcotest.(check bool) "sparse snapshots carry placeholders" true
-        (Linalg.Mat.rows sp.Engine.Tran.g_mat = 0))
+        sd.Engine.Tran.state)
     rd.Engine.Tran.snapshots;
   Alcotest.(check bool)
     (Printf.sprintf "state trajectories agree (%.3e)" !worst)
     true (!worst <= 1e-9)
+
+(* the TFT stage's sparse→dense retry: a sparse singularity injected
+   into the transform (scope "stage:tft", so the training transient's
+   own factorizations do not consume the schedule) is retried densely
+   over the training run's state-only snapshots, and the dataset that
+   comes back is the dense transform of those snapshots bit for bit *)
+let test_tft_dense_retry () =
+  let config =
+    {
+      (Tft_rvf.Pipeline.buffer_config ~snapshots:24 ()) with
+      Tft_rvf.Pipeline.backend = Mna.Sparse;
+    }
+  in
+  let obs = Obs.create () in
+  let outcome =
+    Fun.protect ~finally:(fun () -> ignore (Fault.disarm ())) @@ fun () ->
+    Fault.arm_exact ~site:"sp.singular" ~scope:"stage:tft" ~fire_at:1
+      ~burst:1 ();
+    Tft_rvf.Pipeline.extract ~obs ~config ~netlist:(Circuits.Buffer.netlist ())
+      ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()
+  in
+  Alcotest.(check int) "one sparse fallback" 1
+    (Diag.counter (Diag.report (Obs.diag obs)) "pipeline.sparse_fallbacks");
+  let dense =
+    Tft.Dataset.of_snapshots ~backend:Mna.Dense ~mna:outcome.Tft_rvf.Pipeline.mna
+      ~estimator:
+        (Tft.Estimator.make ~delays:config.Tft_rvf.Pipeline.estimator_delays ())
+      ~freqs_hz:config.Tft_rvf.Pipeline.freqs_hz
+      outcome.Tft_rvf.Pipeline.training_run.Engine.Tran.snapshots
+  in
+  Alcotest.(check bool) "retry dataset = dense transform, bit for bit" true
+    (Marshal.to_string outcome.Tft_rvf.Pipeline.dataset []
+    = Marshal.to_string dense [])
 
 let suite =
   [
@@ -313,6 +346,8 @@ let suite =
       test_splu_singular_typed;
     Alcotest.test_case "transient backend parity" `Quick
       test_tran_backend_parity;
+    Alcotest.test_case "tft sparse fault retries dense" `Quick
+      test_tft_dense_retry;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
