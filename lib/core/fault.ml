@@ -111,8 +111,8 @@ let sites =
     };
     {
       name = "krylov.stall";
-      where = "Engine.Ratkrylov.sweep";
-      what = "declares the rational-Krylov subspace stalled, degrading the sweep to per-point sparse solves";
+      where = "Engine.Ratkrylov.pilot / Engine.Ratkrylov.sweep";
+      what = "declares the rational-Krylov subspace stalled: a pilot returns no basis, a sweep degrades to per-point sparse solves";
       kind = Numeric;
     };
     {

@@ -4,8 +4,8 @@
     reference algorithm for [(G + s·C)⁻¹ B]: [Engine.Ac] answers short
     sweeps and single points with it, falls back to it wherever its
     Hessenberg sweep cannot certify a point, and checks that sweep
-    against it. [Engine.Ratkrylov] also uses it for its small projected
-    pencils.
+    against it; [Engine.Ratkrylov]'s small projected pencils reach it
+    through [Engine.Ac] the same way.
 
     The factorization state doubles as a reusable workspace that
     {!factor_into} overwrites. [factor] and [solve] are thin wrappers

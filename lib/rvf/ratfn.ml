@@ -7,13 +7,18 @@ exception Not_integrable of string
 let of_model (m : Vf.Model.t) ~elem =
   let coeffs = m.Vf.Model.coeffs.(elem) in
   (* a NaN compares unequal to 0, so the structural tests below would
-     misreport a corrupt element as a slope term or a real pole *)
-  if
-    not
+     misreport a corrupt element as a slope term or a real pole. A plain
+     loop over the unboxed floats: the check allocates nothing *)
+  let finite =
+    ref
       (Float.is_finite m.Vf.Model.slopes.(elem)
-      && Float.is_finite m.Vf.Model.consts.(elem)
-      && Guard.finite_array coeffs)
-  then Guard.fail ~site:"rvf.ratfn" "non-finite model coefficients";
+      && Float.is_finite m.Vf.Model.consts.(elem))
+  in
+  for k = 0 to Array.length coeffs - 1 do
+    if not (Float.is_finite coeffs.(k)) then finite := false
+  done;
+  if not !finite then
+    Guard.fail ~site:"rvf.ratfn" "non-finite model coefficients";
   if m.Vf.Model.slopes.(elem) <> 0.0 then
     raise (Not_integrable "model has a linear slope term");
   let pairs = ref [] in

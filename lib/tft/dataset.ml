@@ -220,20 +220,34 @@ let of_snapshots ?pool ?cancel ?metrics ?obs
         (* an armed fault must fire at a deterministic point in the
            solve sequence, so injections force the sequential path *)
         let pool = if Fault.armed () = None then pool else None in
+        let seq_ws = lazy (Engine.Ratkrylov.make_ws ~pat ~b ~d) in
+        let ws_of chunk =
+          match pool with
+          | Some p ->
+              Exec.slot p rk_ws_key ~chunk
+                ~valid:(fun w -> Engine.Ratkrylov.ws_matches w ~pat ~b ~d)
+                ~make:(fun () -> Engine.Ratkrylov.make_ws ~pat ~b ~d)
+          | None -> Lazy.force seq_ws
+        in
+        let pencil i =
+          let gv, cv = per_snap.(i) in
+          ({ Linalg.Sp.pat; v = gv }, { Linalg.Sp.pat; v = cv })
+        in
+        (* the pilot basis, built from snapshot 0 before the fan-out on
+           chunk 0's workspace and only read by the workers: every
+           sample still depends on its own snapshot and this basis *)
+        let basis =
+          if Array.length snapshots = 0 then None
+          else
+            let g, c = pencil 0 in
+            Some (Engine.Ratkrylov.pilot ?cancel ?obs (ws_of 0) ~g ~c ~ss)
+        in
         Exec.parallel_map_ws ?pool ?cancel ?trace ?metrics ~label:"tft"
-          ~ws:(fun chunk ->
-            match pool with
-            | Some p ->
-                Exec.slot p rk_ws_key ~chunk
-                  ~valid:(fun w -> Engine.Ratkrylov.ws_matches w ~pat ~b ~d)
-                  ~make:(fun () -> Engine.Ratkrylov.make_ws ~pat ~b ~d)
-            | None -> Engine.Ratkrylov.make_ws ~pat ~b ~d)
+          ~ws:ws_of
           (fun ws ((i, snap) : int * Engine.Tran.snapshot) ->
-            let gv, cv = per_snap.(i) in
-            let g = { Linalg.Sp.pat; v = gv }
-            and c = { Linalg.Sp.pat; v = cv } in
+            let g, c = pencil i in
             let h, _ =
-              Engine.Ratkrylov.sweep ?cancel ?obs ws ~g ~c ~ss
+              Engine.Ratkrylov.sweep ?cancel ?obs ?basis ws ~g ~c ~ss
             in
             let h0, _ =
               Engine.Ratkrylov.sweep ?cancel ?obs ws ~g ~c

@@ -73,11 +73,18 @@ val of_snapshots :
     (compiled on the fly when omitted) in a sequential pre-pass, and
     each snapshot's grid sweep runs through {!Engine.Ratkrylov} — a few
     sparse shift factorizations plus certified projected solves instead
-    of one dense factorization per grid point. [H(0)] comes from an
-    exact sparse solve. An armed fault site forces the sequential path so injections
-    ([sp.singular], [krylov.stall]) land deterministically; a sparse
-    singularity escapes as {!Linalg.Spclu.Singular} for the pipeline's
-    escalation ladder to catch. *)
+    of one dense factorization per grid point. The pre-pass also builds
+    one pilot basis ({!Engine.Ratkrylov.pilot}) from snapshot 0; every
+    snapshot's sweep first projects all its points on it, keeps the
+    answers its own true residual certifies, and restarts a private
+    basis only for the rest. Workers only read the pilot basis, so each
+    sample depends on its own snapshot and that basis alone. [H(0)]
+    comes from an exact sparse solve. An armed fault site forces the
+    sequential path so injections ([sp.singular], [krylov.stall]) land
+    deterministically; the pilot is the first [krylov.stall]
+    invocation. A sparse singularity escapes as
+    {!Linalg.Spclu.Singular} for the pipeline's escalation ladder to
+    catch. *)
 
 val dynamic_part : t -> t
 (** Subtract [H^(k)(0)] from every frequency sample: the remaining purely

@@ -160,34 +160,65 @@ let sample_rational (r : Ladder.rational) =
   let ss = Array.map Signal.Grid.s_of_hz Oracle.Gen.grid_hz in
   (ss, Array.map (Ladder.eval r) ss)
 
-(* 1. VF recovers random stable pole sets from exact rational data *)
+(* 1. VF recovers random stable pole sets from exact rational data.
+
+   The fit reproduces the data to rounding (rms ~1e-15), so the poles
+   are pinned only as well as rounding allows, and the residues of
+   nearly coincident poles follow their pole errors. For the nearest
+   pair p_i, p_j the fit keeps the cluster's low moments Σr and Σr·p,
+   so Δr_i = −(r_i·Δp_i + r_j·Δp_j)/(p_i − p_j), and relative to max|r|
+
+     residue_err ≤ 2·κ·pole_err,  κ = max_i |p_i| / min_{j≠i} |p_i − p_j|
+
+   (κ counts a conjugate as a neighbour, which only loosens it). The
+   residues must meet the larger of 1e-6 and that sensitivity bound:
+   {seed=985846; size=3} draws real poles 2.1e-3 apart (κ = 481) and
+   lands its residues at 2.3e-6 from a 7.4e-9 pole error. *)
+let pole_separation_kappa poles =
+  let worst = ref 0.0 in
+  Array.iteri
+    (fun i p ->
+      let gap = ref Float.infinity in
+      Array.iteri
+        (fun j q ->
+          if j <> i then
+            gap := Float.min !gap (Complex.norm (Complex.sub p q)))
+        poles;
+      worst := Float.max !worst (Complex.norm p /. !gap))
+    poles;
+  !worst
+
+let vf_pole_recovery s =
+  let r = Oracle.Gen.rational s in
+  let ss, data = sample_rational r in
+  let n = Array.length r.Ladder.poles in
+  let opts = { Vf.Vfit.default_frequency_opts with Vf.Vfit.iterations = 30 } in
+  let model, info =
+    Vf.Vfit.fit ~opts
+      ~poles:(Vf.Pole.initial_frequency ~f_min:1e2 ~f_max:1e7 ~count:n)
+      ~points:ss ~data:[| data |] ()
+  in
+  let pole_err =
+    Ladder.max_rel_pole_error ~exact:r.Ladder.poles ~fitted:model.Vf.Model.poles
+  in
+  let residue_err = Ladder.max_rel_residue_error ~exact:r ~model ~elem:0 in
+  let kappa = pole_separation_kappa r.Ladder.poles in
+  let residue_bound = Float.max 1e-6 (2.0 *. kappa *. pole_err) in
+  if pole_err <= 1e-6 && residue_err <= residue_bound then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "pole_err %.3e residue_err %.3e (bound %.3e, kappa %.3g) rms %.3e for \
+          %d poles"
+         pole_err residue_err residue_bound kappa info.Vf.Vfit.rms n)
+
 let prop_vf_pole_recovery =
   QCheck.Test.make ~count:100 ~name:"vf recovers random rational poles"
     (Oracle.Gen.arb ())
     (fun s ->
-      let r = Oracle.Gen.rational s in
-      let ss, data = sample_rational r in
-      let n = Array.length r.Ladder.poles in
-      let opts =
-        { Vf.Vfit.default_frequency_opts with Vf.Vfit.iterations = 30 }
-      in
-      let model, info =
-        Vf.Vfit.fit ~opts
-          ~poles:(Vf.Pole.initial_frequency ~f_min:1e2 ~f_max:1e7 ~count:n)
-          ~points:ss ~data:[| data |] ()
-      in
-      let pole_err =
-        Ladder.max_rel_pole_error ~exact:r.Ladder.poles
-          ~fitted:model.Vf.Model.poles
-      in
-      let residue_err =
-        Ladder.max_rel_residue_error ~exact:r ~model ~elem:0
-      in
-      if pole_err <= 1e-6 && residue_err <= 1e-6 then true
-      else
-        QCheck.Test.fail_reportf
-          "pole_err %.3e residue_err %.3e rms %.3e for %d poles" pole_err
-          residue_err info.Vf.Vfit.rms n)
+      match vf_pole_recovery s with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_reportf "%s" msg)
 
 (* 2. state-axis VF fits random rational residue trajectories to the
    class error bound *)
@@ -358,6 +389,12 @@ let test_shrunk_ladder_tracks () =
     (Printf.sprintf "model-vs-circuit nrmse %.3e <= 1e-4" nrmse)
     true (nrmse <= 1e-4)
 
+(* the property's shrunk failure under the flat 1e-6 residue bound *)
+let test_shrunk_vf_close_poles () =
+  match vf_pole_recovery { Oracle.Gen.seed = 985846; size = 3 } with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
 let suite =
   [
     Alcotest.test_case "rc exact shape" `Quick test_rc_exact_shape;
@@ -383,6 +420,8 @@ let suite =
       ]
   @ [
       Alcotest.test_case "shrunk ladder tracks" `Quick test_shrunk_ladder_tracks;
+      Alcotest.test_case "shrunk vf close poles" `Quick
+        test_shrunk_vf_close_poles;
       Alcotest.test_case "dense sweep shrunk ladder" `Quick
         test_dense_sweep_shrunk_ladder;
     ]

@@ -181,6 +181,172 @@ let prop_krylov_vs_ac =
       else
         QCheck.Test.fail_reportf "krylov vs ac trajectory rel err %.3e" !err)
 
+(* ---------------- one pilot basis per TFT transform ---------------- *)
+
+(* the generator's netlist with its input source pumped, so the diodes
+   move between snapshots and so does every snapshot's pencil *)
+let pumped netlist ~input =
+  let wave =
+    Circuit.Netlist.Sine { offset = 0.5; ampl = 0.4; freq = 1e3; phase = 0.0 }
+  in
+  Circuit.Netlist.make
+    (List.map
+       (fun (c : Circuit.Netlist.component) ->
+         match c.Circuit.Netlist.element with
+         | Circuit.Netlist.Vsource { p; n; _ }
+           when c.Circuit.Netlist.name = input ->
+             Circuit.Netlist.vsource ~name:input p n wave
+         | _ -> c)
+       netlist.Circuit.Netlist.components)
+
+(* one pump period, [steps] steps, a snapshot every [every] *)
+let training_snapshots ~steps ~every (netlist, input, output) =
+  let mna = mna_of (pumped netlist ~input, input, output) in
+  let opts =
+    { Engine.Tran.default_opts with Engine.Tran.snapshot_every = every }
+  in
+  let t_stop = 1e-3 in
+  let run =
+    Engine.Tran.run ~opts ~backend:Mna.Sparse mna ~t_stop
+      ~dt:(t_stop /. float_of_int steps)
+  in
+  (mna, run.Engine.Tran.snapshots)
+
+let transform ?pool ?obs ~freqs_hz backend (mna, snapshots) =
+  Tft.Dataset.of_snapshots ?pool ?obs ~backend ~mna
+    ~estimator:(Tft.Estimator.make ()) ~freqs_hz snapshots
+
+(* worst |H_sparse − H_dense| over samples, grid and H(0), relative to
+   the dense response scale — the measure of sparse-tft-parity *)
+let dataset_rel_err (dense : Tft.Dataset.t) (sparse : Tft.Dataset.t) =
+  let get hm = Linalg.Cmat.get hm 0 0 in
+  let scale = ref 1e-300 and err = ref 0.0 in
+  Array.iteri
+    (fun k (d : Tft.Dataset.sample) ->
+      let sp = sparse.Tft.Dataset.samples.(k) in
+      let diff a b =
+        scale := Float.max !scale (Complex.norm (get a));
+        err := Float.max !err (Complex.norm (Complex.sub (get a) (get b)))
+      in
+      diff d.Tft.Dataset.h0 sp.Tft.Dataset.h0;
+      Array.iteri (fun l hm -> diff hm sp.Tft.Dataset.h.(l)) d.Tft.Dataset.h)
+    dense.Tft.Dataset.samples;
+  !err /. !scale
+
+let counter m name =
+  match List.assoc_opt name (Metrics.snapshot m).Metrics.counters with
+  | Some v -> v
+  | None -> 0
+
+let grid_freqs = mesh_freqs ~points:16
+
+(* a diode grid under a pump: every snapshot sweeps its own pencil from
+   snapshot 0's pilot basis, so round 0 meets pencils the basis was not
+   built for. The certificate must keep the sparse transform on the
+   dense one, and the answers must not depend on the domain count. *)
+let prop_pilot_basis_nonlinear =
+  QCheck.Test.make ~count:15 ~name:"pilot basis on a pumped diode grid"
+    (Oracle.Gen.arb ~max_size:3 ())
+    (fun s ->
+      let case = training_snapshots ~steps:48 ~every:6 (Oracle.Gen.rc_grid s) in
+      let dense = transform ~freqs_hz:grid_freqs Mna.Dense case in
+      let sparse = transform ~freqs_hz:grid_freqs Mna.Sparse case in
+      let pooled =
+        Exec.with_pool ~domains:2 (fun pool ->
+            transform ~pool ~freqs_hz:grid_freqs Mna.Sparse case)
+      in
+      let err = dataset_rel_err dense sparse in
+      if err > 1e-8 then
+        QCheck.Test.fail_reportf "sparse vs dense dataset rel err %.3e" err
+      else if Marshal.to_string sparse [] <> Marshal.to_string pooled [] then
+        QCheck.Test.fail_reportf
+          "2-domain sparse dataset differs from sequential"
+      else true)
+
+(* a stall fired on the pilot (the probe's first invocation) leaves an
+   empty basis: no point is final after round 0, every snapshot runs
+   its own greedy, and the transform still meets the dense one *)
+let test_pilot_stall () =
+  let case =
+    training_snapshots ~steps:48 ~every:6
+      (Oracle.Gen.rc_grid { Oracle.Gen.seed = 3; size = 2 })
+  in
+  let run () =
+    let m = Metrics.create () in
+    let ds =
+      transform ~obs:(Obs.of_metrics m) ~freqs_hz:grid_freqs Mna.Sparse case
+    in
+    (ds, counter m "krylov.pilot_certified")
+  in
+  let _, clean_certified = run () in
+  Alcotest.(check bool) "round 0 certifies points without the fault" true
+    (clean_certified > 0);
+  let (stalled, certified), fires =
+    Fun.protect ~finally:(fun () -> ignore (Fault.disarm ())) @@ fun () ->
+    Fault.arm_exact ~site:"krylov.stall" ~fire_at:1 ~burst:1 ();
+    let r = run () in
+    (r, Option.fold ~none:0 ~some:(fun st -> st.Fault.fires) (Fault.stats ()))
+  in
+  Alcotest.(check int) "the stall fired once" 1 fires;
+  Alcotest.(check int) "pilot_certified" 0 certified;
+  let dense = transform ~freqs_hz:grid_freqs Mna.Dense case in
+  let err = dataset_rel_err dense stalled in
+  Alcotest.(check bool)
+    (Printf.sprintf "stalled transform within 1e-8 of dense (%.3e)" err)
+    true (err <= 1e-8)
+
+(* Exact work of one transform of a linear 48-stage ladder: its five
+   snapshots share one pencil. The pilot takes 12 shifts; round 0
+   certifies 20 of each snapshot's 24 points, and a 4-shift private
+   restart answers the rest, so the only exact solves are the five
+   H(0) points. Sweeping every snapshot without the pilot takes 12
+   shifts and 187 reduced solves each. *)
+let test_pilot_exact_work () =
+  let stages = 48 in
+  let case =
+    training_snapshots ~steps:32 ~every:8
+      ( Circuits.Library.rc_ladder_n ~stages (),
+        "Vin",
+        Circuits.Library.rc_ladder_output stages )
+  in
+  let mna, snapshots = case in
+  let freqs_hz = Signal.Grid.frequencies_hz ~f_min:1e2 ~f_max:1e8 ~points:24 in
+  let m = Metrics.create () in
+  ignore (transform ~obs:(Obs.of_metrics m) ~freqs_hz Mna.Sparse case);
+  Alcotest.(check int) "snapshots" 5 (Array.length snapshots);
+  Alcotest.(check int) "krylov.pilot_certified" 100
+    (counter m "krylov.pilot_certified");
+  Alcotest.(check int) "krylov.projected_points" 322
+    (counter m "krylov.projected_points");
+  Alcotest.(check int) "krylov.shifts" 32 (counter m "krylov.shifts");
+  Alcotest.(check int) "krylov.fallback_points (H(0) only)" 5
+    (counter m "krylov.fallback_points");
+  (* the same pencils swept one by one, each from scratch *)
+  let ctx = Mna.sparse_ctx mna in
+  let ws =
+    Engine.Ratkrylov.make_ws
+      ~pat:(Mna.sparse_pattern ctx)
+      ~b:(Mna.b_matrix mna) ~d:(Mna.d_matrix mna)
+  in
+  let alone = Metrics.create () in
+  let ss = Array.map Signal.Grid.s_of_hz freqs_hz in
+  Array.iter
+    (fun (snap : Engine.Tran.snapshot) ->
+      let sev =
+        Mna.eval_sparse mna ctx ~time:snap.Engine.Tran.time
+          snap.Engine.Tran.state
+      in
+      ignore
+        (Engine.Ratkrylov.sweep ~obs:(Obs.of_metrics alone) ws ~g:sev.Mna.sg
+           ~c:sev.Mna.sc ~ss))
+    snapshots;
+  let per_snapshot = counter alone "krylov.projected_points" in
+  Alcotest.(check bool)
+    (Printf.sprintf "pilot transform needs fewer reduced solves (%d < %d)"
+       (counter m "krylov.projected_points") per_snapshot)
+    true
+    (counter m "krylov.projected_points" < per_snapshot)
+
 (* ---------------- full pipeline, both backends ---------------- *)
 
 (* a linear mesh is inside the model class, so both extractions converge
@@ -348,6 +514,10 @@ let suite =
       test_tran_backend_parity;
     Alcotest.test_case "tft sparse fault retries dense" `Quick
       test_tft_dense_retry;
+    Alcotest.test_case "pilot stall keeps the transform" `Quick
+      test_pilot_stall;
+    Alcotest.test_case "pilot exact work on a linear ladder" `Quick
+      test_pilot_exact_work;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
@@ -356,5 +526,6 @@ let suite =
         prop_splu_vs_lu;
         prop_spclu_vs_clu;
         prop_krylov_vs_ac;
+        prop_pilot_basis_nonlinear;
         prop_pipeline_backend_parity;
       ]
