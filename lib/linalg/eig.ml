@@ -1,10 +1,19 @@
 exception No_convergence
 
-(* Parlett-Reinsch balancing: repeated diagonal similarity transforms with
-   powers of the radix so that row and column norms match. *)
+(* Entry (i, j) of an n×n row-major store. The hot loops below index
+   the flat store through these: a cross-module [Mat.get]/[Mat.set] is
+   not inlined, and each call boxes its float. Every index they are
+   given is in range by the loop bounds of the EISPACK code. *)
+let[@inline] at (h : float array) n i j = Array.unsafe_get h ((i * n) + j)
+let[@inline] put (h : float array) n i j (x : float) =
+  Array.unsafe_set h ((i * n) + j) x
+
+(* Parlett-Reinsch balancing in place: repeated diagonal similarity
+   transforms with powers of the radix so that row and column norms
+   match. *)
 let balance a =
   let n = Mat.rows a in
-  let a = Mat.copy a in
+  let h = Mat.unsafe_data a in
   let radix = 2.0 in
   let radix2 = radix *. radix in
   let continue_ = ref true in
@@ -14,8 +23,8 @@ let balance a =
       let r = ref 0.0 and c = ref 0.0 in
       for j = 0 to n - 1 do
         if j <> i then begin
-          r := !r +. Float.abs (Mat.get a i j);
-          c := !c +. Float.abs (Mat.get a j i)
+          r := !r +. Float.abs (at h n i j);
+          c := !c +. Float.abs (at h n j i)
         end
       done;
       if !c <> 0.0 && !r <> 0.0 then begin
@@ -34,16 +43,15 @@ let balance a =
           continue_ := true;
           let inv_f = 1.0 /. !f in
           for j = 0 to n - 1 do
-            Mat.set a i j (Mat.get a i j *. inv_f)
+            put h n i j (at h n i j *. inv_f)
           done;
           for j = 0 to n - 1 do
-            Mat.set a j i (Mat.get a j i *. !f)
+            put h n j i (at h n j i *. !f)
           done
         end
       end
     done
-  done;
-  a
+  done
 
 (* Householder similarity reduction to upper Hessenberg form, in place
    on the flat row-major store. With [q], also accumulates the product
@@ -143,14 +151,17 @@ let hessenberg a =
   hessenberg_into h;
   h
 
-let sign_of x y = if y >= 0.0 then Float.abs x else -.Float.abs x
+let[@inline] sign_of x y = if y >= 0.0 then Float.abs x else -.Float.abs x
 
 (* Francis implicit double-shift QR on an upper Hessenberg matrix,
-   eigenvalues only. Follows the classic EISPACK [hqr] control flow,
-   translated to 0-based indexing, with exceptional shifts every 10
-   iterations and a hard budget of 40 per eigenvalue. *)
+   eigenvalues only, overwriting [a]. Follows the classic EISPACK [hqr]
+   control flow, translated to 0-based indexing, with exceptional shifts
+   every 10 iterations and a hard budget of 40 per eigenvalue. Runs on
+   the flat row-major store ([at]/[put]); the two searches that EISPACK
+   leaves with a jump end their loops through a flag instead. *)
 let hqr a =
   let n = Mat.rows a in
+  let h = Mat.unsafe_data a in
   let wr = Array.make n 0.0 and wi = Array.make n 0.0 in
   if n = 0 then [||]
   else begin
@@ -158,7 +169,7 @@ let hqr a =
     let anorm = ref 0.0 in
     for i = 0 to n - 1 do
       for j = Stdlib.max (i - 1) 0 to n - 1 do
-        anorm := !anorm +. Float.abs (Mat.get a i j)
+        anorm := !anorm +. Float.abs (at h n i j)
       done
     done;
     if !anorm = 0.0 then anorm := 1.0;
@@ -170,23 +181,23 @@ let hqr a =
       while not !finished_block do
         (* find l: smallest index of the active block *)
         let l = ref 0 in
-        (try
-           for ll = !nn downto 1 do
-             let s =
-               let s0 =
-                 Float.abs (Mat.get a (ll - 1) (ll - 1))
-                 +. Float.abs (Mat.get a ll ll)
-               in
-               if s0 = 0.0 then !anorm else s0
-             in
-             if Float.abs (Mat.get a ll (ll - 1)) <= eps *. s then begin
-               Mat.set a ll (ll - 1) 0.0;
-               l := ll;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        let x = ref (Mat.get a !nn !nn) in
+        let ll = ref !nn in
+        while !ll >= 1 do
+          let s =
+            let s0 =
+              Float.abs (at h n (!ll - 1) (!ll - 1))
+              +. Float.abs (at h n !ll !ll)
+            in
+            if s0 = 0.0 then !anorm else s0
+          in
+          if Float.abs (at h n !ll (!ll - 1)) <= eps *. s then begin
+            put h n !ll (!ll - 1) 0.0;
+            l := !ll;
+            ll := 0
+          end
+          else decr ll
+        done;
+        let x = ref (at h n !nn !nn) in
         if !l = !nn then begin
           (* one real eigenvalue *)
           wr.(!nn) <- !x +. !t;
@@ -195,8 +206,8 @@ let hqr a =
           finished_block := true
         end
         else begin
-          let y = ref (Mat.get a (!nn - 1) (!nn - 1)) in
-          let w = ref (Mat.get a !nn (!nn - 1) *. Mat.get a (!nn - 1) !nn) in
+          let y = ref (at h n (!nn - 1) (!nn - 1)) in
+          let w = ref (at h n !nn (!nn - 1) *. at h n (!nn - 1) !nn) in
           if !l = !nn - 1 then begin
             (* 2x2 block: a pair of eigenvalues *)
             let p = 0.5 *. (!y -. !x) in
@@ -225,11 +236,11 @@ let hqr a =
               (* exceptional shift *)
               t := !t +. !x;
               for i = 0 to !nn do
-                Mat.set a i i (Mat.get a i i -. !x)
+                put h n i i (at h n i i -. !x)
               done;
               let s =
-                Float.abs (Mat.get a !nn (!nn - 1))
-                +. Float.abs (Mat.get a (!nn - 1) (!nn - 2))
+                Float.abs (at h n !nn (!nn - 1))
+                +. Float.abs (at h n (!nn - 1) (!nn - 2))
               in
               x := 0.75 *. s;
               y := !x;
@@ -239,45 +250,45 @@ let hqr a =
             (* find two consecutive small subdiagonal elements *)
             let m = ref (!nn - 2) in
             let p = ref 0.0 and q = ref 0.0 and r = ref 0.0 in
-            (try
-               while !m >= !l do
-                 let z = Mat.get a !m !m in
-                 let rr = !x -. z in
-                 let ss = !y -. z in
-                 p :=
-                   (((rr *. ss) -. !w) /. Mat.get a (!m + 1) !m)
-                   +. Mat.get a !m (!m + 1);
-                 q := Mat.get a (!m + 1) (!m + 1) -. z -. rr -. ss;
-                 r := Mat.get a (!m + 2) (!m + 1);
-                 let s = Float.abs !p +. Float.abs !q +. Float.abs !r in
-                 p := !p /. s;
-                 q := !q /. s;
-                 r := !r /. s;
-                 if !m = !l then raise Exit;
-                 let u =
-                   Float.abs (Mat.get a !m (!m - 1))
-                   *. (Float.abs !q +. Float.abs !r)
-                 in
-                 let v =
-                   Float.abs !p
-                   *. (Float.abs (Mat.get a (!m - 1) (!m - 1))
-                      +. Float.abs z
-                      +. Float.abs (Mat.get a (!m + 1) (!m + 1)))
-                 in
-                 if u <= eps *. v then raise Exit;
-                 decr m
-               done
-             with Exit -> ());
+            let searching = ref true in
+            while !searching && !m >= !l do
+              let z = at h n !m !m in
+              let rr = !x -. z in
+              let ss = !y -. z in
+              p :=
+                (((rr *. ss) -. !w) /. at h n (!m + 1) !m)
+                +. at h n !m (!m + 1);
+              q := at h n (!m + 1) (!m + 1) -. z -. rr -. ss;
+              r := at h n (!m + 2) (!m + 1);
+              let s = Float.abs !p +. Float.abs !q +. Float.abs !r in
+              p := !p /. s;
+              q := !q /. s;
+              r := !r /. s;
+              if !m = !l then searching := false
+              else begin
+                let u =
+                  Float.abs (at h n !m (!m - 1))
+                  *. (Float.abs !q +. Float.abs !r)
+                in
+                let v =
+                  Float.abs !p
+                  *. (Float.abs (at h n (!m - 1) (!m - 1))
+                     +. Float.abs z
+                     +. Float.abs (at h n (!m + 1) (!m + 1)))
+                in
+                if u <= eps *. v then searching := false else decr m
+              end
+            done;
             for i = !m + 2 to !nn do
-              Mat.set a i (i - 2) 0.0;
-              if i <> !m + 2 then Mat.set a i (i - 3) 0.0
+              put h n i (i - 2) 0.0;
+              if i <> !m + 2 then put h n i (i - 3) 0.0
             done;
             (* double QR sweep over rows l..nn, bulge chase from m *)
             for k = !m to !nn - 1 do
               if k <> !m then begin
-                p := Mat.get a k (k - 1);
-                q := Mat.get a (k + 1) (k - 1);
-                r := (if k <> !nn - 1 then Mat.get a (k + 2) (k - 1) else 0.0);
+                p := at h n k (k - 1);
+                q := at h n (k + 1) (k - 1);
+                r := (if k <> !nn - 1 then at h n (k + 2) (k - 1) else 0.0);
                 let xs = Float.abs !p +. Float.abs !q +. Float.abs !r in
                 x := xs;
                 if xs <> 0.0 then begin
@@ -291,9 +302,9 @@ let hqr a =
               in
               if s <> 0.0 then begin
                 if k = !m then begin
-                  if !l <> !m then Mat.set a k (k - 1) (-.Mat.get a k (k - 1))
+                  if !l <> !m then put h n k (k - 1) (-.at h n k (k - 1))
                 end
-                else Mat.set a k (k - 1) (-.s *. !x);
+                else put h n k (k - 1) (-.s *. !x);
                 p := !p +. s;
                 x := !p /. s;
                 y := !q /. s;
@@ -302,26 +313,26 @@ let hqr a =
                 r := !r /. !p;
                 (* row modification *)
                 for j = k to !nn do
-                  let pp = ref (Mat.get a k j +. (!q *. Mat.get a (k + 1) j)) in
+                  let pp = ref (at h n k j +. (!q *. at h n (k + 1) j)) in
                   if k <> !nn - 1 then begin
-                    pp := !pp +. (!r *. Mat.get a (k + 2) j);
-                    Mat.set a (k + 2) j (Mat.get a (k + 2) j -. (!pp *. z))
+                    pp := !pp +. (!r *. at h n (k + 2) j);
+                    put h n (k + 2) j (at h n (k + 2) j -. (!pp *. z))
                   end;
-                  Mat.set a (k + 1) j (Mat.get a (k + 1) j -. (!pp *. !y));
-                  Mat.set a k j (Mat.get a k j -. (!pp *. !x))
+                  put h n (k + 1) j (at h n (k + 1) j -. (!pp *. !y));
+                  put h n k j (at h n k j -. (!pp *. !x))
                 done;
                 (* column modification *)
                 let mmin = Stdlib.min !nn (k + 3) in
                 for i = !l to mmin do
                   let pp =
-                    ref ((!x *. Mat.get a i k) +. (!y *. Mat.get a i (k + 1)))
+                    ref ((!x *. at h n i k) +. (!y *. at h n i (k + 1)))
                   in
                   if k <> !nn - 1 then begin
-                    pp := !pp +. (z *. Mat.get a i (k + 2));
-                    Mat.set a i (k + 2) (Mat.get a i (k + 2) -. (!pp *. !r))
+                    pp := !pp +. (z *. at h n i (k + 2));
+                    put h n i (k + 2) (at h n i (k + 2) -. (!pp *. !r))
                   end;
-                  Mat.set a i (k + 1) (Mat.get a i (k + 1) -. (!pp *. !q));
-                  Mat.set a i k (Mat.get a i k -. !pp)
+                  put h n i (k + 1) (at h n i (k + 1) -. (!pp *. !q));
+                  put h n i k (at h n i k -. !pp)
                 done
               end
             done
@@ -332,12 +343,19 @@ let hqr a =
     Array.init n (fun k -> Cx.make wr.(k) wi.(k))
   end
 
+(* balancing, the Hessenberg reduction and the QR iteration all work in
+   place on one copy of the input *)
 let eigenvalues a =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Eig.eigenvalues: matrix not square";
   if n = 0 then [||]
   else if n = 1 then [| Cx.re (Mat.get a 0 0) |]
-  else hqr (hessenberg (balance a))
+  else begin
+    let h = Mat.copy a in
+    balance h;
+    hessenberg_into h;
+    hqr h
+  end
 
 let companion coeffs =
   let n = Array.length coeffs in

@@ -5,14 +5,14 @@
     eigenvalues are computed; this is all vector-fitting pole relocation
     needs (new poles = eigenvalues of [A − b·c̃ᵀ/d̃]). The Hessenberg
     reduction is also the per-snapshot step of the dense frequency
-    sweep ([Engine.Ac]), which asks it to accumulate Q. *)
+    sweep ([Engine.Ac]), which asks it to accumulate Q. All three
+    stages run in place on the flat row-major store of one copy of the
+    input, so {!eigenvalues} allocates that copy, a few n-vectors and
+    its result, and boxes no float. *)
 
 exception No_convergence
 (** Raised when the QR iteration fails to deflate within the iteration
     budget (extremely rare on balanced matrices). *)
-
-val balance : Mat.t -> Mat.t
-(** Diagonal similarity scaling that roughly equalizes row/column norms. *)
 
 val hessenberg_into : ?q:Mat.t -> Mat.t -> unit
 (** [hessenberg_into ?q a] overwrites the square [a] with its upper

@@ -4,17 +4,21 @@ exception Rank_deficient of int
    scaling factors in [beta]; the diagonal of R is in [rdiag]. *)
 type t = { qr : Mat.t; beta : float array; rdiag : float array }
 
+(* Column-at-a-time Householder QR on a copy: the reference the
+   workspace kernels below are pinned against. Indexes the flat store,
+   in the order of the column loops. *)
 let factor a =
   let m = Mat.rows a and n = Mat.cols a in
   if m < n then invalid_arg "Qr.factor: requires rows >= cols";
   let qr = Mat.copy a in
+  let d = Mat.unsafe_data qr in
   let beta = Array.make n 0.0 in
   let rdiag = Array.make n 0.0 in
   for k = 0 to n - 1 do
     (* norm of column k below row k *)
     let nrm = ref 0.0 in
     for i = k to m - 1 do
-      let x = Mat.get qr i k in
+      let x = d.((i * n) + k) in
       nrm := !nrm +. (x *. x)
     done;
     let nrm = sqrt !nrm in
@@ -23,13 +27,13 @@ let factor a =
       rdiag.(k) <- 0.0
     end
     else begin
-      let akk = Mat.get qr k k in
+      let akk = d.((k * n) + k) in
       let alpha = if akk >= 0.0 then -.nrm else nrm in
       (* v = x - alpha*e1, stored in place; v_k below *)
-      Mat.set qr k k (akk -. alpha);
+      d.((k * n) + k) <- akk -. alpha;
       let vtv = ref 0.0 in
       for i = k to m - 1 do
-        let v = Mat.get qr i k in
+        let v = d.((i * n) + k) in
         vtv := !vtv +. (v *. v)
       done;
       beta.(k) <- (if !vtv = 0.0 then 0.0 else 2.0 /. !vtv);
@@ -38,12 +42,12 @@ let factor a =
       for j = k + 1 to n - 1 do
         let dot = ref 0.0 in
         for i = k to m - 1 do
-          dot := !dot +. (Mat.get qr i k *. Mat.get qr i j)
+          dot := !dot +. (d.((i * n) + k) *. d.((i * n) + j))
         done;
         let s = beta.(k) *. !dot in
         if s <> 0.0 then
           for i = k to m - 1 do
-            Mat.set qr i j (Mat.get qr i j -. (s *. Mat.get qr i k))
+            d.((i * n) + j) <- d.((i * n) + j) -. (s *. d.((i * n) + k))
           done
       done
     end
@@ -58,24 +62,28 @@ let r { qr; rdiag; _ } =
 let apply_qt { qr; beta; _ } b =
   let m = Mat.rows qr and n = Mat.cols qr in
   if Array.length b <> m then invalid_arg "Qr.apply_qt: dimension mismatch";
+  let q = Mat.unsafe_data qr in
   let y = Array.copy b in
   for k = 0 to n - 1 do
     if beta.(k) <> 0.0 then begin
       let dot = ref 0.0 in
       for i = k to m - 1 do
-        dot := !dot +. (Mat.get qr i k *. y.(i))
+        dot := !dot +. (q.((i * n) + k) *. y.(i))
       done;
       let s = beta.(k) *. !dot in
       if s <> 0.0 then
         for i = k to m - 1 do
-          y.(i) <- y.(i) -. (s *. Mat.get qr i k)
+          y.(i) <- y.(i) -. (s *. q.((i * n) + k))
         done
     end
   done;
   y
 
+(* indexes the flat store: a cross-module [Mat.get] is not inlined and
+   boxes its float *)
 let solve_r { qr; rdiag; _ } c =
   let n = Mat.cols qr in
+  let q = Mat.unsafe_data qr in
   let scale = ref 0.0 in
   for k = 0 to n - 1 do
     scale := Float.max !scale (Float.abs rdiag.(k))
@@ -86,7 +94,7 @@ let solve_r { qr; rdiag; _ } c =
     if Float.abs rdiag.(i) <= tol then raise (Rank_deficient i);
     let acc = ref c.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get qr i j *. x.(j))
+      acc := !acc -. (q.((i * n) + j) *. x.(j))
     done;
     x.(i) <- !acc /. rdiag.(i)
   done;
@@ -281,14 +289,14 @@ let r22_block t ~split dst dst_row =
   let b = n - split in
   if Mat.cols dst < b || Mat.rows dst < dst_row + b then
     invalid_arg "Qr.r22_block: destination too small";
+  let q = Mat.unsafe_data t.qr and d = Mat.unsafe_data dst in
+  let dc = Mat.cols dst in
   for i = 0 to b - 1 do
     for j = 0 to b - 1 do
-      let v =
-        if i = j then t.rdiag.(split + i)
-        else if i < j then Mat.get t.qr (split + i) (split + j)
-        else 0.0
-      in
-      Mat.set dst (dst_row + i) j v
+      d.(((dst_row + i) * dc) + j) <-
+        (if i = j then t.rdiag.(split + i)
+         else if i < j then q.(((split + i) * n) + split + j)
+         else 0.0)
     done
   done
 
@@ -301,26 +309,6 @@ let apply_qt_block t ~split b dst dst_row =
   for i = split to n - 1 do
     dst.(dst_row + i - split) <- y.(i)
   done
-
-(* back-substitution identical to [solve_r] but reading the rhs from a
-   caller-owned buffer; the solution vector is the only allocation *)
-let solve_r_of t c =
-  let n = Mat.cols t.qr in
-  let scale = ref 0.0 in
-  for k = 0 to n - 1 do
-    scale := Float.max !scale (Float.abs t.rdiag.(k))
-  done;
-  let tol = !scale *. float_of_int n *. epsilon_float in
-  let x = Array.make n 0.0 in
-  for i = n - 1 downto 0 do
-    if Float.abs t.rdiag.(i) <= tol then raise (Rank_deficient i);
-    let acc = ref c.(i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get t.qr i j *. x.(j))
-    done;
-    x.(i) <- !acc /. t.rdiag.(i)
-  done;
-  x
 
 let last_rcond ws =
   let n = ws.last_n in
@@ -343,4 +331,4 @@ let least_squares_into ws a b =
   let y = ws.qtb in
   Array.blit b 0 y 0 m;
   apply_qt_into t y;
-  solve_r_of t y
+  solve_r t y

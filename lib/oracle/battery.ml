@@ -216,7 +216,11 @@ let check_hammerstein_transient ~quick () =
 (* ---------------- dense vs fast relocation kernels ---------------- *)
 
 (* the fast in-place kernel promises the same arithmetic as the legacy
-   dense one, so the metric is a mismatch count over raw float bits *)
+   dense one, so the metric is a mismatch count over raw float bits. Two
+   fits: the frequency axis (complex points, inverse-square-root
+   weights, the full row layout) and the real state axis (several
+   residue traces, uniform weights, 24 poles: the real-axis row layout,
+   the shared-phi0 sigma step and the shared residue identification) *)
 let check_kernel_parity ~quick () =
   checked "vf-kernel-parity" @@ fun () ->
   let o = Ladder.rlc () in
@@ -229,35 +233,52 @@ let check_kernel_parity ~quick () =
     Vf.Pole.initial_frequency ~f_min:f_lo ~f_max:f_hi
       ~count:(if n mod 2 = 0 then n else n + 1)
   in
-  let run kernel =
+  let run ~opts ~poles ~points ~data kernel =
     Vf.Vfit.fit
-      ~opts:
-        {
-          Vf.Vfit.default_frequency_opts with
-          Vf.Vfit.relocation_kernel = kernel;
-        }
-      ~poles:poles0 ~points:ss ~data ()
+      ~opts:{ opts with Vf.Vfit.relocation_kernel = kernel }
+      ~poles ~points ~data ()
   in
-  let md, id = run Vf.Vfit.Dense in
-  let mf, i_f = run Vf.Vfit.Fast in
   let bits_differ a b =
     not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
   in
   let mismatches = ref 0 in
   let cmp a b = if bits_differ a b then incr mismatches in
-  if Array.length md.Vf.Model.poles <> Array.length mf.Vf.Model.poles then
-    incr mismatches
-  else
+  let compare_models (md : Vf.Model.t) (mf : Vf.Model.t) =
+    if Array.length md.Vf.Model.poles <> Array.length mf.Vf.Model.poles then
+      incr mismatches
+    else
+      Array.iteri
+        (fun k (p : Complex.t) ->
+          cmp p.Complex.re mf.Vf.Model.poles.(k).Complex.re;
+          cmp p.Complex.im mf.Vf.Model.poles.(k).Complex.im)
+        md.Vf.Model.poles;
     Array.iteri
-      (fun k (p : Complex.t) ->
-        cmp p.Complex.re mf.Vf.Model.poles.(k).Complex.re;
-        cmp p.Complex.im mf.Vf.Model.poles.(k).Complex.im)
-      md.Vf.Model.poles;
-  Array.iteri
-    (fun e row -> Array.iteri (fun k c -> cmp c mf.Vf.Model.coeffs.(e).(k)) row)
-    md.Vf.Model.coeffs;
-  Array.iteri (fun e d -> cmp d mf.Vf.Model.consts.(e)) md.Vf.Model.consts;
-  Array.iteri (fun e h -> cmp h mf.Vf.Model.slopes.(e)) md.Vf.Model.slopes;
+      (fun e row -> Array.iteri (fun k c -> cmp c mf.Vf.Model.coeffs.(e).(k)) row)
+      md.Vf.Model.coeffs;
+    Array.iteri (fun e d -> cmp d mf.Vf.Model.consts.(e)) md.Vf.Model.consts;
+    Array.iteri (fun e h -> cmp h mf.Vf.Model.slopes.(e)) md.Vf.Model.slopes
+  in
+  let fopts = Vf.Vfit.default_frequency_opts in
+  let md, id = run ~opts:fopts ~poles:poles0 ~points:ss ~data Vf.Vfit.Dense in
+  let mf, i_f = run ~opts:fopts ~poles:poles0 ~points:ss ~data Vf.Vfit.Fast in
+  compare_models md mf;
+  let xs, traces = Gen.residue_traces ~traces:5 { Gen.seed = 7; size = 3 } in
+  let run_state =
+    run
+      ~opts:
+        {
+          Vf.Vfit.default_state_opts with
+          Vf.Vfit.min_imag = 0.02;
+          max_magnitude = 100.0;
+        }
+      ~poles:(Vf.Pole.initial_real_axis ~lo:0.0 ~hi:1.0 ~count:24)
+      ~points:(Array.map (fun x -> { Complex.re = x; im = 0.0 }) xs)
+      ~data:traces
+  in
+  let sd, is_d = run_state Vf.Vfit.Dense in
+  let sf, is_f = run_state Vf.Vfit.Fast in
+  compare_models sd sf;
+  cmp is_d.Vf.Vfit.rms is_f.Vf.Vfit.rms;
   [
     m "kernel_bitwise_mismatches" (float_of_int !mismatches) 0.0;
     m "kernel_rms_abs_diff" (Float.abs (id.Vf.Vfit.rms -. i_f.Vf.Vfit.rms)) 0.0;
@@ -508,7 +529,14 @@ let check_large_ladder ~quick () =
   in
   let freqs = grid_for o ~points:(if quick then 24 else 40) in
   let ss = Array.map Signal.Grid.s_of_hz freqs in
-  let h, stats = Engine.Ratkrylov.sweep ws ~g ~c ~ss in
+  (* as the TFT dataset sweeps: a pilot basis on the pencil first, then
+     the sweep with it, so that grid points are answered by projection *)
+  let basis = Engine.Ratkrylov.pilot ws ~g ~c ~ss in
+  let h, stats = Engine.Ratkrylov.sweep ~basis ws ~g ~c ~ss in
+  let projected =
+    Array.length ss - stats.Engine.Ratkrylov.shifts_used
+    - stats.Engine.Ratkrylov.fallback_points
+  in
   let row = Array.map (fun hm -> Linalg.Cmat.get hm 0 0) h in
   let h0, _ = Engine.Ratkrylov.sweep ws ~g ~c ~ss:[| Complex.zero |] in
   let z0 = Linalg.Cmat.get h0.(0) 0 0 in
@@ -519,6 +547,9 @@ let check_large_ladder ~quick () =
     m "dc_gain_err" (Float.abs (z0.Complex.re -. Ladder.dc_gain o.Ladder.exact)) 1e-8;
     m "dc_gain_imag" (Float.abs z0.Complex.im) 1e-10;
     m "krylov_worst_residual" stats.Engine.Ratkrylov.worst_residual 1e-10;
+    (* 1 when every point was a shift or an exact solve: the residual
+       bound above would then check nothing *)
+    m "krylov_no_projection" (if projected > 0 then 0.0 else 1.0) 0.0;
   ]
 
 (* ---------------- the battery ---------------- *)

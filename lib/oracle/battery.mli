@@ -20,6 +20,11 @@
       surface and DC curve all round-trip.
     - ["hammerstein-transient"]: the extracted model's transient under
       the paper-style training sine matches the generating system's.
+    - ["vf-kernel-parity"]: the [Fast] and [Dense] relocation kernels
+      return bit-identical models on a frequency-axis fit and on a
+      real-axis fit of five residue traces at 24 poles (uniform
+      weighting, so the real-axis row layout and the shared
+      factorizations are compared).
     - ["pipeline-linear-model"]: the full pipeline front door
       ({!Tft_rvf.Pipeline.extract}) on the RC ladder produces a model
       whose validation transient tracks the circuit.
@@ -36,7 +41,10 @@
       trajectories to ≤ 1e-8 of the trajectory scale.
     - ["large-ladder-recovery"]: sparse DC solve + rational-Krylov sweep
       of a 1000-stage RC ladder reproduce the closed-form tridiagonal
-      spectrum's transfer function and unit DC gain to ≤ 1e-8.
+      spectrum's transfer function and unit DC gain to ≤ 1e-8. The
+      sweep runs on a pilot basis of the same pencil, as the TFT
+      dataset's do, and fails when no grid point was answered by
+      projection.
 
     A metric {e passes} iff [value <= bound] — NaN values fail, so a
     silently corrupted number can never pass a tolerance. *)

@@ -1,4 +1,5 @@
-let row poles z =
+(* the basis at [z] for a pole set of known [Pole.structure] *)
+let row_of slots poles z =
   let p = Array.length poles in
   let out = Array.make p Complex.zero in
   List.iter
@@ -10,10 +11,13 @@ let row poles z =
           let t2 = Complex.inv (Complex.sub z poles.(k + 1)) in
           out.(k) <- Complex.add t1 t2;
           out.(k + 1) <- Complex.mul Complex.i (Complex.sub t1 t2))
-    (Pole.structure poles);
+    slots;
   out
 
-let table poles points = Array.map (row poles) points
+let row poles z = row_of (Pole.structure poles) poles z
+
+(* one structure for the whole table *)
+let table poles points = Array.map (row_of (Pole.structure poles) poles) points
 
 let residues_of_coeffs poles coeffs =
   let p = Array.length poles in

@@ -22,9 +22,10 @@ val eval_real : t -> elem:int -> float -> float
 val residues : t -> elem:int -> Complex.t array
 (** Complex residues per pole slot for one element. *)
 
-val rms_error : t -> points:Complex.t array -> data:Complex.t array array -> float
-(** Root-mean-square absolute deviation over all elements and points. *)
-
-val max_error : t -> points:Complex.t array -> data:Complex.t array array -> float
+val errors :
+  t -> points:Complex.t array -> data:Complex.t array array -> float * float
+(** [(rms, max)]: the root-mean-square and the largest absolute
+    deviation over all elements and points, from one evaluation pass
+    (the basis is evaluated once per point). *)
 
 val pp : Format.formatter -> t -> unit

@@ -87,6 +87,92 @@ let column_scales phi_table points n_points p =
   in
   (scales, if zmax > 0.0 then 1.0 /. zmax else 1.0)
 
+(* --- row layouts ------------------------------------------------------ *)
+
+(* A least-squares block of the fit stacks, per point l, a real row and
+   an imaginary row. The full layout interleaves them (rows 2l, 2l+1).
+   At real points with real data and a real basis table, every entry of
+   an imaginary row is a product with an exact zero factor (φ.im, z.im
+   or F.im) and finite others, so it is ±0. The real-axis layout keeps
+   the first [head] rows of the full layout — the Householder pivot rows
+   of the block — and below them only the real rows. A reflector never
+   fills a row that is all zeros, and such a row adds only exact zeros
+   to the column norms and dot products, so with the pivot rows in place
+   every factor the fit reads (R, Q₂ᵀV, the solutions) is bit-identical
+   to the full layout's. [head = 2·n_points] is the full layout. *)
+type layout = { head : int; n_points : int }
+
+let layout_rows lay = lay.head + lay.n_points - ((lay.head + 1) / 2)
+
+let[@inline] re_row lay l =
+  if 2 * l < lay.head then 2 * l else lay.head + l - ((lay.head + 1) / 2)
+
+(* -1 when the point's imaginary row is dropped *)
+let[@inline] im_row lay l = if (2 * l) + 1 < lay.head then (2 * l) + 1 else -1
+
+let is_real (z : Complex.t) = z.Complex.im = 0.0 && Float.is_finite z.Complex.re
+
+(* The real-axis layout with [head] pivot rows when the inputs put an
+   exact zero in every imaginary row, else the full layout. Chosen from
+   the values alone: the state and static stages of RVF and the
+   recursion's fits are real, the frequency stage is not. *)
+let layout_of ~head ~phi ~scales ~zscale ~points ~data ~weights =
+  let n_points = Array.length points in
+  let real =
+    Float.is_finite zscale
+    && Array.for_all Float.is_finite scales
+    && Array.for_all is_real points
+    && Array.for_all (Array.for_all is_real) phi
+    && Array.for_all (Array.for_all is_real) data
+    && Array.for_all (Array.for_all Float.is_finite) weights
+  in
+  { head = (if real then Stdlib.min head (2 * n_points) else 2 * n_points);
+    n_points }
+
+(* [w·φ·scale | w | w·z·zscale] of one element into the leading columns
+   of [a] (row stride [cols a]): the residue, constant and slope columns
+   the sigma step and the residue identification share. Writes through
+   the flat row-major store, with the values of the [Mat.set]
+   formulation of the reference kernel. *)
+let fill_phi0 ~opts ~lay ~phi ~scales ~zscale ~points a we =
+  let p = Array.length scales in
+  let d = Linalg.Mat.unsafe_data a in
+  let nc = Linalg.Mat.cols a in
+  for l = 0 to lay.n_points - 1 do
+    let w = Array.unsafe_get we l in
+    let re_base = re_row lay l * nc in
+    let im = im_row lay l in
+    let im_base = im * nc in
+    let row = phi.(l) in
+    for c = 0 to p - 1 do
+      let v = Array.unsafe_get row c in
+      let sc = Array.unsafe_get scales c in
+      Array.unsafe_set d (re_base + c) (w *. v.Complex.re *. sc);
+      if im >= 0 then Array.unsafe_set d (im_base + c) (w *. v.Complex.im *. sc)
+    done;
+    let cursor = ref p in
+    if opts.with_const then begin
+      Array.unsafe_set d (re_base + !cursor) w;
+      incr cursor
+    end;
+    if opts.with_slope then begin
+      Array.unsafe_set d (re_base + !cursor) (w *. points.(l).Complex.re *. zscale);
+      if im >= 0 then
+        Array.unsafe_set d (im_base + !cursor)
+          (w *. points.(l).Complex.im *. zscale);
+      incr cursor
+    end
+  done
+
+(* the weighted data [w·F] of one element as a right-hand side *)
+let fill_rhs ~lay buf we de =
+  for l = 0 to lay.n_points - 1 do
+    let w = we.(l) and f = de.(l) in
+    buf.(re_row lay l) <- w *. f.Complex.re;
+    let im = im_row lay l in
+    if im >= 0 then buf.(im) <- w *. f.Complex.im
+  done
+
 (* per-relocation telemetry: how far sigma is from its constant part
    (→ 0 as the poles converge), the relaxation constant, the spread of
    the column scales (a conditioning proxy for the stacked LS system)
@@ -131,15 +217,19 @@ let add_relax_row ~phi ~scales ~weights ~data ~p ~n_points big big_rhs row =
 let sigma_post ~relax ~phi ~scales ~n_points ~p sol =
   let c_tilde = Array.init p (fun c -> sol.(c) *. scales.(c)) in
   let d_tilde = if relax then sol.(p) else 1.0 in
-  (* RMS of sigma's non-constant part over the fit points *)
+  (* RMS of sigma's non-constant part over the fit points: Σ c̃·φ
+     summed in slot order, re and im apart *)
   let sigma_rms =
     let acc = ref 0.0 in
     for l = 0 to n_points - 1 do
-      let z = ref Complex.zero in
+      let zr = ref 0.0 and zi = ref 0.0 in
+      let row = phi.(l) in
       for c = 0 to p - 1 do
-        z := Complex.add !z (Linalg.Cx.scale c_tilde.(c) phi.(l).(c))
+        let v = row.(c) and k = c_tilde.(c) in
+        zr := !zr +. (k *. v.Complex.re);
+        zi := !zi +. (k *. v.Complex.im)
       done;
-      acc := !acc +. Complex.norm2 !z
+      acc := !acc +. ((!zr *. !zr) +. (!zi *. !zi))
     done;
     sqrt (!acc /. float_of_int (Stdlib.max 1 n_points))
   in
@@ -254,7 +344,8 @@ let sigma_step_dense ~opts ~poles ~points ~data ~weights ~relax =
 
 (* Per-element scratch: the element QR workspace, the uniform-path tail
    workspace and a right-hand-side buffer. One per chunk when fanned
-   out across a pool, one persistent instance on the sequential path. *)
+   out across a pool, one persistent instance on the sequential path;
+   the sigma step and the per-element residue identification share it. *)
 type elem_ws = {
   qa : Linalg.Qr.ws;
   qtail : Linalg.Qr.ws;
@@ -268,26 +359,50 @@ let make_elem_ws () =
     rhs_buf = [||];
   }
 
-(* Relocation workspace: created once per [fit] call, reused by every
-   sigma step of every iteration, so steady-state relocation performs no
-   large allocations. *)
-type reloc_ws = {
+let rhs_of ews rows =
+  if Array.length ews.rhs_buf <> rows then ews.rhs_buf <- Array.make rows 0.0;
+  ews.rhs_buf
+
+(* Fit workspace: created once per [fit] call, or once per [fit_auto]
+   escalation and handed to each attempt, and reused by every sigma step
+   of every iteration and by the residue identification, so the
+   steady-state fit performs no large allocations. *)
+type fit_ws = {
   shared : Linalg.Qr.ws;  (** shared-φ0 factorization (uniform weighting) *)
   qbig : Linalg.Qr.ws;  (** condensed system and its in-place solve *)
+  qident : Linalg.Qr.ws;  (** shared identification (uniform weighting) *)
   seq_elem : elem_ws;
   mutable big_rhs : float array;
 }
 
-let make_reloc_ws () =
+let make_fit_ws () =
   {
     shared = Linalg.Qr.workspace ();
     qbig = Linalg.Qr.workspace ();
+    qident = Linalg.Qr.workspace ();
     seq_elem = make_elem_ws ();
     big_rhs = [||];
   }
 
-(* pool-parked per-chunk element workspaces for the relocation fan-out *)
+(* pool-parked per-chunk element workspaces for the element fan-outs *)
 let elem_ws_key : elem_ws Exec.key = Exec.new_key ()
+
+(* [process ews e] for every element, sequentially on [fws]'s element
+   workspace or fanned out across [pool] on per-chunk ones *)
+let each_element ?pool ~fws ~label n_elems process =
+  match pool with
+  | Some pool when n_elems > 1 ->
+      ignore
+        (Exec.parallel_init_ws ~pool ~label
+           ~ws:(fun chunk ->
+             Exec.slot pool elem_ws_key ~chunk
+               ~valid:(fun _ -> true)
+               ~make:make_elem_ws)
+           n_elems process)
+  | _ ->
+      for e = 0 to n_elems - 1 do
+        process fws.seq_elem e
+      done
 
 (* Fast-VF sigma step (Deschrijver et al. 2008; SNIPPETS.md snippet 3):
    per element QR-factor [phi0 | −D·phi1] and keep only the trailing
@@ -295,13 +410,14 @@ let elem_ws_key : elem_ws Exec.key = Exec.new_key ()
    at a fixed row offset of the small condensed system. Identical
    per-entry arithmetic to [sigma_step_dense] — [Qr.factor_into] is
    bit-compatible with [Qr.factor] — so the two kernels agree bitwise;
-   the speed comes from in-place workspace factorization and, under
-   uniform weighting, from factoring the shared [phi0] block once and
-   pushing its reflectors onto each element's sigma block
+   the speed comes from in-place workspace factorization, from the
+   real-axis row layout (the n1 + n2 pivot rows, then real rows only)
+   and, under uniform weighting, from factoring the shared [phi0] block
+   once and pushing its reflectors onto each element's sigma block
    ([Qr.apply_qt_mat]) instead of refactoring it per element. Elements
    are independent and write disjoint rows, so they optionally fan out
    across [pool] with bit-identical results. *)
-let sigma_step_fast ?pool ~rws ~opts ~poles ~points ~data ~weights ~relax () =
+let sigma_step_fast ?pool ~fws ~opts ~poles ~points ~data ~weights ~relax () =
   let p = Array.length poles in
   let n_points = Array.length points in
   let n_elems = Array.length data in
@@ -313,48 +429,23 @@ let sigma_step_fast ?pool ~rws ~opts ~poles ~points ~data ~weights ~relax () =
     invalid_arg
       (Printf.sprintf "Vfit: %d points cannot determine %d unknowns" n_points
          (n1 + n2));
-  let m_rows = 2 * n_points in
+  let lay =
+    layout_of ~head:(n1 + n2) ~phi ~scales ~zscale ~points ~data ~weights
+  in
+  let m_rows = layout_rows lay in
   let stacked_rows = (n_elems * n2) + if relax then 1 else 0 in
-  let big = Linalg.Qr.ws_matrix rws.qbig ~rows:stacked_rows ~cols:n2 in
-  if Array.length rws.big_rhs <> stacked_rows then
-    rws.big_rhs <- Array.make stacked_rows 0.0
-  else Array.fill rws.big_rhs 0 stacked_rows 0.0;
-  let big_rhs = rws.big_rhs in
+  let big = Linalg.Qr.ws_matrix fws.qbig ~rows:stacked_rows ~cols:n2 in
+  if Array.length fws.big_rhs <> stacked_rows then
+    fws.big_rhs <- Array.make stacked_rows 0.0
+  else Array.fill fws.big_rhs 0 stacked_rows 0.0;
+  let big_rhs = fws.big_rhs in
   (* the residue/const/slope block [phi0] is element-independent exactly
      when the row weights are: under uniform weighting factor it once
      and reuse its reflectors for every element *)
   let share_phi0 = opts.weighting = Uniform && n1 > 0 && n_elems > 1 in
-  (* the fill helpers write through the flat row-major storage: same
-     values as the [Mat.set] formulation, minus per-entry bounds checks
-     and (for the sigma block) the boxed [Complex.mul] intermediate *)
-  let fill_phi0 a ~w_of =
-    let d = Linalg.Mat.unsafe_data a in
-    let nc = Linalg.Mat.cols a in
-    for l = 0 to n_points - 1 do
-      let w = w_of l in
-      let re_base = 2 * l * nc in
-      let im_base = re_base + nc in
-      let row = phi.(l) in
-      for c = 0 to p - 1 do
-        let v = Array.unsafe_get row c in
-        let sc = Array.unsafe_get scales c in
-        Array.unsafe_set d (re_base + c) (w *. v.Complex.re *. sc);
-        Array.unsafe_set d (im_base + c) (w *. v.Complex.im *. sc)
-      done;
-      let cursor = ref p in
-      if opts.with_const then begin
-        Array.unsafe_set d (re_base + !cursor) w;
-        incr cursor
-      end;
-      if opts.with_slope then begin
-        Array.unsafe_set d (re_base + !cursor)
-          (w *. points.(l).Complex.re *. zscale);
-        Array.unsafe_set d (im_base + !cursor)
-          (w *. points.(l).Complex.im *. zscale);
-        incr cursor
-      end
-    done
-  in
+  let fill_phi0 = fill_phi0 ~opts ~lay ~phi ~scales ~zscale ~points in
+  (* the sigma block: −w·F·φ·scale (and −w·F in relaxed mode), the boxed
+     [Complex.mul f v] of the reference kernel inlined *)
   let fill_sigma a ~col0 ~e =
     let d = Linalg.Mat.unsafe_data a in
     let nc = Linalg.Mat.cols a in
@@ -363,40 +454,32 @@ let sigma_step_fast ?pool ~rws ~opts ~poles ~points ~data ~weights ~relax () =
       let w = Array.unsafe_get we l in
       let f = Array.unsafe_get de l in
       let fr = f.Complex.re and fi = f.Complex.im in
-      let re_base = (2 * l * nc) + col0 in
-      let im_base = re_base + nc in
+      let re_base = (re_row lay l * nc) + col0 in
+      let im = im_row lay l in
+      let im_base = (im * nc) + col0 in
       let row = phi.(l) in
       for c = 0 to p - 1 do
         let v = Array.unsafe_get row c in
-        (* inlined [Complex.mul f v] — identical expressions, no box *)
         let vr = (fr *. v.Complex.re) -. (fi *. v.Complex.im) in
-        let vi = (fr *. v.Complex.im) +. (fi *. v.Complex.re) in
         let sc = Array.unsafe_get scales c in
         Array.unsafe_set d (re_base + c) (-.w *. vr *. sc);
-        Array.unsafe_set d (im_base + c) (-.w *. vi *. sc)
+        if im >= 0 then begin
+          let vi = (fr *. v.Complex.im) +. (fi *. v.Complex.re) in
+          Array.unsafe_set d (im_base + c) (-.w *. vi *. sc)
+        end
       done;
       if relax then begin
         Array.unsafe_set d (re_base + p) (-.w *. fr);
-        Array.unsafe_set d (im_base + p) (-.w *. fi)
+        if im >= 0 then Array.unsafe_set d (im_base + p) (-.w *. fi)
       end
-    done
-  in
-  let fill_rhs ews ~e =
-    if Array.length ews.rhs_buf <> m_rows then
-      ews.rhs_buf <- Array.make m_rows 0.0;
-    for l = 0 to n_points - 1 do
-      let w = weights.(e).(l) in
-      let f = data.(e).(l) in
-      ews.rhs_buf.((2 * l)) <- w *. f.Complex.re;
-      ews.rhs_buf.((2 * l) + 1) <- w *. f.Complex.im
     done
   in
   let t1 =
     if not share_phi0 then None
     else begin
-      let a1 = Linalg.Qr.ws_matrix rws.shared ~rows:m_rows ~cols:n1 in
-      fill_phi0 a1 ~w_of:(fun l -> weights.(0).(l));
-      Some (Linalg.Qr.factor_into rws.shared a1)
+      let a1 = Linalg.Qr.ws_matrix fws.shared ~rows:m_rows ~cols:n1 in
+      fill_phi0 a1 weights.(0);
+      Some (Linalg.Qr.factor_into fws.shared a1)
     end
   in
   let process ews e =
@@ -419,53 +502,42 @@ let sigma_step_fast ?pool ~rws ~opts ~poles ~points ~data ~weights ~relax () =
         let t2 = Linalg.Qr.factor_into ews.qtail tail in
         Linalg.Qr.r22_block t2 ~split:0 big (e * n2);
         if not relax then begin
-          fill_rhs ews ~e;
-          Linalg.Qr.apply_qt_into t1 ews.rhs_buf;
-          Linalg.Qr.apply_qt_into t2 ~off:n1 ews.rhs_buf;
+          let rhs = rhs_of ews m_rows in
+          fill_rhs ~lay rhs weights.(e) data.(e);
+          Linalg.Qr.apply_qt_into t1 rhs;
+          Linalg.Qr.apply_qt_into t2 ~off:n1 rhs;
           for k = 0 to n2 - 1 do
-            big_rhs.((e * n2) + k) <- ews.rhs_buf.(n1 + k)
+            big_rhs.((e * n2) + k) <- rhs.(n1 + k)
           done
         end
     | None ->
         let a = Linalg.Qr.ws_matrix ews.qa ~rows:m_rows ~cols:(n1 + n2) in
-        fill_phi0 a ~w_of:(fun l -> weights.(e).(l));
+        fill_phi0 a weights.(e);
         fill_sigma a ~col0:n1 ~e;
         let t = Linalg.Qr.factor_into ews.qa a in
         Linalg.Qr.r22_block t ~split:n1 big (e * n2);
         if not relax then begin
-          fill_rhs ews ~e;
-          Linalg.Qr.apply_qt_block t ~split:n1 ews.rhs_buf big_rhs (e * n2)
+          let rhs = rhs_of ews m_rows in
+          fill_rhs ~lay rhs weights.(e) data.(e);
+          Linalg.Qr.apply_qt_block t ~split:n1 rhs big_rhs (e * n2)
         end
   in
-  (match pool with
-  | Some pool when n_elems > 1 ->
-      ignore
-        (Exec.parallel_init_ws ~pool ~label:"vf.sigma"
-           ~ws:(fun chunk ->
-             Exec.slot pool elem_ws_key ~chunk
-               ~valid:(fun _ -> true)
-               ~make:make_elem_ws)
-           n_elems
-           (fun ews e -> process ews e))
-  | _ ->
-      for e = 0 to n_elems - 1 do
-        process rws.seq_elem e
-      done);
+  each_element ?pool ~fws ~label:"vf.sigma" n_elems process;
   if relax then
     add_relax_row ~phi ~scales ~weights ~data ~p ~n_points big big_rhs
       (n_elems * n2);
-  match Linalg.Qr.least_squares_into rws.qbig big big_rhs with
+  match Linalg.Qr.least_squares_into fws.qbig big big_rhs with
   | exception Linalg.Qr.Rank_deficient _ -> None
   | sol -> Some (sigma_post ~relax ~phi ~scales ~n_points ~p sol)
 
-let sigma_step ?pool ~rws ~opts ~poles ~points ~data ~weights ~relax () =
+let sigma_step ?pool ~fws ~opts ~poles ~points ~data ~weights ~relax () =
   match opts.relocation_kernel with
   | Dense -> sigma_step_dense ~opts ~poles ~points ~data ~weights ~relax
-  | Fast -> sigma_step_fast ?pool ~rws ~opts ~poles ~points ~data ~weights ~relax ()
+  | Fast -> sigma_step_fast ?pool ~fws ~opts ~poles ~points ~data ~weights ~relax ()
 
-let relocate_poles ?pool ~rws ~opts ~poles ~points ~data ~weights () =
+let relocate_poles ?pool ~fws ~opts ~poles ~points ~data ~weights () =
   let attempt relax =
-    match sigma_step ?pool ~rws ~opts ~poles ~points ~data ~weights ~relax () with
+    match sigma_step ?pool ~fws ~opts ~poles ~points ~data ~weights ~relax () with
     | None -> None
     | Some (c_tilde, d_tilde, sigma_rms, scale_spread) ->
         if relax && Float.abs d_tilde < 1e-8 then None
@@ -510,62 +582,101 @@ let relocate_poles ?pool ~rws ~opts ~poles ~points ~data ~weights () =
   | Some result -> Some result
   | None -> if opts.relax then attempt false else None
 
-(* Residue identification with fixed poles: independent small LS per
-   element, optionally fanned out across the pool (disjoint writes per
-   element, so results are bit-identical to the sequential loop). *)
-let identify ?pool ~opts ~poles ~points ~data ~weights () =
+(* Residue identification with fixed poles: one small least-squares
+   problem [w·φ0 | w | w·z] c = w·F per element. [Dense] is the
+   reference: per element a fresh full-layout matrix and
+   [Qr.least_squares], optionally fanned out across the pool (disjoint
+   writes per element, so results are bit-identical to the sequential
+   loop). [Fast] uses the row layout of the sigma step with the n1
+   pivot rows, and under uniform weighting — where the matrix is the
+   same for every element — factors it once and applies its reflectors
+   to each element's right-hand side; otherwise each element factors in
+   its own reused workspace. [Qr.factor_into]/[Qr.apply_qt_into] are
+   bit-compatible with [Qr.least_squares], so both kernels return the
+   same model. *)
+let identify ?pool ~fws ~opts ~poles ~points ~data ~weights () =
   let p = Array.length poles in
   let n_points = Array.length points in
+  let n_elems = Array.length data in
   let phi = Basis.table poles points in
   let scales, zscale = column_scales phi points n_points p in
   let n1 = p + (if opts.with_const then 1 else 0) + (if opts.with_slope then 1 else 0) in
   let coeffs = Array.map (fun _ -> Array.make p 0.0) data in
   let consts = Array.map (fun _ -> 0.0) data in
   let slopes = Array.map (fun _ -> 0.0) data in
-  let fit_element e row =
-      let a = Linalg.Mat.create (2 * n_points) n1 in
-      let rhs = Linalg.Vec.create (2 * n_points) in
-      for l = 0 to n_points - 1 do
-        let w = weights.(e).(l) in
-        let re_row = 2 * l and im_row = (2 * l) + 1 in
+  let store e solve =
+    match solve () with
+    | exception Linalg.Qr.Rank_deficient _ ->
+        Log.warn (fun m -> m "residue identification rank-deficient (element %d)" e)
+    | sol ->
         for c = 0 to p - 1 do
-          let v = phi.(l).(c) in
-          Linalg.Mat.set a re_row c (w *. v.Complex.re *. scales.(c));
-          Linalg.Mat.set a im_row c (w *. v.Complex.im *. scales.(c))
+          coeffs.(e).(c) <- sol.(c) *. scales.(c)
         done;
         let cursor = ref p in
         if opts.with_const then begin
-          Linalg.Mat.set a re_row !cursor w;
+          consts.(e) <- sol.(!cursor);
           incr cursor
         end;
-        if opts.with_slope then begin
-          Linalg.Mat.set a re_row !cursor (w *. points.(l).Complex.re *. zscale);
-          Linalg.Mat.set a im_row !cursor (w *. points.(l).Complex.im *. zscale);
-          incr cursor
-        end;
-        rhs.(re_row) <- w *. row.(l).Complex.re;
-        rhs.(im_row) <- w *. row.(l).Complex.im
-      done;
-      match Linalg.Qr.least_squares a rhs with
-      | exception Linalg.Qr.Rank_deficient _ ->
-          Log.warn (fun m -> m "residue identification rank-deficient (element %d)" e)
-      | sol ->
+        if opts.with_slope then slopes.(e) <- sol.(!cursor) *. zscale
+  in
+  (match opts.relocation_kernel with
+  | Dense ->
+      let fit_element e row =
+        let a = Linalg.Mat.create (2 * n_points) n1 in
+        let rhs = Linalg.Vec.create (2 * n_points) in
+        for l = 0 to n_points - 1 do
+          let w = weights.(e).(l) in
+          let re_row = 2 * l and im_row = (2 * l) + 1 in
           for c = 0 to p - 1 do
-            coeffs.(e).(c) <- sol.(c) *. scales.(c)
+            let v = phi.(l).(c) in
+            Linalg.Mat.set a re_row c (w *. v.Complex.re *. scales.(c));
+            Linalg.Mat.set a im_row c (w *. v.Complex.im *. scales.(c))
           done;
           let cursor = ref p in
           if opts.with_const then begin
-            consts.(e) <- sol.(!cursor);
+            Linalg.Mat.set a re_row !cursor w;
             incr cursor
           end;
-          if opts.with_slope then slopes.(e) <- sol.(!cursor) *. zscale
-  in
-  (match pool with
-  | Some pool when Array.length data > 1 ->
-      ignore
-        (Exec.parallel_init ~pool ~label:"vf.identify" (Array.length data)
-           (fun e -> fit_element e data.(e)))
-  | _ -> Array.iteri fit_element data);
+          if opts.with_slope then begin
+            Linalg.Mat.set a re_row !cursor (w *. points.(l).Complex.re *. zscale);
+            Linalg.Mat.set a im_row !cursor (w *. points.(l).Complex.im *. zscale);
+            incr cursor
+          end;
+          rhs.(re_row) <- w *. row.(l).Complex.re;
+          rhs.(im_row) <- w *. row.(l).Complex.im
+        done;
+        store e (fun () -> Linalg.Qr.least_squares a rhs)
+      in
+      (match pool with
+      | Some pool when n_elems > 1 ->
+          ignore
+            (Exec.parallel_init ~pool ~label:"vf.identify" n_elems
+               (fun e -> fit_element e data.(e)))
+      | _ -> Array.iteri fit_element data)
+  | Fast ->
+      let lay =
+        layout_of ~head:n1 ~phi ~scales ~zscale ~points ~data ~weights
+      in
+      let rows = layout_rows lay in
+      let fill_phi0 = fill_phi0 ~opts ~lay ~phi ~scales ~zscale ~points in
+      if opts.weighting = Uniform then begin
+        let a = Linalg.Qr.ws_matrix fws.qident ~rows ~cols:n1 in
+        fill_phi0 a weights.(0);
+        let t = Linalg.Qr.factor_into fws.qident a in
+        let rhs = rhs_of fws.seq_elem rows in
+        for e = 0 to n_elems - 1 do
+          fill_rhs ~lay rhs weights.(e) data.(e);
+          Linalg.Qr.apply_qt_into t rhs;
+          store e (fun () -> Linalg.Qr.solve_r t rhs)
+        done
+      end
+      else
+        each_element ?pool ~fws ~label:"vf.identify" n_elems (fun ews e ->
+            let a = Linalg.Qr.ws_matrix ews.qa ~rows ~cols:n1 in
+            fill_phi0 a weights.(e);
+            let rhs = rhs_of ews rows in
+            fill_rhs ~lay rhs weights.(e) data.(e);
+            store e (fun () -> Linalg.Qr.least_squares_into ews.qa a rhs)));
   { Model.poles; coeffs; consts; slopes }
 
 let finite_model (m : Model.t) =
@@ -574,7 +685,8 @@ let finite_model (m : Model.t) =
   && Guard.finite_array m.Model.consts
   && Guard.finite_array m.Model.slopes
 
-let fit ?(opts = default_frequency_opts) ?cancel ?obs ?pool
+(* [fit] on the caller's workspace *)
+let fit_in ~fws ?(opts = default_frequency_opts) ?cancel ?obs ?pool
     ?(label = "vfit") ~poles ~points ~data () =
   if Array.length data = 0 then invalid_arg "Vfit.fit: no elements";
   Array.iter
@@ -593,9 +705,6 @@ let fit ?(opts = default_frequency_opts) ?cancel ?obs ?pool
   let poles = ref (Pole.normalize ~enforce_stable:opts.enforce_stable
                      ~min_imag:opts.min_imag poles) in
   let iterations_run = ref 0 in
-  (* one relocation workspace per fit: every iteration's sigma step
-     reuses the same condensed-system and per-element buffers *)
-  let rws = make_reloc_ws () in
   (try
      for it = 1 to opts.iterations do
        Obs.span obs ~args:[ ("it", Trace.Int it) ] "vf.relocate"
@@ -603,7 +712,7 @@ let fit ?(opts = default_frequency_opts) ?cancel ?obs ?pool
        Cancel.check cancel ~site:"vf.relocate";
        if Fault.should_fire "vf.spin" then Cancel.hang cancel ~site:"vf.relocate";
        match
-         relocate_poles ?pool ~rws ~opts ~poles:!poles ~points ~data ~weights ()
+         relocate_poles ?pool ~fws ~opts ~poles:!poles ~points ~data ~weights ()
        with
        | Some (poles', rd) ->
            iterations_run := it;
@@ -637,7 +746,7 @@ let fit ?(opts = default_frequency_opts) ?cancel ?obs ?pool
                   condition-sensitive factorization in the stack; the
                   dense kernel has no workspace to read, so skip it *)
                if opts.relocation_kernel = Fast then
-                 Obs.rcond obs ~site:"vf.sigma_qr" Linalg.Qr.last_rcond rws.qbig;
+                 Obs.rcond obs ~site:"vf.sigma_qr" Linalg.Qr.last_rcond fws.qbig;
                Obs.vf_iteration obs ~label ~iteration:it
                  ~sigma_rms:rd.sigma_rms ~d_tilde:rd.d_tilde
                  ~scale_spread:rd.scale_spread ~flips:rd.flips !poles)
@@ -680,12 +789,11 @@ let fit ?(opts = default_frequency_opts) ?cancel ?obs ?pool
          n_unstable);
     poles := Pole.normalize ~enforce_stable:true ~min_imag:opts.min_imag p
   end;
-  let model = identify ?pool ~opts ~poles:!poles ~points ~data ~weights () in
+  let model = identify ?pool ~fws ~opts ~poles:!poles ~points ~data ~weights () in
   if not (finite_model model) then
     Guard.fail ~site:(label ^ ".model")
       "non-finite coefficients in fitted model";
-  let rms = Model.rms_error model ~points ~data in
-  let max_err = Model.max_error model ~points ~data in
+  let rms, max_err = Model.errors model ~points ~data in
   Obs.observe obs (label ^ ".fit_rms") rms;
   ( model,
     {
@@ -694,6 +802,10 @@ let fit ?(opts = default_frequency_opts) ?cancel ?obs ?pool
       iterations_run = !iterations_run;
       pole_count = Array.length !poles;
     } )
+
+let fit ?opts ?cancel ?obs ?pool ?label ~poles ~points ~data () =
+  fit_in ~fws:(make_fit_ws ()) ?opts ?cancel ?obs ?pool ?label ~poles ~points
+    ~data ()
 
 let fit_auto ?(opts = default_frequency_opts) ?cancel ?obs ?pool
     ?(label = "vfit") ~make_poles ?(start = 2) ?(step = 2) ?(max_poles = 40)
@@ -715,6 +827,7 @@ let fit_auto ?(opts = default_frequency_opts) ?cancel ?obs ?pool
     Obs.error obs ~stage:label ("fit_auto: no successful fit" ^ detail);
     invalid_arg ("Vfit.fit_auto: no successful fit" ^ detail)
   in
+  let fws = make_fit_ws () in
   let settle (model, (info : info)) =
     Obs.note obs (label ^ ".settled_poles") (string_of_int info.pole_count);
     Obs.observe ~only:`Diag obs (label ^ ".settled_rms") info.rms;
@@ -729,7 +842,7 @@ let fit_auto ?(opts = default_frequency_opts) ?cancel ?obs ?pool
       Obs.count obs (label ^ ".attempts") 1;
       Cancel.check cancel ~site:"vf.fit_auto";
       match
-        fit ~opts ?cancel ?obs ?pool ~label
+        fit_in ~fws ~opts ?cancel ?obs ?pool ~label
           ~poles:(make_poles count) ~points ~data ()
       with
       | exception Guard.Violation v ->

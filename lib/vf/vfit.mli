@@ -16,14 +16,21 @@ type weighting = Uniform | Inv_magnitude | Inv_sqrt
 
 type relocation_kernel =
   | Dense
-      (** legacy reference kernel: per-element systems freshly allocated
-          and factored with the copying QR entry points *)
+      (** the reference: per-element systems in the full row layout (a
+          real and an imaginary row per point), freshly allocated and
+          factored with the copying QR entry points, and per-element
+          [Qr.least_squares] residue identification *)
   | Fast
       (** default: in-place workspace QR of [phi0 | −D·phi1] per element
           keeping only the [R22]/[Q2ᵀV] blocks, with the shared [phi0]
           factorization hoisted out of the element loop under uniform
-          weighting. Bit-identical results to [Dense], several times
-          faster, and the per-element blocks fan out across a pool. *)
+          weighting. When every point, data value and basis entry is
+          real (the state and static stages), the blocks keep their
+          pivot rows and drop the all-zero imaginary rows below them;
+          under uniform weighting the residue identification factors
+          its matrix once for all elements. Bit-identical results to
+          [Dense], several times faster, and the per-element blocks fan
+          out across a pool. *)
 
 type opts = {
   iterations : int;  (** pole-relocation sweeps (default 10) *)

@@ -717,6 +717,135 @@ let prop_hess_shifted_solve =
           && Linalg.Hess.rcond_estimate ws > 0.0
           && Linalg.Hess.rcond_estimate ws <= 1.0)
 
+(* ---------------- Eig bit-pattern pins ---------------- *)
+
+(* [Eig.eigenvalues] runs balancing, the Hessenberg reduction and the
+   QR iteration on the flat store; these pins hold the eigenvalue bit
+   patterns of the column-access implementation it replaced, so any
+   change of a float operation shows. One case per branch of the QR
+   iteration: a 1x1 matrix, a complex 2x2 block, a real split, a cyclic
+   permutation (its double-shift steps stall until the exceptional
+   shift at its = 10), and a 24x24 relocation matrix A - b*c/d of the
+   buffer's state fit at 24 poles. *)
+let eig_bits m =
+  Array.map
+    (fun z -> (Int64.bits_of_float z.Complex.re, Int64.bits_of_float z.Complex.im))
+    (Linalg.Eig.eigenvalues m)
+
+(* the relocation matrix from its pole pairs (alpha, beta) and the sigma
+   coefficients c and d, built as [Vfit] builds it *)
+let relocation_pole_pairs =
+  [|
+    (0x1.2bf62966e5e2ap-1, 0x1.eb851eb851eb7p-6);
+    (0x1.410c39bc497eap-1, 0x1.65ce8e7b28ed7p-4);
+    (0x1.8059977cd6e14p-1, 0x1.09a94feaa58ffp-3);
+    (0x1.cd8fdbecb4754p-1, 0x1.26e5d7a39899fp-3);
+    (0x1.0d8cf6ebb0624p+0, 0x1.5435fce97e17dp-3);
+    (0x1.3741cdac2b654p+0, 0x1.3dcc1d7557e46p-3);
+    (0x1.3b9a0944375d2p+0, 0x1.67ec221a9659dp-5);
+    (0x1.463c1be45ff16p-1, 0x1.47f5060e23408p-4);
+    (0x1.9dd57ba3b890ap-1, 0x1.eb851eb851eb7p-6);
+    (0x1.e1a5d33db23acp-1, 0x1.f1ef2a279da8p-6);
+    (0x1.0ffff1c273c86p+0, 0x1.2b81d9d2bfb3p-5);
+    (0x1.41ac2194de75dp+0, 0x1.eb851eb851eb7p-6)
+  |]
+
+let relocation_c =
+  [|
+    0x1.0f210c9eb21f9p-7; 0x1.0121acf63e4abp-8; 0x1.55e375de5a4c4p-5;
+    0x1.9e04ea0a3de21p-4; 0x1.1f5aab695a45ep-9; 0x1.47b61c8dc1653p-7;
+    0x1.0cc8fc83bef2ap-7; -0x1.f5b2f3cb62c8p-12; 0x1.37c112199abbdp-6;
+    -0x1.0872011097a49p-7; 0x1.33cb0f978167cp-4; 0x1.eb91715415cfbp-14;
+    0x1.0b9d141e57397p-6; -0x1.1d7ef730f3446p-7; -0x1.a27011a4fdf2fp-4;
+    -0x1.4c4f4e9cf1b99p-4; -0x1.73c78df318921p-9; 0x1.85df4dc9d426bp-14;
+    -0x1.29aff2ea0e7e7p-9; 0x1.73736387381bp-9; 0x1.531355684acf8p-9;
+    0x1.5a905524446b6p-8; 0x1.e36630240ae3ep-6; 0x1.a94dfe2de379ep-6
+  |]
+
+let relocation_d = 0x1.64233b50cd579p+0
+
+let relocation_matrix () =
+  let n = 2 * Array.length relocation_pole_pairs in
+  let a = Linalg.Mat.create n n and b = Array.make n 0.0 in
+  Array.iteri
+    (fun k (alpha, beta) ->
+      let i = 2 * k in
+      Linalg.Mat.set a i i alpha;
+      Linalg.Mat.set a i (i + 1) beta;
+      Linalg.Mat.set a (i + 1) i (-.beta);
+      Linalg.Mat.set a (i + 1) (i + 1) alpha;
+      b.(i) <- 2.0)
+    relocation_pole_pairs;
+  Linalg.Mat.init n n (fun r c ->
+      Linalg.Mat.get a r c -. (b.(r) *. relocation_c.(c) /. relocation_d))
+
+let eig_pins =
+  [
+    ("1x1", mat_of [| [| -2.5 |] |], [| (0xc004000000000000L, 0x0L) |]);
+    ( "complex 2x2",
+      mat_of [| [| 1.0; -2.0 |]; [| 3.0; 0.5 |] |],
+      [|
+        (0x3fe8000000000000L, 0xc0037e5bd40f95a1L);
+        (0x3fe8000000000000L, 0x40037e5bd40f95a1L)
+      |] );
+    ( "real split",
+      mat_of [| [| 4.0; 1.0 |]; [| 2.0; 3.0 |] |],
+      [|
+        (0x4014000000000000L, 0x0L); (0x4000000000000000L, 0x0L)
+      |] );
+    ( "exceptional shift",
+      mat_of [| [| 0.0; 0.0; 1.0 |]; [| 1.0; 0.0; 0.0 |]; [| 0.0; 1.0; 0.0 |] |],
+      [|
+        (0xbfe0000000000001L, 0xbfebb67ae8584cabL);
+        (0xbfe0000000000001L, 0x3febb67ae8584cabL);
+        (0x3ff0000000000002L, 0x0L)
+      |] );
+    ( "24x24 relocation",
+      relocation_matrix (),
+      [|
+        (0x3fe28dd35fafbc6aL, 0xbf9a08991674401eL);
+        (0x3fe28dd35fafbc6aL, 0x3f9a08991674401eL);
+        (0x3fe3abcbfa200362L, 0xbfb38b6432275317L);
+        (0x3fe3abcbfa200362L, 0x3fb38b6432275317L);
+        (0x3ff2c230e645722cL, 0xbfbe2bb2053d6bc6L);
+        (0x3ff2c230e645722cL, 0x3fbe2bb2053d6bc6L);
+        (0x3ff3f2492506a965L, 0x0L);
+        (0x3ff3941d1db87c0cL, 0xbf9ba688134fd9b7L);
+        (0x3ff3941d1db87c0cL, 0x3f9ba688134fd9b7L);
+        (0x3ff32677aa55e740L, 0x0L);
+        (0x3fe76c0dd2b0109cL, 0xbfc0637ecf1f8bf7L);
+        (0x3fe76c0dd2b0109cL, 0x3fc0637ecf1f8bf7L);
+        (0x3fe642d0da02687bL, 0x0L);
+        (0x3ff044c1572eea3eL, 0xbfc41dbb677fe398L);
+        (0x3ff044c1572eea3eL, 0x3fc41dbb677fe398L);
+        (0x3fec23a7db5a0cbbL, 0xbfc33499b820a872L);
+        (0x3fec23a7db5a0cbbL, 0x3fc33499b820a872L);
+        (0x3ff126bc4cec6b23L, 0x0L); (0x3fe8a7c836fdb280L, 0x0L);
+        (0x3fe9de24d7174313L, 0x0L); (0x3ff06fd56317ae03L, 0x0L);
+        (0x3fedf00f34876292L, 0x0L); (0x3fef0fcfc3a9deaaL, 0x0L);
+        (0x3feb0bf5c0be6f77L, 0x0L)
+      |] );
+  ]
+
+let test_eig_bit_pins () =
+  List.iter
+    (fun (name, m, expected) ->
+      Alcotest.(check bool) name true (eig_bits m = expected))
+    eig_pins
+
+(* the flat kernels allocate the working copy, a few n-vectors and the
+   result: no float is boxed inside the iteration *)
+let test_eig_allocation () =
+  let m = relocation_matrix () in
+  ignore (Linalg.Eig.eigenvalues m);
+  let b0 = Gc.allocated_bytes () in
+  ignore (Linalg.Eig.eigenvalues m);
+  let words = (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "24x24 eigenvalues allocate %.0f words (bound 4000)" words)
+    true (words <= 4000.0)
+
+
 let qsuite = [ prop_lu_residual; prop_qr_residual_orthogonal; prop_eig_trace;
                prop_eig_det; prop_poly_roots_reconstruct; prop_clu_residual;
                prop_lu_factor_into_agrees; prop_clu_factor_into_agrees;
@@ -763,5 +892,7 @@ let suite =
       test_qr_least_squares_into_bitwise;
     Alcotest.test_case "qr two-stage shared Q1 bitwise" `Quick
       test_qr_two_stage_shared_q1_bitwise;
+    Alcotest.test_case "eig bit-pattern pins" `Quick test_eig_bit_pins;
+    Alcotest.test_case "eig allocation bound" `Quick test_eig_allocation;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite

@@ -296,7 +296,9 @@ let test_model_errors_zero_for_own_samples () =
   in
   let points = Array.map (fun x -> cx 0.0 x) [| 1.0; 2.0; 5.0 |] in
   let data = [| Array.map (Vf.Model.eval model ~elem:0) points |] in
-  check_close 1e-14 "self rms" 0.0 (Vf.Model.rms_error model ~points ~data)
+  let rms, worst = Vf.Model.errors model ~points ~data in
+  check_close 1e-14 "self rms" 0.0 rms;
+  check_close 1e-14 "self max" 0.0 worst
 
 let test_vfit_stable_under_noise () =
   (* the paper: "the model is guaranteed stable by construction" — even
@@ -587,6 +589,52 @@ let test_kernel_parity_pool () =
       Alcotest.(check bool) "pooled = sequential, bitwise" true
         (models_bitwise_equal seq par))
 
+(* A Table-I-shaped state fit: 7 residue traces over 100 real points,
+   uniform weighting, relaxed sigma and a constant term, at every pole
+   count of the state stage's escalation up to 24. It runs the
+   real-axis row layout, the shared-phi0 sigma step and the shared
+   residue identification at the sizes of the buffer extraction; the
+   random residue-trace property reaches them only at 4 poles. *)
+let test_kernel_parity_table1_shape () =
+  let n = 100 and lo = -0.4 and hi = 1.2 in
+  let points =
+    Array.init n (fun k ->
+        cx (lo +. ((hi -. lo) *. float_of_int k /. float_of_int (n - 1))) 0.0)
+  in
+  (* smooth saturating traces of unit order, like Rvf's normalized ones *)
+  let data =
+    Array.init 7 (fun j ->
+        let a = 2.0 +. float_of_int j and b = 0.1 *. float_of_int j in
+        Array.map
+          (fun z ->
+            let x = z.Complex.re in
+            cx (tanh (a *. (x -. b)) +. (0.2 *. x *. x) -. (0.1 *. b)) 0.0)
+          points)
+  in
+  let opts =
+    {
+      Vf.Vfit.default_state_opts with
+      Vf.Vfit.min_imag = 0.02 *. (hi -. lo);
+      max_magnitude = 100.0 *. Float.max (Float.abs lo) (Float.abs hi);
+    }
+  in
+  let fit kernel count =
+    Vf.Vfit.fit
+      ~opts:{ opts with Vf.Vfit.relocation_kernel = kernel }
+      ~poles:(Vf.Pole.initial_real_axis ~lo ~hi ~count)
+      ~points ~data ()
+  in
+  for k = 1 to 12 do
+    let count = 2 * k in
+    let md, id = fit Vf.Vfit.Dense count in
+    let mf, i_f = fit Vf.Vfit.Fast count in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d poles: models bitwise" count)
+      true
+      (models_bitwise_equal md mf
+      && float_bits_eq id.Vf.Vfit.rms i_f.Vf.Vfit.rms)
+  done
+
 (* the condensed per-element [R22 | Q2tV] blocks must describe the same
    least-squares problem as the naive stacked system over all unknowns
    (per-element coefficients + shared sigma columns): solve both for the
@@ -674,6 +722,8 @@ let suite =
     Alcotest.test_case "fit_auto empty ladder" `Quick
       test_fit_auto_start_beyond_max;
     Alcotest.test_case "kernel parity with pool" `Quick test_kernel_parity_pool;
+    Alcotest.test_case "kernel parity: table I state fit" `Quick
+      test_kernel_parity_table1_shape;
     Alcotest.test_case "condensed blocks = naive stack" `Quick
       test_condensed_blocks_match_naive_stack;
   ]
