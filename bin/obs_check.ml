@@ -4,7 +4,8 @@
    file means — diag.json (pipeline stage spans, transient counters,
    VF stats, the ladder-rung note), trace.json (well-formed nested
    spans on one named track per domain, non-negative self times) and
-   metrics.json (work counters, timing histograms, ascending buckets) —
+   metrics.json (work counters, timing histograms, ascending buckets,
+   one factorization or one pencil reuse per Newton iteration) —
    check the convergence stream actually carries the algorithmic
    telemetry (per-iteration VF pole positions, rcond samples, stage
    boundaries, a settled pole count), render it through obs_report,
@@ -228,6 +229,29 @@ let check_metrics root =
     [ "tran.steps"; "tran.newton_iterations" ];
   let hists = Option.value ~default:[] (Minijson.arr_field root "histograms") in
   if hists = [] then fail "metrics: no histograms";
+  (* every Newton iteration either factors its pencil or reuses the
+     held factorization: a path that does neither cannot hide. An
+     absent counter or histogram counts as 0. *)
+  let count name =
+    Option.value ~default:0.0
+      (Option.bind (List.assoc_opt name counters) Minijson.as_num)
+  in
+  let samples name =
+    List.fold_left
+      (fun acc h ->
+        if Minijson.str_field h "name" = Some name then
+          acc +. Option.value ~default:0.0 (Minijson.num_field h "count")
+        else acc)
+      0.0 hists
+  in
+  let factored = samples "dc.lu_factor_ns"
+  and reused = count "dc.lu_reuses"
+  and iterations = count "dc.newton_iterations" in
+  if factored +. reused <> iterations then
+    fail
+      "metrics: dc.lu_factor_ns samples (%.0f) + dc.lu_reuses (%.0f) <> \
+       dc.newton_iterations (%.0f)"
+      factored reused iterations;
   let hist_names =
     List.filter_map (fun h -> Minijson.str_field h "name") hists
   in

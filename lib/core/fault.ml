@@ -38,7 +38,11 @@ let sites =
     {
       name = "lu.pivot_zero";
       where = "Linalg.Lu.factor_into";
-      what = "zeroes the first pivot so the factorization raises Singular";
+      what =
+        "zeroes the first pivot so the factorization raises Singular; probed \
+         once per factorization, so the n-th invocation is the n-th \
+         factorization: a Newton iteration that reuses its pencil does not \
+         factor";
       kind = Numeric;
     };
     {
@@ -106,7 +110,11 @@ let sites =
     {
       name = "sp.singular";
       where = "Linalg.Splu.factor_into / Linalg.Spclu.factor_into";
-      what = "zeroes the first sparse pivot so the factorization raises Singular";
+      what =
+        "zeroes the first sparse pivot so the factorization raises Singular; \
+         probed once per factorization, so the n-th invocation is the n-th \
+         factorization: a Newton iteration that reuses its pencil does not \
+         factor";
       kind = Numeric;
     };
     {

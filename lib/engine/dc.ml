@@ -18,27 +18,27 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* --- the Newton workspace --------------------------------------------- *)
 
 (* The backend half of a workspace: the Newton pencil J in its
-   backend's storage and the LU workspace that factors it. The sparse
-   side also holds the compiled assembly context its evaluations refill
-   in place; dense evaluations allocate their own G and C. *)
+   backend's storage and the LU workspace that factors it. *)
 type lin =
   | Dense_lin of { j : Linalg.Mat.t; lu : Linalg.Lu.t }
-  | Sparse_lin of {
-      ctx : Mna.sparse_ctx;
-      j : Linalg.Sp.t;
-      slu : Linalg.Splu.t;
-    }
+  | Sparse_lin of { j : Linalg.Sp.t; slu : Linalg.Splu.t }
 
 (* Everything one system's Newton solves need, allocated once and
    reused across iterations, gmin levels and transient steps: the
-   backend half; [jv], the flat value array of J that the loop fills
-   (the dense matrix's row-major store or the CSC values — G and C
-   evaluate into the same layout); the slots of [jv] that gmin lands in
-   on the node diagonal; and the right-hand side and update vectors. *)
+   assembly that every evaluation refills in place (i, q and the value
+   arrays of G and C, in [jv]'s layout); the backend half; [jv], the
+   flat value array of J that the loop fills (the dense matrix's
+   row-major store or the CSC values); [held], a copy of the J whose
+   factorization the LU holds, valid while [holds]; the slots of [jv]
+   that gmin lands in on the node diagonal; and the right-hand side and
+   update vectors. *)
 type ws = {
   mna : Mna.t;
+  asm : Mna.assembly;
   lin : lin;
   jv : float array;
+  held : float array;
+  mutable holds : bool;
   diag_slots : int array;
   neg_f : Linalg.Vec.t;
   dv : Linalg.Vec.t;
@@ -46,18 +46,20 @@ type ws = {
 
 let workspace ~backend mna =
   let n = Mna.size mna in
-  let lin, jv, diag_slot =
+  let asm, lin, jv, diag_slot =
     match backend with
     | Mna.Dense ->
         let j = Linalg.Mat.create n n in
-        ( Dense_lin { j; lu = Linalg.Lu.workspace n },
+        ( Mna.dense_assembly mna,
+          Dense_lin { j; lu = Linalg.Lu.workspace n },
           Linalg.Mat.unsafe_data j,
           fun k -> (k * n) + k )
     | Mna.Sparse ->
         let ctx = Mna.sparse_ctx mna in
         let pattern = Mna.sparse_pattern ctx in
         let j = Linalg.Sp.create pattern in
-        ( Sparse_lin { ctx; j; slu = Linalg.Splu.workspace pattern },
+        ( Mna.sparse_assembly ctx,
+          Sparse_lin { j; slu = Linalg.Splu.workspace pattern },
           j.Linalg.Sp.v,
           fun k ->
             match Linalg.Sp.find pattern k k with
@@ -67,33 +69,20 @@ let workspace ~backend mna =
   in
   {
     mna;
+    asm;
     lin;
     jv;
+    held = Array.make (Array.length jv) 0.0;
+    holds = false;
     diag_slots = Array.init (Mna.n_nodes mna) diag_slot;
     neg_f = Linalg.Vec.create n;
     dv = Linalg.Vec.create n;
   }
 
-(* i(v) − s(t), q(v) and the value arrays of G and C in [jv]'s layout *)
-let linearize ws ~time v =
-  match ws.lin with
-  | Dense_lin _ ->
-      let ev = Mna.eval ws.mna ~time v in
-      ( ev.Mna.i_vec,
-        ev.Mna.q_vec,
-        Linalg.Mat.unsafe_data (Option.get ev.Mna.g_mat),
-        Linalg.Mat.unsafe_data (Option.get ev.Mna.c_mat) )
-  | Sparse_lin { ctx; _ } ->
-      let sev = Mna.eval_sparse ws.mna ctx ~time v in
-      ( sev.Mna.si_vec,
-        sev.Mna.sq_vec,
-        sev.Mna.sg.Linalg.Sp.v,
-        sev.Mna.sc.Linalg.Sp.v )
-
 let factor ws =
   match ws.lin with
   | Dense_lin { j; lu } -> Linalg.Lu.factor_into lu j
-  | Sparse_lin { j; slu; _ } -> Linalg.Splu.factor_into slu j
+  | Sparse_lin { j; slu } -> Linalg.Splu.factor_into slu j
 
 let rcond_estimate ws =
   match ws.lin with
@@ -106,17 +95,70 @@ let solve_update ws =
   | Dense_lin { lu; _ } -> Linalg.Lu.solve_into lu ws.neg_f ws.dv
   | Sparse_lin { slu; _ } -> Linalg.Splu.solve_into slu ws.neg_f ws.dv
 
+(* Bit equality without a C call per entry: equal floats have equal
+   bits except +0 and −0, which their reciprocals tell apart, and a NaN
+   equals nothing, so NaNs compare by their bits. *)
+let[@inline] same_bits x y =
+  if x = y then x <> 0.0 || 1.0 /. x = 1.0 /. y
+  else
+    x <> x && y <> y
+    && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* whether J is bit for bit the pencil whose factorization the LU holds,
+   stopping at the first difference *)
+let holds_pencil ws =
+  ws.holds
+  &&
+  let jv = ws.jv and held = ws.held in
+  let k = ref 0 and n = Array.length jv in
+  while !k < n && same_bits jv.(!k) held.(!k) do
+    incr k
+  done;
+  !k = n
+
+(* Make the LU hold J: reuse it when J is bit for bit the pencil it
+   already holds, else factor. A factorization is a deterministic
+   function of its input bits and the held one has passed the rcond
+   floor, so a reuse is exactly a refactorization. [false] when the
+   factorization raised Singular; whatever it raised, [holds] is
+   already cleared, so a failed factorization is never reused. *)
+let factor_or_reuse ?obs ws =
+  if holds_pencil ws then begin
+    Obs.count obs "dc.lu_reuses" 1;
+    true
+  end
+  else begin
+    ws.holds <- false;
+    let t_factor = Obs.now_if obs in
+    let ok =
+      match factor ws with
+      | () -> true
+      | exception (Linalg.Lu.Singular _ | Linalg.Splu.Singular _) -> false
+    in
+    Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
+    if ok then begin
+      Obs.rcond obs ~site:"dc.lu" rcond_estimate ws;
+      Array.blit ws.jv 0 ws.held 0 (Array.length ws.jv);
+      ws.holds <- true
+    end;
+    ok
+  end
+
 (* --- the Newton loop --------------------------------------------------- *)
 
 (* One Newton run at a fixed gmin level on
    i(v) − s(t) + α·(q(v) − q_prev) − qdot_term = 0, with [fold] adding
    the charge term to the residual. DC is α = 0 with a no-op fold, and
    its Jacobian is G itself; a transient step's is J = G + α·C. Returns
-   the solution, when the run contracted, and the iterations actually
-   run — the count is meaningful on failure too. *)
+   the solution, a private copy of [initial] updated in place, when the
+   run contracted, and the iterations actually run — the count is
+   meaningful on failure too. An iteration allocates nothing that grows
+   with the circuit. *)
 let newton_loop ?cancel ?obs ~opts ws ~gmin ~time ~alpha ~fold ~initial () =
   let n = Mna.size ws.mna in
   let jv = ws.jv and dv = ws.dv in
+  let f = Mna.residual ws.asm and q = Mna.charge ws.asm in
+  let gv = Mna.g_values ws.asm and cv = Mna.c_values ws.asm in
   let v = Linalg.Vec.copy initial in
   let iters = ref 0 in
   let rec iterate it =
@@ -124,7 +166,7 @@ let newton_loop ?cancel ?obs ~opts ws ~gmin ~time ~alpha ~fold ~initial () =
     if it >= opts.max_iter then None
     else begin
       incr iters;
-      let f, q, gv, cv = linearize ws ~time v in
+      Mna.assemble ws.mna ws.asm ~time v;
       fold f q;
       if alpha = 0.0 then Array.blit gv 0 jv 0 (Array.length jv)
       else
@@ -139,33 +181,28 @@ let newton_loop ?cancel ?obs ~opts ws ~gmin ~time ~alpha ~fold ~initial () =
           f.(k) <- f.(k) +. (gmin *. v.(k))
         done;
       let f_norm = Linalg.Vec.norm_inf f in
-      let t_factor = Obs.now_if obs in
-      match factor ws with
-      | exception (Linalg.Lu.Singular _ | Linalg.Splu.Singular _) ->
-          Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
-          None
-      | () ->
-          Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
-          Obs.rcond obs ~site:"dc.lu" rcond_estimate ws;
-          let t_solve = Obs.now_if obs in
-          for k = 0 to n - 1 do
-            ws.neg_f.(k) <- -.f.(k)
-          done;
-          solve_update ws;
-          Obs.observe_since_ns obs "dc.lu_solve_ns" t_solve;
-          let dv_norm = Linalg.Vec.norm_inf dv in
-          let scale =
-            if dv_norm > opts.dv_max then opts.dv_max /. dv_norm else 1.0
-          in
-          for k = 0 to n - 1 do
-            v.(k) <- v.(k) +. (scale *. dv.(k))
-          done;
-          if
-            Float.is_finite dv_norm
-            && dv_norm *. scale < opts.vtol
-            && f_norm < opts.abstol
-          then Some v
-          else iterate (it + 1)
+      if not (factor_or_reuse ?obs ws) then None
+      else begin
+        let t_solve = Obs.now_if obs in
+        for k = 0 to n - 1 do
+          ws.neg_f.(k) <- -.f.(k)
+        done;
+        solve_update ws;
+        Obs.observe_since_ns obs "dc.lu_solve_ns" t_solve;
+        let dv_norm = Linalg.Vec.norm_inf dv in
+        let scale =
+          if dv_norm > opts.dv_max then opts.dv_max /. dv_norm else 1.0
+        in
+        for k = 0 to n - 1 do
+          v.(k) <- v.(k) +. (scale *. dv.(k))
+        done;
+        if
+          Float.is_finite dv_norm
+          && dv_norm *. scale < opts.vtol
+          && f_norm < opts.abstol
+        then Some v
+        else iterate (it + 1)
+      end
     end
   in
   (* bind before building the pair: OCaml evaluates tuple components
@@ -227,7 +264,7 @@ let solve ?opts ?cancel ?obs ?initial ?time ?(backend = Mna.Dense) mna =
   solve_ws ?opts ?cancel ?obs ?initial ?time (workspace ~backend mna)
 
 let newton_dynamic ?(opts = default_opts) ?cancel ?obs ws ~time ~alpha ~q_prev
-    ~qdot_term ~initial () =
+    ~qdot_term ~initial ~q_out () =
   let n = Mna.size ws.mna in
   let fold f q =
     for k = 0 to n - 1 do
@@ -245,8 +282,8 @@ let newton_dynamic ?(opts = default_opts) ?cancel ?obs ws ~time ~alpha ~q_prev
   | Some v ->
       Guard.check_vec ~site:"dc.newton_dynamic" v;
       (* the charge at the solution is all the integrator carries on *)
-      let ev = Mna.eval ws.mna ~with_matrices:false ~time v in
-      (v, ev.Mna.q_vec, iters)
+      Mna.charge_into ws.mna ws.asm v q_out;
+      (v, iters)
   | None ->
       raise
         (No_convergence (Printf.sprintf "transient Newton failed at t=%.6e" time))

@@ -19,12 +19,26 @@ val default_opts : opts
 exception No_convergence of string
 
 type ws
-(** One system's Newton workspace: the pencil buffer and its LU
-    workspace, {!Linalg.Lu} on the dense backend and {!Linalg.Splu} on
-    the sparse one (with the compiled assembly context and the cached
-    fill-reducing ordering), plus the diagonal slots gmin lands in.
-    Build one per system and share it across its DC solve and
-    transient steps; it is not safe to share across domains. *)
+(** One system's Newton workspace: the {!Mna.assembly} every evaluation
+    refills in place, the pencil buffer and its LU workspace
+    ({!Linalg.Lu} on the dense backend and {!Linalg.Splu} on the sparse
+    one, with the cached fill-reducing ordering), a copy of the pencil
+    whose factorization the LU holds, the diagonal slots gmin lands in
+    and the Newton vectors. A Newton iteration allocates nothing that
+    grows with the circuit. Build one per system and share it across
+    its DC solve and transient steps; it is not safe to share across
+    domains.
+
+    {b Pencil reuse.} After assembling the pencil J (gmin included) an
+    iteration compares it bit for bit with the held copy, stopping at
+    the first difference. When they are equal it skips the
+    factorization, whose result would be the held one bit for bit: a
+    factorization is a deterministic function of its input bits, and
+    the held one has passed the rcond floor. A factorization that
+    raises (a real or injected singular pivot, or the floor) clears the
+    copy, so it is never reused. Linear circuits repeat J whenever the
+    step size repeats; nonlinear devices change it on every
+    iteration. *)
 
 val workspace : backend:Mna.backend -> Mna.t -> ws
 (** Allocate a workspace; on the sparse backend this compiles the
@@ -56,11 +70,14 @@ val solve_ws :
     fails. With [obs]: a [dc.solve] span; the [dc.newton_iterations]
     counter (every Newton iteration, across all gmin levels) and the
     Diag-only [dc.gmin_levels]/[dc.gmin_continuations]; the
-    [dc.lu_factor_ns]/[dc.lu_solve_ns] histograms; a ["dc.lu"] rcond
-    event per LU factorization. A Jacobian factorization below the
-    [Guard.rcond_min] floor counts as a failed Newton run, and the
-    returned operating point passes a NaN/Inf sentinel
-    ([Guard.Violation] at site ["dc.solve"]). Hosts the
+    [dc.lu_factor_ns] histogram and a ["dc.lu"] rcond event once per
+    LU factorization, and the [dc.lu_solve_ns] histogram once per solve;
+    the [dc.lu_reuses] counter once per iteration that reused the held
+    factorization instead, so the [dc.lu_factor_ns] samples plus
+    [dc.lu_reuses] equal [dc.newton_iterations]. A Jacobian
+    factorization below the [Guard.rcond_min] floor counts as a failed
+    Newton run, and the returned operating point passes a NaN/Inf
+    sentinel ([Guard.Violation] at site ["dc.solve"]). Hosts the
     ["dc.newton_diverge"] fault probe (one invocation per Newton run; a
     firing reports divergence, engaging gmin stepping). With [cancel],
     every Newton iteration probes the token (site ["dc.newton"]). *)
@@ -75,14 +92,18 @@ val newton_dynamic :
   q_prev:Linalg.Vec.t ->
   qdot_term:Linalg.Vec.t ->
   initial:Linalg.Vec.t ->
+  q_out:Linalg.Vec.t ->
   unit ->
-  Linalg.Vec.t * Linalg.Vec.t * int
+  Linalg.Vec.t * int
 (** Newton solve of the discretized transient equation
     [i(v) − s(t) + alpha·(q(v) − q_prev) − qdot_term = 0], with
     Jacobian [G + alpha·C]; shared by the integration methods in
-    {!Tran}. Returns the solution, the charge vector [q] at the solution
-    and the number of Newton iterations actually run. The rcond floor,
-    the fault probe and the sentinel (site ["dc.newton_dynamic"]) apply
-    as in {!solve_ws}. With [obs], records as {!solve_ws} does apart
-    from the span; on {!No_convergence} the iterations spent on the
-    failed attempt are still counted ([dc.newton_iterations]). *)
+    {!Tran}. Returns the solution, a fresh vector no later call
+    touches, and the number of Newton iterations actually run, and
+    writes the charge vector [q] at the solution into [q_out] (which
+    must not alias [q_prev] or [qdot_term]; it is written only on
+    success). The rcond floor, the fault probe and the sentinel (site
+    ["dc.newton_dynamic"]) apply as in {!solve_ws}. With [obs], records
+    as {!solve_ws} does apart from the span; on {!No_convergence} the
+    iterations spent on the failed attempt are still counted
+    ([dc.newton_iterations]). *)

@@ -7,17 +7,18 @@ type backend = Dense | Sparse
    point. That invariant is what makes the Probe/Fill pair sound: one
    probe evaluation records the exact occurrence sequence every later
    evaluation will replay, so Fill can stream values into precompiled
-   sparse slots with a plain counter. *)
+   slots of a flat value array with a plain counter — slot r·n + c of
+   the row-major dense layout, or the compiled CSC slot of the sparse
+   one. *)
 type sink =
   | No_sink
-  | Dense_sink of Linalg.Mat.t
   | Probe of (int * int) list ref  (* reversed occurrence sequence *)
   | Fill of fill
 
 and fill = { slots : int array; vals : float array; mutable next : int }
 
 type acc = {
-  v : Linalg.Vec.t;
+  mutable v : Linalg.Vec.t;
   i_vec : Linalg.Vec.t;
   q_vec : Linalg.Vec.t;
   g_mat : sink;
@@ -31,20 +32,33 @@ type eval = {
   c_mat : Linalg.Mat.t option;
 }
 
-(* index -1 denotes the ground reference *)
-let volt acc k = if k < 0 then 0.0 else acc.v.(k)
-let add_vec vec k x = if k >= 0 then vec.(k) <- vec.(k) +. x
+(* The stamp helpers are inlined, so a stamp's computed float reaches
+   the store unboxed: this compiler boxes the float argument of a call
+   it does not inline. Index -1 denotes the ground reference. *)
+let[@inline] volt acc k = if k < 0 then 0.0 else acc.v.(k)
+let[@inline] add_vec vec k x = if k >= 0 then vec.(k) <- vec.(k) +. x
 
-let add_mat sink r c x =
+let[@inline] add_mat sink r c x =
   if r >= 0 && c >= 0 then
     match sink with
     | No_sink -> ()
-    | Dense_sink m -> Linalg.Mat.update m r c (fun y -> y +. x)
     | Probe occ -> occ := (r, c) :: !occ
     | Fill f ->
         let slot = f.slots.(f.next) in
         f.next <- f.next + 1;
         f.vals.(slot) <- f.vals.(slot) +. x
+
+(* a two-terminal capacitance between nodes [a] and [b] *)
+let[@inline] stamp_cap acc a b cap =
+  if cap > 0.0 then begin
+    let q = cap *. (volt acc a -. volt acc b) in
+    add_vec acc.q_vec a q;
+    add_vec acc.q_vec b (-.q);
+    add_mat acc.c_mat a a cap;
+    add_mat acc.c_mat a b (-.cap);
+    add_mat acc.c_mat b a (-.cap);
+    add_mat acc.c_mat b b cap
+  end
 
 type t = {
   netlist : Circuit.Netlist.t;
@@ -57,7 +71,30 @@ type t = {
   b : Linalg.Mat.t;
   d : Linalg.Mat.t;
   input_sources : Signal.Source.t array;
+  (* the stamp occurrence sequences of G and C as dense slots r·n + c:
+     immutable, so domains may share them *)
+  g_dense : int array;
+  c_dense : int array;
 }
+
+let stamp_all stamps acc =
+  for k = 0 to Array.length stamps - 1 do
+    stamps.(k) acc
+  done
+
+(* residual gets i_vec.(row) -= coeff·src(t) *)
+let inject injections (acc : acc) ~time =
+  for k = 0 to Array.length injections - 1 do
+    let row, coeff, src = injections.(k) in
+    acc.i_vec.(row) <- acc.i_vec.(row) -. (coeff *. src time)
+  done
+
+(* the occurrence replay drifting from the probe would silently scatter
+   values to wrong entries — make it loud instead *)
+let check_replay name = function
+  | Fill f when f.next <> Array.length f.slots ->
+      invalid_arg (name ^ ": stamp occurrence sequence diverged")
+  | No_sink | Probe _ | Fill _ -> ()
 
 let node_idx tbl name =
   if Circuit.Netlist.is_ground name then -1
@@ -241,20 +278,9 @@ let build ?(inputs = []) ?(outputs = []) (nl : Circuit.Netlist.t) =
               add_mat acc.g_mat s g (-.dg);
               add_mat acc.g_mat s s (-.ds);
               (* lumped capacitances *)
-              let stamp_cap a b cap =
-                if cap > 0.0 then begin
-                  let q = cap *. (volt acc a -. volt acc b) in
-                  add_vec acc.q_vec a q;
-                  add_vec acc.q_vec b (-.q);
-                  add_mat acc.c_mat a a cap;
-                  add_mat acc.c_mat a b (-.cap);
-                  add_mat acc.c_mat b a (-.cap);
-                  add_mat acc.c_mat b b cap
-                end
-              in
-              stamp_cap g s params.cgs;
-              stamp_cap g d params.cgd;
-              stamp_cap d (-1) params.cdb)
+              stamp_cap acc g s params.cgs;
+              stamp_cap acc g d params.cgd;
+              stamp_cap acc d (-1) params.cdb)
       | Circuit.Netlist.Bjt { c; b = bb; e; pol; params } ->
           let c = idx c and bb = idx bb and e = idx e in
           add_stamp (fun acc ->
@@ -274,19 +300,8 @@ let build ?(inputs = []) ?(outputs = []) (nl : Circuit.Netlist.t) =
               add_mat acc.g_mat e c (-.(ev.Device.dic_dvc +. ev.Device.dib_dvc));
               add_mat acc.g_mat e bb (-.(ev.Device.dic_dvb +. ev.Device.dib_dvb));
               add_mat acc.g_mat e e (-.(ev.Device.dic_dve +. ev.Device.dib_dve));
-              let stamp_cap a b cap =
-                if cap > 0.0 then begin
-                  let q = cap *. (volt acc a -. volt acc b) in
-                  add_vec acc.q_vec a q;
-                  add_vec acc.q_vec b (-.q);
-                  add_mat acc.c_mat a a cap;
-                  add_mat acc.c_mat a b (-.cap);
-                  add_mat acc.c_mat b a (-.cap);
-                  add_mat acc.c_mat b b cap
-                end
-              in
-              stamp_cap bb e params.cje;
-              stamp_cap bb c params.cjc))
+              stamp_cap acc bb e params.cje;
+              stamp_cap acc bb c params.cjc))
     nl.components;
   (* inputs: designated sources *)
   let input_entries =
@@ -337,16 +352,31 @@ let build ?(inputs = []) ?(outputs = []) (nl : Circuit.Netlist.t) =
           if kp >= 0 then Linalg.Mat.set d kp j 1.0;
           if kn >= 0 then Linalg.Mat.set d kn j (-1.0))
     outputs;
+  let stamps = Array.of_list (List.rev !stamps) in
+  (* probe pass: record the (r, c) occurrence sequence of each matrix at
+     an arbitrary linearization point (the sequence is state-independent) *)
+  let g_occ = ref [] and c_occ = ref [] in
+  stamp_all stamps
+    {
+      v = Linalg.Vec.create n;
+      i_vec = Linalg.Vec.create n;
+      q_vec = Linalg.Vec.create n;
+      g_mat = Probe g_occ;
+      c_mat = Probe c_occ;
+    };
+  let dense occ = Array.of_list (List.rev_map (fun (r, c) -> (r * n) + c) !occ) in
   {
     netlist = nl;
     n_nodes;
     n;
     node_of_name;
-    stamps = Array.of_list (List.rev !stamps);
+    stamps;
     injections = Array.of_list (List.rev !injections);
     b;
     d;
     input_sources;
+    g_dense = dense g_occ;
+    c_dense = dense c_occ;
   }
 
 let size t = t.n
@@ -363,32 +393,89 @@ let netlist t = t.netlist
 
 let eval t ?(with_matrices = true) ~time v =
   if Array.length v <> t.n then invalid_arg "Mna.eval: bad vector size";
-  let g = if with_matrices then Some (Linalg.Mat.create t.n t.n) else None in
-  let c = if with_matrices then Some (Linalg.Mat.create t.n t.n) else None in
-  let sink = function None -> No_sink | Some m -> Dense_sink m in
+  let matrix slots =
+    if with_matrices then
+      let m = Linalg.Mat.create t.n t.n in
+      (Some m, Fill { slots; vals = Linalg.Mat.unsafe_data m; next = 0 })
+    else (None, No_sink)
+  in
+  let g, g_mat = matrix t.g_dense and c, c_mat = matrix t.c_dense in
   let acc =
     {
       v;
       i_vec = Linalg.Vec.create t.n;
       q_vec = Linalg.Vec.create t.n;
-      g_mat = sink g;
-      c_mat = sink c;
+      g_mat;
+      c_mat;
     }
   in
-  Array.iter (fun stamp -> stamp acc) t.stamps;
-  Array.iter
-    (fun (row, coeff, src) ->
-      acc.i_vec.(row) <- acc.i_vec.(row) -. (coeff *. src time))
-    t.injections;
+  stamp_all t.stamps acc;
+  inject t.injections acc ~time;
+  check_replay "Mna.eval" acc.g_mat;
+  check_replay "Mna.eval" acc.c_mat;
   { i_vec = acc.i_vec; q_vec = acc.q_vec; g_mat = g; c_mat = c }
+
+(* --- in-place assembly ---------------------------------------------- *)
+
+(* Caller-owned storage: [acc]'s vectors hold i and q, its Fill sinks
+   stream G and C into the value arrays of [g_fill] and [c_fill]. *)
+type assembly = { acc : acc; g_fill : fill; c_fill : fill }
+
+let make_assembly t ~g_slots ~c_slots ~len =
+  let g_fill = { slots = g_slots; vals = Array.make len 0.0; next = 0 }
+  and c_fill = { slots = c_slots; vals = Array.make len 0.0; next = 0 } in
+  {
+    acc =
+      {
+        v = Linalg.Vec.create t.n;
+        i_vec = Linalg.Vec.create t.n;
+        q_vec = Linalg.Vec.create t.n;
+        g_mat = Fill g_fill;
+        c_mat = Fill c_fill;
+      };
+    g_fill;
+    c_fill;
+  }
+
+let dense_assembly t =
+  make_assembly t ~g_slots:t.g_dense ~c_slots:t.c_dense ~len:(t.n * t.n)
+
+let residual a = a.acc.i_vec
+let charge a = a.acc.q_vec
+let g_values a = a.g_fill.vals
+let c_values a = a.c_fill.vals
+
+let assemble t a ~time v =
+  if Array.length v <> t.n then invalid_arg "Mna.assemble: bad vector size";
+  let acc = a.acc in
+  acc.v <- v;
+  Array.fill acc.i_vec 0 t.n 0.0;
+  Array.fill acc.q_vec 0 t.n 0.0;
+  Array.fill a.g_fill.vals 0 (Array.length a.g_fill.vals) 0.0;
+  Array.fill a.c_fill.vals 0 (Array.length a.c_fill.vals) 0.0;
+  a.g_fill.next <- 0;
+  a.c_fill.next <- 0;
+  stamp_all t.stamps acc;
+  inject t.injections acc ~time;
+  check_replay "Mna.assemble" acc.g_mat;
+  check_replay "Mna.assemble" acc.c_mat
+
+(* q(v) alone, without matrices or injections; the stamps' current
+   contributions land in the assembly's residual, used as scratch *)
+let charge_into t a v q =
+  if Array.length v <> t.n || Array.length q <> t.n then
+    invalid_arg "Mna.charge_into: bad vector size";
+  let i_vec = a.acc.i_vec in
+  Array.fill i_vec 0 t.n 0.0;
+  Array.fill q 0 t.n 0.0;
+  stamp_all t.stamps { v; i_vec; q_vec = q; g_mat = No_sink; c_mat = No_sink }
 
 (* --- sparse assembly ------------------------------------------------- *)
 
 type sparse_ctx = {
   pattern : Linalg.Sp.pattern;  (* union pattern of G and C, plus the diagonal *)
-  g_slots : int array;  (* occurrence -> value index, G stamp order *)
-  c_slots : int array;
-  g_sp : Linalg.Sp.t;
+  asm : assembly;  (* value arrays over [pattern] *)
+  g_sp : Linalg.Sp.t;  (* views of [asm]'s value arrays *)
   c_sp : Linalg.Sp.t;
 }
 
@@ -400,63 +487,38 @@ type sparse_eval = {
 }
 
 let sparse_ctx t =
-  (* probe pass: record the (r, c) occurrence sequence of each matrix at
-     an arbitrary linearization point (the sequence is state-independent) *)
-  let g_occ = ref [] and c_occ = ref [] in
-  let acc =
-    {
-      v = Linalg.Vec.create t.n;
-      i_vec = Linalg.Vec.create t.n;
-      q_vec = Linalg.Vec.create t.n;
-      g_mat = Probe g_occ;
-      c_mat = Probe c_occ;
-    }
-  in
-  Array.iter (fun stamp -> stamp acc) t.stamps;
-  let g_occ = Array.of_list (List.rev !g_occ) in
-  let c_occ = Array.of_list (List.rev !c_occ) in
-  let ng = Array.length g_occ and nc = Array.length c_occ in
+  let occ = Array.map (fun s -> (s / t.n, s mod t.n)) in
+  let ng = Array.length t.g_dense and nc = Array.length t.c_dense in
   (* one union pattern so the AC pencil G + s·C is an elementwise fill;
      the full diagonal rides along so gmin regularization and pivoting
      always have their slots, at the cost of a few explicit zeros *)
   let diag = Array.init t.n (fun k -> (k, k)) in
-  let occ = Array.concat [ g_occ; c_occ; diag ] in
-  let pattern, slots = Linalg.Sp.compile ~nrows:t.n ~ncols:t.n occ in
+  let pattern, slots =
+    Linalg.Sp.compile ~nrows:t.n ~ncols:t.n
+      (Array.concat [ occ t.g_dense; occ t.c_dense; diag ])
+  in
+  let asm =
+    make_assembly t ~g_slots:(Array.sub slots 0 ng)
+      ~c_slots:(Array.sub slots ng nc) ~len:(Linalg.Sp.nnz pattern)
+  in
   {
     pattern;
-    g_slots = Array.sub slots 0 ng;
-    c_slots = Array.sub slots ng nc;
-    g_sp = Linalg.Sp.create pattern;
-    c_sp = Linalg.Sp.create pattern;
+    asm;
+    g_sp = { Linalg.Sp.pat = pattern; v = g_values asm };
+    c_sp = { Linalg.Sp.pat = pattern; v = c_values asm };
   }
 
 let sparse_pattern ctx = ctx.pattern
+let sparse_assembly ctx = ctx.asm
 
 let eval_sparse t ctx ~time v =
-  if Array.length v <> t.n then invalid_arg "Mna.eval_sparse: bad vector size";
-  Linalg.Sp.clear ctx.g_sp;
-  Linalg.Sp.clear ctx.c_sp;
-  let gf = { slots = ctx.g_slots; vals = ctx.g_sp.Linalg.Sp.v; next = 0 } in
-  let cf = { slots = ctx.c_slots; vals = ctx.c_sp.Linalg.Sp.v; next = 0 } in
-  let acc =
-    {
-      v;
-      i_vec = Linalg.Vec.create t.n;
-      q_vec = Linalg.Vec.create t.n;
-      g_mat = Fill gf;
-      c_mat = Fill cf;
-    }
-  in
-  Array.iter (fun stamp -> stamp acc) t.stamps;
-  (* the occurrence replay drifting from the probe would silently
-     scatter values to wrong entries — make it loud instead *)
-  if gf.next <> Array.length ctx.g_slots || cf.next <> Array.length ctx.c_slots
-  then invalid_arg "Mna.eval_sparse: stamp occurrence sequence diverged";
-  Array.iter
-    (fun (row, coeff, src) ->
-      acc.i_vec.(row) <- acc.i_vec.(row) -. (coeff *. src time))
-    t.injections;
-  { si_vec = acc.i_vec; sq_vec = acc.q_vec; sg = ctx.g_sp; sc = ctx.c_sp }
+  assemble t ctx.asm ~time v;
+  {
+    si_vec = Linalg.Vec.copy (residual ctx.asm);
+    sq_vec = Linalg.Vec.copy (charge ctx.asm);
+    sg = ctx.g_sp;
+    sc = ctx.c_sp;
+  }
 
 let b_matrix t = Linalg.Mat.copy t.b
 let d_matrix t = Linalg.Mat.copy t.d

@@ -40,16 +40,62 @@ type eval = {
 
 val eval : t -> ?with_matrices:bool -> time:float -> Linalg.Vec.t -> eval
 (** Evaluate residual pieces (and Jacobians when [with_matrices], default
-    true) at the given unknown vector and time. *)
+    true) at the given unknown vector and time, into fresh storage: the
+    wrapper for callers that evaluate once per snapshot. A repeated
+    evaluation, as in a Newton loop, refills an {!assembly} instead.
+    Safe to call from several domains on one [t]. *)
+
+(** {1 In-place assembly}
+
+    Every stamp's Jacobian entries form an occurrence sequence that does
+    not depend on the linearization point, so {!build} records it once
+    and an evaluation streams each entry into a precompiled slot of a
+    flat value array: slot [r·n + c] of the row-major dense layout, or
+    the compiled CSC slot of the sparse one. One path fills both
+    layouts, with the accumulation order of {!eval}, so the values are
+    bit for bit those of {!eval}'s matrices. *)
+
+type assembly
+(** Caller-owned storage for repeated evaluations of one system in one
+    layout: the vectors i(v) − s(t) and q(v) and the value arrays of G
+    and C. The arrays are allocated once and every {!assemble}
+    overwrites them in place. The storage lives with the caller, never
+    in [t], because several domains may share one [t]; an [assembly] is
+    not safe to share across domains. *)
+
+val dense_assembly : t -> assembly
+(** Storage in the dense layout: G and C are [n×n] row-major value
+    arrays, as {!Linalg.Mat.unsafe_data} exposes them. *)
+
+val assemble : t -> assembly -> time:float -> Linalg.Vec.t -> unit
+(** [assemble t a ~time v] evaluates i(v) − s(time), q(v), G and C into
+    [a]'s storage, allocating nothing that grows with the circuit. *)
+
+val charge_into : t -> assembly -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [charge_into t a v q] writes q(v) into [q], bit for bit {!eval}'s
+    [q_vec]; it uses [a]'s residual as scratch (overwritten) and leaves
+    [a]'s other storage untouched. *)
+
+val residual : assembly -> Linalg.Vec.t
+(** i(v) − s(t) of the last {!assemble}; the same array every time. *)
+
+val charge : assembly -> Linalg.Vec.t
+(** q(v) of the last {!assemble}. *)
+
+val g_values : assembly -> float array
+(** The value array of G in the assembly's layout. *)
+
+val c_values : assembly -> float array
+(** The value array of C, in the same layout as {!g_values}. *)
 
 (** {1 Sparse assembly}
 
-    The sparsity pattern is compiled once per system by a probe
-    evaluation (stamp occurrence sequences are state-independent);
-    every linearization then refills the value arrays in place. [G] and
-    [C] share one union pattern — including the full diagonal — so the
-    AC pencil [G + s·C] and the Newton pencil [G + α·C] are elementwise
-    fills, and gmin regularization always has its diagonal slots. *)
+    The sparsity pattern is compiled once per system from the recorded
+    occurrence sequences; every linearization then refills the value
+    arrays in place. [G] and [C] share one union pattern — including
+    the full diagonal — so the AC pencil [G + s·C] and the Newton pencil
+    [G + α·C] are elementwise fills, and gmin regularization always has
+    its diagonal slots. *)
 
 type sparse_ctx
 
@@ -57,6 +103,10 @@ val sparse_ctx : t -> sparse_ctx
 (** Compile the sparsity pattern and allocate value storage. *)
 
 val sparse_pattern : sparse_ctx -> Linalg.Sp.pattern
+
+val sparse_assembly : sparse_ctx -> assembly
+(** The context's storage as an {!assembly} in the CSC layout of
+    {!sparse_pattern}; {!eval_sparse} refills the same storage. *)
 
 type sparse_eval = {
   si_vec : Linalg.Vec.t;  (** i(v) − s(t) *)
@@ -67,10 +117,11 @@ type sparse_eval = {
 
 val eval_sparse : t -> sparse_ctx -> time:float -> Linalg.Vec.t -> sparse_eval
 (** Like {!eval} with matrices, but filling the context's sparse value
-    arrays in place. The returned [sg]/[sc] alias the context; copy
-    their value arrays before the next evaluation if they must
-    survive. Entry values match the dense {!eval} Jacobians exactly
-    (same accumulation order per entry). *)
+    arrays in place; [si_vec] and [sq_vec] are fresh copies. The
+    returned [sg]/[sc] alias the context; copy their value arrays
+    before the next evaluation if they must survive. Entry values match
+    the dense {!eval} Jacobians exactly (same accumulation order per
+    entry). *)
 
 val b_matrix : t -> Linalg.Mat.t
 (** [size × n_inputs]; the incidence of the designated inputs. *)

@@ -72,14 +72,20 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
   let newton_count = ref 0 in
   let fallback_count = ref 0 in
   let halving_count = ref 0 in
-  let q_prev = ref q0 in
-  let qdot_prev = ref (Linalg.Vec.create n) in
+  (* q and q̇ are double-buffered: a step writes the [next] pair from
+     the [prev] pair, then the two swap; [zeros] is backward Euler's
+     q̇ term and is never written *)
+  let q_prev = ref q0 and q_next = ref (Linalg.Vec.create n) in
+  let qdot_prev = ref (Linalg.Vec.create n)
+  and qdot_next = ref (Linalg.Vec.create n) in
+  let zeros = Linalg.Vec.create n in
   let v_prev = ref v0 in
   (* recovery of last resort for a step no integrator could take
      whole: re-integrate [t_prev, time] as 2^j backward-Euler substeps,
      doubling the split until the halving budget runs out. Returns the
-     end-of-step solution and charge and total Newton iterations. *)
-  let halve_step ~t_prev ~time =
+     end-of-step solution and total Newton iterations, and leaves the
+     end-of-step charge in [q_out]. *)
+  let halve_step ~t_prev ~time ~q_out =
     let rec attempt j =
       if j > Guard.max_step_halvings then None
       else begin
@@ -97,21 +103,23 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
             let t_sub =
               if i = m - 1 then time else t_prev +. (float_of_int (i + 1) *. hs)
             in
+            let q' = Linalg.Vec.create n in
             match
               Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time:t_sub
-                ~alpha:(1.0 /. hs) ~q_prev:q ~qdot_term:(Linalg.Vec.create n)
-                ~initial:v ()
+                ~alpha:(1.0 /. hs) ~q_prev:q ~qdot_term:zeros ~initial:v
+                ~q_out:q' ()
             with
             | exception Dc.No_convergence _ -> None
-            | v', q', it -> substeps (i + 1) q' v' (iters + it)
+            | v', it -> substeps (i + 1) q' v' (iters + it)
         in
         match substeps 0 !q_prev !v_prev 0 with
-        | Some _ as recovered ->
+        | Some (v, q, iters) ->
             Obs.warn obs ~stage:"engine.tran"
               (Printf.sprintf
                  "step at t=%.6e recovered as %d backward-Euler substeps" time
                  m);
-            recovered
+            Array.blit q 0 q_out 0 n;
+            Some (v, iters)
         | None -> attempt (j + 1)
       end
     in
@@ -125,9 +133,10 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
     let h = time -. times.(k - 1) in
     let alpha, qdot_term =
       match opts.integration with
-      | Backward_euler -> (1.0 /. h, Linalg.Vec.create n)
-      | Trapezoidal -> (2.0 /. h, Linalg.Vec.copy !qdot_prev)
+      | Backward_euler -> (1.0 /. h, zeros)
+      | Trapezoidal -> (2.0 /. h, !qdot_prev)
     in
+    let q_prev_k = !q_prev and q_new = !q_next in
     (* [fell_back] records which integrator actually produced this step
        (backward Euler, whole or in substeps), so the qdot update below
        can use the matching formula *)
@@ -145,26 +154,26 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
         (Printf.sprintf
            "trapezoidal step at t=%.6e retreated to backward Euler" time);
       inject_diverge ();
-      let v, q, iters =
+      let v, iters =
         Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time
-          ~alpha:(1.0 /. h) ~q_prev:!q_prev ~qdot_term:(Linalg.Vec.create n)
-          ~initial:!v_prev ()
+          ~alpha:(1.0 /. h) ~q_prev:q_prev_k ~qdot_term:zeros
+          ~initial:!v_prev ~q_out:q_new ()
       in
-      (v, q, iters, true)
+      (v, iters, true)
     in
     let recover exn =
-      match halve_step ~t_prev:times.(k - 1) ~time with
-      | Some (v, q, iters) -> (v, q, iters, true)
+      match halve_step ~t_prev:times.(k - 1) ~time ~q_out:q_new with
+      | Some (v, iters) -> (v, iters, true)
       | None -> raise exn
     in
-    let v, q_new, iters, fell_back =
+    let v, iters, fell_back =
       try
         inject_diverge ();
-        let v, q, iters =
+        let v, iters =
           Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time ~alpha
-            ~q_prev:!q_prev ~qdot_term ~initial:!v_prev ()
+            ~q_prev:q_prev_k ~qdot_term ~initial:!v_prev ~q_out:q_new ()
         in
-        (v, q, iters, false)
+        (v, iters, false)
       with
       | Dc.No_convergence _ when opts.integration = Trapezoidal -> (
           try be_retry () with Dc.No_convergence _ as e -> recover e)
@@ -175,28 +184,29 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
       [ ("iters", Trace.Int iters); ("be_fallback", Trace.Bool fell_back) ];
     Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
       (float_of_int iters);
-    let qdot_new =
-      (* the derivative estimate must match the integrator that actually
-         produced the step: applying the trapezoidal formula to a
-         backward-Euler step would feed a persistent qdot error into
-         every subsequent trapezoidal step *)
-      if fell_back then
-        Array.init n (fun j -> (q_new.(j) -. (!q_prev).(j)) /. h)
-      else
-        match opts.integration with
-        | Backward_euler ->
-            Array.init n (fun j -> (q_new.(j) -. (!q_prev).(j)) /. h)
-        | Trapezoidal ->
-            Array.init n (fun j ->
-                ((2.0 /. h) *. (q_new.(j) -. (!q_prev).(j))) -. (!qdot_prev).(j))
-    in
+    (* the derivative estimate must match the integrator that actually
+       produced the step: applying the trapezoidal formula to a
+       backward-Euler step would feed a persistent qdot error into
+       every subsequent trapezoidal step *)
+    let qdot_p = !qdot_prev and qdot_new = !qdot_next in
+    if fell_back || opts.integration = Backward_euler then
+      for j = 0 to n - 1 do
+        qdot_new.(j) <- (q_new.(j) -. q_prev_k.(j)) /. h
+      done
+    else
+      for j = 0 to n - 1 do
+        qdot_new.(j) <- ((2.0 /. h) *. (q_new.(j) -. q_prev_k.(j))) -. qdot_p.(j)
+      done;
     times.(k) <- time;
-    states.(k) <- Linalg.Vec.copy v;
+    (* the Newton solution is already a private copy *)
+    states.(k) <- v;
     record_output k v;
     if opts.snapshot_every > 0 && k mod opts.snapshot_every = 0 then
       take_snapshot mna snapshots time v;
     q_prev := q_new;
+    q_next := q_prev_k;
     qdot_prev := qdot_new;
+    qdot_next := qdot_p;
     v_prev := v
   done;
   Obs.count obs "tran.steps" steps;
@@ -238,8 +248,12 @@ let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
   if opts.snapshot_every > 0 then take_snapshot mna snapshots 0.0 v0;
   let newton_count = ref 0 in
   let rejections = ref 0 in
-  let q_prev = ref q0 in
-  let qdot_prev = ref (Linalg.Vec.create n) in
+  (* double-buffered q and q̇ as in [run]; [dvdt] holds the predictor's
+     slope *)
+  let q_prev = ref q0 and q_next = ref (Linalg.Vec.create n) in
+  let qdot_prev = ref (Linalg.Vec.create n)
+  and qdot_next = ref (Linalg.Vec.create n) in
+  let dvdt = Linalg.Vec.create n in
   let v_prev = ref v0 in
   let t_now = ref 0.0 in
   let h = ref dt in
@@ -249,18 +263,19 @@ let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
     if Fault.should_fire "tran.stall" then Cancel.hang cancel ~site:"tran.step";
     let h_try = Float.min !h (t_stop -. !t_now) in
     let time = !t_now +. h_try in
-    let step_ok, v_new, q_new =
+    let q_new = !q_next in
+    let step_ok, v_new =
       try
-        let v, q, iters =
+        let v, iters =
           Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time
-            ~alpha:(2.0 /. h_try) ~q_prev:!q_prev
-            ~qdot_term:(Linalg.Vec.copy !qdot_prev) ~initial:!v_prev ()
+            ~alpha:(2.0 /. h_try) ~q_prev:!q_prev ~qdot_term:!qdot_prev
+            ~initial:!v_prev ~q_out:q_new ()
         in
         newton_count := !newton_count + iters;
         Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
           (float_of_int iters);
-        (true, v, q)
-      with Dc.No_convergence _ -> (false, !v_prev, q0)
+        (true, v)
+      with Dc.No_convergence _ -> (false, !v_prev)
     in
     if not step_ok then begin
       (* convergence failure: halve the step *)
@@ -276,21 +291,22 @@ let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
     end
     else begin
       (* predictor: forward Euler with the previous dv/dt estimate *)
-      let dvdt_prev =
-        match !times with
-        | t1 :: t2 :: _ ->
-            let hp = t1 -. t2 in
-            let v1 = List.nth !states 0 and v2 = List.nth !states 1 in
-            Array.init n (fun i -> (v1.(i) -. v2.(i)) /. hp)
-        | _ -> Linalg.Vec.create n
-      in
-      let err = ref 0.0 in
-      Array.iteri
-        (fun i vi ->
-          let pred = (!v_prev).(i) +. (h_try *. dvdt_prev.(i)) in
-          let scale = abstol +. (reltol *. Float.max (Float.abs vi) (Float.abs (!v_prev).(i))) in
-          err := Float.max !err (Float.abs (vi -. pred) /. scale))
-        v_new;
+      (match (!times, !states) with
+      | t1 :: t2 :: _, v1 :: v2 :: _ ->
+          let hp = t1 -. t2 in
+          for i = 0 to n - 1 do
+            dvdt.(i) <- (v1.(i) -. v2.(i)) /. hp
+          done
+      | _ -> Array.fill dvdt 0 n 0.0);
+      let err = ref 0.0 and vp = !v_prev in
+      for i = 0 to n - 1 do
+        let vi = v_new.(i) in
+        let pred = vp.(i) +. (h_try *. dvdt.(i)) in
+        let scale =
+          abstol +. (reltol *. Float.max (Float.abs vi) (Float.abs vp.(i)))
+        in
+        err := Float.max !err (Float.abs (vi -. pred) /. scale)
+      done;
       if !err > 2.0 && h_try > dt_min *. 1.0000001 then begin
         (* reject: shrink *)
         incr rejections;
@@ -299,19 +315,22 @@ let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
       end
       else begin
         (* accept *)
-        let qdot_new =
-          Array.init n (fun j ->
-              ((2.0 /. h_try) *. (q_new.(j) -. (!q_prev).(j))) -. (!qdot_prev).(j))
-        in
+        let q_p = !q_prev and qdot_p = !qdot_prev and qdot_new = !qdot_next in
+        for j = 0 to n - 1 do
+          qdot_new.(j) <- ((2.0 /. h_try) *. (q_new.(j) -. q_p.(j))) -. qdot_p.(j)
+        done;
         t_now := time;
         times := time :: !times;
-        states := Linalg.Vec.copy v_new :: !states;
+        (* the Newton solution is already a private copy *)
+        states := v_new :: !states;
         outputs := Mna.output_values mna v_new :: !outputs;
         incr accepted;
         if opts.snapshot_every > 0 && !accepted mod opts.snapshot_every = 0 then
           take_snapshot mna snapshots time v_new;
         q_prev := q_new;
+        q_next := q_p;
         qdot_prev := qdot_new;
+        qdot_next := qdot_p;
         v_prev := v_new;
         let grow = if !err <= 0.0 then 2.0 else Float.min 2.0 (0.9 /. sqrt !err) in
         h := Float.min dt_max (Float.max dt_min (h_try *. Float.max 0.5 grow))

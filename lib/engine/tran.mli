@@ -81,7 +81,9 @@ val run :
     step) goes through one {!Dc.workspace} of [backend] (default
     [Dense]), allocated up front: with [Sparse] it assembles into the
     compiled CSC pattern and factors with {!Linalg.Splu}, compiling the
-    pattern once per run. *)
+    pattern once per run. q and q̇ are double-buffered, so a step
+    allocates its stored state vector and a few constant-size records,
+    nothing that grows with the circuit besides. *)
 
 val output_waveform : result -> int -> Signal.Waveform.t
 (** Extract output channel [j] as a waveform. *)

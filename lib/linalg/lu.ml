@@ -45,7 +45,9 @@ let rcond_estimate ws =
    workspace's [lu]. [factor] wraps this with a fresh workspace, so both
    paths perform identical floating-point ops. The kernels index the flat
    row-major store directly: a cross-module [Mat.get] returns a boxed
-   float wherever the call is not inlined. *)
+   float wherever the call is not inlined. A row whose multiplier is
+   zero is not updated, which is what keeps MNA pencils cheap: few of
+   their rows ever take a nonzero multiplier. *)
 let factor_into ws a =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Lu.factor_into: matrix not square";
@@ -54,6 +56,8 @@ let factor_into ws a =
   let perm = ws.perm in
   Mat.blit ~src:a ~dst:ws.lu;
   let lu = Mat.unsafe_data ws.lu in
+  (* in bounds: row and column indices stay below n, so every flat
+     index stays below n·n, the length of the checked n×n store *)
   for i = 0 to n - 1 do
     perm.(i) <- i
   done;
@@ -62,15 +66,17 @@ let factor_into ws a =
     (* pivot search in column k *)
     let piv = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs lu.((i * n) + k) > Float.abs lu.((!piv * n) + k) then
-        piv := i
+      if
+        Float.abs (Array.unsafe_get lu ((i * n) + k))
+        > Float.abs (Array.unsafe_get lu ((!piv * n) + k))
+      then piv := i
     done;
     if !piv <> k then begin
       let rk = k * n and rp = !piv * n in
       for j = 0 to n - 1 do
-        let tmp = lu.(rk + j) in
-        lu.(rk + j) <- lu.(rp + j);
-        lu.(rp + j) <- tmp
+        let tmp = Array.unsafe_get lu (rk + j) in
+        Array.unsafe_set lu (rk + j) (Array.unsafe_get lu (rp + j));
+        Array.unsafe_set lu (rp + j) tmp
       done;
       let tmp = perm.(k) in
       perm.(k) <- perm.(!piv);
@@ -78,16 +84,19 @@ let factor_into ws a =
       ws.sign <- -.ws.sign
     end;
     let rk = k * n in
-    let pivot = if inject && k = 0 then 0.0 else lu.(rk + k) in
+    let pivot =
+      if inject && k = 0 then 0.0 else Array.unsafe_get lu (rk + k)
+    in
     if Float.abs pivot < tiny_pivot || not (Float.is_finite pivot) then
       raise (Singular { pivot_index = k; magnitude = Float.abs pivot });
     for i = k + 1 to n - 1 do
       let ri = i * n in
-      let m = lu.(ri + k) /. pivot in
-      lu.(ri + k) <- m;
+      let m = Array.unsafe_get lu (ri + k) /. pivot in
+      Array.unsafe_set lu (ri + k) m;
       if m <> 0.0 then
         for j = k + 1 to n - 1 do
-          lu.(ri + j) <- lu.(ri + j) -. (m *. lu.(rk + j))
+          Array.unsafe_set lu (ri + j)
+            (Array.unsafe_get lu (ri + j) -. (m *. Array.unsafe_get lu (rk + j)))
         done
     done
   done;

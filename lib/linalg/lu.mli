@@ -2,8 +2,9 @@
 
     The kernels of DC and transient Newton, of [Tft.Tpw], and of the
     dense frequency sweep's once-per-snapshot factorization of [G]
-    ([Engine.Ac]). They index the matrices' flat store directly, so
-    factoring and solving allocate nothing. *)
+    ([Engine.Ac]). They index the matrices' flat store directly, with
+    no bounds checks inside the loops (every index is below the size
+    checked on entry), so factoring and solving allocate nothing. *)
 
 exception Singular of { pivot_index : int; magnitude : float }
 (** Raised when elimination meets a pivot that is zero, non-finite or
@@ -26,8 +27,9 @@ val factor_into : t -> Mat.t -> unit
 (** [factor_into ws a] factors [a] into [ws], fully overwriting any
     previous factorization; [a] is left untouched. Raises {!Singular}
     if rank-deficient or when {!rcond_estimate} of the result falls
-    below [Guard.rcond_min]. Hosts the ["lu.pivot_zero"] fault probe.
-    Performs the same floating-point operations as {!factor}. *)
+    below [Guard.rcond_min]. Hosts the ["lu.pivot_zero"] fault probe,
+    one invocation per call. Performs the same floating-point operations
+    as {!factor}. *)
 
 val factor : Mat.t -> t
 (** Factorize a square matrix; raises {!Singular} as {!factor_into}. *)

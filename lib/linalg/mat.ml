@@ -118,6 +118,8 @@ let mulv2_into a x1 x2 y1 y2 =
     y2.(i) <- !acc2
   done
 
+(* indexes [data] directly, as [mulv_into] does: it runs once per
+   transient step, on a matrix with one row per unknown *)
 let mulv_t a x =
   if a.nr <> Array.length x then invalid_arg "Mat.mulv_t: dimension mismatch";
   let y = Array.make a.nc 0.0 in
@@ -125,7 +127,7 @@ let mulv_t a x =
     let xi = x.(i) in
     if xi <> 0.0 then
       for j = 0 to a.nc - 1 do
-        y.(j) <- y.(j) +. (get a i j *. xi)
+        y.(j) <- y.(j) +. (a.data.((i * a.nc) + j) *. xi)
       done
   done;
   y

@@ -72,31 +72,40 @@ let workspace (pat : Sp.pattern) =
 let ws_matches ws (pat : Sp.pattern) = ws.pat == pat
 let lu_nnz ws = ws.lnz + ws.unz
 
-let push_l ws i v =
-  if ws.lnz = Array.length ws.li then begin
-    let c = 2 * ws.lnz in
-    let ni = Array.make c 0 and nx = Array.make c 0.0 in
-    Array.blit ws.li 0 ni 0 ws.lnz;
-    Array.blit ws.lx 0 nx 0 ws.lnz;
-    ws.li <- ni;
-    ws.lx <- nx
-  end;
+(* L and U grow by doubling, off the hot path; the pushes are inlined so
+   that their float argument is never boxed *)
+let grow_l ws =
+  let c = 2 * ws.lnz in
+  let ni = Array.make c 0 and nx = Array.make c 0.0 in
+  Array.blit ws.li 0 ni 0 ws.lnz;
+  Array.blit ws.lx 0 nx 0 ws.lnz;
+  ws.li <- ni;
+  ws.lx <- nx
+
+let grow_u ws =
+  let c = 2 * ws.unz in
+  let ni = Array.make c 0 and nx = Array.make c 0.0 in
+  Array.blit ws.ui 0 ni 0 ws.unz;
+  Array.blit ws.ux 0 nx 0 ws.unz;
+  ws.ui <- ni;
+  ws.ux <- nx
+
+let[@inline] push_l ws i v =
+  if ws.lnz = Array.length ws.li then grow_l ws;
   ws.li.(ws.lnz) <- i;
   ws.lx.(ws.lnz) <- v;
   ws.lnz <- ws.lnz + 1
 
-let push_u ws i v =
-  if ws.unz = Array.length ws.ui then begin
-    let c = 2 * ws.unz in
-    let ni = Array.make c 0 and nx = Array.make c 0.0 in
-    Array.blit ws.ui 0 ni 0 ws.unz;
-    Array.blit ws.ux 0 nx 0 ws.unz;
-    ws.ui <- ni;
-    ws.ux <- nx
-  end;
+let[@inline] push_u ws i v =
+  if ws.unz = Array.length ws.ui then grow_u ws;
   ws.ui.(ws.unz) <- i;
   ws.ux.(ws.unz) <- v;
   ws.unz <- ws.unz + 1
+
+(* the span of L column [j]'s below-diagonal entries, empty while row
+   [j] is not yet pivotal; top-level so a reach allocates no closure *)
+let start_of ws j = if ws.pinv.(j) < 0 then 0 else ws.lp.(ws.pinv.(j)) + 1
+let end_of ws j = if ws.pinv.(j) < 0 then 0 else ws.lp.(ws.pinv.(j) + 1)
 
 (* depth-first reach of column [col]'s pattern through the columns of L
    factored so far; fills ws.reach.(top..n-1) in reverse postorder
@@ -106,18 +115,16 @@ let push_u ws i v =
 let reach_of ws (a : Sp.t) ~col ~k =
   let pat = a.Sp.pat in
   let top = ref ws.n in
-  let start_of j = if ws.pinv.(j) < 0 then 0 else ws.lp.(ws.pinv.(j)) + 1 in
-  let end_of j = if ws.pinv.(j) < 0 then 0 else ws.lp.(ws.pinv.(j) + 1) in
   for p = pat.Sp.colptr.(col) to pat.Sp.colptr.(col + 1) - 1 do
     let j0 = pat.Sp.rowind.(p) in
     if ws.mark.(j0) <> k then begin
       let head = ref 0 in
       ws.stack.(0) <- j0;
       ws.mark.(j0) <- k;
-      ws.pstack.(0) <- start_of j0;
+      ws.pstack.(0) <- start_of ws j0;
       while !head >= 0 do
         let j = ws.stack.(!head) in
-        let pend = end_of j in
+        let pend = end_of ws j in
         let p = ref ws.pstack.(!head) in
         let pushed = ref false in
         while (not !pushed) && !p < pend do
@@ -128,7 +135,7 @@ let reach_of ws (a : Sp.t) ~col ~k =
             ws.pstack.(!head) <- !p;
             incr head;
             ws.stack.(!head) <- i;
-            ws.pstack.(!head) <- start_of i;
+            ws.pstack.(!head) <- start_of ws i;
             pushed := true
           end
         done;

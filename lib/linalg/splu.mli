@@ -27,7 +27,8 @@ val factor_into : t -> Sp.t -> unit
     column has no admissible pivot above [1e-300], or when
     {!rcond_estimate} of the result falls below [Guard.rcond_min] (at
     the weakest pivot). Fault site [sp.singular] forces a zero pivot in
-    column 0. *)
+    column 0; it is probed once per call. Allocates nothing unless [L]
+    or [U] outgrows its storage, which then doubles and is kept. *)
 
 val factor : Sp.t -> t
 

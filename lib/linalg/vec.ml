@@ -36,7 +36,14 @@ let dot a b =
 
 let norm2 a = sqrt (dot a a)
 
-let norm_inf a = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 a
+(* a loop over a float ref, not a fold: the fold's closure boxes a float
+   per element. [Float.max] keeps a NaN entry in the result. *)
+let norm_inf a =
+  let m = ref 0.0 in
+  for k = 0 to Array.length a - 1 do
+    m := Float.max !m (Float.abs a.(k))
+  done;
+  !m
 
 let dist_inf a b = norm_inf (sub a b)
 let map = Array.map

@@ -26,4 +26,5 @@ let () =
       ("oracle", Test_oracle.suite);
       ("sparse", Test_sparse.suite);
       ("coverage", Test_coverage.suite);
+      ("newton", Test_newton.suite);
     ]
