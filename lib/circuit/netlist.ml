@@ -196,59 +196,93 @@ let wave_to_source = function
       Signal.Source.bit_pattern ~rise ~bits ~rate ~low ~high ()
   | Ext f -> f
 
+(* Values print at round-trip precision: [%.17g] reads back as the same
+   float. A sine's phase is radians here and degrees in the text, so it
+   alone may move in its last bits. *)
 let pp_wave ppf = function
-  | Dc v -> Format.fprintf ppf "DC %g" v
+  | Dc v -> Format.fprintf ppf "DC %.17g" v
   | Sine { offset; ampl; freq; phase } ->
-      Format.fprintf ppf "SIN(%g %g %g 0 0 %g)" offset ampl freq phase
+      Format.fprintf ppf "SIN(%.17g %.17g %.17g 0 0 %.17g)" offset ampl freq
+        (phase *. 180.0 /. Float.pi)
   | Pulse { low; high; delay; rise; width; period } ->
-      Format.fprintf ppf "PULSE(%g %g %g %g %g %g %g)" low high delay rise rise
-        width period
+      Format.fprintf ppf "PULSE(%.17g %.17g %.17g %.17g %.17g %.17g %.17g)" low
+        high delay rise rise width period
   | Pwl pts ->
       Format.fprintf ppf "PWL(";
-      List.iter (fun (t, v) -> Format.fprintf ppf "%g %g " t v) pts;
+      List.iter (fun (t, v) -> Format.fprintf ppf "%.17g %.17g " t v) pts;
       Format.fprintf ppf ")"
   | Bits { low; high; rate; rise; bits } ->
-      Format.fprintf ppf "BITS(%g %g %g %g " low high rate rise;
+      Format.fprintf ppf "BITS(%.17g %.17g %.17g %.17g " low high rate rise;
       Array.iter (fun b -> Format.pp_print_char ppf (if b then '1' else '0')) bits;
       Format.fprintf ppf ")"
   | Ext _ -> Format.fprintf ppf "EXT(<fun>)"
 
-let pp_component ppf { name; element } =
+(* the letter a netlist line's kind is read from *)
+let kind_letter = function
+  | Resistor _ -> 'R'
+  | Capacitor _ -> 'C'
+  | Inductor _ -> 'L'
+  | Vsource _ -> 'V'
+  | Isource _ -> 'I'
+  | Vccs _ -> 'G'
+  | Vcvs _ -> 'E'
+  | Cccs _ -> 'F'
+  | Diode _ -> 'D'
+  | Junction_cap _ -> 'J'
+  | Mosfet _ -> 'M'
+  | Bjt _ -> 'Q'
+
+(* the name as printed: prefixed with its kind letter when it does not
+   start with it, as the buffer's junction capacitances [Qj…] do not *)
+let printed_name { name; element } =
+  let k = kind_letter element in
+  if name <> "" && Char.uppercase_ascii name.[0] = k then name
+  else String.make 1 k ^ name
+
+(* [name_of] maps a CCCS's controlling element to its printed name *)
+let pp_component name_of ppf ({ element; _ } as c) =
+  let name = printed_name c in
   match element with
-  | Resistor { p; n; ohms } ->
-      Format.fprintf ppf "%s %s %s %s" name p n (Units.format_si ohms)
+  | Resistor { p; n; ohms } -> Format.fprintf ppf "%s %s %s %.17g" name p n ohms
   | Capacitor { p; n; farads } ->
-      Format.fprintf ppf "%s %s %s %s" name p n (Units.format_si farads)
+      Format.fprintf ppf "%s %s %s %.17g" name p n farads
   | Inductor { p; n; henries } ->
-      Format.fprintf ppf "%s %s %s %s" name p n (Units.format_si henries)
+      Format.fprintf ppf "%s %s %s %.17g" name p n henries
   | Vsource { p; n; wave } ->
       Format.fprintf ppf "%s %s %s %a" name p n pp_wave wave
   | Isource { p; n; wave } ->
       Format.fprintf ppf "%s %s %s %a" name p n pp_wave wave
   | Vccs { p; n; cp; cn; gm } ->
-      Format.fprintf ppf "%s %s %s %s %s %s" name p n cp cn (Units.format_si gm)
+      Format.fprintf ppf "%s %s %s %s %s %.17g" name p n cp cn gm
   | Vcvs { p; n; cp; cn; gain } ->
-      Format.fprintf ppf "%s %s %s %s %s %g" name p n cp cn gain
+      Format.fprintf ppf "%s %s %s %s %s %.17g" name p n cp cn gain
   | Cccs { p; n; vname; gain } ->
-      Format.fprintf ppf "%s %s %s %s %g" name p n vname gain
+      Format.fprintf ppf "%s %s %s %s %.17g" name p n (name_of vname) gain
   | Diode { p; n; params } ->
-      Format.fprintf ppf "%s %s %s IS=%g N=%g CJ=%g" name p n params.i_sat
-        params.ideality params.cj
+      Format.fprintf ppf "%s %s %s IS=%.17g N=%.17g CJ=%.17g" name p n
+        params.i_sat params.ideality params.cj
   | Junction_cap { p; n; params } ->
-      Format.fprintf ppf "%s %s %s CJ0=%g PHI=%g M=%g" name p n params.cj0
-        params.phi params.m
+      Format.fprintf ppf "%s %s %s CJ0=%.17g PHI=%.17g M=%.17g" name p n
+        params.cj0 params.phi params.m
   | Mosfet { d; g; s; pol; params } ->
-      Format.fprintf ppf "%s %s %s %s %s KP=%g VTH=%g LAMBDA=%g W=%g L=%g" name
-        d g s
+      Format.fprintf ppf
+        "%s %s %s %s %s KP=%.17g VTH=%.17g LAMBDA=%.17g W=%.17g L=%.17g \
+         CGS=%.17g CGD=%.17g CDB=%.17g"
+        name d g s
         (match pol with Nmos -> "NMOS" | Pmos -> "PMOS")
-        params.kp params.vth params.lambda params.w params.l
+        params.kp params.vth params.lambda params.w params.l params.cgs
+        params.cgd params.cdb
   | Bjt { c; b; e; pol; params } ->
-      Format.fprintf ppf "%s %s %s %s %s IS=%g BF=%g BR=%g CJE=%g CJC=%g" name c
+      Format.fprintf ppf
+        "%s %s %s %s %s IS=%.17g BF=%.17g BR=%.17g CJE=%.17g CJC=%.17g" name c
         b e
         (match pol with Npn -> "NPN" | Pnp -> "PNP")
         params.is_bjt params.bf params.br params.cje params.cjc
 
 let pp ppf t =
+  let name_of vname =
+    match find t vname with Some c -> printed_name c | None -> vname
+  in
   Format.fprintf ppf "@[<v>";
-  List.iter (fun c -> Format.fprintf ppf "%a@," pp_component c) t.components;
+  List.iter (fun c -> Format.fprintf ppf "%a@," (pp_component name_of) c) t.components;
   Format.fprintf ppf "@]"

@@ -146,3 +146,11 @@ val component_count : t -> int
 val find : t -> string -> component option
 val wave_to_source : wave -> Signal.Source.t
 val pp : Format.formatter -> t -> unit
+(** Netlist text that {!Circuit.Parser.parse_string} reads back to the
+    same circuit: every parameter is printed, values at [%.17g] (which
+    reads back as the same float), and a name that does not start with
+    its kind letter gets that letter prefixed, a CCCS's reference
+    included, since the parser dispatches on the first letter. Two
+    things do not round-trip: a sine's phase, printed in degrees and so
+    possibly moved in its last bits, and [Ext] waves, which have no
+    text. *)

@@ -18,28 +18,43 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* --- the Newton workspace --------------------------------------------- *)
 
 (* The backend half of a workspace: the Newton pencil J in its
-   backend's storage and the LU workspace that factors it. *)
+   backend's storage and two LU workspaces that factor it. *)
 type lin =
-  | Dense_lin of { j : Linalg.Mat.t; lu : Linalg.Lu.t }
-  | Sparse_lin of { j : Linalg.Sp.t; slu : Linalg.Splu.t }
+  | Dense_lin of { j : Linalg.Mat.t; lus : Linalg.Lu.t array }
+  | Sparse_lin of { j : Linalg.Sp.t; slus : Linalg.Splu.t array }
+
+(* What LU workspace [k] holds: a copy of the J it factored and an
+   (α, gmin) that blends to it, valid while [holds]. *)
+type held = {
+  vals : float array;
+  mutable alpha : float;
+  mutable gmin : float;
+  mutable holds : bool;
+}
 
 (* Everything one system's Newton solves need, allocated once and
    reused across iterations, gmin levels and transient steps: the
    assembly that every evaluation refills in place (i, q and the value
    arrays of G and C, in [jv]'s layout); the backend half; [jv], the
    flat value array of J that the loop fills (the dense matrix's
-   row-major store or the CSC values); [held], a copy of the J whose
-   factorization the LU holds, valid while [holds]; the slots of [jv]
-   that gmin lands in on the node diagonal; and the right-hand side and
-   update vectors. *)
+   row-major store or the CSC values); the slots of [jv] that can change
+   while (α, gmin) does not, and the node-diagonal slots gmin lands in,
+   all and varying; the (α, gmin) of the last full blend of J; what the
+   two LU workspaces hold, [newest] the one that solves; and the
+   right-hand side and update vectors. *)
 type ws = {
   mna : Mna.t;
   asm : Mna.assembly;
   lin : lin;
   jv : float array;
-  held : float array;
-  mutable holds : bool;
+  var_slots : int array;
   diag_slots : int array;
+  var_diag_slots : int array;
+  mutable blended : bool;
+  mutable blend_alpha : float;
+  mutable blend_gmin : float;
+  held : held array;
+  mutable newest : int;
   neg_f : Linalg.Vec.t;
   dv : Linalg.Vec.t;
 }
@@ -51,15 +66,18 @@ let workspace ~backend mna =
     | Mna.Dense ->
         let j = Linalg.Mat.create n n in
         ( Mna.dense_assembly mna,
-          Dense_lin { j; lu = Linalg.Lu.workspace n },
+          Dense_lin
+            { j; lus = [| Linalg.Lu.workspace n; Linalg.Lu.workspace n |] },
           Linalg.Mat.unsafe_data j,
           fun k -> (k * n) + k )
     | Mna.Sparse ->
         let ctx = Mna.sparse_ctx mna in
         let pattern = Mna.sparse_pattern ctx in
         let j = Linalg.Sp.create pattern in
+        let slu = Linalg.Splu.workspace pattern in
         ( Mna.sparse_assembly ctx,
-          Sparse_lin { j; slu = Linalg.Splu.workspace pattern },
+          (* the second workspace shares the first one's ordering *)
+          Sparse_lin { j; slus = [| slu; Linalg.Splu.sibling slu |] },
           j.Linalg.Sp.v,
           fun k ->
             match Linalg.Sp.find pattern k k with
@@ -67,33 +85,54 @@ let workspace ~backend mna =
             | None -> assert false (* the union pattern includes the diagonal *)
         )
   in
+  let var_slots = Mna.varying_slots asm in
+  let diag_slots = Array.init (Mna.n_nodes mna) diag_slot in
+  let held () =
+    {
+      vals = Array.make (Array.length jv) 0.0;
+      alpha = 0.0;
+      gmin = 0.0;
+      holds = false;
+    }
+  in
   {
     mna;
     asm;
     lin;
     jv;
-    held = Array.make (Array.length jv) 0.0;
-    holds = false;
-    diag_slots = Array.init (Mna.n_nodes mna) diag_slot;
+    var_slots;
+    diag_slots;
+    var_diag_slots =
+      Array.of_list
+        (Array.fold_right
+           (fun s a -> if Array.mem s var_slots then s :: a else a)
+           diag_slots []);
+    blended = false;
+    blend_alpha = 0.0;
+    blend_gmin = 0.0;
+    held = [| held (); held () |];
+    newest = 0;
     neg_f = Linalg.Vec.create n;
     dv = Linalg.Vec.create n;
   }
 
-let factor ws =
+(* factor J into LU workspace [k] *)
+let factor ws k =
   match ws.lin with
-  | Dense_lin { j; lu } -> Linalg.Lu.factor_into lu j
-  | Sparse_lin { j; slu } -> Linalg.Splu.factor_into slu j
+  | Dense_lin { j; lus } -> Linalg.Lu.factor_into lus.(k) j
+  | Sparse_lin { j; slus } -> Linalg.Splu.factor_into slus.(k) j
 
-let rcond_estimate ws =
+let rcond_estimate ws k =
   match ws.lin with
-  | Dense_lin { lu; _ } -> Linalg.Lu.rcond_estimate lu
-  | Sparse_lin { slu; _ } -> Linalg.Splu.rcond_estimate slu
+  | Dense_lin { lus; _ } -> Linalg.Lu.rcond_estimate lus.(k)
+  | Sparse_lin { slus; _ } -> Linalg.Splu.rcond_estimate slus.(k)
 
-(* dv := J⁻¹·neg_f *)
+(* dv := J⁻¹·neg_f with the newest held factorization *)
 let solve_update ws =
   match ws.lin with
-  | Dense_lin { lu; _ } -> Linalg.Lu.solve_into lu ws.neg_f ws.dv
-  | Sparse_lin { slu; _ } -> Linalg.Splu.solve_into slu ws.neg_f ws.dv
+  | Dense_lin { lus; _ } -> Linalg.Lu.solve_into lus.(ws.newest) ws.neg_f ws.dv
+  | Sparse_lin { slus; _ } ->
+      Linalg.Splu.solve_into slus.(ws.newest) ws.neg_f ws.dv
 
 (* Bit equality without a C call per entry: equal floats have equal
    bits except +0 and −0, which their reciprocals tell apart, and a NaN
@@ -104,42 +143,118 @@ let[@inline] same_bits x y =
     x <> x && y <> y
     && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
-(* whether J is bit for bit the pencil whose factorization the LU holds,
-   stopping at the first difference *)
-let holds_pencil ws =
-  ws.holds
-  &&
-  let jv = ws.jv and held = ws.held in
-  let k = ref 0 and n = Array.length jv in
-  while !k < n && same_bits jv.(!k) held.(!k) do
-    incr k
-  done;
-  !k = n
+(* J := G + α·C (G itself at α = 0) plus gmin on the node diagonal. The
+   constant slots of J are a function of the (α, gmin) bits alone, since
+   the assembly never rewrites the constant slots of G and C; so they
+   are blended only when (α, gmin) changes, and otherwise only the
+   varying slots are. Either way every slot holds the bits of a full
+   blend. *)
+let blend ws ~alpha ~gmin =
+  let jv = ws.jv in
+  let gv = Mna.g_values ws.asm and cv = Mna.c_values ws.asm in
+  if ws.blended && same_bits ws.blend_alpha alpha && same_bits ws.blend_gmin gmin
+  then begin
+    let slots = ws.var_slots in
+    if alpha = 0.0 then
+      for k = 0 to Array.length slots - 1 do
+        let s = slots.(k) in
+        jv.(s) <- gv.(s)
+      done
+    else
+      for k = 0 to Array.length slots - 1 do
+        let s = slots.(k) in
+        jv.(s) <- gv.(s) +. (alpha *. cv.(s))
+      done;
+    if gmin > 0.0 then
+      for k = 0 to Array.length ws.var_diag_slots - 1 do
+        let s = ws.var_diag_slots.(k) in
+        jv.(s) <- jv.(s) +. gmin
+      done
+  end
+  else begin
+    if alpha = 0.0 then Array.blit gv 0 jv 0 (Array.length jv)
+    else
+      for k = 0 to Array.length jv - 1 do
+        jv.(k) <- gv.(k) +. (alpha *. cv.(k))
+      done;
+    if gmin > 0.0 then
+      for k = 0 to Array.length ws.diag_slots - 1 do
+        let s = ws.diag_slots.(k) in
+        jv.(s) <- jv.(s) +. gmin
+      done;
+    ws.blended <- true;
+    ws.blend_alpha <- alpha;
+    ws.blend_gmin <- gmin
+  end
 
-(* Make the LU hold J: reuse it when J is bit for bit the pencil it
-   already holds, else factor. A factorization is a deterministic
-   function of its input bits and the held one has passed the rcond
-   floor, so a reuse is exactly a refactorization. [false] when the
-   factorization raised Singular; whatever it raised, [holds] is
-   already cleared, so a failed factorization is never reused. *)
-let factor_or_reuse ?obs ws =
-  if holds_pencil ws then begin
+(* whether [h] holds the factorization of J, stopping at the first
+   difference. Under its own (α, gmin) only the varying slots can
+   differ, since the constant ones follow from (α, gmin). Another
+   (α, gmin) can still round to the same J — on a linear ladder α·C sits
+   far enough below G that a last-bit change of α moves no entry — so
+   then every slot is compared, and on a match [h] takes the new
+   (α, gmin). *)
+let holds_pencil ws h ~alpha ~gmin =
+  h.holds
+  &&
+  let jv = ws.jv and vals = h.vals in
+  if same_bits h.alpha alpha && same_bits h.gmin gmin then begin
+    let slots = ws.var_slots in
+    let k = ref 0 and n = Array.length slots in
+    while !k < n && same_bits jv.(slots.(!k)) vals.(slots.(!k)) do
+      incr k
+    done;
+    !k = n
+  end
+  else begin
+    let k = ref 0 and n = Array.length jv in
+    while !k < n && same_bits jv.(!k) vals.(!k) do
+      incr k
+    done;
+    !k = n
+    && begin
+         h.alpha <- alpha;
+         h.gmin <- gmin;
+         true
+       end
+  end
+
+(* Make the newest held factorization the one of J: reuse whichever of
+   the two holds it, else factor J into the older one. A factorization
+   is a deterministic function of its input bits and a held one has
+   passed the rcond floor, so a reuse is exactly a refactorization.
+   Holding two serves a step size that alternates between two values.
+   [false] when the factorization raised Singular; whatever it raised,
+   its slot is already cleared, so a failed factorization is never
+   reused. *)
+let factor_or_reuse ?obs ws ~alpha ~gmin =
+  let older = 1 - ws.newest in
+  if holds_pencil ws ws.held.(ws.newest) ~alpha ~gmin then begin
+    Obs.count obs "dc.lu_reuses" 1;
+    true
+  end
+  else if holds_pencil ws ws.held.(older) ~alpha ~gmin then begin
+    ws.newest <- older;
     Obs.count obs "dc.lu_reuses" 1;
     true
   end
   else begin
-    ws.holds <- false;
+    let h = ws.held.(older) in
+    h.holds <- false;
     let t_factor = Obs.now_if obs in
     let ok =
-      match factor ws with
+      match factor ws older with
       | () -> true
       | exception (Linalg.Lu.Singular _ | Linalg.Splu.Singular _) -> false
     in
     Obs.observe_since_ns obs "dc.lu_factor_ns" t_factor;
     if ok then begin
-      Obs.rcond obs ~site:"dc.lu" rcond_estimate ws;
-      Array.blit ws.jv 0 ws.held 0 (Array.length ws.jv);
-      ws.holds <- true
+      Obs.rcond obs ~site:"dc.lu" (rcond_estimate ws) older;
+      Array.blit ws.jv 0 h.vals 0 (Array.length ws.jv);
+      h.alpha <- alpha;
+      h.gmin <- gmin;
+      h.holds <- true;
+      ws.newest <- older
     end;
     ok
   end
@@ -156,9 +271,8 @@ let factor_or_reuse ?obs ws =
    with the circuit. *)
 let newton_loop ?cancel ?obs ~opts ws ~gmin ~time ~alpha ~fold ~initial () =
   let n = Mna.size ws.mna in
-  let jv = ws.jv and dv = ws.dv in
+  let dv = ws.dv in
   let f = Mna.residual ws.asm and q = Mna.charge ws.asm in
-  let gv = Mna.g_values ws.asm and cv = Mna.c_values ws.asm in
   let v = Linalg.Vec.copy initial in
   let iters = ref 0 in
   let rec iterate it =
@@ -168,20 +282,14 @@ let newton_loop ?cancel ?obs ~opts ws ~gmin ~time ~alpha ~fold ~initial () =
       incr iters;
       Mna.assemble ws.mna ws.asm ~time v;
       fold f q;
-      if alpha = 0.0 then Array.blit gv 0 jv 0 (Array.length jv)
-      else
-        for k = 0 to Array.length jv - 1 do
-          jv.(k) <- gv.(k) +. (alpha *. cv.(k))
-        done;
       (* gmin to ground on node rows keeps the matrix nonsingular *)
+      blend ws ~alpha ~gmin;
       if gmin > 0.0 then
-        for k = 0 to Array.length ws.diag_slots - 1 do
-          let s = ws.diag_slots.(k) in
-          jv.(s) <- jv.(s) +. gmin;
+        for k = 0 to Mna.n_nodes ws.mna - 1 do
           f.(k) <- f.(k) +. (gmin *. v.(k))
         done;
       let f_norm = Linalg.Vec.norm_inf f in
-      if not (factor_or_reuse ?obs ws) then None
+      if not (factor_or_reuse ?obs ws ~alpha ~gmin) then None
       else begin
         let t_solve = Obs.now_if obs in
         for k = 0 to n - 1 do

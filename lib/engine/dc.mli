@@ -20,25 +20,36 @@ exception No_convergence of string
 
 type ws
 (** One system's Newton workspace: the {!Mna.assembly} every evaluation
-    refills in place, the pencil buffer and its LU workspace
+    refills in place, the pencil buffer and two LU workspaces
     ({!Linalg.Lu} on the dense backend and {!Linalg.Splu} on the sparse
-    one, with the cached fill-reducing ordering), a copy of the pencil
-    whose factorization the LU holds, the diagonal slots gmin lands in
-    and the Newton vectors. A Newton iteration allocates nothing that
-    grows with the circuit. Build one per system and share it across
-    its DC solve and transient steps; it is not safe to share across
-    domains.
+    one, where both share one cached fill-reducing ordering), what each
+    of them holds, the diagonal slots gmin lands in and the Newton
+    vectors. A Newton iteration allocates nothing that grows with the
+    circuit. Build one per system and share it across its DC solve and
+    transient steps; it is not safe to share across domains.
 
-    {b Pencil reuse.} After assembling the pencil J (gmin included) an
-    iteration compares it bit for bit with the held copy, stopping at
-    the first difference. When they are equal it skips the
-    factorization, whose result would be the held one bit for bit: a
-    factorization is a deterministic function of its input bits, and
-    the held one has passed the rcond floor. A factorization that
-    raises (a real or injected singular pivot, or the floor) clears the
-    copy, so it is never reused. Linear circuits repeat J whenever the
-    step size repeats; nonlinear devices change it on every
-    iteration. *)
+    {b Blending.} The pencil is J = G + α·C (G itself in DC) plus gmin
+    on the node diagonal. Outside {!Mna.varying_slots} G and C never
+    change, so there J is a function of the (α, gmin) bits alone: an
+    iteration blends every slot only when (α, gmin) differs from the
+    last full blend, and otherwise only the varying slots. Either way
+    each slot holds the bits of a full blend.
+
+    {b Pencil reuse.} The workspace holds the last two factored pencils.
+    After blending J an iteration compares it with each, the newest
+    first, stopping at the first difference: under the held pencil's
+    (α, gmin) only the varying slots can differ, so on a linear circuit
+    the test is O(1); under another (α, gmin), which can round to the
+    same J, every slot is compared, and on a match the held pencil takes
+    the new (α, gmin). On a match it skips the factorization, whose
+    result would be the held one bit for bit: a factorization is a
+    deterministic function of its input bits, and a held one has passed
+    the rcond floor. Otherwise it factors J into the older of the two. A
+    factorization that raises (a real or injected singular pivot, or
+    the floor) clears its slot, so it is never reused. A fixed-step
+    transient alternates between two rounded step sizes, so two held
+    pencils serve a linear circuit for all but a few steps; nonlinear
+    devices change J on every iteration. *)
 
 val workspace : backend:Mna.backend -> Mna.t -> ws
 (** Allocate a workspace; on the sparse backend this compiles the
@@ -72,7 +83,7 @@ val solve_ws :
     Diag-only [dc.gmin_levels]/[dc.gmin_continuations]; the
     [dc.lu_factor_ns] histogram and a ["dc.lu"] rcond event once per
     LU factorization, and the [dc.lu_solve_ns] histogram once per solve;
-    the [dc.lu_reuses] counter once per iteration that reused the held
+    the [dc.lu_reuses] counter once per iteration that reused a held
     factorization instead, so the [dc.lu_factor_ns] samples plus
     [dc.lu_reuses] equal [dc.newton_iterations]. A Jacobian
     factorization below the [Guard.rcond_min] floor counts as a failed

@@ -3,84 +3,141 @@ let thermal_voltage = 0.025852
 let diode_gmin = 1e-12
 let exp_limit = 40.0
 
-let diode_iv (p : Circuit.Netlist.diode_params) vd =
+(* Every evaluation reads its terminal voltages from a scratch record
+   and writes its results there. A record of floats only stores them
+   unboxed, so an evaluation allocates nothing: this compiler has no
+   flambda, and a float passed to or returned from a call it does not
+   inline is boxed. The helpers that take floats are inlined. *)
+type scratch = {
+  mutable x1 : float;
+  mutable x2 : float;
+  mutable x3 : float;
+  mutable f : float;
+  mutable df1 : float;
+  mutable df2 : float;
+  mutable df3 : float;
+  mutable h : float;
+  mutable dh1 : float;
+  mutable dh2 : float;
+  mutable dh3 : float;
+}
+
+let scratch () =
+  {
+    x1 = 0.0;
+    x2 = 0.0;
+    x3 = 0.0;
+    f = 0.0;
+    df1 = 0.0;
+    df2 = 0.0;
+    df3 = 0.0;
+    h = 0.0;
+    dh1 = 0.0;
+    dh2 = 0.0;
+    dh3 = 0.0;
+  }
+
+let diode (p : Circuit.Netlist.diode_params) e =
+  let vd = e.x1 in
   let vt = thermal_voltage *. p.ideality in
   let x = vd /. vt in
-  let i, g =
-    if x <= exp_limit then begin
-      let e = exp x in
-      (p.i_sat *. (e -. 1.0), p.i_sat *. e /. vt)
-    end
-    else begin
-      (* linear continuation of the exponential beyond the limit *)
-      let e_lim = exp exp_limit in
-      let e = e_lim *. (1.0 +. (x -. exp_limit)) in
-      (p.i_sat *. (e -. 1.0), p.i_sat *. e_lim /. vt)
-    end
-  in
-  (i +. (diode_gmin *. vd), g +. diode_gmin)
+  if x <= exp_limit then begin
+    let ex = exp x in
+    e.f <- (p.i_sat *. (ex -. 1.0)) +. (diode_gmin *. vd);
+    e.df1 <- (p.i_sat *. ex /. vt) +. diode_gmin
+  end
+  else begin
+    (* linear continuation of the exponential beyond the limit *)
+    let e_lim = exp exp_limit in
+    let ex = e_lim *. (1.0 +. (x -. exp_limit)) in
+    e.f <- (p.i_sat *. (ex -. 1.0)) +. (diode_gmin *. vd);
+    e.df1 <- (p.i_sat *. e_lim /. vt) +. diode_gmin
+  end
+
+let diode_iv p vd =
+  let e = scratch () in
+  e.x1 <- vd;
+  diode p e;
+  (e.f, e.df1)
 
 let mos_leak = 1e-9
 
-(* Forward level-1 drain current for vds >= 0:
-   returns (id, gm, gds) = (F, dF/dvgs, dF/dvds). *)
-let level1_forward (p : Circuit.Netlist.mos_params) vgs vds =
+(* Forward level-1 drain current for vds >= 0: writes
+   (F, dF/dvgs, dF/dvds) into (e.f, e.df2, e.df1). *)
+let[@inline] level1_forward (p : Circuit.Netlist.mos_params) e vgs vds =
   let beta = p.kp *. p.w /. p.l in
   let vov = vgs -. p.vth in
-  if vov <= 0.0 then (0.0, 0.0, 0.0)
+  if vov <= 0.0 then begin
+    e.f <- 0.0;
+    e.df2 <- 0.0;
+    e.df1 <- 0.0
+  end
   else begin
     let clm = 1.0 +. (p.lambda *. vds) in
     if vds >= vov then begin
       (* saturation *)
       let id0 = 0.5 *. beta *. vov *. vov in
-      (id0 *. clm, beta *. vov *. clm, id0 *. p.lambda)
+      e.f <- id0 *. clm;
+      e.df2 <- beta *. vov *. clm;
+      e.df1 <- id0 *. p.lambda
     end
     else begin
       (* triode *)
       let id0 = beta *. ((vov *. vds) -. (0.5 *. vds *. vds)) in
       let did0_dvds = beta *. (vov -. vds) in
-      ( id0 *. clm,
-        beta *. vds *. clm,
-        (did0_dvds *. clm) +. (id0 *. p.lambda) )
+      e.f <- id0 *. clm;
+      e.df2 <- beta *. vds *. clm;
+      e.df1 <- (did0_dvds *. clm) +. (id0 *. p.lambda)
     end
   end
 
-(* NMOS-like current into drain for arbitrary bias (symmetric swap). *)
-let nmos_ids p ~vd ~vg ~vs =
+(* NMOS-like current into drain for arbitrary bias (symmetric swap):
+   (id, did/dvd, did/dvg, did/dvs) into (e.f, e.df1, e.df2, e.df3) *)
+let[@inline] nmos p e vd vg vs =
   if vd >= vs then begin
-    let id, gm, gds = level1_forward p (vg -. vs) (vd -. vs) in
-    let id = id +. (mos_leak *. (vd -. vs)) in
-    let gds = gds +. mos_leak in
-    (id, gds, gm, -.(gm +. gds))
+    level1_forward p e (vg -. vs) (vd -. vs);
+    let gm = e.df2 and gds = e.df1 +. mos_leak in
+    e.f <- e.f +. (mos_leak *. (vd -. vs));
+    e.df1 <- gds;
+    e.df2 <- gm;
+    e.df3 <- -.(gm +. gds)
   end
   else begin
     (* reverse operation: drain and source exchange roles *)
-    let id, gm, gds = level1_forward p (vg -. vd) (vs -. vd) in
-    let id = id +. (mos_leak *. (vs -. vd)) in
-    let gds = gds +. mos_leak in
-    (-.id, gm +. gds, -.gm, -.gds)
+    level1_forward p e (vg -. vd) (vs -. vd);
+    let gm = e.df2 and gds = e.df1 +. mos_leak in
+    e.f <- -.(e.f +. (mos_leak *. (vs -. vd)));
+    e.df1 <- gm +. gds;
+    e.df2 <- -.gm;
+    e.df3 <- -.gds
   end
 
-let mosfet_ids pol p ~vd ~vg ~vs =
+let mosfet pol p e =
   match pol with
-  | Circuit.Netlist.Nmos -> nmos_ids p ~vd ~vg ~vs
+  | Circuit.Netlist.Nmos -> nmos p e e.x1 e.x2 e.x3
   | Circuit.Netlist.Pmos ->
       (* mirror: Id_p(vd,vg,vs) = -Id_n(-vd,-vg,-vs); the chain rule through
          the sign flips leaves the conductances unchanged in sign. *)
-      let id, dd, dg, ds =
-        nmos_ids p ~vd:(-.vd) ~vg:(-.vg) ~vs:(-.vs)
-      in
-      (-.id, dd, dg, ds)
+      nmos p e (-.e.x1) (-.e.x2) (-.e.x3);
+      e.f <- -.e.f
+
+let mosfet_ids pol p ~vd ~vg ~vs =
+  let e = scratch () in
+  e.x1 <- vd;
+  e.x2 <- vg;
+  e.x3 <- vs;
+  mosfet pol p e;
+  (e.f, e.df1, e.df2, e.df3)
 
 let junction_fc = 0.5
 
-let junction_q (p : Circuit.Netlist.junction_params) v =
+let junction (p : Circuit.Netlist.junction_params) e =
+  let v = e.x1 in
   let vb = junction_fc *. p.phi in
   if v < vb then begin
     let w = 1.0 -. (v /. p.phi) in
-    let q = p.cj0 *. p.phi /. (1.0 -. p.m) *. (1.0 -. (w ** (1.0 -. p.m))) in
-    let c = p.cj0 *. (w ** -.p.m) in
-    (q, c)
+    e.f <- p.cj0 *. p.phi /. (1.0 -. p.m) *. (1.0 -. (w ** (1.0 -. p.m)));
+    e.df1 <- p.cj0 *. (w ** -.p.m)
   end
   else begin
     (* linearized continuation above fc·phi *)
@@ -89,8 +146,15 @@ let junction_q (p : Circuit.Netlist.junction_params) v =
     let c_b = p.cj0 *. (w_b ** -.p.m) in
     let dc_dv = p.cj0 *. p.m /. p.phi *. (w_b ** -.(p.m +. 1.0)) in
     let dv = v -. vb in
-    (q_b +. (c_b *. dv) +. (0.5 *. dc_dv *. dv *. dv), c_b +. (dc_dv *. dv))
+    e.f <- q_b +. (c_b *. dv) +. (0.5 *. dc_dv *. dv *. dv);
+    e.df1 <- c_b +. (dc_dv *. dv)
   end
+
+let junction_q p v =
+  let e = scratch () in
+  e.x1 <- v;
+  junction p e;
+  (e.f, e.df1)
 
 type bjt_eval = {
   ic : float;
@@ -103,47 +167,56 @@ type bjt_eval = {
   dib_dve : float;
 }
 
-(* limited exponential shared with the diode model *)
-let lim_exp x =
-  if x <= exp_limit then begin
-    let e = exp x in
-    (e, e)
-  end
-  else begin
-    let e_lim = exp exp_limit in
-    (e_lim *. (1.0 +. (x -. exp_limit)), e_lim)
-  end
+(* the limited exponential shared with the diode model; its slope is
+   itself below the limit and the limit's value above it *)
+let[@inline] lim_exp x =
+  if x <= exp_limit then exp x
+  else exp exp_limit *. (1.0 +. (x -. exp_limit))
 
-let npn_currents (p : Circuit.Netlist.bjt_params) ~vc ~vb ~ve =
+let[@inline] lim_exp_slope x e = if x <= exp_limit then e else exp exp_limit
+
+let[@inline] npn (p : Circuit.Netlist.bjt_params) e vc vb ve =
   let vt = thermal_voltage in
-  let ef, def = lim_exp ((vb -. ve) /. vt) in
-  let er, der = lim_exp ((vb -. vc) /. vt) in
-  let i_f = p.Circuit.Netlist.is_bjt *. (ef -. 1.0) in
-  let i_r = p.Circuit.Netlist.is_bjt *. (er -. 1.0) in
-  let gf = p.Circuit.Netlist.is_bjt *. def /. vt in
-  let gr = p.Circuit.Netlist.is_bjt *. der /. vt in
-  let krr = 1.0 +. (1.0 /. p.Circuit.Netlist.br) in
+  let xf = (vb -. ve) /. vt and xr = (vb -. vc) /. vt in
+  let ef = lim_exp xf and er = lim_exp xr in
+  let def = lim_exp_slope xf ef and der = lim_exp_slope xr er in
+  let i_f = p.is_bjt *. (ef -. 1.0) in
+  let i_r = p.is_bjt *. (er -. 1.0) in
+  let gf = p.is_bjt *. def /. vt in
+  let gr = p.is_bjt *. der /. vt in
+  let krr = 1.0 +. (1.0 /. p.br) in
   (* small ohmic leakage keeps isolated nodes solvable *)
-  let ic = i_f -. (krr *. i_r) +. (diode_gmin *. (vc -. ve)) in
-  let ib =
-    (i_f /. p.Circuit.Netlist.bf) +. (i_r /. p.Circuit.Netlist.br)
-    +. (diode_gmin *. (vb -. ve))
-  in
-  {
-    ic;
-    ib;
-    dic_dvc = (krr *. gr) +. diode_gmin;
-    dic_dvb = gf -. (krr *. gr);
-    dic_dve = -.gf -. diode_gmin;
-    dib_dvc = -.gr /. p.Circuit.Netlist.br;
-    dib_dvb = (gf /. p.Circuit.Netlist.bf) +. (gr /. p.Circuit.Netlist.br) +. diode_gmin;
-    dib_dve = (-.gf /. p.Circuit.Netlist.bf) -. diode_gmin;
-  }
+  e.f <- i_f -. (krr *. i_r) +. (diode_gmin *. (vc -. ve));
+  e.h <- (i_f /. p.bf) +. (i_r /. p.br) +. (diode_gmin *. (vb -. ve));
+  e.df1 <- (krr *. gr) +. diode_gmin;
+  e.df2 <- gf -. (krr *. gr);
+  e.df3 <- -.gf -. diode_gmin;
+  e.dh1 <- -.gr /. p.br;
+  e.dh2 <- (gf /. p.bf) +. (gr /. p.br) +. diode_gmin;
+  e.dh3 <- (-.gf /. p.bf) -. diode_gmin
 
-let bjt_currents pol p ~vc ~vb ~ve =
+let bjt pol p e =
   match pol with
-  | Circuit.Netlist.Npn -> npn_currents p ~vc ~vb ~ve
+  | Circuit.Netlist.Npn -> npn p e e.x1 e.x2 e.x3
   | Circuit.Netlist.Pnp ->
       (* mirror: currents negate, conductances keep their sign *)
-      let e = npn_currents p ~vc:(-.vc) ~vb:(-.vb) ~ve:(-.ve) in
-      { e with ic = -.e.ic; ib = -.e.ib }
+      npn p e (-.e.x1) (-.e.x2) (-.e.x3);
+      e.f <- -.e.f;
+      e.h <- -.e.h
+
+let bjt_currents pol p ~vc ~vb ~ve =
+  let e = scratch () in
+  e.x1 <- vc;
+  e.x2 <- vb;
+  e.x3 <- ve;
+  bjt pol p e;
+  {
+    ic = e.f;
+    ib = e.h;
+    dic_dvc = e.df1;
+    dic_dvb = e.df2;
+    dic_dve = e.df3;
+    dib_dvc = e.dh1;
+    dib_dvb = e.dh2;
+    dib_dve = e.dh3;
+  }

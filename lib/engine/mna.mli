@@ -41,27 +41,41 @@ type eval = {
 val eval : t -> ?with_matrices:bool -> time:float -> Linalg.Vec.t -> eval
 (** Evaluate residual pieces (and Jacobians when [with_matrices], default
     true) at the given unknown vector and time, into fresh storage: the
-    wrapper for callers that evaluate once per snapshot. A repeated
-    evaluation, as in a Newton loop, refills an {!assembly} instead.
-    Safe to call from several domains on one [t]. *)
+    wrapper for callers that evaluate once per snapshot, one {!assemble}
+    into a fresh dense {!assembly}. A repeated evaluation, as in a
+    Newton loop, refills an {!assembly} instead. Safe to call from
+    several domains on one [t]. *)
 
 (** {1 In-place assembly}
 
-    Every stamp's Jacobian entries form an occurrence sequence that does
-    not depend on the linearization point, so {!build} records it once
-    and an evaluation streams each entry into a precompiled slot of a
-    flat value array: slot [r·n + c] of the row-major dense layout, or
-    the compiled CSC slot of the sparse one. One path fills both
-    layouts, with the accumulation order of {!eval}, so the values are
-    bit for bit those of {!eval}'s matrices. *)
+    {!build} compiles the netlist into a stamp program that runs in
+    netlist order. The linear elements (R, C, L, V, VCCS, VCVS, CCCS)
+    become data — a kind, their unknown indices and a value — and run
+    as flat loops; each nonlinear device stays a stamp that evaluates it
+    in place ({!Device.scratch}). Every device stamp's Jacobian entries
+    form an occurrence sequence that does not depend on the
+    linearization point, so {!build} records it once and an evaluation
+    streams each entry into a precompiled slot of a flat value array:
+    slot [r·n + c] of the row-major dense layout, or the compiled CSC
+    slot of the sparse one.
+
+    An entry of G or C that only linear elements stamp is {e constant}:
+    it is summed once, in stamp order from 0.0, when its {!assembly} is
+    made, and no evaluation zeroes or restamps it. Every other entry
+    {e varies}: each evaluation zeroes it and adds all of its
+    contributions, linear ones included, in stamp order. Both sums are
+    the ones one stamp per element accumulates, so the values are bit
+    for bit those of {!eval}'s matrices in either layout. *)
 
 type assembly
 (** Caller-owned storage for repeated evaluations of one system in one
-    layout: the vectors i(v) − s(t) and q(v) and the value arrays of G
-    and C. The arrays are allocated once and every {!assemble}
-    overwrites them in place. The storage lives with the caller, never
-    in [t], because several domains may share one [t]; an [assembly] is
-    not safe to share across domains. *)
+    layout: the vectors i(v) − s(t) and q(v), the value arrays of G and
+    C with their constant entries filled, and a device scratch. The
+    arrays are allocated once and every {!assemble} overwrites their
+    varying entries in place; a caller must not write the value arrays.
+    The storage lives with the caller, never in [t], because several
+    domains may share one [t]; an [assembly] is not safe to share across
+    domains. *)
 
 val dense_assembly : t -> assembly
 (** Storage in the dense layout: G and C are [n×n] row-major value
@@ -69,12 +83,15 @@ val dense_assembly : t -> assembly
 
 val assemble : t -> assembly -> time:float -> Linalg.Vec.t -> unit
 (** [assemble t a ~time v] evaluates i(v) − s(time), q(v), G and C into
-    [a]'s storage, allocating nothing that grows with the circuit. *)
+    [a]'s storage. It allocates nothing that grows with the circuit or
+    its device count: only the boxed values of the time-dependent
+    sources. *)
 
 val charge_into : t -> assembly -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 (** [charge_into t a v q] writes q(v) into [q], bit for bit {!eval}'s
     [q_vec]; it uses [a]'s residual as scratch (overwritten) and leaves
-    [a]'s other storage untouched. *)
+    [a]'s other storage untouched. The linear elements contribute only
+    their charges. *)
 
 val residual : assembly -> Linalg.Vec.t
 (** i(v) − s(t) of the last {!assemble}; the same array every time. *)
@@ -87,6 +104,12 @@ val g_values : assembly -> float array
 
 val c_values : assembly -> float array
 (** The value array of C, in the same layout as {!g_values}. *)
+
+val varying_slots : assembly -> int array
+(** The slots, ascending and distinct, that vary in G or in C. Every
+    other slot of both value arrays keeps the value it had when the
+    assembly was made, so a pencil [G + α·C] changes outside these
+    slots only when α does. *)
 
 (** {1 Sparse assembly}
 

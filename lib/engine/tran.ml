@@ -61,10 +61,11 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
   let q0 = (Mna.eval mna ~with_matrices:false ~time:0.0 v0).Mna.q_vec in
   let times = Array.make (steps + 1) 0.0 in
   let states = Array.make (steps + 1) v0 in
-  let outputs = Linalg.Mat.create (steps + 1) (Mna.n_outputs mna) in
+  let mo = Mna.n_outputs mna in
+  let outputs = Linalg.Mat.create (steps + 1) mo in
   let record_output k v =
-    let y = Mna.output_values mna v in
-    Array.iteri (fun j yv -> Linalg.Mat.set outputs k j yv) y
+    Array.blit (Mna.output_values mna v) 0 (Linalg.Mat.unsafe_data outputs)
+      (k * mo) mo
   in
   record_output 0 v0;
   let snapshots = ref [] in
@@ -125,71 +126,74 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
     in
     attempt 1
   in
-  for k = 1 to steps do
-    Obs.span obs ~args:[ ("k", Trace.Int k) ] "tran.step" @@ fun () ->
+  (* A step's retreat paths and its telemetry run only when they are
+     needed: the closures, argument lists and messages they build are
+     made here once or on the failing path, so a step that converges
+     allocates only its Newton solution and a few words of results. *)
+  let diverge time =
+    raise
+      (Dc.No_convergence
+         (Printf.sprintf "injected Newton divergence at t=%.6e" time))
+  in
+  (* retreat to backward Euler for the step to [time] *)
+  let be_retry ~time ~h ~q_prev_k ~q_new =
+    incr fallback_count;
+    Obs.count obs "tran.be_fallbacks" 1;
+    Obs.warn obs ~stage:"engine.tran"
+      (Printf.sprintf
+         "trapezoidal step at t=%.6e retreated to backward Euler" time);
+    if Fault.should_fire "tran.newton_diverge" then diverge time;
+    Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time
+      ~alpha:(1.0 /. h) ~q_prev:q_prev_k ~qdot_term:zeros ~initial:!v_prev
+      ~q_out:q_new ()
+  in
+  let recover exn ~k ~time ~q_new =
+    match halve_step ~t_prev:times.(k - 1) ~time ~q_out:q_new with
+    | Some r -> r
+    | None -> raise exn
+  in
+  (* [fell_back] records which integrator actually produced a step
+     (backward Euler, whole or in substeps), so the qdot update can use
+     the matching formula *)
+  let fell_back = ref false in
+  let step k =
     Cancel.check cancel ~site:"tran.step";
     if Fault.should_fire "tran.stall" then Cancel.hang cancel ~site:"tran.step";
     let time = Float.min (float_of_int k *. dt) t_stop in
     let h = time -. times.(k - 1) in
-    let alpha, qdot_term =
-      match opts.integration with
-      | Backward_euler -> (1.0 /. h, zeros)
-      | Trapezoidal -> (2.0 /. h, !qdot_prev)
-    in
+    let trapezoidal = opts.integration = Trapezoidal in
     let q_prev_k = !q_prev and q_new = !q_next in
-    (* [fell_back] records which integrator actually produced this step
-       (backward Euler, whole or in substeps), so the qdot update below
-       can use the matching formula *)
-    let inject_diverge () =
-      if Fault.should_fire "tran.newton_diverge" then
-        raise
-          (Dc.No_convergence
-             (Printf.sprintf "injected Newton divergence at t=%.6e" time))
-    in
-    let be_retry () =
-      (* retreat to backward Euler for this step *)
-      incr fallback_count;
-      Obs.count obs "tran.be_fallbacks" 1;
-      Obs.warn obs ~stage:"engine.tran"
-        (Printf.sprintf
-           "trapezoidal step at t=%.6e retreated to backward Euler" time);
-      inject_diverge ();
-      let v, iters =
-        Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time
-          ~alpha:(1.0 /. h) ~q_prev:q_prev_k ~qdot_term:zeros
-          ~initial:!v_prev ~q_out:q_new ()
-      in
-      (v, iters, true)
-    in
-    let recover exn =
-      match halve_step ~t_prev:times.(k - 1) ~time ~q_out:q_new with
-      | Some (v, iters) -> (v, iters, true)
-      | None -> raise exn
-    in
-    let v, iters, fell_back =
+    fell_back := false;
+    let v, iters =
       try
-        inject_diverge ();
-        let v, iters =
-          Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time ~alpha
-            ~q_prev:q_prev_k ~qdot_term ~initial:!v_prev ~q_out:q_new ()
-        in
-        (v, iters, false)
+        if Fault.should_fire "tran.newton_diverge" then diverge time;
+        Dc.newton_dynamic ~opts:opts.newton ?cancel ?obs ws ~time
+          ~alpha:(if trapezoidal then 2.0 /. h else 1.0 /. h)
+          ~q_prev:q_prev_k
+          ~qdot_term:(if trapezoidal then !qdot_prev else zeros)
+          ~initial:!v_prev ~q_out:q_new ()
       with
-      | Dc.No_convergence _ when opts.integration = Trapezoidal -> (
-          try be_retry () with Dc.No_convergence _ as e -> recover e)
-      | Dc.No_convergence _ as e -> recover e
+      | Dc.No_convergence _ when trapezoidal -> (
+          fell_back := true;
+          try be_retry ~time ~h ~q_prev_k ~q_new
+          with Dc.No_convergence _ as e -> recover e ~k ~time ~q_new)
+      | Dc.No_convergence _ as e ->
+          fell_back := true;
+          recover e ~k ~time ~q_new
     in
     newton_count := !newton_count + iters;
-    Obs.add_args obs
-      [ ("iters", Trace.Int iters); ("be_fallback", Trace.Bool fell_back) ];
-    Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
-      (float_of_int iters);
+    if Option.is_some obs then begin
+      Obs.add_args obs
+        [ ("iters", Trace.Int iters); ("be_fallback", Trace.Bool !fell_back) ];
+      Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
+        (float_of_int iters)
+    end;
     (* the derivative estimate must match the integrator that actually
        produced the step: applying the trapezoidal formula to a
        backward-Euler step would feed a persistent qdot error into
        every subsequent trapezoidal step *)
     let qdot_p = !qdot_prev and qdot_new = !qdot_next in
-    if fell_back || opts.integration = Backward_euler then
+    if !fell_back || not trapezoidal then
       for j = 0 to n - 1 do
         qdot_new.(j) <- (q_new.(j) -. q_prev_k.(j)) /. h
       done
@@ -208,6 +212,12 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
     qdot_prev := qdot_new;
     qdot_next := qdot_p;
     v_prev := v
+  in
+  for k = 1 to steps do
+    match obs with
+    | None -> step k
+    | Some _ ->
+        Obs.span obs ~args:[ ("k", Trace.Int k) ] "tran.step" (fun () -> step k)
   done;
   Obs.count obs "tran.steps" steps;
   Obs.count obs "tran.newton_iterations" !newton_count;

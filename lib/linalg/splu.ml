@@ -42,15 +42,18 @@ type t = {
   mutable factored : bool;
 }
 
-let workspace (pat : Sp.pattern) =
-  if pat.Sp.nrows <> pat.Sp.ncols then
-    invalid_arg "Splu.workspace: pattern not square";
+(* [q] is the fill-reducing column order of [pat]; workspaces that
+   share it share the symbolic analysis and differ only in their
+   numeric factorization *)
+let with_order (pat : Sp.pattern) q =
   let n = pat.Sp.nrows in
-  let cap = max (4 * Sp.nnz pat) (2 * n) in
+  (* L and U start at the pattern's size and double when they outgrow
+     it: an MNA pattern under its minimum-degree ordering fills little *)
+  let cap = max (Sp.nnz pat) (2 * n) in
   {
     n;
     pat;
-    q = Sp.mindeg pat;
+    q;
     pinv = Array.make n (-1);
     lp = Array.make (n + 1) 0;
     up = Array.make (n + 1) 0;
@@ -68,6 +71,13 @@ let workspace (pat : Sp.pattern) =
     mark = Array.make n (-1);
     factored = false;
   }
+
+let workspace (pat : Sp.pattern) =
+  if pat.Sp.nrows <> pat.Sp.ncols then
+    invalid_arg "Splu.workspace: pattern not square";
+  with_order pat (Sp.mindeg pat)
+
+let sibling ws = with_order ws.pat ws.q
 
 let ws_matches ws (pat : Sp.pattern) = ws.pat == pat
 let lu_nnz ws = ws.lnz + ws.unz

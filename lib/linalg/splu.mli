@@ -16,7 +16,16 @@ val workspace : Sp.pattern -> t
 (** Allocate a workspace for one square pattern; the fill-reducing
     column ordering is computed here and cached, so repeated
     refactorizations of the same structure pay only the numeric cost.
-    Raises [Invalid_argument] on a non-square pattern. *)
+    [L] and [U] start with room for as many entries as the pattern has
+    (at least [2n]) and double when they outgrow it. Raises
+    [Invalid_argument] on a non-square pattern. *)
+
+val sibling : t -> t
+(** A second workspace for the same pattern that shares the cached
+    column ordering (computed once, by {!workspace}) and holds its own
+    numeric factorization: two factored pencils of one system cost one
+    ordering. The ordering is immutable, so the two factor and solve
+    independently. *)
 
 val ws_matches : t -> Sp.pattern -> bool
 (** Whether the workspace was compiled for exactly this pattern. *)

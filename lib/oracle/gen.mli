@@ -48,6 +48,19 @@ val rc_grid :
     (seed-dependent stride): mildly nonlinear at scale, exercising the
     sparse Newton refill and per-snapshot relinearization paths. *)
 
+val mixed_circuit : seeded -> Circuit.Netlist.t
+(** A random netlist with every element kind (R, C, L, V, I, VCCS, VCVS,
+    CCCS, diode, junction capacitance, NMOS and PMOS, NPN and PNP) in
+    random order over 3–5 nodes, each kind once plus [size] more: linear
+    elements stamp both before and after nonlinear ones on shared matrix
+    entries. About a third of the names lack their kind letter, and
+    device capacitances are sometimes zero. Sources are DC or zero-phase
+    sines. Drives the stamp-program and netlist round-trip properties. *)
+
+val mixed_state : Random.State.t -> Engine.Mna.t -> Linalg.Vec.t
+(** A random state for a system: node voltages in [−1.5, 1.5] V, branch
+    currents in [−1, 1] mA. *)
+
 val state_pole_pairs : seeded -> (float * float) array
 (** 1–2 random x-plane pole pairs [(β, α)] with centers inside [0, 1]
     and widths in [0.08, 0.45] (above the extractor's min-imag floor

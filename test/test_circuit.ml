@@ -180,22 +180,56 @@ let test_parser_errors () =
   Alcotest.(check bool) "no ground" true (expect_error "R1 a b 1k");
   Alcotest.(check bool) "comment only" true (expect_error "* nothing\n")
 
-let test_parser_roundtrip_pp () =
-  (* pp output of a parsed netlist parses again to the same component count *)
-  let nl =
-    Circuit.Parser.parse_string
-      {|
-V1 in 0 SIN(0.9 0.5 1e6)
-R1 in mid 50
-C1 mid 0 1p
-D1 mid 0 IS=1e-14 N=1 CJ=0
-|}
-  in
+(* print → parse keeps every bit that reaches the MNA system: the two
+   netlists' evaluations at one random state are bit-identical *)
+let roundtrip_differs st nl =
   let text = Format.asprintf "%a" Circuit.Netlist.pp nl in
-  let nl2 = Circuit.Parser.parse_string text in
-  Alcotest.(check int) "component count preserved"
-    (Circuit.Netlist.component_count nl)
-    (Circuit.Netlist.component_count nl2)
+  match Circuit.Parser.parse_string text with
+  | exception Circuit.Parser.Parse_error (line, msg) ->
+      Some (Printf.sprintf "line %d: %s in\n%s" line msg text)
+  | nl2 ->
+      let m1 = Engine.Mna.build nl and m2 = Engine.Mna.build nl2 in
+      let v = Oracle.Gen.mixed_state st m1 in
+      let time = Random.State.float st 1e-5 in
+      let e1 = Engine.Mna.eval m1 ~time v and e2 = Engine.Mna.eval m2 ~time v in
+      let same a b =
+        Array.length a = Array.length b
+        && Array.for_all2
+             (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+             a b
+      in
+      let mat m = Linalg.Mat.unsafe_data (Option.get m) in
+      if
+        same e1.Engine.Mna.i_vec e2.Engine.Mna.i_vec
+        && same e1.Engine.Mna.q_vec e2.Engine.Mna.q_vec
+        && same (mat e1.Engine.Mna.g_mat) (mat e2.Engine.Mna.g_mat)
+        && same (mat e1.Engine.Mna.c_mat) (mat e2.Engine.Mna.c_mat)
+      then None
+      else Some ("evaluations differ after\n" ^ text)
+
+let prop_parser_roundtrip_pp =
+  QCheck.Test.make ~count:100 ~name:"parser pp roundtrip"
+    (Oracle.Gen.arb ~max_size:4 ())
+    (fun s ->
+      let st = Oracle.Gen.rand_state s in
+      let first (nl, _, _) = nl in
+      let circuits =
+        [
+          (Oracle.Gen.rc_ladder s).Oracle.Ladder.netlist;
+          first (Oracle.Gen.rc_mesh s);
+          first (Oracle.Gen.rc_grid s);
+          Oracle.Gen.mixed_circuit s;
+        ]
+      in
+      match List.find_map (roundtrip_differs st) circuits with
+      | None -> true
+      | Some e -> QCheck.Test.fail_reportf "%s" e)
+
+(* the buffer's junction capacitances are named [Qj…], a BJT's letter *)
+let test_parser_roundtrip_buffer () =
+  match roundtrip_differs (Random.State.make [| 8 |]) (Circuits.Buffer.netlist ()) with
+  | None -> ()
+  | Some e -> Alcotest.fail e
 
 let prop_units_roundtrip =
   QCheck.Test.make ~count:100 ~name:"format_si/parse roundtrip"
@@ -225,6 +259,8 @@ let suite =
     Alcotest.test_case "parser diode defaults" `Quick test_parser_diode_defaults;
     Alcotest.test_case "parser continuation" `Quick test_parser_continuation;
     Alcotest.test_case "parser errors" `Quick test_parser_errors;
-    Alcotest.test_case "parser pp roundtrip" `Quick test_parser_roundtrip_pp;
+    Alcotest.test_case "parser pp roundtrip buffer" `Quick
+      test_parser_roundtrip_buffer;
   ]
-  @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_units_roundtrip ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false)
+      [ prop_units_roundtrip; prop_parser_roundtrip_pp ]

@@ -53,8 +53,9 @@ let slowest_pole stages =
     (fun a p -> Float.min a (Complex.norm p))
     Float.infinity (Oracle.Ladder.rc ~stages ()).Oracle.Ladder.exact.Oracle.Ladder.poles
 
-(* an 8-bit PRBS at two slowest time constants per bit, and its length *)
-let ladder_bits ~stages ~seed =
+(* a PRBS of [length] bits (8 by default) at two slowest time constants
+   per bit, and its length *)
+let ladder_bits ?(length = 8) ~stages ~seed () =
   let rate = slowest_pole stages /. 2.0 in
   ( Circuit.Netlist.Bits
       {
@@ -62,9 +63,9 @@ let ladder_bits ~stages ~seed =
         high = 0.9;
         rate;
         rise = 0.25 /. rate;
-        bits = Signal.Source.prbs_bits ~seed ~length:8;
+        bits = Signal.Source.prbs_bits ~seed ~length;
       },
-    8.0 /. rate )
+    float_of_int length /. rate )
 
 (* a uniform RC ladder, optionally with a diode to ground from the node
    that comes last in the unknown order *)
@@ -83,7 +84,7 @@ let ladder_mna ?(diode = false) ~stages wave =
 let ladder_steps = 437
 
 let ladder_prbs backend =
-  let wave, t_stop = ladder_bits ~stages:64 ~seed:5 in
+  let wave, t_stop = ladder_bits ~stages:64 ~seed:5 () in
   Tran.run ~backend (ladder_mna ~stages:64 wave) ~t_stop
     ~dt:(t_stop /. float_of_int ladder_steps)
 
@@ -91,7 +92,7 @@ let ladder_prbs backend =
    pencil changes only in the diode's entry, near the end of both
    layouts *)
 let diode_ladder_prbs backend =
-  let wave, t_stop = ladder_bits ~stages:16 ~seed:3 in
+  let wave, t_stop = ladder_bits ~stages:16 ~seed:3 () in
   Tran.run ~backend (ladder_mna ~diode:true ~stages:16 wave) ~t_stop
     ~dt:(t_stop /. 300.0)
 
@@ -117,13 +118,13 @@ let buffer_training () =
       { Tran.default_opts with Tran.snapshot_every = tr.Tft_rvf.Pipeline.snapshot_every }
     ~backend:Mna.Dense mna ~t_stop:tr.Tft_rvf.Pipeline.t_stop ~dt:tr.Tft_rvf.Pipeline.dt
 
-let ladder_training () =
+let ladder_training ?obs () =
   let f_train = slowest_pole 512 /. (2.0 *. Float.pi) /. 50.0 in
   let t_stop = 1.0 /. f_train in
   let wave =
     Circuit.Netlist.Sine { offset = 0.5; ampl = 0.4; freq = f_train; phase = 0.0 }
   in
-  Tran.run
+  Tran.run ?obs
     ~opts:{ Tran.default_opts with Tran.snapshot_every = 4 }
     ~backend:Mna.Sparse (ladder_mna ~stages:512 wave) ~t_stop ~dt:(t_stop /. 100.0)
 
@@ -212,6 +213,34 @@ let test_reuse_counted backend () =
   Alcotest.(check int) "one ulp away refactors" 2 factorizations;
   Alcotest.(check int) "the rest reuse" (iters - 2) reuses
 
+(* The 512-stage ladder's reference transient at the benchmark's scale:
+   a 32-bit PRBS in 2,560 steps. t_k = k·dt rounds h = t_k − t_(k−1) to a
+   dozen distinct values, and consecutive steps alternate between two
+   of them; the two held factorizations miss only at a new value. Its
+   training transient's step sizes differ in their last bits, which α·C
+   is too small against G to carry into J: one pencil for the DC solve
+   and one for every step. *)
+let test_ladder_reference_factorizations () =
+  let wave, t_stop = ladder_bits ~length:32 ~stages:512 ~seed:77 () in
+  let obs = Obs.create () in
+  ignore
+    (Tran.run ~obs ~backend:Mna.Sparse (ladder_mna ~stages:512 wave) ~t_stop
+       ~dt:(t_stop /. 2560.0));
+  let iters, reuses, factorizations = lu_counts obs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d factorizations (bound 16)" factorizations)
+    true (factorizations <= 16);
+  Alcotest.(check int) "factorizations + reuses = iterations" iters
+    (factorizations + reuses);
+  let obs = Obs.create () in
+  ignore (ladder_training ~obs ());
+  let iters, reuses, factorizations = lu_counts obs in
+  Alcotest.(check bool)
+    (Printf.sprintf "training: %d factorizations (bound 2)" factorizations)
+    true (factorizations <= 2);
+  Alcotest.(check int) "training: factorizations + reuses = iterations" iters
+    (factorizations + reuses)
+
 (* every factorization raises, so each Newton run ends at its first
    iteration. With gmin_final above every stepping level, all ten runs
    (the plain one and nine gmin levels) assemble the same pencil: each
@@ -233,33 +262,158 @@ let test_raised_never_reused (backend, site) () =
   Alcotest.(check int) "one factorization per iteration" iters factorizations;
   Alcotest.(check int) "plain run and nine gmin levels" 10 iters
 
+(* ---------------- the stamp program against the reference ---------------- *)
+
+let bits x = Int64.bits_of_float x
+
+(* the first index where two arrays differ in any bit *)
+let first_difference a b =
+  let k = ref 0 and n = Array.length a in
+  if Array.length b <> n then Some (-1)
+  else begin
+    while !k < n && Int64.equal (bits a.(!k)) (bits b.(!k)) do
+      incr k
+    done;
+    if !k = n then None else Some !k
+  end
+
+(* [Mna]'s dense and sparse assemblies, charge pass and allocating
+   evaluations against {!Ref_stamp}, bit for bit, at three random states
+   in turn: the assemblies are reused, so an entry the previous state
+   left behind would show. [Error] names the first difference. *)
+let stamp_parity st nl =
+  let mna = Mna.build nl in
+  let n = Mna.size mna in
+  let dense = Mna.dense_assembly mna in
+  let ctx = Mna.sparse_ctx mna in
+  let sparse = Mna.sparse_assembly ctx in
+  let pat = Mna.sparse_pattern ctx in
+  let errors = ref [] in
+  let same what expected actual =
+    match first_difference expected actual with
+    | None -> ()
+    | Some k -> errors := Printf.sprintf "%s differs at %d" what k :: !errors
+  in
+  (* a CSC value array spread over the dense layout; the entries outside
+     the pattern stay +0, which the reference must also hold *)
+  let spread vals =
+    let m = Array.make (n * n) 0.0 in
+    for c = 0 to n - 1 do
+      for p = pat.Linalg.Sp.colptr.(c) to pat.Linalg.Sp.colptr.(c + 1) - 1 do
+        m.((pat.Linalg.Sp.rowind.(p) * n) + c) <- vals.(p)
+      done
+    done;
+    m
+  in
+  for round = 1 to 3 do
+    let v = Oracle.Gen.mixed_state st mna in
+    let time = Random.State.float st 1e-5 in
+    let r = Ref_stamp.eval nl ~time v in
+    let tag what = Printf.sprintf "state %d: %s" round what in
+    Mna.assemble mna dense ~time v;
+    same (tag "dense i") r.Ref_stamp.i_vec (Mna.residual dense);
+    same (tag "dense q") r.Ref_stamp.q_vec (Mna.charge dense);
+    same (tag "dense G") r.Ref_stamp.g (Mna.g_values dense);
+    same (tag "dense C") r.Ref_stamp.c (Mna.c_values dense);
+    Mna.assemble mna sparse ~time v;
+    same (tag "sparse i") r.Ref_stamp.i_vec (Mna.residual sparse);
+    same (tag "sparse q") r.Ref_stamp.q_vec (Mna.charge sparse);
+    same (tag "sparse G") r.Ref_stamp.g (spread (Mna.g_values sparse));
+    same (tag "sparse C") r.Ref_stamp.c (spread (Mna.c_values sparse));
+    let q = Array.make n Float.nan in
+    Mna.charge_into mna dense v q;
+    same (tag "charge_into") r.Ref_stamp.q_vec q;
+    let ev = Mna.eval mna ~time v in
+    same (tag "eval i") r.Ref_stamp.i_vec ev.Mna.i_vec;
+    same (tag "eval q") r.Ref_stamp.q_vec ev.Mna.q_vec;
+    same (tag "eval G") r.Ref_stamp.g (Linalg.Mat.unsafe_data (Option.get ev.Mna.g_mat));
+    same (tag "eval C") r.Ref_stamp.c (Linalg.Mat.unsafe_data (Option.get ev.Mna.c_mat));
+    let ev = Mna.eval mna ~with_matrices:false ~time v in
+    same (tag "eval i, no matrices") r.Ref_stamp.i_vec ev.Mna.i_vec;
+    same (tag "eval q, no matrices") r.Ref_stamp.q_vec ev.Mna.q_vec
+  done;
+  match List.rev !errors with [] -> Ok () | e :: _ -> Error e
+
+let prop_stamp_program =
+  QCheck.Test.make ~count:150 ~name:"stamp program equals per-element stamps"
+    (Oracle.Gen.arb ~max_size:6 ())
+    (fun s ->
+      let nl = Oracle.Gen.mixed_circuit s in
+      match stamp_parity (Oracle.Gen.rand_state s) nl with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_reportf "%s" e)
+
+(* the buffer's load resistors stamp after the pair transistors on the
+   drain nodes: entries shared by linear and nonlinear stamps *)
+let test_stamp_program_buffer () =
+  match stamp_parity (Random.State.make [| 25 |]) (Circuits.Buffer.netlist ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 (* ---------------- allocation bounds ---------------- *)
 
-let words_of f =
-  let b0 = Gc.allocated_bytes () in
+(* words allocated by [f]: the minor heap's exact count plus the words
+   allocated directly in the major heap (major − promoted). The
+   runtime's [Gc.allocated_bytes] is not used: it reads the minor heap's
+   share in words, not bytes, and so under-counts small allocations
+   eightfold. *)
+let raw_words f =
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let m0 = Gc.minor_words () and d0 = direct_major () in
   f ();
-  (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
+  Gc.minor_words () -. m0 +. (direct_major () -. d0)
 
-(* a step stores its state (n + 1 words) and a few constant-size
-   records; the workspace's n×n arrays amortize over the run *)
+(* less what the reading itself allocates (its boxed floats and tuples) *)
+let words_of f = raw_words f -. raw_words ignore
+
+(* a step stores its state (n + 1 words) and allocates a few
+   constant-size results; the workspace amortizes over the run, so the
+   per-step figure is the difference between runs of 800 and 400 steps
+   at one step size (the first 400 steps are the same) *)
+(* words a transient step allocates beyond its state, measured on this
+   test's ladder on either backend: its Newton solve's closures and
+   results, the boxed step time and α, and the output row *)
+let per_step_beyond_state = 62.0
+
 let test_tran_step_allocation () =
-  let steps = 400 in
   let mna =
     ladder_mna ~stages:100
       (Circuit.Netlist.Sine { offset = 0.5; ampl = 0.4; freq = 1e3; phase = 0.0 })
   in
   let n = Mna.size mna in
-  let run () =
-    ignore
-      (Tran.run ~backend:Mna.Dense mna ~t_stop:1e-3
-         ~dt:(1e-3 /. float_of_int steps))
+  let dt = 2.5e-6 in
+  List.iter
+    (fun backend ->
+      let run steps () =
+        ignore
+          (Tran.run ~backend mna ~t_stop:(float_of_int steps *. dt) ~dt)
+      in
+      run 400 ();
+      let per_step = (words_of (run 800) -. words_of (run 400)) /. 400.0 in
+      let bound = float_of_int (n + 1) +. (1.25 *. per_step_beyond_state) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f words per step (bound n + 1 + 1.25 × %.0f = %.1f)"
+           per_step per_step_beyond_state bound)
+        true (per_step <= bound))
+    [ Mna.Dense; Mna.Sparse ]
+
+(* one stamp pass of the buffer: the devices evaluate in place and the
+   linear elements run from data, so what is left is the boxed values
+   of the time-dependent sources *)
+let test_assemble_allocation () =
+  let mna =
+    Circuits.Buffer.mna ~input_wave:(Circuits.Buffer.bit_wave ~length:8 ()) ()
   in
-  run ();
-  let per_step = words_of run /. float_of_int steps in
+  let a = Mna.dense_assembly mna in
+  let v = Array.init (Mna.size mna) (fun k -> 0.1 *. float_of_int (k mod 13)) in
+  Mna.assemble mna a ~time:1e-10 v;
+  let w = words_of (fun () -> Mna.assemble mna a ~time:1e-10 v) in
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f words per step (bound 10n = %d)" per_step (10 * n))
-    true
-    (per_step <= float_of_int (10 * n))
+    (Printf.sprintf "Mna.assemble: %.0f words on the buffer (bound 32)" w)
+    true (w <= 32.0)
 
 let test_kernel_allocation () =
   let mna = linear_ladder ~stages:512 () in
@@ -291,6 +445,12 @@ let suite =
       (test_raised_never_reused (Mna.Dense, "lu.pivot_zero"));
     Alcotest.test_case "raised never reused sparse" `Quick
       (test_raised_never_reused (Mna.Sparse, "sp.singular"));
+    Alcotest.test_case "stamp program buffer" `Quick test_stamp_program_buffer;
+    QCheck_alcotest.to_alcotest ~long:false prop_stamp_program;
+    Alcotest.test_case "ladder reference factorizations" `Quick
+      test_ladder_reference_factorizations;
     Alcotest.test_case "tran step allocation" `Quick test_tran_step_allocation;
+    Alcotest.test_case "assemble allocation" `Quick test_assemble_allocation;
     Alcotest.test_case "kernel allocation" `Quick test_kernel_allocation;
   ]
+
