@@ -79,21 +79,28 @@ let read_fit_artifact path =
 let equations (o : Tft_rvf.Pipeline.outcome) =
   Hammerstein.Hmodel.equations o.Tft_rvf.Pipeline.model
 
-let rung_of report =
-  Option.value ~default:"<none>" (Diag.find_note report "pipeline.ladder_rung")
+let note hub name = List.assoc_opt name (Obs.notes hub)
+
+let rung_of hub =
+  Option.value ~default:"<none>" (note hub "pipeline.ladder_rung")
+
+let error_messages hub =
+  List.filter_map
+    (fun (kind, stage, message) ->
+      if kind = `Error then Some (stage ^ ": " ^ message) else None)
+    (Obs.messages hub)
 
 let reference () =
   match run () with
-  | Some o, report -> (equations o, rung_of report)
-  | None, report ->
+  | Some o, hub -> (equations o, rung_of hub)
+  | None, hub ->
       List.iter
-        (fun (e : Diag.event) ->
-          Printf.eprintf "  %s: %s\n" e.Diag.stage e.Diag.message)
-        report.Diag.events;
+        (fun (_, stage, message) -> Printf.eprintf "  %s: %s\n" stage message)
+        (Obs.messages hub);
       prerr_endline "chaos_check: reference extraction failed; cannot soak";
       exit 1
 
-let check_identical ~what ~ref_eq ~ref_rung outcome report =
+let check_identical ~what ~ref_eq ~ref_rung outcome hub =
   match outcome with
   | None ->
       fail "%s: resumed extraction produced no model" what;
@@ -101,24 +108,24 @@ let check_identical ~what ~ref_eq ~ref_rung outcome report =
   | Some o ->
       if equations o <> ref_eq then
         fail "%s: resumed model differs from the uninterrupted run" what;
-      let rung = rung_of report in
+      let rung = rung_of hub in
       if rung <> ref_rung then
         fail "%s: ladder rung %S differs from reference %S" what rung ref_rung;
       Some o
 
-let loaded_stages report =
+let loaded_stages hub =
   List.filter
-    (fun stage -> Diag.find_note report ("checkpoint." ^ stage) = Some "loaded")
+    (fun stage -> note hub ("checkpoint." ^ stage) = Some "loaded")
     [ "train"; "tft"; "fit-o0" ]
 
 (* --- scenario: clean checkpointed run == checkpoint-disabled run ------ *)
 
 let check_clean_checkpointed ~ref_eq ~ref_rung =
   let dir = fresh_dir () in
-  let outcome, report = run ~checkpoint_dir:dir () in
-  ignore (check_identical ~what:"clean-checkpointed" ~ref_eq ~ref_rung outcome
-            report);
-  if loaded_stages report <> [] then
+  let outcome, hub = run ~checkpoint_dir:dir () in
+  ignore
+    (check_identical ~what:"clean-checkpointed" ~ref_eq ~ref_rung outcome hub);
+  if loaded_stages hub <> [] then
     fail "clean-checkpointed: fresh run claims to have loaded a checkpoint";
   let fit_file = Filename.concat dir "fit-o0.ckpt.json" in
   if not (Sys.file_exists fit_file) then begin
@@ -146,15 +153,15 @@ let check_kill_resume ~ref_eq ~ref_rung ~ref_fit_bytes n =
         fail "%s: crashed after %d stores, expected %d" what stores n
   | _, _ -> fail "%s: armed crash never fired" what);
   ignore (Checkpoint.disarm_kill ());
-  let outcome, report = run ~checkpoint_dir:dir () in
-  ignore (check_identical ~what ~ref_eq ~ref_rung outcome report);
+  let outcome, hub = run ~checkpoint_dir:dir () in
+  ignore (check_identical ~what ~ref_eq ~ref_rung outcome hub);
   let expected =
     match n with
     | 1 -> [ "train" ]
     | 2 -> [ "train"; "tft" ]
     | _ -> [ "train"; "tft"; "fit-o0" ]
   in
-  let loaded = loaded_stages report in
+  let loaded = loaded_stages hub in
   if loaded <> expected then
     fail "%s: resumed from [%s], expected [%s]" what
       (String.concat "," loaded)
@@ -185,21 +192,20 @@ let check_torn_write ~ref_eq ~ref_rung =
         fail "%s: in-memory model of the torn run differs" what
   | None, _ -> fail "%s: torn store failed the extraction itself" what);
   (* the torn file must be typed-rejected, warned about, and recomputed *)
-  let outcome, report = run ~checkpoint_dir:dir () in
-  ignore (check_identical ~what ~ref_eq ~ref_rung outcome report);
+  let outcome, hub = run ~checkpoint_dir:dir () in
+  ignore (check_identical ~what ~ref_eq ~ref_rung outcome hub);
   let warned =
     List.exists
-      (fun (e : Diag.event) ->
-        e.Diag.level = Diag.Warning
-        && e.Diag.stage = "pipeline.checkpoint"
-        && String.length e.Diag.message >= 8
-        && String.sub e.Diag.message 0 8 = "rejected")
-      report.Diag.events
+      (fun (kind, stage, message) ->
+        kind = `Warning
+        && stage = "pipeline.checkpoint"
+        && String.starts_with ~prefix:"rejected" message)
+      (Obs.messages hub)
   in
   if not warned then
     fail "%s: no rejected-artifact warning on resume (silent acceptance?)"
       what;
-  if List.mem "train" (loaded_stages report) then
+  if List.mem "train" (loaded_stages hub) then
     fail "%s: torn train artifact was loaded as-is" what;
   rm_dir dir;
   Printf.printf "  %-28s typed rejection + recompute\n%!" what
@@ -215,23 +221,15 @@ let check_deadline_resume ~ref_eq ~ref_rung ~deadline =
       (* generous deadlines can let the run finish; that is not a
          failure of the supervisor, just a fast host *)
       ()
-  | None, report ->
-      if not (Diag.has_errors report) then
+  | None, hub ->
+      if error_messages hub = [] then
         fail "%s: no model and no Error event — interrupt was silent" what);
-  let outcome, report = run ~checkpoint_dir:dir () in
-  ignore (check_identical ~what ~ref_eq ~ref_rung outcome report);
+  let outcome, hub = run ~checkpoint_dir:dir () in
+  ignore (check_identical ~what ~ref_eq ~ref_rung outcome hub);
   rm_dir dir;
   Printf.printf "  %-28s resumed to a bit-identical model\n%!" what
 
 (* --- scenario: hang sites reaped by their stage budget ----------------- *)
-
-let error_messages report =
-  List.filter_map
-    (fun (e : Diag.event) ->
-      if e.Diag.level = Diag.Error then
-        Some (e.Diag.stage ^ ": " ^ e.Diag.message)
-      else None)
-    report.Diag.events
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -260,8 +258,8 @@ let check_hang_reaped ~site ~budgets ~domains () =
       fail "%s: exception escaped the supervisor: %s" site
         (Printexc.to_string e)
   | Ok (Some _, _) -> fail "%s: returned a model after a tripped deadline" site
-  | Ok (None, report) -> (
-      match error_messages report with
+  | Ok (None, hub) -> (
+      match error_messages hub with
       | [] -> fail "%s: hang produced no Error event" site
       | msgs ->
           if not (List.exists (contains ~needle:"Deadline_exceeded") msgs)
@@ -320,7 +318,7 @@ let check_sparse_escalation ~site () =
       fail "%s: exception escaped the non-raising pipeline: %s" site
         (Printexc.to_string e)
   | Ok (None, _) -> fail "%s: sparse fault defeated the dense escalation" site
-  | Ok (Some outcome, report) ->
+  | Ok (Some outcome, hub) ->
       let se =
         Tft_rvf.Report.surface_error ~model:outcome.Tft_rvf.Pipeline.model
           ~dataset:outcome.Tft_rvf.Pipeline.dataset ~input:0 ~output:0
@@ -330,7 +328,7 @@ let check_sparse_escalation ~site () =
           (Float.is_finite se.Tft_rvf.Report.rms
           && Float.is_finite se.Tft_rvf.Report.max_err)
       then fail "%s: escalated model evaluates to NaN/Inf" site;
-      let fallbacks = Diag.counter report "pipeline.sparse_fallbacks" in
+      let fallbacks = Obs.counter hub "pipeline.sparse_fallbacks" in
       if site = "sp.singular" && fallbacks = 0 then
         fail "%s: recovery did not record a sparse fallback" site;
       Printf.printf "  %-28s recovered (%d dense fallback(s))\n%!" site

@@ -62,27 +62,22 @@ let sweep_site (site : Fault.site) =
   | Error e ->
       fail "%s: exception escaped the non-raising pipeline: %s" name
         (Printexc.to_string e)
-  | Ok (Some outcome, report) ->
+  | Ok (Some outcome, hub) ->
       if not (finite_model outcome) then
         fail "%s: recovered model evaluates to NaN/Inf (silent corruption)"
           name;
       Printf.printf "  %-24s recovered (%d retries, rung %s)\n%!" name
-        (Diag.counter report "pipeline.fit_retries")
+        (Obs.counter hub "pipeline.fit_retries")
         (Option.value ~default:"base"
-           (Diag.find_note report "pipeline.ladder_rung"))
-  | Ok (None, report) ->
-      if not (Diag.has_errors report) then
-        fail "%s: no model and no Error event — failure was silent" name;
-      let first =
-        match
-          List.filter
-            (fun (e : Diag.event) -> e.Diag.level = Diag.Error)
-            report.Diag.events
-        with
-        | e :: _ -> Printf.sprintf "%s: %s" e.Diag.stage e.Diag.message
-        | [] -> ""
+           (List.assoc_opt "pipeline.ladder_rung" (Obs.notes hub)))
+  | Ok (None, hub) -> (
+      let errors =
+        List.filter (fun (kind, _, _) -> kind = `Error) (Obs.messages hub)
       in
-      Printf.printf "  %-24s typed error (%s)\n%!" name first
+      match errors with
+      | [] -> fail "%s: no model and no Error event — failure was silent" name
+      | (_, stage, message) :: _ ->
+          Printf.printf "  %-24s typed error (%s: %s)\n%!" name stage message)
 
 (* --- CLI failure contract (subprocess) ------------------------------ *)
 
@@ -136,6 +131,10 @@ let error_object ~what text =
             fail "%s: error object missing error.message" what;
           if Minijson.arr_field root "events" = None then
             fail "%s: error object missing events array" what;
+          if Minijson.num_field root "fit_retries" = None then
+            fail "%s: error object missing numeric fit_retries" what;
+          if Minijson.obj_field root "notes" = None then
+            fail "%s: error object missing notes object" what;
           Some root)
 
 let check_cli_error_json exe =

@@ -1,17 +1,18 @@
 (* Observability-bundle smoke: drive `tft_extract --obs-dir` on the
    built-in buffer circuit across 2 domains, validate the written
-   bundle end-to-end with the typed loader, check what each collector's
-   file means — diag.json (pipeline stage spans, transient counters,
-   VF stats, the ladder-rung note), trace.json (well-formed nested
-   spans on one named track per domain, non-negative self times) and
-   metrics.json (work counters, timing histograms, ascending buckets,
-   one factorization or one pencil reuse per Newton iteration) —
-   check the convergence stream actually carries the algorithmic
-   telemetry (per-iteration VF pole positions, rcond samples, stage
-   boundaries, a settled pole count), render it through obs_report,
-   and confirm obs_report rejects a deliberately corrupted bundle with
-   a nonzero exit. Schema versions, field types and histogram bucket
-   sums are the loader's job and are not re-checked here.
+   bundle end-to-end with the typed loader, check what each file
+   means — trace.json (the three pipeline stage spans, well-formed
+   nested spans on one named track per domain, non-negative self
+   times) and metrics.json (transient work counters, VF and timing
+   histograms, ascending buckets, one factorization or one pencil
+   reuse per Newton iteration) — check the convergence stream actually
+   carries the algorithmic telemetry (per-iteration VF pole positions,
+   rcond samples, stage boundaries, a settled pole count, the
+   ladder-rung note), render it through obs_report (whose event table
+   must show that note), and confirm obs_report rejects a deliberately
+   corrupted bundle with a nonzero exit. Schema versions, field types
+   and histogram bucket sums are the loader's job and are not
+   re-checked here.
 
    Exits 0 and prints "obs ok" on success. Wired into `dune runtest`
    as the @obs-smoke alias. *)
@@ -56,54 +57,6 @@ let events_of_kind kind (bundle : Obs_bundle.t) =
   List.filter
     (fun e -> Minijson.str_field e "type" = Some kind)
     bundle.Obs_bundle.events
-
-(* --- diag.json: the per-stage narrative ----------------------------- *)
-
-let check_diag root =
-  let spans = Option.value ~default:[] (Minijson.arr_field root "spans") in
-  let stages =
-    List.filter_map (fun sp -> Minijson.str_field sp "stage") spans
-  in
-  if List.length stages <> List.length spans then
-    fail "diag: a span is missing its stage";
-  List.iter
-    (fun sp ->
-      match Minijson.num_field sp "seconds" with
-      | Some sec when sec >= 0.0 -> ()
-      | Some _ -> fail "diag: negative span duration"
-      | None -> fail "diag: a span is missing its seconds")
-    spans;
-  List.iter
-    (fun stage ->
-      if not (List.mem stage stages) then
-        fail "diag: missing pipeline span %S" stage)
-    [ "pipeline.train"; "pipeline.tft"; "pipeline.fit" ];
-  let counters =
-    Option.value ~default:[] (Minijson.obj_field root "counters")
-  in
-  let counter name =
-    Option.value ~default:0.0
-      (Option.bind (List.assoc_opt name counters) Minijson.as_num)
-  in
-  let steps = counter "tran.steps" in
-  if steps <= 0.0 then fail "diag: tran.steps missing or zero";
-  if counter "tran.newton_iterations" < steps then
-    fail
-      "diag: tran.newton_iterations < tran.steps (per-step counting \
-       regressed)";
-  let stats = Option.value ~default:[] (Minijson.arr_field root "stats") in
-  if
-    not
-      (List.exists
-         (fun st ->
-           match Minijson.str_field st "name" with
-           | Some nm -> String.length nm >= 3 && String.sub nm 0 3 = "vf."
-           | None -> false)
-         stats)
-  then fail "diag: no vector-fitting stats recorded";
-  let notes = Option.value ~default:[] (Minijson.obj_field root "notes") in
-  if not (List.mem_assoc "pipeline.ladder_rung" notes) then
-    fail "diag: missing pipeline.ladder_rung note"
 
 (* --- trace.json: the span tree --------------------------------------- *)
 
@@ -160,6 +113,11 @@ let check_trace root =
   let names = distinct (fun sp -> sp.name) in
   if List.length names < 5 then
     fail "trace: only %d distinct span names (want >= 5)" (List.length names);
+  List.iter
+    (fun stage ->
+      if not (List.mem stage names) then
+        fail "trace: missing pipeline span %S" stage)
+    [ "pipeline.train"; "pipeline.tft"; "pipeline.fit" ];
   let tids = distinct (fun sp -> sp.tid) in
   if List.length tids < 2 then
     fail "trace: only %d track(s) (want >= 2 with --domains 2)"
@@ -227,15 +185,19 @@ let check_metrics root =
       | Some n when n > 0.0 -> ()
       | _ -> fail "metrics: %s missing or zero" name)
     [ "tran.steps"; "tran.newton_iterations" ];
-  let hists = Option.value ~default:[] (Minijson.arr_field root "histograms") in
-  if hists = [] then fail "metrics: no histograms";
-  (* every Newton iteration either factors its pencil or reuses the
-     held factorization: a path that does neither cannot hide. An
-     absent counter or histogram counts as 0. *)
+  (* an absent counter or histogram counts as 0 *)
   let count name =
     Option.value ~default:0.0
       (Option.bind (List.assoc_opt name counters) Minijson.as_num)
   in
+  if count "tran.newton_iterations" < count "tran.steps" then
+    fail
+      "metrics: tran.newton_iterations < tran.steps (per-step counting \
+       regressed)";
+  let hists = Option.value ~default:[] (Minijson.arr_field root "histograms") in
+  if hists = [] then fail "metrics: no histograms";
+  (* every Newton iteration either factors its pencil or reuses the
+     held factorization: a path that does neither cannot hide *)
   let samples name =
     List.fold_left
       (fun acc h ->
@@ -260,6 +222,8 @@ let check_metrics root =
       if not (List.mem name hist_names) then
         fail "metrics: missing histogram %S" name)
     [ "ac.pencil_solve_ns"; "dc.lu_factor_ns"; "tran.newton_iters_per_step" ];
+  if not (List.exists (String.starts_with ~prefix:"vf.") hist_names) then
+    fail "metrics: no vector-fitting histograms recorded";
   List.iter
     (fun h ->
       let name = Option.value ~default:"?" (Minijson.str_field h "name") in
@@ -331,6 +295,12 @@ let check_stream (bundle : Obs_bundle.t) =
   if events_of_kind "vf_settled" bundle = [] then
     fail "no vf_settled event: fit_auto escalation left no record";
   if events_of_kind "stage" bundle = [] then fail "no stage boundary events";
+  if
+    not
+      (List.exists
+         (fun e -> Minijson.str_field e "name" = Some "pipeline.ladder_rung")
+         (events_of_kind "note" bundle))
+  then fail "no pipeline.ladder_rung note in convergence.jsonl";
   let rconds = events_of_kind "rcond" bundle in
   let sites =
     List.sort_uniq compare
@@ -362,7 +332,8 @@ let check_report out_dir =
     (fun needle ->
       if not (contains html needle) then
         fail "report.html missing %S" needle)
-    [ "<svg"; "Pole migration"; "Residual decay"; "Self time" ];
+    [ "<svg"; "Pole migration"; "Residual decay"; "Self time";
+      "pipeline.ladder_rung" ];
   let om = read_file (Filename.concat out_dir "metrics.om") in
   let n = String.length om in
   if n < 6 || String.sub om (n - 6) 6 <> "# EOF\n" then
@@ -413,7 +384,6 @@ let () =
   end;
   (match Obs_bundle.load dir with
   | bundle ->
-      check_diag bundle.Obs_bundle.diag;
       check_trace bundle.Obs_bundle.trace;
       check_metrics bundle.Obs_bundle.metrics;
       check_stream bundle;

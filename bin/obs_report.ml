@@ -3,7 +3,7 @@
 
      obs_report BUNDLE_DIR [-o OUTDIR]
 
-   Loads and validates the bundle (manifest, trace, metrics, diag,
+   Loads and validates the bundle (manifest, trace, metrics,
    convergence.jsonl), then writes a self-contained HTML report —
    pole-migration SVG across VF iterations and recursion levels,
    residual-decay and rcond curves, a self-time table and histogram

@@ -5,11 +5,10 @@
        --fmin 1e4 --fmax 1e9 -o model.va
 
    `--builtin buffer` swaps the netlist file for the programmatic
-   Section-IV buffer example. `--obs-dir DIR` attaches one
-   observability hub that feeds every telemetry channel and writes the
-   run's complete record into DIR as a schema-versioned bundle
-   (manifest, trace, metrics, diag, convergence.jsonl — and, on
-   failure, a replayable repro capsule) renderable with `obs_report`.
+   Section-IV buffer example. `--obs-dir DIR` writes the record of the
+   run's observability hub into DIR as a schema-versioned bundle
+   (manifest, trace, metrics, convergence.jsonl — and, on failure, a
+   replayable repro capsule) renderable with `obs_report`.
    `--fault SITE[:seed]` arms one deterministic fault-injection probe
    (`--fault list` prints the registry); the numerical checks that
    repair or report what it corrupts are always on. `--backend sparse`
@@ -55,15 +54,15 @@ let list_fault_sites () =
 (* Print the structured error object and exit nonzero: the one failure
    path shared by the raising and non-raising pipelines and the input
    checks. *)
-let fail_with_error_json report =
-  prerr_string (Tft_rvf.Report.error_json report);
+let fail_with_error_json hub =
+  prerr_string (Tft_rvf.Report.error_json hub);
   exit 1
 
-(* a failure outside the pipeline, reported as a one-event report *)
+(* a failure outside the pipeline, reported as a one-error hub *)
 let fail ~stage message =
-  let d = Diag.create () in
-  Diag.error (Some d) ~stage message;
-  fail_with_error_json (Diag.report d)
+  let hub = Obs.create () in
+  Obs.error (Some hub) ~stage message;
+  fail_with_error_json hub
 
 let report_fault_stats () =
   match Fault.disarm () with
@@ -196,16 +195,15 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
   end
   else begin
     (* an obs bundle, an armed fault or a deadline: run the non-raising
-       pipeline so a failed extraction still produces its report and
+       pipeline so a failed extraction still produces its hub and
        bundle — and a structured error object *)
-    let obs = Option.map (fun _ -> Obs.create ()) obs_dir in
-    let outcome, report =
-      Tft_rvf.Pipeline.try_extract ?cancel ?checkpoint_dir ?obs ~config
-        ~netlist ~input ~output:out_spec ()
+    let outcome, hub =
+      Tft_rvf.Pipeline.try_extract ?cancel ?checkpoint_dir ~config ~netlist
+        ~input ~output:out_spec ()
     in
     report_fault_stats ();
-    (match (obs_dir, obs) with
-    | Some dir, Some o ->
+    (match obs_dir with
+    | Some dir ->
         let num_i n = Minijson.Num (float_of_int n) in
         let config_json =
           [
@@ -268,16 +266,23 @@ let run netlist_path builtin input output output_diff train_freq train_ampl
                  ])
           else None
         in
-        Obs_bundle.write ~dir ~manifest ?repro o;
-        Printf.eprintf "wrote obs bundle to %s\n%!" dir;
-        if verbose then begin
-          prerr_string (Trace.summary (Obs.tracer o));
-          prerr_string (Metrics.summary (Metrics.snapshot (Obs.metrics o)))
-        end
-    | _, _ -> ());
-    if verbose then prerr_string (Tft_rvf.Report.diag_summary report);
+        Obs_bundle.write ~dir ~manifest ?repro hub;
+        Printf.eprintf "wrote obs bundle to %s\n%!" dir
+    | None -> ());
+    if verbose then begin
+      prerr_string (Trace.summary (Obs.tracer hub));
+      prerr_string (Metrics.summary (Metrics.snapshot (Obs.metrics hub)));
+      List.iter (fun (k, v) -> Printf.eprintf "note %s: %s\n" k v)
+        (Obs.notes hub);
+      List.iter
+        (fun (kind, stage, message) ->
+          Printf.eprintf "%s %s: %s\n"
+            (match kind with `Warning -> "warning" | `Error -> "error")
+            stage message)
+        (Obs.messages hub)
+    end;
     match outcome with
-    | None -> fail_with_error_json report
+    | None -> fail_with_error_json hub
     | Some outcome ->
         print_string (Tft_rvf.Report.summary outcome);
         export_model ~export_format ~out_path outcome.Tft_rvf.Pipeline.model
@@ -379,12 +384,12 @@ let obs_dir_arg =
           "Write the run's complete observability bundle into $(docv) \
            (created if missing): manifest.json (schema version, host \
            shape, seed, configuration), trace.json, metrics.json, \
-           diag.json, convergence.jsonl (per-iteration VF pole \
-           positions, sigma residuals, rcond series, escalations) and — \
-           on failure — repro.json, a replayable capsule. One hub feeds \
-           every channel. Open trace.json in Perfetto (ui.perfetto.dev) \
-           or chrome://tracing; render the whole bundle with \
-           $(b,obs_report). Implies the non-raising pipeline.")
+           convergence.jsonl (per-iteration VF pole positions, sigma \
+           residuals, rcond series, escalations, notes, warnings and \
+           errors) and — on failure — repro.json, a replayable capsule. \
+           One hub feeds every file. Open trace.json in Perfetto \
+           (ui.perfetto.dev) or chrome://tracing; render the whole bundle \
+           with $(b,obs_report). Implies the non-raising pipeline.")
 
 let fault_arg =
   Arg.(
@@ -440,9 +445,9 @@ let verbose_arg =
     value & flag
     & info [ "v"; "verbose" ]
         ~doc:
-          "Log fitting progress and print the diagnostics summary to \
-           stderr; with $(b,--obs-dir), also the trace and metrics \
-           summaries.")
+          "Log fitting progress and print the trace and metrics \
+           summaries, then every note, warning and error of the run, to \
+           stderr.")
 
 let cmd =
   let doc =

@@ -92,5 +92,3 @@ let integrate_term term =
       ( None,
         Printf.sprintf "no closed form for %s (manual/numeric integration needed)"
           (term_to_string fs) )
-
-let equal a b = simplify a = simplify b

@@ -34,5 +34,3 @@ val integrate_term : term -> (float -> float) option * string
     terms require numeric integration and mark the model as not fully
     automated. The string describes the antiderivative (or explains the
     failure). *)
-
-val equal : term -> term -> bool

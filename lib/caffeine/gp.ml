@@ -34,15 +34,6 @@ let eval f x =
     f.terms;
   !acc
 
-let to_string f =
-  let buf = Buffer.create 128 in
-  Printf.bprintf buf "%.6g" f.weights.(0);
-  Array.iteri
-    (fun j term ->
-      Printf.bprintf buf " %+.6g*%s" f.weights.(j + 1) (Cexpr.term_to_string term))
-    f.terms;
-  Buffer.contents buf
-
 (* ---- random structure generation, range-aware constants ---- *)
 
 let random_factor st ~lo ~hi =

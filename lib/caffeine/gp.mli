@@ -30,5 +30,3 @@ val eval : fitted -> float -> float
 
 val fit : ?params:params -> xs:float array -> ys:float array -> unit -> fitted
 (** Evolve an expression fitting [ys.(k) ≈ f(xs.(k))]. *)
-
-val to_string : fitted -> string

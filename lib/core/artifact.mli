@@ -10,18 +10,7 @@
 
 (** {2 Primitives} *)
 
-val json_of_float : float -> Minijson.t
-val float_of_json : Minijson.t -> float
-val json_of_floats : float array -> Minijson.t
-val floats_of_json : Minijson.t -> float array
-val json_of_vec : Linalg.Vec.t -> Minijson.t
-val vec_of_json : Minijson.t -> Linalg.Vec.t
 val json_of_mat : Linalg.Mat.t -> Minijson.t
-val mat_of_json : Minijson.t -> Linalg.Mat.t
-val json_of_cmat : Linalg.Cmat.t -> Minijson.t
-val cmat_of_json : Minijson.t -> Linalg.Cmat.t
-val json_of_complexes : Complex.t array -> Minijson.t
-val complexes_of_json : Minijson.t -> Complex.t array
 
 (** {2 Stage payloads} *)
 
@@ -80,5 +69,4 @@ val render_wave : Circuit.Netlist.wave -> string
 val render_output : Engine.Mna.output -> string
 val render_float : float -> string
 val render_floats : float array -> string
-val render_vfit_opts : Vf.Vfit.opts -> string
 val render_rvf_config : Rvf.config -> string

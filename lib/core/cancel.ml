@@ -85,17 +85,6 @@ let check t ~site =
           let now = Clock.now () in
           List.iter (fun sc -> if now > sc.expires then trip site sc now) scopes)
 
-let expired = function
-  | None -> false
-  | Some t -> (
-      Atomic.get t.flag
-      ||
-      match t.scopes with
-      | [] -> false
-      | scopes ->
-          let now = Clock.now () in
-          List.exists (fun sc -> now > sc.expires) scopes)
-
 let remaining = function
   | None -> Float.infinity
   | Some t -> (

@@ -45,9 +45,6 @@ val check : t option -> site:string -> unit
     cancellation was requested, or {!Deadline_exceeded} when an armed
     scope has expired. *)
 
-val expired : t option -> bool
-(** Non-raising poll: cancellation requested or any deadline expired. *)
-
 val remaining : t option -> float
 (** Seconds until the tightest armed deadline; [infinity] when none. *)
 
@@ -62,6 +59,4 @@ val hang : t option -> site:string -> 'a
 (** Simulated hang for the hang-class fault sites: cooperatively spins
     on {!check} until the deadline (or cancellation) reaps it. Never
     returns; a hang that nothing reaps fails loudly ([Failure]) after a
-    hard {!hang_cap_seconds} cap instead of wedging the process. *)
-
-val hang_cap_seconds : float
+    hard 2 s cap instead of wedging the process. *)

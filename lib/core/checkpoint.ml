@@ -49,7 +49,6 @@ let create ~dir ~fingerprint =
   mkdir_p dir;
   { dir; fingerprint }
 
-let fingerprint t = t.fingerprint
 let fingerprint_of_string s = Digest.to_hex (Digest.string s)
 
 (* stage names are [a-z0-9._-]; anything else would need escaping *)
@@ -75,8 +74,6 @@ let disarm_kill () =
   store_count := 0;
   Mutex.unlock lock;
   n
-
-let stores () = !store_count
 
 (* --- store ----------------------------------------------------------- *)
 

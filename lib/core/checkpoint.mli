@@ -24,13 +24,9 @@ exception Killed of { stage : string; stores : int }
 (** The {!arm_kill} simulated crash, raised immediately after the n-th
     completed store. *)
 
-val schema_version : int
-
 val create : dir:string -> fingerprint:string -> t
 (** Creates [dir] (and parents) if needed. [fingerprint] is the run's
     content address — see {!fingerprint_of_string}. *)
-
-val fingerprint : t -> string
 
 val fingerprint_of_string : string -> string
 (** MD5 hex digest of a canonical config + circuit description. *)
@@ -57,6 +53,3 @@ val arm_kill : after_stores:int -> unit
 val disarm_kill : unit -> int
 (** Remove the hook; returns the number of stores since {!arm_kill} (or
     since the last disarm) and resets the counter. *)
-
-val stores : unit -> int
-(** Completed stores since the last {!arm_kill}/{!disarm_kill}. *)

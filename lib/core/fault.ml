@@ -19,7 +19,7 @@
 
    Plans are a process-wide singleton list: arming is a test/CLI-harness
    action, never part of library behaviour. {!arm}/{!arm_exact} replace
-   the whole list (the classic single-site chaos sweep); {!arm_also}
+   the whole list (the classic single-site chaos sweep); {!arm_also_exact}
    adds a second concurrent plan so a numeric fault can walk the
    escalation ladder while a hang-class fault parks a specific rung.
    A plan may further be restricted to a dynamic *scope* (the ladder
@@ -134,9 +134,6 @@ let sites =
 let site_names = List.map (fun s -> s.name) sites
 let known name = List.mem name site_names
 
-let kind_of name =
-  List.find_map (fun s -> if s.name = name then Some s.kind else None) sites
-
 type plan = {
   plan_site : string;
   seed : int;
@@ -174,10 +171,6 @@ let schedule_of_seed seed = (1 + (seed land 7), 1 + ((seed lsr 3) land 7))
 let arm ~site ?(seed = 0) () =
   let fire_at, burst = schedule_of_seed seed in
   arm_exact ~site ~seed ~fire_at ~burst ()
-
-let arm_also ~site ?scope ?(seed = 0) () =
-  let fire_at, burst = schedule_of_seed seed in
-  arm_also_exact ~site ?scope ~seed ~fire_at ~burst ()
 
 type stats = { site : string; calls : int; fires : int }
 

@@ -20,11 +20,7 @@ val sites : site list
 (** The registry of every injection site, with the function hosting
     the probe and the failure it injects. *)
 
-val site_names : string list
-
 val known : string -> bool
-
-val kind_of : string -> kind option
 
 val arm : site:string -> ?seed:int -> unit -> unit
 (** Install the process-wide plan for [site]. The schedule derives
@@ -46,12 +42,6 @@ val arm_exact :
     restricts the plan to probes executing under {!in_scope} with the
     same label; out-of-scope probes neither fire nor count. *)
 
-val arm_also : site:string -> ?scope:string -> ?seed:int -> unit -> unit
-(** Like {!arm}, but adds to (or replaces within) the armed plan list
-    instead of clearing it, so several sites can be armed at once —
-    e.g. a numeric fault walking the escalation ladder while a
-    hang-class fault parks one specific rung. *)
-
 val arm_also_exact :
   site:string ->
   ?scope:string ->
@@ -60,6 +50,10 @@ val arm_also_exact :
   burst:int ->
   unit ->
   unit
+(** Like {!arm_exact}, but adds to (or replaces within) the armed plan
+    list instead of clearing it, so several sites can be armed at once —
+    e.g. a numeric fault walking the escalation ladder while a
+    hang-class fault parks one specific rung. *)
 
 val schedule_of_seed : int -> int * int
 (** [(fire_at, burst)] that {!arm} derives from a seed. *)

@@ -1,12 +1,12 @@
 (** A thread-safe registry of named counters, gauges and log-bucketed
-    histograms for the extraction stack's quantitative telemetry
-    (Newton iterations per step, LU factor/solve times, pencil-solve
-    times, VF convergence, pool load balance).
+    histograms: the one store of the extraction stack's counters and
+    statistics (Newton iterations per step, LU factor/solve times,
+    pencil-solve times, VF convergence, ladder retries, pool load
+    balance).
 
-    Unlike {!Diag} (single-owner, per-extraction narrative) a registry
-    may be written from several domains concurrently: every recording
-    call takes an internal mutex for a few nanoseconds, which is
-    negligible next to the microsecond-scale kernels being measured.
+    A registry may be written from several domains concurrently: every
+    recording call takes an internal mutex for a few nanoseconds, which
+    is negligible next to the microsecond-scale kernels being measured.
     All entry points take a [t option] and [None] is a near-free
     no-op.
 
@@ -60,20 +60,16 @@ val snapshot : t -> snapshot
 
 val hist_mean : histogram -> float
 
-val quantile : histogram -> float -> float
-(** [quantile h q] estimates the [q]-quantile ([0 ≤ q ≤ 1]) from the
-    log-bucket boundaries: linear interpolation inside the bucket
-    holding rank [q·count], clamped to the observed [[min, max]]
-    envelope. [nan] on an empty histogram. Within a factor of
-    [10^(1/4) ≈ 1.78] of the true quantile by construction. *)
-
 val to_json : snapshot -> string
 (** Serialize as a self-contained schema-versioned JSON document:
     [{"schema_version": 1, "counters": {...}, "gauges": {...},
     "histograms": [{"name", "count", "sum", "min", "max", "mean",
     "p50", "p95", "p99", "buckets": [{"le", "count"}, ...]}, ...]}].
-    Non-finite floats are encoded as the strings ["nan"], ["inf"],
-    ["-inf"]. *)
+    A quantile is interpolated linearly inside the log bucket holding
+    its rank and clamped to the observed [[min, max]], so it is within
+    a factor of [10^(1/4) ≈ 1.78] of the true quantile ([nan] on an
+    empty histogram). Non-finite floats are encoded as the strings
+    ["nan"], ["inf"], ["-inf"]. *)
 
 val summary : snapshot -> string
 (** Compact human-readable rendering. *)

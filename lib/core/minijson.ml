@@ -1,7 +1,7 @@
 (* A tiny self-contained JSON reader/writer for the validators, the
    bench comparison mode and the telemetry serializers: no external
    dependency, enough of RFC 8259 for the documents this repo itself
-   writes (diag/trace/metrics/bench/obs JSON). *)
+   writes (trace/metrics/bench/obs JSON and the CLI error object). *)
 
 type t =
   | Null
@@ -14,7 +14,7 @@ type t =
 exception Parse_error of string
 
 (* --- writing helpers (shared by Trace.chrome_json, Metrics.to_json,
-   Obs_bundle.diag_json, bench --json and the obs bundle) ----------------- *)
+   Report.error_json, bench --json and the obs bundle) ---------------- *)
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in

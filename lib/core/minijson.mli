@@ -43,7 +43,6 @@ val field : t -> string -> t option
 (** Object member lookup; [None] on non-objects and missing keys. *)
 
 val as_arr : t -> t list option
-val as_obj : t -> (string * t) list option
 val as_str : t -> string option
 val as_num : t -> float option
 

@@ -186,7 +186,7 @@ let store_ck r ~stage encode v =
   | None -> ()
   | Some ckpt ->
       Checkpoint.store ckpt ~stage (encode v);
-      Obs.count ~only:`Diag r.obs "pipeline.checkpoint_stores" 1;
+      Obs.count r.obs "pipeline.checkpoint_stores" 1;
       Obs.checkpoint r.obs ~stage ~action:"store"
 
 (* a settled fit is stored with the ladder rung that produced it *)
@@ -275,7 +275,7 @@ let run_train r ~config ~mna =
           (Printf.sprintf
              "sparse training transient failed (%s); retrying dense"
              (Printexc.to_string e));
-        Obs.count ~only:`Diag r.obs "pipeline.sparse_fallbacks" 1;
+        Obs.count r.obs "pipeline.sparse_fallbacks" 1;
         go Engine.Mna.Dense)
 
 let tft_stage r ~pool ~config ~mna ~training_run =
@@ -301,7 +301,7 @@ let tft_stage r ~pool ~config ~mna ~training_run =
         Obs.warn r.obs ~stage:"pipeline.tft"
           (Printf.sprintf "sparse TFT transform failed (%s); retrying dense"
              (Printexc.to_string e));
-        Obs.count ~only:`Diag r.obs "pipeline.sparse_fallbacks" 1;
+        Obs.count r.obs "pipeline.sparse_fallbacks" 1;
         Obs.violation r.obs ~site:"pipeline.tft" (Printexc.to_string e);
         build Engine.Mna.Dense)
 
@@ -385,7 +385,7 @@ let climb_ladder r ~fit ~rvf ~output =
               ~detail:(describe_exn e);
             raise e
         | exception e when recoverable e ->
-            Obs.count ~only:`Diag r.obs "pipeline.fit_retries" 1;
+            Obs.count r.obs "pipeline.fit_retries" 1;
             Obs.warn r.obs ~stage:"pipeline.fit"
               (Printf.sprintf "rung %S failed: %s" rung (describe_exn e));
             Obs.escalation r.obs ~rung ~outcome:"failed"
@@ -510,9 +510,8 @@ let extract ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist ~input
 
 let try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist
     ~input ~outputs () =
-  (* the hub's diag collector is the run's narrative, so the returned
-     report is exactly the bundle's diag.json; a run without a hub makes
-     its own *)
+  (* the hub the run recorded into is its report; a run without a hub
+     makes its own *)
   let hub = match obs with Some o -> o | None -> Obs.create () in
   let obs = Some hub in
   let none () = List.map (fun _ -> None) outputs in
@@ -538,15 +537,15 @@ let try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist
           Obs.deadline obs ~site ~stage ~budget_seconds ~elapsed_seconds;
           none ()
   in
-  (outcomes, Diag.report (Obs.diag hub))
+  (outcomes, hub)
 
 let try_extract ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist ~input
     ~output () =
-  let outcomes, report =
+  let outcomes, hub =
     try_extract_simo ?cancel ?budgets ?checkpoint_dir ?obs ~config ~netlist
       ~input ~outputs:[ output ] ()
   in
-  (List.hd outcomes, report)
+  (List.hd outcomes, hub)
 
 let buffer_config ?(snapshots = 100) ?(domains = 1) () =
   let freq = 1e6 in

@@ -31,7 +31,7 @@ type config = {
           large-circuit path. A singular sparse factorization or a
           guard breach on the sparse path falls back to the dense
           stage transparently (counter [pipeline.sparse_fallbacks],
-          [Warning] event): training snapshots hold the state only, so
+          [warning] event): training snapshots hold the state only, so
           a dense TFT retry stamps G/C from the same snapshots. The fit
           stages are backend-independent. *)
 }
@@ -64,7 +64,7 @@ type timing = {
     solves, VF relocation sweeps, pool chunk boundaries). Requesting
     cancellation makes the run raise [Cancel.Cancelled] at the next
     probe; the [try_]* variants catch it and return [None] with an
-    [Error] event (stage [pipeline.cancelled]) in the report.
+    [error] event (stage [pipeline.cancelled]) in the hub.
 
     Per-stage wall-clock budgets turn a hung stage into a typed
     [Cancel.Deadline_exceeded {site; stage; budget_seconds; elapsed_seconds}]
@@ -80,7 +80,7 @@ type budgets = {
 }
 (** Per-stage wall-clock budgets in seconds; [None] leaves a stage
     unbounded. A rung budget trips with stage ["pipeline.fit:<rung>"],
-    so the report's [Error] event names the rung that overran. *)
+    so the hub's [error] event names the rung that overran. *)
 
 val no_budgets : budgets
 (** All stages unbounded. *)
@@ -123,7 +123,7 @@ val extract_simo :
     channel selection — but not [domains], so a run checkpointed at one
     parallelism resumes at any other. Stale artifacts (fingerprint or
     schema mismatch) are silently recomputed; torn/malformed ones are
-    rejected with a [Warning] and recomputed. Checkpoint interactions
+    rejected with a [warning] and recomputed. Checkpoint interactions
     emit [checkpoint] {!Obs} events (actions
     ["store"]/["load"]/["stale"]/["invalid"]). A checkpoint-disabled
     run and a clean checkpointed run are bit-identical.
@@ -134,17 +134,16 @@ val extract_simo :
     residue fits) and shut down when the run returns — workers are
     spawned once, not per stage.
 
-    [obs] is the only telemetry argument: the hub's {!Diag} collector
-    records spans for the three pipeline stages ([pipeline.train],
-    [pipeline.tft], [pipeline.fit]) and the counters of the transient
-    engine and the RVF stages; its {!Trace} collector records the same
-    stages as hierarchical spans — down to per-transient-step,
-    per-chunk and per-VF-iteration spans, across every pool domain;
-    its {!Metrics} registry accumulates the quantitative counters and
-    timing histograms of every layer; and its event stream collects
+    [obs] is the only telemetry argument: the hub's {!Trace} collector
+    records the three pipeline stages ([pipeline.train],
+    [pipeline.tft], [pipeline.fit]) as hierarchical spans — down to
+    per-transient-step, per-chunk and per-VF-iteration spans, across
+    every pool domain; its {!Metrics} registry accumulates the counters
+    and timing histograms of every layer; and its event stream collects
     the algorithmic convergence record: [stage] boundary events,
     per-VF-iteration pole positions and sigma residuals, rcond samples
-    from every LU/complex-LU/QR factorization, and quarantine events.
+    from every LU/complex-LU/QR factorization, quarantine events, and
+    the run's notes, warnings and errors.
     Telemetry never changes the numerics: the extracted model is
     bit-for-bit the same with or without a hub.
 
@@ -192,8 +191,8 @@ val extract_buffer : ?obs:Obs.t -> ?config:config -> unit -> outcome
     The [try_]* variants below never raise on those: they climb an
     escalation ladder of progressively more permissive RVF
     configurations and, when every rung fails, return [None] together
-    with a {!Diag.report} whose events name the failing stage and every
-    retried rung. *)
+    with the hub they recorded into, whose [error] and [warning] events
+    name the failing stage and every retried rung. *)
 
 val escalation_ladder : Rvf.config -> (string * Rvf.config) list
 (** The retry ladder used by {!try_extract}, most-preferred first:
@@ -211,7 +210,7 @@ val recoverable : exn -> bool
 val describe_exn : exn -> string
 (** Human-readable rendering of the recoverable failure set above (typed
     payloads included); falls back to [Printexc.to_string]. Used for the
-    [Error] events of the [try_]* variants and the CLI's structured
+    [error] events of the [try_]* variants and the CLI's structured
     error object. *)
 
 val try_extract_simo :
@@ -224,23 +223,23 @@ val try_extract_simo :
   input:string ->
   outputs:Engine.Mna.output list ->
   unit ->
-  outcome option list * Diag.report
+  outcome option list * Obs.t
 (** Non-raising {!extract_simo}: the same stage sequence, one
     [outcome option] per requested output (the ladder runs
-    independently per output) and a single shared report. A training or
-    TFT failure yields all-[None]; an empty [outputs] yields [[]] and
-    an [Error] event.
+    independently per output) and the one hub the run recorded into —
+    [obs] when given, else a hub of the run's own. The hub is the
+    report: read it with {!Obs.counter}, {!Obs.notes} and
+    {!Obs.messages}, or write it as a bundle. A training or TFT failure
+    yields all-[None]; an empty [outputs] yields [[]] and an [error]
+    event.
 
-    The report is always populated: spans and counters for the stages
-    that ran, a [Warning] event per failed ladder rung (counter
+    The hub is always populated: spans and counters for the stages
+    that ran, a [warning] event per failed ladder rung (counter
     [pipeline.fit_retries]), a note [pipeline.ladder_rung] naming the
-    rung that produced the (last) model, and an [Error] event naming
+    rung that produced the (last) model, and an [error] event naming
     the failing stage when an outcome is [None]. A model produced by
-    any rung above ["base"] carries a degraded-extraction [Warning].
-    The report is drawn from the hub's own diag collector (so the
-    bundled [diag.json] and the report coincide); without [obs] the run
-    records into a hub of its own and returns that hub's report. Every
-    ladder rung emits an [escalation] event (outcome
+    any rung above ["base"] carries a degraded-extraction [warning].
+    Every ladder rung emits an [escalation] event (outcome
     ["ok"]/["failed"]/["deadline"] with the failure detail)
     and recoverable stage failures emit [violation] events; the trace
     and metrics of the stages that ran before a failure are kept, so a
@@ -248,7 +247,7 @@ val try_extract_simo :
 
     Cancellation and deadlines are {e not} recoverable: a tripped
     budget aborts the ladder (no further rungs), records an
-    [Error] event whose stage carries the rung label
+    [error] event whose stage carries the rung label
     (["pipeline.fit:<rung>"]) plus an [obs] [deadline] event, and
     yields all-[None]. [Checkpoint.Killed] (the chaos harness's
     simulated crash) propagates to the caller. With [checkpoint_dir]
@@ -265,5 +264,5 @@ val try_extract :
   input:string ->
   output:Engine.Mna.output ->
   unit ->
-  outcome option * Diag.report
+  outcome option * Obs.t
 (** The one-output case of {!try_extract_simo}: non-raising {!extract}. *)

@@ -89,17 +89,14 @@ let validate ~model ~netlist ~input ~output ~wave ~t_stop ~dt () =
 
 let json_escape = Minijson.escape
 
-let error_json ?message (r : Diag.report) =
-  let errors =
-    List.filter (fun (e : Diag.event) -> e.Diag.level = Diag.Error) r.Diag.events
-  in
-  let stage =
-    match errors with e :: _ -> e.Diag.stage | [] -> "pipeline"
-  in
+let error_json ?message obs =
+  let messages = Obs.messages obs in
+  let errors = List.filter (fun (kind, _, _) -> kind = `Error) messages in
+  let stage = match errors with (_, s, _) :: _ -> s | [] -> "pipeline" in
   let message =
     match (message, errors) with
     | Some m, _ -> m
-    | None, e :: _ -> e.Diag.message
+    | None, (_, _, m) :: _ -> m
     | None, [] -> "extraction failed"
   in
   let buf = Buffer.create 1024 in
@@ -107,18 +104,17 @@ let error_json ?message (r : Diag.report) =
     "{\n  \"schema_version\": 1,\n  \"error\": {\"stage\": \"%s\", \
      \"message\": \"%s\"},\n  \"fit_retries\": %d,\n  \"events\": ["
     (json_escape stage) (json_escape message)
-    (Diag.counter r "pipeline.fit_retries");
+    (Obs.counter obs "pipeline.fit_retries");
   let sep = ref "" in
   List.iter
-    (fun (e : Diag.event) ->
+    (fun (kind, stage, message) ->
       Printf.bprintf buf "%s\n    {\"level\": \"%s\", \"stage\": \"%s\", \
                           \"message\": \"%s\"}"
         !sep
-        (Diag.level_to_string e.Diag.level)
-        (json_escape e.Diag.stage)
-        (json_escape e.Diag.message);
+        (match kind with `Warning -> "warning" | `Error -> "error")
+        (json_escape stage) (json_escape message);
       sep := ",")
-    (Diag.warnings r);
+    messages;
   Buffer.add_string buf "\n  ],\n  \"notes\": {";
   sep := "";
   List.iter
@@ -126,54 +122,8 @@ let error_json ?message (r : Diag.report) =
       Printf.bprintf buf "%s\n    \"%s\": \"%s\"" !sep (json_escape k)
         (json_escape v);
       sep := ",")
-    r.Diag.notes;
+    (Obs.notes obs);
   Buffer.add_string buf "\n  }\n}\n";
-  Buffer.contents buf
-
-let diag_summary (r : Diag.report) =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "extraction diagnostics\n";
-  if r.Diag.spans <> [] then begin
-    Printf.bprintf buf "  stages:\n";
-    List.iter
-      (fun (s : Diag.span) ->
-        Printf.bprintf buf "    %-24s %8.3fs\n" s.Diag.stage s.Diag.seconds)
-      r.Diag.spans
-  end;
-  if r.Diag.counters <> [] then begin
-    Printf.bprintf buf "  counters:\n";
-    List.iter
-      (fun (name, n) -> Printf.bprintf buf "    %-32s %d\n" name n)
-      r.Diag.counters
-  end;
-  if r.Diag.stats <> [] then begin
-    Printf.bprintf buf "  stats:\n";
-    List.iter
-      (fun (s : Diag.stat) ->
-        Printf.bprintf buf
-          "    %-32s n=%d last=%.3e mean=%.3e min=%.3e max=%.3e\n"
-          s.Diag.name s.Diag.samples s.Diag.last (Diag.mean s) s.Diag.min
-          s.Diag.max)
-      r.Diag.stats
-  end;
-  if r.Diag.notes <> [] then begin
-    Printf.bprintf buf "  notes:\n";
-    List.iter
-      (fun (k, v) -> Printf.bprintf buf "    %-32s %s\n" k v)
-      r.Diag.notes
-  end;
-  let interesting =
-    List.filter (fun (e : Diag.event) -> e.Diag.level <> Diag.Info) r.Diag.events
-  in
-  if interesting <> [] then begin
-    Printf.bprintf buf "  events:\n";
-    List.iter
-      (fun (e : Diag.event) ->
-        Printf.bprintf buf "    [%s] %s: %s\n"
-          (Diag.level_to_string e.Diag.level)
-          e.Diag.stage e.Diag.message)
-      interesting
-  end;
   Buffer.contents buf
 
 let summary (o : Pipeline.outcome) =

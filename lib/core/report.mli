@@ -41,15 +41,12 @@ val validate :
 val summary : Pipeline.outcome -> string
 (** A human-readable extraction report. *)
 
-val error_json : ?message:string -> Diag.report -> string
-(** Serialize a failed extraction as a structured JSON error object:
-    [{"schema_version": 1, "error": {"stage", "message"},
-    "fit_retries": n, "events": [...], "notes": {...}}] with the
-    report's warning/error events inlined. [message] overrides the
-    first [Error] event's message (the default; ["extraction failed"]
-    when the report carries none). The CLI prints this to stderr and
-    exits nonzero whenever the pipeline yields no model. *)
-
-val diag_summary : Diag.report -> string
-(** A compact human-readable rendering of a telemetry report (stages,
-    counters, stats, notes, and any warning/error events). *)
+val error_json : ?message:string -> Obs.t -> string
+(** Serialize a failed extraction's hub as a structured JSON error
+    object: [{"schema_version": 1, "error": {"stage", "message"},
+    "fit_retries": n, "events": [...], "notes": {...}}] with the hub's
+    warnings and errors inlined in recording order and its latest note
+    per name. [message] overrides the first error's message (the
+    default; ["extraction failed"] when the hub holds none). The CLI
+    prints this to stderr and exits nonzero whenever the pipeline
+    yields no model. *)

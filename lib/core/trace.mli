@@ -9,8 +9,8 @@
     exported timeline shows both the call hierarchy inside a domain and
     the fan-out of work across domains.
 
-    Like {!Diag}, every recording entry point takes an option and
-    [None] makes every call a near-free no-op.
+    Every recording entry point takes an option and [None] makes
+    every call a near-free no-op.
 
     Exporters: {!chrome_json} writes the Chrome trace-event format
     (loadable in Perfetto / [chrome://tracing]); {!summary} renders a

@@ -266,7 +266,7 @@ let transfer_sweep ?cancel ?obs ws ~g ~c ~ss =
   in
   let hs = Array.map point ss in
   if reduced then
-    Obs.count ~only:`Metrics obs "ac.sweep_fallbacks" !fallbacks;
+    Obs.count obs "ac.sweep_fallbacks" !fallbacks;
   hs
 
 let transfer_at ~g ~c ~b ~d ~s =

@@ -347,14 +347,14 @@ let solve_ws ?(opts = default_opts) ?cancel ?obs ?initial ?(time = 0.0) ws =
   | None ->
       (* gmin stepping continuation *)
       Log.debug (fun m -> m "plain Newton failed; starting gmin stepping");
-      Obs.count ~only:`Diag obs "dc.gmin_continuations" 1;
+      Obs.count obs "dc.gmin_continuations" 1;
       let levels = [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-7; 1e-8; 1e-10; 1e-12 ] in
       let rec steps v_start = function
         | [] ->
             Obs.error obs ~stage:"engine.dc" "gmin stepping exhausted";
             raise (No_convergence "gmin stepping exhausted")
         | gmin :: rest -> begin
-            Obs.count ~only:`Diag obs "dc.gmin_levels" 1;
+            Obs.count obs "dc.gmin_levels" 1;
             match attempt (Float.max gmin opts.gmin_final) v_start with
             | Some v -> if rest = [] then finish v else steps v rest
             | None ->

@@ -80,7 +80,7 @@ val solve_ws :
     fails. Raises {!No_convergence} when even the stepped continuation
     fails. With [obs]: a [dc.solve] span; the [dc.newton_iterations]
     counter (every Newton iteration, across all gmin levels) and the
-    Diag-only [dc.gmin_levels]/[dc.gmin_continuations]; the
+    [dc.gmin_levels]/[dc.gmin_continuations] counters; the
     [dc.lu_factor_ns] histogram and a ["dc.lu"] rcond event once per
     LU factorization, and the [dc.lu_solve_ns] histogram once per solve;
     the [dc.lu_reuses] counter once per iteration that reused a held

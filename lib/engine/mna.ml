@@ -635,8 +635,6 @@ let node_index t name =
   | Some k -> k
   | None -> raise Not_found
 
-let netlist t = t.netlist
-
 (* --- in-place assembly ---------------------------------------------- *)
 
 (* Caller-owned storage: [acc]'s vectors hold i and q, its Fill sinks

@@ -29,8 +29,6 @@ val n_outputs : t -> int
 val node_index : t -> string -> int
 (** Index of a non-ground node in the unknown vector. Raises [Not_found]. *)
 
-val netlist : t -> Circuit.Netlist.t
-
 type eval = {
   i_vec : Linalg.Vec.t;  (** i(v) − s(t) *)
   q_vec : Linalg.Vec.t;  (** q(v) *)

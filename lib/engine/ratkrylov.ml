@@ -341,8 +341,8 @@ let pilot ?opts ?cancel ?obs ws ~g ~c ~ss =
   if Fault.should_fire "krylov.stall" || not (projectable r) then [||]
   else begin
     let vs, shifts = greedy r in
-    Obs.count ~only:`Metrics obs "krylov.shifts" shifts;
-    Obs.count ~only:`Metrics obs "krylov.projected_points" r.projected;
+    Obs.count obs "krylov.shifts" shifts;
+    Obs.count obs "krylov.projected_points" r.projected;
     vs
   end
 
@@ -368,11 +368,10 @@ let sweep ?opts ?cancel ?obs ?(basis = [||]) ws ~g ~c ~ss =
   let fallback_points = open_points r in
   Array.iteri (fun i f -> if not f then solve_point r i) r.final;
   (* sweeps run inside dataset workers: worker-safe records only *)
-  Obs.count ~only:`Metrics obs "krylov.shifts" shifts_used;
-  Obs.count ~only:`Metrics obs "krylov.fallback_points" fallback_points;
-  Obs.count ~only:`Metrics obs "krylov.projected_points" r.projected;
-  Obs.count ~only:`Metrics obs "krylov.pilot_certified" pilot_certified;
-  Obs.observe ~only:`Metrics obs "krylov.subspace_dim"
-    (float_of_int subspace_dim);
+  Obs.count obs "krylov.shifts" shifts_used;
+  Obs.count obs "krylov.fallback_points" fallback_points;
+  Obs.count obs "krylov.projected_points" r.projected;
+  Obs.count obs "krylov.pilot_certified" pilot_certified;
+  Obs.observe obs "krylov.subspace_dim" (float_of_int subspace_dim);
   ( r.hs,
     { shifts_used; subspace_dim; fallback_points; worst_residual = r.worst } )

@@ -42,8 +42,6 @@ type opts = {
           under orthogonalization are discarded (default 1e-10) *)
 }
 
-val default_opts : opts
-
 type stats = {
   shifts_used : int;  (** private shifts of this sweep *)
   subspace_dim : int;

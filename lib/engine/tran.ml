@@ -185,8 +185,7 @@ let run ?(opts = default_opts) ?cancel ?metrics ?obs ?initial
     if Option.is_some obs then begin
       Obs.add_args obs
         [ ("iters", Trace.Int iters); ("be_fallback", Trace.Bool !fell_back) ];
-      Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
-        (float_of_int iters)
+      Obs.observe obs "tran.newton_iters_per_step" (float_of_int iters)
     end;
     (* the derivative estimate must match the integrator that actually
        produced the step: applying the trapezoidal formula to a
@@ -282,8 +281,7 @@ let run_adaptive ?(opts = default_opts) ?cancel ?obs ?initial
             ~initial:!v_prev ~q_out:q_new ()
         in
         newton_count := !newton_count + iters;
-        Obs.observe ~only:`Metrics obs "tran.newton_iters_per_step"
-          (float_of_int iters);
+        Obs.observe obs "tran.newton_iters_per_step" (float_of_int iters);
         (true, v)
       with Dc.No_convergence _ -> (false, !v_prev)
     in

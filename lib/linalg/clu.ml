@@ -105,9 +105,4 @@ let solve f b =
   solve_into f b x;
   x
 
-let solve_mat f b =
-  let n = Cmat.rows b and m = Cmat.cols b in
-  let cols = Array.init m (fun j -> solve f (Array.init n (fun i -> Cmat.get b i j))) in
-  Cmat.init n m (fun i j -> cols.(j).(i))
-
 let solve_system a b = solve (factor a) b

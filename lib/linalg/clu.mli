@@ -48,8 +48,5 @@ val solve_into : t -> Cmat.vec -> Cmat.vec -> unit
 val solve : t -> Cmat.vec -> Cmat.vec
 (** Allocating wrapper over {!solve_into}. *)
 
-val solve_mat : t -> Cmat.t -> Cmat.t
-(** Solve [A X = B] column-wise. *)
-
 val solve_system : Cmat.t -> Cmat.vec -> Cmat.vec
 (** One-shot [factor] + [solve]. *)

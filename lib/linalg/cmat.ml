@@ -37,7 +37,6 @@ let rows m = m.nr
 let cols m = m.nc
 let get m i j = m.data.((i * m.nc) + j)
 let set m i j x = m.data.((i * m.nc) + j) <- x
-let copy m = { m with data = Array.copy m.data }
 
 let blit ~src ~dst =
   if src.nr <> dst.nr || src.nc <> dst.nc then
@@ -49,13 +48,6 @@ let get_col src j dst =
     invalid_arg "Cmat.get_col: dimension mismatch";
   for i = 0 to src.nr - 1 do
     dst.(i) <- src.data.((i * src.nc) + j)
-  done
-
-let set_col dst j src =
-  if Array.length src <> dst.nr || j < 0 || j >= dst.nc then
-    invalid_arg "Cmat.set_col: dimension mismatch";
-  for i = 0 to dst.nr - 1 do
-    dst.data.((i * dst.nc) + j) <- src.(i)
   done
 
 let mul a b =
@@ -93,16 +85,3 @@ let swap_rows m i1 i2 =
 
 let max_abs m =
   Array.fold_left (fun acc z -> Float.max acc (Cx.norm z)) 0.0 m.data
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.nr - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.nc - 1 do
-      if j > 0 then Format.fprintf ppf ", ";
-      Cx.pp ppf (get m i j)
-    done;
-    Format.fprintf ppf "]";
-    if i < m.nr - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -22,7 +22,6 @@ val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> Cx.t
 val set : t -> int -> int -> Cx.t -> unit
-val copy : t -> t
 
 val blit : src:t -> dst:t -> unit
 (** Overwrite [dst] with the contents of [src] (same shape required). *)
@@ -30,11 +29,7 @@ val blit : src:t -> dst:t -> unit
 val get_col : t -> int -> vec -> unit
 (** [get_col m j dst] reads column [j] of [m] into [dst]. *)
 
-val set_col : t -> int -> vec -> unit
-(** [set_col m j src] writes [src] into column [j] of [m]. *)
-
 val mul : t -> t -> t
 val mulv : t -> vec -> vec
 val swap_rows : t -> int -> int -> unit
 val max_abs : t -> float
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ type t = Complex.t
 
 val zero : t
 val one : t
-val i : t
 
 val re : float -> t
 (** [re x] is the complex number [x + 0i]. *)
@@ -17,7 +16,6 @@ val ( -: ) : t -> t -> t
 val ( *: ) : t -> t -> t
 val ( /: ) : t -> t -> t
 
-val neg : t -> t
 val conj : t -> t
 val inv : t -> t
 val scale : float -> t -> t
@@ -27,14 +25,8 @@ val norm : t -> float
 val norm2 : t -> float
 (** Squared modulus. *)
 
-val arg : t -> float
-val exp : t -> t
-val log : t -> t
-val sqrt : t -> t
-
 val is_finite : t -> bool
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Absolute-difference comparison on both components. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -31,10 +31,6 @@ val eigenvalues : Mat.t -> Cx.t array
 (** Eigenvalues of a square real matrix, in no particular order. Complex
     eigenvalues appear in conjugate pairs. *)
 
-val companion : float array -> Mat.t
-(** [companion [|c0; c1; ...; c_{n-1}|]] is the companion matrix of the
-    monic polynomial [x^n + c_{n-1} x^{n-1} + ... + c0]. *)
-
 val poly_roots : float array -> Cx.t array
 (** Roots of a polynomial given coefficients in increasing-degree order
     [[|a0; a1; ...; an|]] (with [an <> 0]). *)

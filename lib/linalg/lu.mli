@@ -51,9 +51,6 @@ val solve_mat_into : t -> Mat.t -> Mat.t -> unit
     caller-owned [x] (same shape as [b], distinct from it). Every column
     gets exactly the floating-point operations of {!solve_into}. *)
 
-val solve_mat : t -> Mat.t -> Mat.t
-(** Allocating wrapper over {!solve_mat_into}. *)
-
 val det : t -> float
 val solve_system : Mat.t -> Vec.t -> Vec.t
 (** One-shot [factor] + [solve]. *)

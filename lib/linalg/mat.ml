@@ -31,7 +31,6 @@ let cols m = m.nc
 let get m i j = m.data.((i * m.nc) + j)
 let set m i j x = m.data.((i * m.nc) + j) <- x
 let update m i j f = m.data.((i * m.nc) + j) <- f m.data.((i * m.nc) + j)
-let to_arrays m = Array.init m.nr (fun i -> Array.init m.nc (fun j -> get m i j))
 let copy m = { m with data = Array.copy m.data }
 let transpose m = init m.nc m.nr (fun i j -> get m j i)
 
@@ -49,15 +48,9 @@ let lincomb_into dst a ma b mb =
     dst.data.(k) <- (a *. ma.data.(k)) +. (b *. mb.data.(k))
   done
 
-let add a b =
-  check_same a b;
-  { a with data = Array.mapi (fun k x -> x +. b.data.(k)) a.data }
-
 let sub a b =
   check_same a b;
   { a with data = Array.mapi (fun k x -> x -. b.data.(k)) a.data }
-
-let scale k m = { m with data = Array.map (fun x -> k *. x) m.data }
 
 let mul a b =
   if a.nc <> b.nr then invalid_arg "Mat.mul: dimension mismatch";
@@ -135,40 +128,6 @@ let mulv_t a x =
 let row m i = Array.init m.nc (fun j -> get m i j)
 let col m j = Array.init m.nr (fun i -> get m i j)
 
-let set_row m i v =
-  if Array.length v <> m.nc then invalid_arg "Mat.set_row";
-  Array.blit v 0 m.data (i * m.nc) m.nc
-
-let set_col m j v =
-  if Array.length v <> m.nr then invalid_arg "Mat.set_col";
-  for i = 0 to m.nr - 1 do
-    set m i j v.(i)
-  done
-
-let swap_rows m i1 i2 =
-  if i1 <> i2 then
-    for j = 0 to m.nc - 1 do
-      let tmp = get m i1 j in
-      set m i1 j (get m i2 j);
-      set m i2 j tmp
-    done
-
-let map f m = { m with data = Array.map f m.data }
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
-
-let norm_inf m =
-  let best = ref 0.0 in
-  for i = 0 to m.nr - 1 do
-    let s = ref 0.0 in
-    for j = 0 to m.nc - 1 do
-      s := !s +. Float.abs (get m i j)
-    done;
-    if !s > !best then best := !s
-  done;
-  !best
-
 let max_abs m = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 m.data
 
 let approx_equal ?(tol = 1e-9) a b =
@@ -178,16 +137,3 @@ let approx_equal ?(tol = 1e-9) a b =
 let random st nr nc = init nr nc (fun _ _ -> Random.State.float st 2.0 -. 1.0)
 
 let unsafe_data m = m.data
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.nr - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.nc - 1 do
-      if j > 0 then Format.fprintf ppf ", ";
-      Format.fprintf ppf "%10.4g" (get m i j)
-    done;
-    Format.fprintf ppf "]";
-    if i < m.nr - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -8,7 +8,6 @@ val create : int -> int -> t
 val init : int -> int -> (int -> int -> float) -> t
 val identity : int -> t
 val of_arrays : float array array -> t
-val to_arrays : t -> float array array
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> float
@@ -24,9 +23,7 @@ val lincomb_into : t -> float -> t -> float -> t -> unit
     allocation-free matrix blends for time steppers. *)
 
 val transpose : t -> t
-val add : t -> t -> t
 val sub : t -> t -> t
-val scale : float -> t -> t
 val mul : t -> t -> t
 val mulv : t -> Vec.t -> Vec.t
 
@@ -45,20 +42,11 @@ val mulv_t : t -> Vec.t -> Vec.t
 
 val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
-val set_row : t -> int -> Vec.t -> unit
-val set_col : t -> int -> Vec.t -> unit
-val swap_rows : t -> int -> int -> unit
-val map : (float -> float) -> t -> t
-val frobenius : t -> float
-val norm_inf : t -> float
-(** Maximum absolute row sum. *)
 
 val max_abs : t -> float
 val approx_equal : ?tol:float -> t -> t -> bool
 val random : Random.State.t -> int -> int -> t
 (** Entries uniform in [-1, 1). *)
-
-val pp : Format.formatter -> t -> unit
 
 val unsafe_data : t -> float array
 (** The raw row-major backing store ([rows*cols] floats, element [(i,j)]

@@ -104,23 +104,6 @@ let least_squares a b =
   let f = factor a in
   solve_r f (apply_qt f b)
 
-(* Same diagonal-ratio estimator Lu/Clu expose: cheap, read-only, and
-   honest about triangular conditioning without a full condition solve. *)
-let rcond_estimate { qr; rdiag; _ } =
-  let n = Mat.cols qr in
-  if n = 0 then 1.0
-  else begin
-    let mn = ref Float.infinity and mx = ref 0.0 in
-    for k = 0 to n - 1 do
-      let a = Float.abs rdiag.(k) in
-      if a < !mn then mn := a;
-      if a > !mx then mx := a
-    done;
-    if !mx = 0.0 then 0.0 else !mn /. !mx
-  end
-
-let residual_norm a x b = Vec.norm2 (Vec.sub (Mat.mulv a x) b)
-
 (* --- workspace (in-place, allocation-free) factorization ------------- *)
 
 type ws = {

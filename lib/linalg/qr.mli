@@ -24,14 +24,6 @@ val solve_r : t -> Vec.t -> Vec.t
 val least_squares : Mat.t -> Vec.t -> Vec.t
 (** Minimize [‖A x − b‖₂] for [A] of size [m×n], [m ≥ n], full rank. *)
 
-val residual_norm : Mat.t -> Vec.t -> Vec.t -> float
-(** [residual_norm a x b] is [‖A x − b‖₂]; a convenience for tests. *)
-
-val rcond_estimate : t -> float
-(** Cheap reciprocal-condition estimate of [R]: the ratio of smallest to
-    largest [|rdiag|]. [1.0] for [n = 0], [0.0] for an exactly singular
-    diagonal. Same estimator family as [Lu.rcond_estimate]. *)
-
 (** {1 Workspace API}
 
     Allocation-free factorization for hot loops (the fast-VF relocation

@@ -57,7 +57,6 @@ let compile ~nrows ~ncols occ =
   (pat, Array.map rank keys)
 
 let create pat = { pat; v = Array.make (max 1 (nnz pat)) 0.0 }
-let clear t = Array.fill t.v 0 (Array.length t.v) 0.0
 
 let find pat r c =
   if r < 0 || r >= pat.nrows || c < 0 || c >= pat.ncols then None
@@ -112,15 +111,6 @@ let of_dense ?(drop = 0.0) m =
     done
   done;
   { pat = { nrows; ncols; colptr; rowind }; v }
-
-let to_dense t =
-  let m = Mat.create t.pat.nrows t.pat.ncols in
-  for c = 0 to t.pat.ncols - 1 do
-    for p = t.pat.colptr.(c) to t.pat.colptr.(c + 1) - 1 do
-      Mat.set m t.pat.rowind.(p) c t.v.(p)
-    done
-  done;
-  m
 
 let mulv_into t x y =
   let pat = t.pat in
@@ -253,38 +243,4 @@ let pencil_into dst g c (s : Cx.t) =
   for k = 0 to m - 1 do
     dst.re.(k) <- g.v.(k) +. (sre *. c.v.(k));
     dst.im.(k) <- sim *. c.v.(k)
-  done
-
-let cget t r c =
-  match find t.cpat r c with
-  | None -> Cx.zero
-  | Some k -> { Complex.re = t.re.(k); im = t.im.(k) }
-
-let cto_dense t =
-  let m = Cmat.create t.cpat.nrows t.cpat.ncols in
-  for c = 0 to t.cpat.ncols - 1 do
-    for p = t.cpat.colptr.(c) to t.cpat.colptr.(c + 1) - 1 do
-      Cmat.set m t.cpat.rowind.(p) c { Complex.re = t.re.(p); im = t.im.(p) }
-    done
-  done;
-  m
-
-let cmulv_into t x y =
-  let pat = t.cpat in
-  if Array.length x <> pat.ncols || Array.length y <> pat.nrows then
-    invalid_arg "Sp.cmulv_into: dimension mismatch";
-  if x == y then invalid_arg "Sp.cmulv_into: x and y must not alias";
-  Array.fill y 0 pat.nrows Cx.zero;
-  for c = 0 to pat.ncols - 1 do
-    let xc = x.(c) in
-    let xre = xc.Complex.re and xim = xc.Complex.im in
-    for p = pat.colptr.(c) to pat.colptr.(c + 1) - 1 do
-      let r = pat.rowind.(p) in
-      let yr = y.(r) in
-      y.(r) <-
-        {
-          Complex.re = yr.Complex.re +. (t.re.(p) *. xre) -. (t.im.(p) *. xim);
-          im = yr.Complex.im +. (t.re.(p) *. xim) +. (t.im.(p) *. xre);
-        }
-    done
   done

@@ -31,9 +31,6 @@ val nnz : pattern -> int
 val create : pattern -> t
 (** Zero-valued matrix over the pattern. *)
 
-val clear : t -> unit
-(** Reset all stored values to 0 (the pattern is untouched). *)
-
 val get : t -> int -> int -> float
 (** Entry [(r, c)]; 0 when outside the pattern. Logarithmic in the
     column's entry count. *)
@@ -46,8 +43,6 @@ val of_triplets : nrows:int -> ncols:int -> (int * int * float) array -> t
 
 val of_dense : ?drop:float -> Mat.t -> t
 (** Pattern of entries with [|x| > drop] (default: exact nonzeros). *)
-
-val to_dense : t -> Mat.t
 
 val mulv_into : t -> Vec.t -> Vec.t -> unit
 (** [mulv_into a x y] sets [y := A·x]. [x] and [y] must not alias. *)
@@ -68,10 +63,3 @@ val pencil_into : ct -> t -> t -> Cx.t -> unit
 (** [pencil_into dst g c s] fills [dst := g + s·c] elementwise. All
     three must share one pattern (physical equality), which is exactly
     what {!compile}-d union assembly produces. *)
-
-val cget : ct -> int -> int -> Cx.t
-val cto_dense : ct -> Cmat.t
-
-val cmulv_into : ct -> Cmat.vec -> Cmat.vec -> unit
-(** [cmulv_into a x y] sets [y := A·x] for complex [A], [x], [y].
-    [x] and [y] must not alias. *)

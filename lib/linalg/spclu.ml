@@ -68,7 +68,6 @@ let workspace (pat : Sp.pattern) =
     factored = false;
   }
 
-let ws_matches ws (pat : Sp.pattern) = ws.pat == pat
 let lu_nnz ws = ws.lnz + ws.unz
 
 let push_l ws i re im =

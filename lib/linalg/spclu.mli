@@ -13,8 +13,6 @@ type t
 val workspace : Sp.pattern -> t
 (** Raises [Invalid_argument] on a non-square pattern. *)
 
-val ws_matches : t -> Sp.pattern -> bool
-
 val factor_into : t -> Sp.ct -> unit
 (** Factor [P·A·Q = L·U]. The matrix must carry the workspace's
     pattern (physical equality). Raises {!Singular} on a pivot below

@@ -79,9 +79,6 @@ let workspace (pat : Sp.pattern) =
 
 let sibling ws = with_order ws.pat ws.q
 
-let ws_matches ws (pat : Sp.pattern) = ws.pat == pat
-let lu_nnz ws = ws.lnz + ws.unz
-
 (* L and U grow by doubling, off the hot path; the pushes are inlined so
    that their float argument is never boxed *)
 let grow_l ws =

@@ -27,9 +27,6 @@ val sibling : t -> t
     ordering. The ordering is immutable, so the two factor and solve
     independently. *)
 
-val ws_matches : t -> Sp.pattern -> bool
-(** Whether the workspace was compiled for exactly this pattern. *)
-
 val factor_into : t -> Sp.t -> unit
 (** Factor [P·A·Q = L·U] into the workspace. The matrix must carry the
     workspace's pattern (physical equality). Raises {!Singular} when a
@@ -50,7 +47,3 @@ val solve_into : t -> Vec.t -> Vec.t -> unit
     buffers. *)
 
 val solve : t -> Vec.t -> Vec.t
-
-val lu_nnz : t -> int
-(** Stored entries in [L] and [U] together — the fill the ordering
-    actually achieved (meaningful after a successful factorization). *)

@@ -1,10 +1,7 @@
 type t = float array
 
 let create n = Array.make n 0.0
-let init = Array.init
-let of_list = Array.of_list
 let copy = Array.copy
-let dim = Array.length
 
 let check_dims a b =
   if Array.length a <> Array.length b then invalid_arg "Vec: dimension mismatch"
@@ -16,9 +13,6 @@ let add a b =
 let sub a b =
   check_dims a b;
   Array.mapi (fun k x -> x -. b.(k)) a
-
-let scale k = Array.map (fun x -> k *. x)
-let neg = Array.map (fun x -> -.x)
 
 let axpy a x y =
   check_dims x y;
@@ -46,25 +40,6 @@ let norm_inf a =
   !m
 
 let dist_inf a b = norm_inf (sub a b)
-let map = Array.map
-
-let map2 f a b =
-  check_dims a b;
-  Array.mapi (fun k x -> f x b.(k)) a
-
-let max_abs_index a =
-  let best = ref 0 in
-  for k = 1 to Array.length a - 1 do
-    if Float.abs a.(k) > Float.abs a.(!best) then best := k
-  done;
-  !best
 
 let approx_equal ?(tol = 1e-9) a b =
   Array.length a = Array.length b && dist_inf a b <= tol
-
-let pp ppf a =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf x -> Format.fprintf ppf "%g" x))
-    a

@@ -5,15 +5,10 @@ type t = float array
 val create : int -> t
 (** Zero-filled vector of the given length. *)
 
-val init : int -> (int -> float) -> t
-val of_list : float list -> t
 val copy : t -> t
-val dim : t -> int
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val scale : float -> t -> t
-val neg : t -> t
 
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] performs [y <- a*x + y] in place. *)
@@ -24,8 +19,4 @@ val norm2 : t -> float
 
 val norm_inf : t -> float
 val dist_inf : t -> t -> float
-val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
-val max_abs_index : t -> int
 val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

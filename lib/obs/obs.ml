@@ -1,13 +1,12 @@
-(* One hub owning the three classic collectors plus the algorithmic
-   event log. The mutex only guards the log's cons + sequence bump —
-   a few instructions — and is taken exclusively on the enabled path;
-   the [None] path is a single match, with no clock read. *)
+(* One hub owning the trace collector and the metrics registry plus the
+   event log. The mutex only guards the log's cons + sequence bump — a
+   few instructions — and is taken exclusively on the enabled path; the
+   [None] path is a single match, with no clock read. *)
 
 (* The collectors are stored as the options their recording calls
    take, always [Some], so that a fan-out allocates nothing of its own;
    [buf] is the tracer's main-domain buffer. *)
 type t = {
-  d : Diag.t option;
   buf : Trace.buf option;
   m : Metrics.t option;
   origin : float;
@@ -18,7 +17,6 @@ type t = {
 
 let of_metrics metrics =
   {
-    d = Some (Diag.create ());
     buf = Some (Trace.main (Trace.create ()));
     m = Some metrics;
     origin = Clock.now ();
@@ -28,7 +26,6 @@ let of_metrics metrics =
   }
 
 let create () = of_metrics (Metrics.create ())
-let diag t = Option.get t.d
 let tracer t = Trace.owner (Option.get t.buf)
 let metrics t = Option.get t.m
 
@@ -58,7 +55,7 @@ let stage o name f =
   | None -> f ()
   | Some t ->
       record t "stage" [ ("name", Minijson.Str name) ];
-      Diag.span t.d name (fun () -> Trace.span t.buf name f)
+      Trace.span t.buf name f
 
 let span o ?args name f =
   match o with None -> f () | Some t -> Trace.span t.buf ?args name f
@@ -66,19 +63,10 @@ let span o ?args name f =
 let add_args o args =
   match o with None -> () | Some t -> Trace.add_args t.buf args
 
-let count ?only o name n =
-  match o with
-  | None -> ()
-  | Some t ->
-      if only <> Some `Metrics then Diag.add t.d name n;
-      if only <> Some `Diag then Metrics.add t.m name n
+let count o name n = match o with None -> () | Some t -> Metrics.add t.m name n
 
-let observe ?only o name v =
-  match o with
-  | None -> ()
-  | Some t ->
-      if only <> Some `Metrics then Diag.observe t.d name v;
-      if only <> Some `Diag then Metrics.observe t.m name v
+let observe o name v =
+  match o with None -> () | Some t -> Metrics.observe t.m name v
 
 let now_if = function None -> 0.0 | Some _ -> Clock.now ()
 
@@ -86,13 +74,21 @@ let observe_since_ns o name t0 =
   match o with None -> () | Some t -> Metrics.observe_since_ns t.m name t0
 
 let note o name value =
-  match o with None -> () | Some t -> Diag.note t.d name value
+  match o with
+  | None -> ()
+  | Some t ->
+      record t "note"
+        [ ("name", Minijson.Str name); ("value", Minijson.Str value) ]
 
-let warn o ~stage message =
-  match o with None -> () | Some t -> Diag.warn t.d ~stage message
+let message kind o ~stage text =
+  match o with
+  | None -> ()
+  | Some t ->
+      record t kind
+        [ ("stage", Minijson.Str stage); ("message", Minijson.Str text) ]
 
-let error o ~stage message =
-  match o with None -> () | Some t -> Diag.error t.d ~stage message
+let warn = message "warning"
+let error = message "error"
 
 let poles_json poles =
   Minijson.Arr
@@ -207,6 +203,34 @@ let events t =
   let l = t.log in
   Mutex.unlock t.mutex;
   List.rev l
+
+let counter t name =
+  Option.value ~default:0
+    (List.assoc_opt name (Metrics.snapshot (metrics t)).Metrics.counters)
+
+let strings e keys = List.map (Minijson.str_field e) keys
+
+let notes t =
+  List.fold_left
+    (fun rev e ->
+      match strings e [ "type"; "name"; "value" ] with
+      | [ Some "note"; Some name; Some value ] ->
+          (* a re-noted name moves to the end *)
+          (name, value) :: List.filter (fun (k, _) -> k <> name) rev
+      | _ -> rev)
+    [] (events t)
+  |> List.rev
+
+let messages t =
+  List.filter_map
+    (fun e ->
+      match strings e [ "type"; "stage"; "message" ] with
+      | [ Some "warning"; Some stage; Some message ] ->
+          Some (`Warning, stage, message)
+      | [ Some "error"; Some stage; Some message ] ->
+          Some (`Error, stage, message)
+      | _ -> None)
+    (events t)
 
 let convergence_jsonl t =
   let buf = Buffer.create 4096 in

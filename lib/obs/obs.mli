@@ -1,18 +1,19 @@
-(** The unified observability hub: one handle subsuming the four
-    telemetry side-channels ({!Diag}, {!Trace}, {!Metrics}, {!Guard}
-    violations) and adding the {e algorithmic} event stream the paper's
-    central object calls for — per-iteration VF pole positions, sigma
-    residual norms per relocation, reciprocal-condition time series
-    from the LU/complex-LU/QR factorizations, escalation-rung and
-    quarantine events.
+(** The unified observability hub: one handle over the {!Trace}
+    collector, the {!Metrics} registry and an {e algorithmic} event log
+    — per-iteration VF pole positions, sigma residual norms per
+    relocation, reciprocal-condition time series from the
+    LU/complex-LU/QR factorizations, escalation-rung and quarantine
+    events, and the run's narrative of notes, warnings and errors.
 
-    A {!t} owns one {!Diag} collector, one {!Trace} collector and one
-    {!Metrics} registry, plus a mutex-protected JSONL event log.
-    Instrumented code threads a single [?obs] argument and makes one hub
-    call per record. Every recording entry point takes a [t option],
-    [None] is a near-free no-op performing {e zero clock reads}, and the
-    enabled path runs the same numerical code so extraction results are
-    bit-for-bit identical either way (asserted in the test suite).
+    Each record lives in one store: counters and statistics in
+    {!Metrics}, stage and step spans in {!Trace}, everything else in
+    the event log. Instrumented code threads a single [?obs] argument
+    and makes one hub call per record. Every recording entry point
+    takes a [t option], [None] is a near-free no-op performing {e zero
+    clock reads}, and the enabled path runs the same numerical code so
+    extraction results are bit-for-bit identical either way (asserted
+    in the test suite). A finished hub is also the run's report: the
+    readers below answer what a failed run recorded.
 
     The event log is serialized to [convergence.jsonl] — one JSON
     object per line, each carrying ["type"], a monotonically increasing
@@ -33,19 +34,20 @@ val of_metrics : Metrics.t -> t
     the collectors themselves; stage code records through the calls
     below. *)
 
-val diag : t -> Diag.t
 val tracer : t -> Trace.t
 val metrics : t -> Metrics.t
 
 (** {2 Recording}
 
     One call per record. [None] returns before any allocation or clock
-    read. {!Diag} and the main trace buffer are single-domain, so only
-    the calls marked {e worker-safe} may run inside a pool worker. *)
+    read. The main trace buffer is single-domain, so [stage], [span]
+    and [add_args] must run on the domain that created the hub; every
+    other recording call is worker-safe, because {!Metrics} and the
+    event log each take their own mutex. *)
 
 val stage : t option -> string -> (unit -> 'a) -> 'a
-(** [stage o name f]: a ["stage"] event, then [f ()] inside a Diag span
-    and a Trace span named [name] (recorded even when [f] raises). *)
+(** [stage o name f]: a ["stage"] event, then [f ()] inside a Trace
+    span named [name] (recorded even when [f] raises). *)
 
 val span :
   t option -> ?args:(string * Trace.arg) list -> string -> (unit -> 'a) -> 'a
@@ -54,24 +56,26 @@ val span :
 val add_args : t option -> (string * Trace.arg) list -> unit
 (** {!Trace.add_args} on the innermost open span. *)
 
-val count : ?only:[ `Diag | `Metrics ] -> t option -> string -> int -> unit
-(** Bump a Diag and a Metrics counter by [n], or [only] one of them. *)
+val count : t option -> string -> int -> unit
+(** Bump a Metrics counter by [n]. *)
 
-val observe : ?only:[ `Diag | `Metrics ] -> t option -> string -> float -> unit
-(** Fold a value into a Diag stat and a Metrics histogram, or [only]
-    one of them. *)
+val observe : t option -> string -> float -> unit
+(** Fold a value into a Metrics histogram. *)
 
 val now_if : t option -> float
 (** [Clock.now ()] with a hub, [0.0] without. *)
 
 val observe_since_ns : t option -> string -> float -> unit
-(** Metrics histogram of the nanoseconds since [t0] (from {!now_if}).
-    Worker-safe, as are [count] and [observe] with [~only:`Metrics]. *)
+(** Metrics histogram of the nanoseconds since [t0] (from {!now_if}). *)
 
 val note : t option -> string -> string -> unit
+(** A ["note"] event: a [name]/[value] annotation; the latest value for
+    a name wins in {!notes}. *)
+
 val warn : t option -> stage:string -> string -> unit
 val error : t option -> stage:string -> string -> unit
-(** Diag notes and [Warning]/[Error] events. *)
+(** A ["warning"] or ["error"] event carrying the [stage] that raised it
+    and a [message]. *)
 
 (** {2 Event emission}
 
@@ -137,7 +141,18 @@ val deadline :
 (** A deadline budget tripped: the probe [site] that noticed and the
     scope [stage] whose budget ran out. *)
 
-(** {2 Collection} *)
+(** {2 Reading a run} *)
+
+val counter : t -> string -> int
+(** A Metrics counter's value, 0 when never bumped. *)
+
+val notes : t -> (string * string) list
+(** The latest value of every noted name, in recording order of that
+    latest value: a re-noted name moves to the end. *)
+
+val messages : t -> ([ `Warning | `Error ] * string * string) list
+(** Every warning and error as [(kind, stage, message)], in recording
+    order. *)
 
 val event_count : t -> int
 

@@ -30,63 +30,6 @@ let manifest ~tool ~status ~seed ~config () =
       ("config", Minijson.Obj config);
     ]
 
-(* The one Diag.report serializer: the hand-rolled layout predates
-   Minijson.emit and is kept because obs_check pins this exact shape. *)
-let diag_json (r : Diag.report) =
-  let buf = Buffer.create 4096 in
-  let sep = ref "" in
-  let item fmt =
-    Buffer.add_string buf !sep;
-    sep := ",";
-    Printf.bprintf buf fmt
-  in
-  let fresh () = sep := "" in
-  Buffer.add_string buf "{\n  \"schema_version\": 1,\n  \"spans\": [";
-  fresh ();
-  List.iter
-    (fun (s : Diag.span) ->
-      item "\n    {\"stage\": \"%s\", \"seconds\": %s}"
-        (Minijson.escape s.Diag.stage)
-        (Minijson.float s.Diag.seconds))
-    r.Diag.spans;
-  Buffer.add_string buf "\n  ],\n  \"counters\": {";
-  fresh ();
-  List.iter
-    (fun (name, n) -> item "\n    \"%s\": %d" (Minijson.escape name) n)
-    r.Diag.counters;
-  Buffer.add_string buf "\n  },\n  \"stats\": [";
-  fresh ();
-  List.iter
-    (fun (s : Diag.stat) ->
-      item
-        "\n    {\"name\": \"%s\", \"samples\": %d, \"total\": %s, \"min\": \
-         %s, \"max\": %s, \"last\": %s, \"mean\": %s}"
-        (Minijson.escape s.Diag.name)
-        s.Diag.samples
-        (Minijson.float s.Diag.total)
-        (Minijson.float s.Diag.min)
-        (Minijson.float s.Diag.max)
-        (Minijson.float s.Diag.last)
-        (Minijson.float (Diag.mean s)))
-    r.Diag.stats;
-  Buffer.add_string buf "\n  ],\n  \"events\": [";
-  fresh ();
-  List.iter
-    (fun (e : Diag.event) ->
-      item "\n    {\"level\": \"%s\", \"stage\": \"%s\", \"message\": \"%s\"}"
-        (Diag.level_to_string e.Diag.level)
-        (Minijson.escape e.Diag.stage)
-        (Minijson.escape e.Diag.message))
-    r.Diag.events;
-  Buffer.add_string buf "\n  ],\n  \"notes\": {";
-  fresh ();
-  List.iter
-    (fun (k, v) ->
-      item "\n    \"%s\": \"%s\"" (Minijson.escape k) (Minijson.escape v))
-    r.Diag.notes;
-  Buffer.add_string buf "\n  }\n}\n";
-  Buffer.contents buf
-
 (* write-to-temp + atomic rename: a reader (or a crash mid-write) never
    observes a torn bundle file — it sees either the previous complete
    version or the new one *)
@@ -114,7 +57,6 @@ let write ~dir ~manifest ?repro obs =
   write_file (file "trace.json") (Trace.chrome_json (Obs.tracer obs));
   write_file (file "metrics.json")
     (Metrics.to_json (Metrics.snapshot (Obs.metrics obs)));
-  write_file (file "diag.json") (diag_json (Diag.report (Obs.diag obs)));
   write_file (file "convergence.jsonl") (Obs.convergence_jsonl obs);
   match repro with
   | None -> ()
@@ -125,7 +67,6 @@ type t = {
   manifest : Minijson.t;
   trace : Minijson.t;
   metrics : Minijson.t;
-  diag : Minijson.t;
   events : Minijson.t list;
 }
 
@@ -208,14 +149,6 @@ let validate_metrics file root =
              name in_buckets count))
     (Option.value ~default:[] (Minijson.arr_field root "histograms"))
 
-let validate_diag file root =
-  require_version file root;
-  require `Arr file root "spans";
-  require `Obj file root "counters";
-  require `Arr file root "stats";
-  require `Arr file root "events";
-  require `Obj file root "notes"
-
 let parse_events file text =
   let lines = String.split_on_char '\n' text in
   let events = ref [] and idx = ref 0 in
@@ -258,9 +191,8 @@ let load dir =
   let manifest = doc "manifest.json" validate_manifest in
   let trace = doc "trace.json" validate_trace in
   let metrics = doc "metrics.json" validate_metrics in
-  let diag = doc "diag.json" validate_diag in
   let events =
     parse_events "convergence.jsonl"
       (read_file "convergence.jsonl" (Filename.concat dir "convergence.jsonl"))
   in
-  { dir; manifest; trace; metrics; diag; events }
+  { dir; manifest; trace; metrics; events }

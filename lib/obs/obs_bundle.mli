@@ -8,10 +8,10 @@
     - [trace.json] — the Chrome trace-event timeline ({!Trace});
     - [metrics.json] — the counter/gauge/histogram registry
       ({!Metrics}, including p50/p95/p99 quantile estimates);
-    - [diag.json] — the structured per-stage narrative ({!Diag});
     - [convergence.jsonl] — the algorithmic event stream ({!Obs}): one
       JSON object per line (pole trajectories, sigma residuals, rcond
-      series, escalations, violations, quarantines);
+      series, escalations, violations, quarantines, and the run's
+      notes, warnings and errors);
     - [repro.json] — present only for failed runs: a replayable capsule
       (circuit + options + seed).
 
@@ -25,9 +25,6 @@ exception Invalid of { file : string; reason : string }
 
 val describe_invalid : file:string -> reason:string -> string
 
-val schema_version : int
-(** Version stamped into [manifest.json]; {!load} rejects others. *)
-
 val host_json : unit -> Minijson.t
 (** The current host's shape: [{"cores", "os", "word_size"}]. *)
 
@@ -38,21 +35,15 @@ val manifest :
   config:(string * Minijson.t) list ->
   unit ->
   Minijson.t
-(** Assemble a manifest object: schema version, bundle kind, [tool],
+(** Assemble a manifest object: schema version (1; {!load} rejects
+    others), bundle kind, [tool],
     [status] (["ok"] or ["failed"]), [seed], {!host_json} and the
     run [config]. *)
-
-val diag_json : Diag.report -> string
-(** Serialize a telemetry report as a self-contained JSON document:
-    [{"schema_version": 1, "spans": [...], "counters": {...},
-    "stats": [...], "events": [...], "notes": {...}}] — the bundle's
-    [diag.json]. Strings are escaped; non-finite floats are encoded as
-    the strings ["nan"], ["inf"] and ["-inf"]. *)
 
 val write :
   dir:string -> manifest:Minijson.t -> ?repro:Minijson.t -> Obs.t -> unit
 (** Write the bundle into [dir] (created if missing): manifest, the
-    three collector exports and the event stream, plus [repro.json]
+    trace and metrics exports and the event stream, plus [repro.json]
     when a repro capsule is given. Each file is written to a temp name
     and atomically renamed into place, so a crash mid-write never
     leaves a torn file for {!load} to reject. *)
@@ -62,13 +53,13 @@ type t = {
   manifest : Minijson.t;
   trace : Minijson.t;
   metrics : Minijson.t;
-  diag : Minijson.t;
   events : Minijson.t list;  (** convergence.jsonl, in line order *)
 }
 
 val load : string -> t
-(** Read and validate every bundle file. Raises {!Invalid} naming the
-    first offending file on any missing file, parse error or schema
-    mismatch (wrong version, missing required fields, broken [seq]
-    numbering in the event stream, histogram bucket counts that do not
-    sum to the histogram count). *)
+(** Read and validate the four files listed in {!t} (a [repro.json],
+    or any other file in [dir], is not opened). Raises {!Invalid}
+    naming the first offending file on any missing file, parse error
+    or schema mismatch (wrong version, missing required fields, broken
+    [seq] numbering in the event stream, histogram bucket counts that
+    do not sum to the histogram count). *)

@@ -491,13 +491,15 @@ let render_html (b : Obs_bundle.t) =
       (fun e ->
         match Minijson.str_field e "type" with
         | Some
-            ( "stage" | "escalation" | "violation" | "quarantine" | "vf_attempt"
-            | "vf_settled" ) ->
+            ( "stage" | "note" | "warning" | "error" | "escalation"
+            | "violation" | "quarantine" | "vf_attempt" | "vf_settled" ) ->
             true
         | _ -> false)
       b.events
   in
-  section buf "Events (stages, escalations, violations, quarantines)"
+  section buf
+    "Events (stages, notes, warnings, errors, escalations, violations, \
+     quarantines)"
     (if noteworthy = [] then "<p class=\"empty\">no events</p>"
      else
        let rows =

@@ -6,8 +6,9 @@
     iterations and recursion levels (symlog axes), per-fit residual
     decay curves, the rcond time series per factorization site, a
     self-time table derived from the Chrome trace, histogram summaries
-    with p50/p95/p99 columns and sparkline bars, and the escalation /
-    violation / quarantine event log. *)
+    with p50/p95/p99 columns and sparkline bars, and the event log of
+    stages, notes, warnings, errors, escalations, violations and
+    quarantines. *)
 
 val render_html : Obs_bundle.t -> string
 (** The full report as one HTML document. *)

@@ -58,8 +58,6 @@ let pole_set_of_units units =
                 |])
           units))
 
-let pole_set s = pole_set_of_units (units_of s)
-
 let rational s =
   (* salt the stream so residue draws are independent of the unit draws *)
   let st = Random.State.make [| s.seed; s.size; 0x51ed270b |] in
@@ -158,27 +156,6 @@ let residue_traces ?(traces = 4) s =
         Array.map (fun x -> { Complex.re = Rvf.Ratfn.deriv rf x; im = 0.0 }) xs)
   in
   (xs, data)
-
-(* ---------------- synthetic Hammerstein parameters ---------------- *)
-
-(* coefficient bounded away from zero so no residue trace degenerates *)
-let coeff st = uniform st 0.3 2.0 *. if Random.State.bool st then 1.0 else -1.0
-
-let synth_params s =
-  let st = rand_state s in
-  let freq_beta = 2.0 *. Float.pi *. log_uniform st 3e8 3e9 in
-  {
-    Synth.freq_alpha = -.(uniform st 0.15 0.6) *. freq_beta;
-    freq_beta;
-    state_beta = uniform st 0.6 1.2;
-    state_alpha = uniform st 0.1 0.5;
-    r1 = (coeff st, coeff st, coeff st);
-    r2 = (coeff st, coeff st, coeff st);
-    g0 = (coeff st, coeff st, uniform st 1.5 2.5);
-    y_anchor = uniform st (-0.5) 1.0;
-    x_lo = 0.4;
-    x_hi = 1.4;
-  }
 
 (* ---------------- random mixed-element circuits ---------------- *)
 

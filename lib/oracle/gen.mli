@@ -16,18 +16,16 @@ val arb : ?min_size:int -> ?max_size:int -> unit -> seeded QCheck.arbitrary
 val rand_state : seeded -> Random.State.t
 (** The deterministic PRNG of a case. *)
 
-val pole_set : seeded -> Complex.t array
-(** A random stable pole set in normalized layout: [size] units, each a
+val rational : seeded -> Ladder.rational
+(** A random stable pole set in normalized layout — [size] units, each a
     conjugate pair or two real poles, magnitudes log-spaced with jitter
     across [10⁴–10⁷ rad/s] (so the sets are well separated and inside
-    {!grid_hz}), damping bounded away from 0. Always an even count. *)
-
-val rational : seeded -> Ladder.rational
-(** {!pole_set} plus random self-conjugate residues scaled by each
-    pole's magnitude (keeps [|H|] O(1) over the band). *)
+    {!grid_hz}), damping bounded away from 0, always an even count —
+    plus random self-conjugate residues scaled by each pole's magnitude
+    (keeps [|H|] O(1) over the band). *)
 
 val grid_hz : float array
-(** The fixed fitting grid matching {!pole_set}'s band: 80 log-spaced
+(** The fixed fitting grid matching {!rational}'s band: 80 log-spaced
     points over 100 Hz – 10 MHz. *)
 
 val rc_ladder : seeded -> Ladder.oracle
@@ -61,18 +59,11 @@ val mixed_state : Random.State.t -> Engine.Mna.t -> Linalg.Vec.t
 (** A random state for a system: node voltages in [−1.5, 1.5] V, branch
     currents in [−1, 1] mA. *)
 
-val state_pole_pairs : seeded -> (float * float) array
-(** 1–2 random x-plane pole pairs [(β, α)] with centers inside [0, 1]
-    and widths in [0.08, 0.45] (above the extractor's min-imag floor
-    for a unit range). *)
-
 val residue_traces :
   ?traces:int -> seeded -> float array * Complex.t array array
 (** [(xs, data)]: a 40-point state grid on [0, 1] and [traces] (default
-    4) random rational residue trajectories sharing the pole pairs of
-    {!state_pole_pairs} — data exactly inside the state-space VF model
-    class, for fit-error-bound properties. *)
-
-val synth_params : seeded -> Synth.params
-(** Random synthetic-Hammerstein generating parameters (coefficients
-    bounded away from zero so no trace degenerates). *)
+    4) random rational residue trajectories sharing 1–2 random x-plane
+    pole pairs [(β, α)], with centers inside [0, 1] and widths in
+    [0.08, 0.45] (above the extractor's min-imag floor for a unit
+    range) — data exactly inside the state-space VF model class, for
+    fit-error-bound properties. *)

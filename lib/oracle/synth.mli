@@ -35,19 +35,9 @@ val default : params
 (** A buffer-like instance: x ∈ [0.4, 1.4], GHz-class pair, smooth
     saturating residue functions. *)
 
-val validate : params -> unit
-(** Raises [Invalid_argument] on out-of-class parameters (non-negative
-    [freq_alpha], non-positive widths, empty state range). *)
-
 val model_of : params -> Hammerstein.Hmodel.t
 (** The ground-truth model, assembled through the same
     {!Rvf.Assemble.hammerstein} realization the extractor uses. *)
-
-val state_poles : params -> Complex.t array
-(** The generating state pole pair in normalized layout. *)
-
-val freq_poles : params -> Complex.t array
-(** The generating frequency pole pair in normalized layout. *)
 
 val dataset_of : ?samples:int -> ?freqs:int -> params -> Tft.Dataset.t
 (** Synthesize the TFT dataset of the ground-truth system: [samples]

@@ -40,7 +40,7 @@ val fit :
     [recursion.y_stage]) is an {!Obs.stage}, the hub threads into both
     {!Vf.Vfit.fit_auto} passes (labels [recursion.x], [recursion.y]),
     so the nested fits' pole trajectories land in the convergence
-    stream with their recursion-level labels, and Diag notes record the
+    stream with their recursion-level labels, and notes record the
     recursion depth and settled pole count per variable. *)
 
 val eval : t -> x:float -> y:float -> float

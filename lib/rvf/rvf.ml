@@ -261,7 +261,7 @@ let extract ?(config = default_config) ?cancel ?metrics ?obs ?pool
             acc := !acc +. Complex.norm2 err)
           points_x;
         let rms = sqrt (!acc /. float_of_int (Array.length points_x)) in
-        Obs.observe ~only:`Diag obs "rvf.residue_trace_rms" rms
+        Obs.observe obs "rvf.residue_trace_rms" rms
       done);
   let residue_model =
     {

@@ -13,5 +13,4 @@ let frequencies_hz ~f_min ~f_max ~points = logspace f_min f_max points
 
 let two_pi = 2.0 *. Float.pi
 
-let omega_of_hz f = two_pi *. f
 let s_of_hz f = { Complex.re = 0.0; im = two_pi *. f }

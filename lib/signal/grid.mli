@@ -13,5 +13,3 @@ val frequencies_hz : f_min:float -> f_max:float -> points:int -> float array
 
 val s_of_hz : float -> Complex.t
 (** [s_of_hz f] is the Laplace variable [j·2πf] on the imaginary axis. *)
-
-val omega_of_hz : float -> float

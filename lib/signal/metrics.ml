@@ -1,7 +1,6 @@
 let db_floor = -400.0
 
 let db20 x = if x = 0.0 then db_floor else 20.0 *. log10 (Float.abs x)
-let db10 x = if x = 0.0 then db_floor else 10.0 *. log10 (Float.abs x)
 
 let check a b =
   if Array.length a <> Array.length b || Array.length a = 0 then
@@ -14,16 +13,6 @@ let rmse a b =
   for k = 0 to n - 1 do
     let d = a.(k) -. b.(k) in
     acc := !acc +. (d *. d)
-  done;
-  sqrt (!acc /. float_of_int n)
-
-let rmse_complex a b =
-  if Array.length a <> Array.length b || Array.length a = 0 then
-    invalid_arg "Metrics.rmse_complex: need equal nonempty arrays";
-  let n = Array.length a in
-  let acc = ref 0.0 in
-  for k = 0 to n - 1 do
-    acc := !acc +. Complex.norm2 (Complex.sub a.(k) b.(k))
   done;
   sqrt (!acc /. float_of_int n)
 

@@ -3,12 +3,9 @@
 val db20 : float -> float
 (** [20·log10 |x|] with a floor at −400 dB for zero input. *)
 
-val db10 : float -> float
-
 val rmse : float array -> float array -> float
 (** Root-mean-square difference of two equal-length sample sets. *)
 
-val rmse_complex : Complex.t array -> Complex.t array -> float
 val max_abs_err : float array -> float array -> float
 val relative_rmse : reference:float array -> float array -> float
 (** RMSE divided by the RMS of the reference. *)

@@ -51,10 +51,3 @@ let peak_to_peak w =
 let nrmse a b =
   let range = peak_to_peak a in
   if range = 0.0 then rmse a b else rmse a b /. range
-
-let pp ppf w =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun k t -> Format.fprintf ppf "%.6e %.6e@," t w.values.(k))
-    w.times;
-  Format.fprintf ppf "@]"

@@ -25,4 +25,3 @@ val nrmse : t -> t -> float
 (** RMSE normalized by the peak-to-peak range of the reference (first). *)
 
 val peak_to_peak : t -> float
-val pp : Format.formatter -> t -> unit

@@ -44,11 +44,3 @@ let errors t ~points ~data =
       points
   done;
   (sqrt (!sum2 /. float_of_int (Stdlib.max 1 !count)), !worst)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>pole-residue model: %d poles, %d element(s)@,"
-    (n_poles t) (n_elements t);
-  Array.iteri
-    (fun k a -> Format.fprintf ppf "  pole %d: %a@," k Linalg.Cx.pp a)
-    t.poles;
-  Format.fprintf ppf "@]"

@@ -27,5 +27,3 @@ val errors :
 (** [(rms, max)]: the root-mean-square and the largest absolute
     deviation over all elements and points, from one evaluation pass
     (the basis is evaluated once per point). *)
-
-val pp : Format.formatter -> t -> unit

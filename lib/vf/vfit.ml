@@ -734,11 +734,9 @@ let fit_in ~fws ?(opts = default_frequency_opts) ?cancel ?obs ?pool
                flip 1
            end;
            Obs.observe obs (label ^ ".sigma_rms") rd.sigma_rms;
-           Obs.observe ~only:`Diag obs (label ^ ".column_scale_spread")
-             rd.scale_spread;
+           Obs.observe obs (label ^ ".column_scale_spread") rd.scale_spread;
            if rd.flips > 0 then
-             Obs.count ~only:`Diag obs (label ^ ".unstable_pole_flips")
-               rd.flips;
+             Obs.count obs (label ^ ".unstable_pole_flips") rd.flips;
            (match obs with
            | None -> ()
            | Some _ ->
@@ -752,7 +750,7 @@ let fit_in ~fws ?(opts = default_frequency_opts) ?cancel ?obs ?pool
                  ~scale_spread:rd.scale_spread ~flips:rd.flips !poles)
        | None ->
            Log.debug (fun m -> m "pole relocation stalled at iteration %d" it);
-           Obs.count ~only:`Diag obs (label ^ ".stalled_relocations") 1;
+           Obs.count obs (label ^ ".stalled_relocations") 1;
            raise Exit
      done
    with Exit -> ());
@@ -830,7 +828,7 @@ let fit_auto ?(opts = default_frequency_opts) ?cancel ?obs ?pool
   let fws = make_fit_ws () in
   let settle (model, (info : info)) =
     Obs.note obs (label ^ ".settled_poles") (string_of_int info.pole_count);
-    Obs.observe ~only:`Diag obs (label ^ ".settled_rms") info.rms;
+    Obs.observe obs (label ^ ".settled_rms") info.rms;
     Obs.vf_settled obs ~label ~pole_count:info.pole_count ~rms:info.rms;
     (model, info)
   in
@@ -850,7 +848,7 @@ let fit_auto ?(opts = default_frequency_opts) ?cancel ?obs ?pool
              model) may vanish with a different start-pole set — keep
              escalating instead of giving up *)
           last_failure := Some (count, Guard.describe v);
-          Obs.count ~only:`Diag obs (label ^ ".guard_violations") 1;
+          Obs.count obs (label ^ ".guard_violations") 1;
           Obs.warn obs ~stage:label
             (Printf.sprintf "attempt with %d poles hit a guard: %s" count
                (Guard.describe v));

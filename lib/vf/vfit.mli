@@ -85,7 +85,7 @@ val fit :
     relocation sweep. Names are prefixed by [label] (default
     ["vfit"]). Each sweep records the sigma RMS ([<label>.sigma_rms],
     the non-constant part of σ — goes to zero as the poles converge),
-    and in Diag the column-scale spread conditioning proxy
+    the column-scale spread conditioning proxy
     ([<label>.column_scale_spread]) and the number of relocated poles
     reflected into the left half plane ([<label>.unstable_pole_flips]);
     a [vf_iteration] event with the relocated pole set and the sweep
@@ -128,14 +128,14 @@ val fit_auto :
     if [max_poles] is exhausted.
 
     Raises [Invalid_argument] when no pole count yields a model at all;
-    the message (and, with [obs], a Diag [Error] event) carries the last
+    the message (and, with [obs], an [error] event) carries the last
     per-attempt failure reason instead of a bare "no successful fit".
     With [obs]: a [vf.fit_auto] span; the attempt count
-    ([<label>.attempts]); the settled pole count and RMS (Diag
-    [<label>.settled_poles] note, [<label>.settled_rms] stat); a
+    ([<label>.attempts]); the settled pole count and RMS
+    ([<label>.settled_poles] note, [<label>.settled_rms] histogram); a
     [vf_attempt] event per completed attempt and a [vf_settled] event.
     A per-attempt [Guard.Violation] is recorded
-    ([<label>.guard_violations] in Diag, plus a [violation] event) and
+    ([<label>.guard_violations] counter, plus a [violation] event) and
     the escalation continues to the next pole count instead of giving
     up. With [cancel], the token is probed
     before every attempt (site ["vf.fit_auto"]) and inside each fit;

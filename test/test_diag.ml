@@ -1,5 +1,6 @@
-(* Tests for the diagnostics collector, its JSON serialization, the
-   engine counters it exposes, and the graceful-degradation pipeline.
+(* Tests for the engine counters and messages a hub records, and for
+   the graceful-degradation pipeline, read off the hub through
+   Obs.counter, Obs.notes and Obs.messages.
 
    The "be fallback" test is a regression test for a real bug: after a
    trapezoidal step retreated to backward Euler, the charge-derivative
@@ -10,99 +11,8 @@
    used; with the bug present the first post-fallback step violates its
    equation by ~2e-3 against ~1e-11 for the fix. *)
 
-(* ---------------- collector unit tests ---------------- *)
-
-let test_counters_and_stats () =
-  let d = Diag.create () in
-  let diag = Some d in
-  Diag.add diag "c" 1;
-  Diag.add diag "c" 1;
-  Diag.add diag "c" 3;
-  Diag.observe diag "s" 1.0;
-  Diag.observe diag "s" 3.0;
-  Diag.observe diag "s" 2.0;
-  let r = Diag.report d in
-  Alcotest.(check int) "counter accumulates" 5 (Diag.counter r "c");
-  Alcotest.(check int) "absent counter is 0" 0 (Diag.counter r "nope");
-  let st = List.find (fun (s : Diag.stat) -> s.Diag.name = "s") r.Diag.stats in
-  Alcotest.(check int) "samples" 3 st.Diag.samples;
-  Alcotest.(check (float 1e-12)) "min" 1.0 st.Diag.min;
-  Alcotest.(check (float 1e-12)) "max" 3.0 st.Diag.max;
-  Alcotest.(check (float 1e-12)) "last" 2.0 st.Diag.last;
-  Alcotest.(check (float 1e-12)) "mean" 2.0 (Diag.mean st)
-
-let test_notes_and_events () =
-  let d = Diag.create () in
-  let diag = Some d in
-  Diag.note diag "k" "old";
-  Diag.note diag "k" "new";
-  Diag.info diag ~stage:"a" "fyi";
-  Diag.warn diag ~stage:"b" "uh oh";
-  let r = Diag.report d in
-  Alcotest.(check (option string)) "latest note wins" (Some "new")
-    (Diag.find_note r "k");
-  Alcotest.(check int) "two events" 2 (List.length r.Diag.events);
-  Alcotest.(check int) "one warning" 1 (List.length (Diag.warnings r));
-  Alcotest.(check bool) "no errors yet" false (Diag.has_errors r);
-  Diag.error diag ~stage:"c" "boom";
-  Alcotest.(check bool) "error detected" true (Diag.has_errors (Diag.report d))
-
-let test_span_survives_raise () =
-  let d = Diag.create () in
-  let diag = Some d in
-  Alcotest.(check int) "span returns" 42 (Diag.span diag "ok" (fun () -> 42));
-  (try Diag.span diag "bad" (fun () -> failwith "x")
-   with Failure _ -> 0)
-  |> ignore;
-  let stages =
-    List.map (fun (s : Diag.span) -> s.Diag.stage) (Diag.report d).Diag.spans
-  in
-  Alcotest.(check (list string)) "both spans recorded" [ "ok"; "bad" ] stages;
-  List.iter
-    (fun (s : Diag.span) ->
-      Alcotest.(check bool) "non-negative duration" true (s.Diag.seconds >= 0.0))
-    (Diag.report d).Diag.spans
-
-let test_none_is_noop () =
-  (* every entry point must tolerate an absent collector *)
-  Diag.add None "c" 2;
-  Diag.observe None "s" 1.0;
-  Diag.note None "k" "v";
-  Diag.info None ~stage:"a" "m";
-  Diag.warn None ~stage:"a" "m";
-  Diag.error None ~stage:"a" "m";
-  Alcotest.(check int) "span still runs f" 7 (Diag.span None "x" (fun () -> 7))
-
-let test_diag_json_shape_and_escaping () =
-  let d = Diag.create () in
-  let diag = Some d in
-  Diag.add diag "tran.steps" 1;
-  Diag.observe diag "vf.freq.sigma_rms" 0.5;
-  Diag.note diag "quoted" "say \"hi\"\nthere";
-  Diag.warn diag ~stage:"engine.tran" "tab\there";
-  let js = Obs_bundle.diag_json (Diag.report d) in
-  let contains needle =
-    let nl = String.length needle and hl = String.length js in
-    let rec go i = i + nl <= hl && (String.sub js i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun s -> Alcotest.(check bool) (Printf.sprintf "json has %s" s) true (contains s))
-    [
-      "\"schema_version\": 1";
-      "\"spans\"";
-      "\"counters\"";
-      "\"tran.steps\": 1";
-      "\"stats\"";
-      "\"vf.freq.sigma_rms\"";
-      "\"events\"";
-      "\"notes\"";
-      (* escaping: embedded quote, newline and tab must be escaped *)
-      "say \\\"hi\\\"\\nthere";
-      "tab\\there";
-    ];
-  Alcotest.(check bool) "no raw newline inside strings" true
-    (not (contains "say \"hi\""))
+let has_error hub =
+  List.exists (fun (kind, _, _) -> kind = `Error) (Obs.messages hub)
 
 (* ---------------- engine counters ---------------- *)
 
@@ -147,7 +57,7 @@ let test_dc_solve_counts_iterations () =
   let v = Engine.Dc.solve ~obs:o ~time:3e-6 (stiff_mna ()) in
   Alcotest.(check bool) "solved" true (Array.length v > 0);
   Alcotest.(check bool) "dc.newton_iterations recorded" true
-    (Diag.counter (Diag.report (Obs.diag o)) "dc.newton_iterations" > 0)
+    (Obs.counter o "dc.newton_iterations" > 0)
 
 let test_newton_counted_per_iteration () =
   (* regression: the counter used to be bumped once per time step, not
@@ -155,11 +65,9 @@ let test_newton_counted_per_iteration () =
   let o = Obs.create () in
   let _, r = run_stiff ~obs:o in
   let steps = Array.length r.Engine.Tran.times - 1 in
-  let report = Diag.report (Obs.diag o) in
-  Alcotest.(check int) "tran.steps counter" steps
-    (Diag.counter report "tran.steps");
+  Alcotest.(check int) "tran.steps counter" steps (Obs.counter o "tran.steps");
   Alcotest.(check int) "field and counter agree" r.Engine.Tran.newton_iterations
-    (Diag.counter report "tran.newton_iterations");
+    (Obs.counter o "tran.newton_iterations");
   Alcotest.(check bool)
     (Printf.sprintf "newton %d strictly exceeds steps %d"
        r.Engine.Tran.newton_iterations steps)
@@ -182,18 +90,17 @@ let parse_fallback_time msg =
 let test_be_fallback_consistency () =
   let o = Obs.create () in
   let mna, r = run_stiff ~obs:o in
-  let report = Diag.report (Obs.diag o) in
   Alcotest.(check bool) "at least one fallback" true
     (r.Engine.Tran.be_fallbacks >= 1);
   Alcotest.(check int) "fallback counter agrees" r.Engine.Tran.be_fallbacks
-    (Diag.counter report "tran.be_fallbacks");
+    (Obs.counter o "tran.be_fallbacks");
   let fb_times =
     List.filter_map
-      (fun (e : Diag.event) ->
-        if e.Diag.level = Diag.Warning && e.Diag.stage = "engine.tran" then
-          parse_fallback_time e.Diag.message
+      (fun (kind, stage, message) ->
+        if kind = `Warning && stage = "engine.tran" then
+          parse_fallback_time message
         else None)
-      report.Diag.events
+      (Obs.messages o)
   in
   Alcotest.(check int) "every fallback leaves a parseable warning"
     r.Engine.Tran.be_fallbacks (List.length fb_times);
@@ -239,12 +146,11 @@ let test_adaptive_counters_agree () =
   let o = Obs.create () in
   let mna = stiff_mna () in
   let r = Engine.Tran.run_adaptive ~obs:o mna ~t_stop:20e-6 ~dt:5e-7 in
-  let report = Diag.report (Obs.diag o) in
   Alcotest.(check int) "rejection counter agrees" r.Engine.Tran.step_rejections
-    (Diag.counter report "tran.step_rejections");
+    (Obs.counter o "tran.step_rejections");
   Alcotest.(check int) "accepted steps counted"
     (Array.length r.Engine.Tran.times - 1)
-    (Diag.counter report "tran.steps")
+    (Obs.counter o "tran.steps")
 
 (* ---------------- vector fitting failure reporting ---------------- *)
 
@@ -280,8 +186,7 @@ let test_fit_auto_reports_reason () =
         (Printf.sprintf "message %S names the last attempt" m)
         true
         (contains "last attempt: 4 poles");
-      Alcotest.(check bool) "error event recorded" true
-        (Diag.has_errors (Diag.report (Obs.diag o)))
+      Alcotest.(check bool) "error event recorded" true (has_error o)
 
 (* ---------------- graceful degradation ---------------- *)
 
@@ -317,7 +222,7 @@ let test_try_extract_matches_raising_path () =
   let netlist = Circuits.Buffer.netlist () in
   let input = Circuits.Buffer.input_name and output = Circuits.Buffer.output in
   let raising = Tft_rvf.Pipeline.extract ~config ~netlist ~input ~output () in
-  let outcome, report =
+  let outcome, hub =
     Tft_rvf.Pipeline.try_extract ~config ~netlist ~input ~output ()
   in
   match outcome with
@@ -341,10 +246,11 @@ let test_try_extract_matches_raising_path () =
             (a.Complex.re = b.Complex.re && a.Complex.im = b.Complex.im))
         [ (0.2, 1e4); (0.9, 1e6); (1.4, 1e9) ];
       Alcotest.(check (option string)) "base rung" (Some "base")
-        (Diag.find_note report "pipeline.ladder_rung");
-      Alcotest.(check bool) "no errors" false (Diag.has_errors report);
+        (List.assoc_opt "pipeline.ladder_rung" (Obs.notes hub));
+      Alcotest.(check bool) "no errors" false (has_error hub);
       let stages =
-        List.map (fun (s : Diag.span) -> s.Diag.stage) report.Diag.spans
+        List.map (fun (s : Trace.span) -> s.Trace.name)
+          (Trace.spans (Obs.tracer hub))
       in
       List.iter
         (fun st ->
@@ -352,7 +258,7 @@ let test_try_extract_matches_raising_path () =
             (List.mem st stages))
         [ "pipeline.train"; "pipeline.tft"; "pipeline.fit" ];
       Alcotest.(check bool) "transient telemetry captured" true
-        (Diag.counter report "tran.steps" > 0)
+        (Obs.counter hub "tran.steps" > 0)
 
 let test_try_extract_degenerate_names_stage () =
   (* 400 steps with snapshot_every = 200 yields 3 snapshots — below the
@@ -363,28 +269,21 @@ let test_try_extract_degenerate_names_stage () =
       ~training:{ clipper_training with Tft_rvf.Pipeline.snapshot_every = 200 }
       ()
   in
-  let outcome, report =
+  let outcome, hub =
     Tft_rvf.Pipeline.try_extract ~config
       ~netlist:(Circuits.Library.clipper ())
       ~input:"Vin" ~output:Circuits.Library.clipper_output ()
   in
   Alcotest.(check bool) "no model" true (outcome = None);
-  Alcotest.(check bool) "report has errors" true (Diag.has_errors report);
+  Alcotest.(check bool) "report has errors" true (has_error hub);
   Alcotest.(check int) "every rung retried" 5
-    (Diag.counter report "pipeline.fit_retries");
+    (Obs.counter hub "pipeline.fit_retries");
   Alcotest.(check bool) "failure names the fit stage" true
-    (List.exists
-       (fun (e : Diag.event) ->
-         e.Diag.level = Diag.Error && e.Diag.stage = "pipeline.fit")
-       report.Diag.events)
+    (List.mem (`Error, "pipeline.fit")
+       (List.map (fun (kind, stage, _) -> (kind, stage)) (Obs.messages hub)))
 
 let suite =
   [
-    Alcotest.test_case "counters and stats" `Quick test_counters_and_stats;
-    Alcotest.test_case "notes and events" `Quick test_notes_and_events;
-    Alcotest.test_case "span survives raise" `Quick test_span_survives_raise;
-    Alcotest.test_case "none is noop" `Quick test_none_is_noop;
-    Alcotest.test_case "diag json shape" `Quick test_diag_json_shape_and_escaping;
     Alcotest.test_case "dc solve iteration counter" `Quick
       test_dc_solve_counts_iterations;
     Alcotest.test_case "newton counted per iteration" `Quick

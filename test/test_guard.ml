@@ -140,10 +140,9 @@ let test_dc_gmin_recovery () =
       let v = Engine.Dc.solve ~obs mna in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check bool) "probe fired" true (stats.Fault.fires >= 1);
-      let report = Diag.report (Obs.diag obs) in
       Alcotest.(check bool) "gmin stepping engaged" true
-        (Diag.counter report "dc.gmin_continuations" >= 1
-        || Diag.counter report "dc.gmin_levels" >= 1);
+        (Obs.counter obs "dc.gmin_continuations" >= 1
+        || Obs.counter obs "dc.gmin_levels" >= 1);
       let worst = ref 0.0 in
       Array.iteri
         (fun i x -> worst := Float.max !worst (Float.abs (x -. clean.(i))))
@@ -167,11 +166,10 @@ let test_tran_step_halving () =
       let halved = Engine.Tran.run ~obs mna ~t_stop ~dt in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check int) "both attempts hit" 2 stats.Fault.fires;
-      let report = Diag.report (Obs.diag obs) in
       Alcotest.(check bool) "halving recorded" true
-        (Diag.counter report "tran.step_halvings" >= 1);
+        (Obs.counter obs "tran.step_halvings" >= 1);
       Alcotest.(check int) "step_rejections mirrors counter"
-        (Diag.counter report "tran.step_rejections")
+        (Obs.counter obs "tran.step_rejections")
         halved.Engine.Tran.step_rejections;
       Alcotest.(check int) "full step count"
         (Array.length clean.Engine.Tran.times)
@@ -233,10 +231,9 @@ let test_quarantine_interpolate () =
       in
       let stats = Option.get (Fault.disarm ()) in
       Alcotest.(check int) "two snapshots corrupted" 2 stats.Fault.fires;
-      let report = Diag.report (Obs.diag obs) in
       Alcotest.(check int) "quarantined" 2
-        (Diag.counter report "dataset.quarantined");
-      Alcotest.(check int) "repaired" 2 (Diag.counter report "dataset.repaired");
+        (Obs.counter obs "dataset.quarantined");
+      Alcotest.(check int) "repaired" 2 (Obs.counter obs "dataset.repaired");
       Alcotest.(check int) "sample count kept"
         (Array.length clean.Tft.Dataset.samples)
         (Array.length ds.Tft.Dataset.samples);
@@ -301,18 +298,31 @@ let test_vf_pole_flip_repaired () =
         (fun a ->
           Alcotest.(check bool) "repaired to LHP" true (a.Complex.re < 0.0))
         model.Vf.Model.poles;
-      let report = Diag.report (Obs.diag obs) in
       Alcotest.(check bool) "repair counted" true
-        (Diag.counter report "vfit.guard_stabilized" >= 1))
+        (Obs.counter obs "vfit.guard_stabilized" >= 1))
 
 (* ---------------- error_json shape ---------------- *)
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* the CLI's error object is written from the failed run's hub: the
+   first error names the stage, warnings and errors are inlined in
+   recording order, notes carry their latest value, and every string
+   is JSON-escaped *)
 let test_error_json_shape () =
-  let diag = Diag.create () in
-  Diag.warn (Some diag) ~stage:"pipeline.fit" "rung \"base\" failed";
-  Diag.error (Some diag) ~stage:"pipeline.fit" "all rungs failed";
-  Diag.note (Some diag) "guard.enabled" "true";
-  let text = Tft_rvf.Report.error_json (Diag.report diag) in
+  let obs = Obs.create () in
+  let o = Some obs in
+  Obs.note o "guard.enabled" "false";
+  Obs.warn o ~stage:"pipeline.fit" "rung \"base\" failed";
+  Obs.error o ~stage:"pipeline.fit" "all rungs failed";
+  Obs.note o "say \"hi\"" "line\nbreak\ttab";
+  Obs.error o ~stage:"stage\t\"two\"" "second\nerror";
+  Obs.note o "guard.enabled" "true";
+  Obs.count o "pipeline.fit_retries" 5;
+  let text = Tft_rvf.Report.error_json obs in
   let root = Minijson.parse text in
   Alcotest.(check (option (float 0.0))) "schema_version" (Some 1.0)
     (Minijson.num_field root "schema_version");
@@ -321,11 +331,40 @@ let test_error_json_shape () =
     (Minijson.str_field error "stage");
   Alcotest.(check (option string)) "message" (Some "all rungs failed")
     (Minijson.str_field error "message");
-  Alcotest.(check int) "warning + error inlined" 2
-    (List.length (Option.get (Minijson.arr_field root "events")));
-  Alcotest.(check bool) "notes carried" true
-    (List.mem_assoc "guard.enabled"
-       (Option.get (Minijson.obj_field root "notes")))
+  Alcotest.(check (option (float 0.0))) "fit_retries" (Some 5.0)
+    (Minijson.num_field root "fit_retries");
+  let events = Option.get (Minijson.arr_field root "events") in
+  Alcotest.(check (list (triple string string string)))
+    "warning + errors inlined in order"
+    [
+      ("warning", "pipeline.fit", "rung \"base\" failed");
+      ("error", "pipeline.fit", "all rungs failed");
+      ("error", "stage\t\"two\"", "second\nerror");
+    ]
+    (List.map
+       (fun e ->
+         let f k = Option.get (Minijson.str_field e k) in
+         (f "level", f "stage", f "message"))
+       events);
+  Alcotest.(check (list (pair string string))) "notes carried, latest last"
+    [ ("say \"hi\"", "line\nbreak\ttab"); ("guard.enabled", "true") ]
+    (List.map
+       (fun (k, v) -> (k, Option.get (Minijson.as_str v)))
+       (Option.get (Minijson.obj_field root "notes")));
+  (* escaping: no raw quote, newline or tab survives inside a string *)
+  let contains needle = contains ~needle text in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "json has %s" s) true (contains s))
+    [
+      "rung \\\"base\\\" failed";
+      "stage\\t\\\"two\\\"";
+      "second\\nerror";
+      "\"say \\\"hi\\\"\": \"line\\nbreak\\ttab\"";
+    ];
+  Alcotest.(check bool) "no raw tab" false (String.contains text '\t');
+  Alcotest.(check bool) "no raw newline inside strings" false
+    (contains "second\nerror")
 
 (* ---------------- ladder rung coverage (slow) ---------------- *)
 
@@ -336,6 +375,8 @@ let buffer_try ?(config = Tft_rvf.Pipeline.buffer_config ~snapshots:30 ())
       Tft_rvf.Pipeline.try_extract ~config
         ~netlist:(Circuits.Buffer.netlist ())
         ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ())
+
+let rung_of hub = List.assoc_opt "pipeline.ladder_rung" (Obs.notes hub)
 
 let trace_nan_burst burst () =
   Fault.arm_exact ~site:"rvf.trace_nan" ~fire_at:1 ~burst ()
@@ -350,27 +391,26 @@ let test_ladder_every_rung () =
   in
   List.iteri
     (fun burst expected ->
-      let outcome, report = buffer_try ~arm:(trace_nan_burst burst) () in
+      let outcome, hub = buffer_try ~arm:(trace_nan_burst burst) () in
       Alcotest.(check bool)
         (Printf.sprintf "burst %d yields a model" burst)
         true (outcome <> None);
       Alcotest.(check (option string))
         (Printf.sprintf "burst %d settles on rung %s" burst expected)
-        (Some expected)
-        (Diag.find_note report "pipeline.ladder_rung");
+        (Some expected) (rung_of hub);
       Alcotest.(check int)
         (Printf.sprintf "burst %d retries" burst)
         burst
-        (Diag.counter report "pipeline.fit_retries"))
+        (Obs.counter hub "pipeline.fit_retries"))
     rungs;
   (* one more than the ladder's length: exhaustion, typed error *)
-  let outcome, report =
+  let outcome, hub =
     buffer_try ~arm:(trace_nan_burst (List.length rungs)) ()
   in
   Alcotest.(check bool) "exhausted ladder yields no model" true
     (outcome = None);
   Alcotest.(check bool) "failure recorded as Error" true
-    (Diag.has_errors report)
+    (List.exists (fun (kind, _, _) -> kind = `Error) (Obs.messages hub))
 
 (* ---------------- the plain entry points (slow) ---------------- *)
 
@@ -381,15 +421,10 @@ let finite_model (o : Tft_rvf.Pipeline.outcome) =
   in
   Float.is_finite se.Tft_rvf.Report.rms
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let test_snapshot_burst_repaired () =
   (* the first snapshot's transfer data turns NaN: the quarantine
      rebuilds it from its neighbour, so the base rung still fits *)
-  let outcome, report =
+  let outcome, hub =
     buffer_try
       ~arm:(fun () -> Fault.arm ~site:"dataset.snapshot_burst" ~seed:0 ())
       ()
@@ -398,26 +433,25 @@ let test_snapshot_burst_repaired () =
   | None -> Alcotest.fail "a repaired burst must still yield a model"
   | Some o ->
       Alcotest.(check bool) "finite model" true (finite_model o);
-      Alcotest.(check (option string)) "base rung" (Some "base")
-        (Diag.find_note report "pipeline.ladder_rung");
+      Alcotest.(check (option string)) "base rung" (Some "base") (rung_of hub);
       Alcotest.(check bool) "sample repaired" true
-        (Diag.counter report "dataset.repaired" >= 1)
+        (Obs.counter hub "dataset.repaired" >= 1)
 
 let test_trace_nan_escalates () =
   (* a NaN residue trace is caught before the state fit and the ladder
      climbs one rung *)
-  let outcome, report =
+  let outcome, hub =
     buffer_try ~arm:(fun () -> Fault.arm ~site:"rvf.trace_nan" ~seed:0 ()) ()
   in
   Alcotest.(check bool) "model recovered" true (outcome <> None);
   Alcotest.(check (option string)) "second rung" (Some "more-start-poles")
-    (Diag.find_note report "pipeline.ladder_rung");
+    (rung_of hub);
   Alcotest.(check bool) "rvf.trace violation recorded" true
     (List.exists
-       (fun (e : Diag.event) ->
-         e.Diag.level = Diag.Warning
-         && contains ~needle:"guard violation at rvf.trace" e.Diag.message)
-       report.Diag.events)
+       (fun (kind, _, message) ->
+         kind = `Warning
+         && contains ~needle:"guard violation at rvf.trace" message)
+       (Obs.messages hub))
 
 let test_slope_term_fails_typed () =
   (* a state-axis slope term cannot be integrated into a static
@@ -435,13 +469,12 @@ let test_slope_term_fails_typed () =
         };
     }
   in
-  let outcome, report = buffer_try ~config ~arm:ignore () in
+  let outcome, hub = buffer_try ~config ~arm:ignore () in
   Alcotest.(check bool) "no model" true (outcome = None);
   Alcotest.(check bool) "Error event at pipeline.fit" true
     (List.exists
-       (fun (e : Diag.event) ->
-         e.Diag.level = Diag.Error && e.Diag.stage = "pipeline.fit")
-       report.Diag.events)
+       (fun (kind, stage, _) -> kind = `Error && stage = "pipeline.fit")
+       (Obs.messages hub))
 
 let suite =
   [

@@ -838,9 +838,10 @@ let test_eig_bit_pins () =
 let test_eig_allocation () =
   let m = relocation_matrix () in
   ignore (Linalg.Eig.eigenvalues m);
-  let b0 = Gc.allocated_bytes () in
-  ignore (Linalg.Eig.eigenvalues m);
-  let words = (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) in
+  let words =
+    Alloc.words_of (fun () ->
+        ignore (Sys.opaque_identity (Linalg.Eig.eigenvalues m)))
+  in
   Alcotest.(check bool)
     (Printf.sprintf "24x24 eigenvalues allocate %.0f words (bound 4000)" words)
     true (words <= 4000.0)

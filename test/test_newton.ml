@@ -352,23 +352,6 @@ let test_stamp_program_buffer () =
 
 (* ---------------- allocation bounds ---------------- *)
 
-(* words allocated by [f]: the minor heap's exact count plus the words
-   allocated directly in the major heap (major − promoted). The
-   runtime's [Gc.allocated_bytes] is not used: it reads the minor heap's
-   share in words, not bytes, and so under-counts small allocations
-   eightfold. *)
-let raw_words f =
-  let direct_major () =
-    let _, promoted, major = Gc.counters () in
-    major -. promoted
-  in
-  let m0 = Gc.minor_words () and d0 = direct_major () in
-  f ();
-  Gc.minor_words () -. m0 +. (direct_major () -. d0)
-
-(* less what the reading itself allocates (its boxed floats and tuples) *)
-let words_of f = raw_words f -. raw_words ignore
-
 (* a step stores its state (n + 1 words) and allocates a few
    constant-size results; the workspace amortizes over the run, so the
    per-step figure is the difference between runs of 800 and 400 steps
@@ -392,7 +375,9 @@ let test_tran_step_allocation () =
           (Tran.run ~backend mna ~t_stop:(float_of_int steps *. dt) ~dt)
       in
       run 400 ();
-      let per_step = (words_of (run 800) -. words_of (run 400)) /. 400.0 in
+      let per_step =
+        (Alloc.words_of (run 800) -. Alloc.words_of (run 400)) /. 400.0
+      in
       let bound = float_of_int (n + 1) +. (1.25 *. per_step_beyond_state) in
       Alcotest.(check bool)
         (Printf.sprintf "%.1f words per step (bound n + 1 + 1.25 × %.0f = %.1f)"
@@ -410,7 +395,7 @@ let test_assemble_allocation () =
   let a = Mna.dense_assembly mna in
   let v = Array.init (Mna.size mna) (fun k -> 0.1 *. float_of_int (k mod 13)) in
   Mna.assemble mna a ~time:1e-10 v;
-  let w = words_of (fun () -> Mna.assemble mna a ~time:1e-10 v) in
+  let w = Alloc.words_of (fun () -> Mna.assemble mna a ~time:1e-10 v) in
   Alcotest.(check bool)
     (Printf.sprintf "Mna.assemble: %.0f words on the buffer (bound 32)" w)
     true (w <= 32.0)
@@ -422,13 +407,16 @@ let test_kernel_allocation () =
   let sev = Mna.eval_sparse mna ctx ~time:0.0 at in
   let slu = Linalg.Splu.workspace (Mna.sparse_pattern ctx) in
   Linalg.Splu.factor_into slu sev.Mna.sg;
-  let w = words_of (fun () -> Linalg.Splu.factor_into slu sev.Mna.sg) in
+  let w = Alloc.words_of (fun () -> Linalg.Splu.factor_into slu sev.Mna.sg) in
   Alcotest.(check bool)
     (Printf.sprintf "Splu.factor_into: %.0f words at n = %d (bound 64)" w
        (Mna.size mna))
     true (w <= 64.0);
   let x = Array.init 514 (fun k -> sin (float_of_int k)) in
-  let w = words_of (fun () -> ignore (Sys.opaque_identity (Linalg.Vec.norm_inf x))) in
+  let w =
+    Alloc.words_of (fun () ->
+        ignore (Sys.opaque_identity (Linalg.Vec.norm_inf x)))
+  in
   Alcotest.(check bool)
     (Printf.sprintf "Vec.norm_inf: %.0f words at n = 514 (bound 8)" w)
     true (w <= 8.0)

@@ -54,11 +54,7 @@ let test_none_is_noop_zero_clock_reads () =
   Obs.span None ~args:[ ("k", Trace.Int 1) ] "s" ignore;
   Obs.add_args None [ ("k", Trace.Int 1) ];
   Obs.count None "c" 1;
-  Obs.count ~only:`Diag None "c" 1;
-  Obs.count ~only:`Metrics None "c" 1;
   Obs.observe None "v" 1.0;
-  Obs.observe ~only:`Diag None "v" 1.0;
-  Obs.observe ~only:`Metrics None "v" 1.0;
   Obs.observe_since_ns None "ns" (Obs.now_if None);
   Obs.note None "k" "v";
   Obs.warn None ~stage:"s" "w";
@@ -225,7 +221,6 @@ let test_extraction_bit_identical_with_obs () =
 (* Each stage function takes [?obs] as its only telemetry argument: given
    nothing else, it must write every collector its documentation names. *)
 
-let diag_report o = Diag.report (Obs.diag o)
 let metrics_snap o = Metrics.snapshot (Obs.metrics o)
 
 let metric_counter o name =
@@ -237,22 +232,11 @@ let hist_samples o name =
       if h.Metrics.hist_name = name then n + h.Metrics.count else n)
     0 (metrics_snap o).Metrics.histograms
 
-let stat_samples o name =
-  List.fold_left
-    (fun n (st : Diag.stat) -> if st.Diag.name = name then st.Diag.samples else n)
-    0 (diag_report o).Diag.stats
-
 let trace_spans o name =
   List.length
     (List.filter
        (fun (sp : Trace.span) -> sp.Trace.name = name)
        (Trace.spans (Obs.tracer o)))
-
-let diag_spans o name =
-  List.length
-    (List.filter
-       (fun (sp : Diag.span) -> sp.Diag.stage = name)
-       (diag_report o).Diag.spans)
 
 let check_count what expected actual =
   Alcotest.(check int) what expected actual
@@ -265,7 +249,7 @@ let clipper_mna () =
 
 let test_stage_functions_take_one_handle () =
   let mna = clipper_mna () in
-  (* transient: counters in Diag and Metrics, a tran.run span over one
+  (* transient: counters in Metrics, a tran.run span over one
      tran.step span per step, per-step and LU histograms *)
   let o = Obs.create () in
   let run =
@@ -275,10 +259,7 @@ let test_stage_functions_take_one_handle () =
   in
   let steps = Array.length run.Engine.Tran.times - 1 in
   let newton = run.Engine.Tran.newton_iterations in
-  check_count "diag tran.steps" steps (Diag.counter (diag_report o) "tran.steps");
   check_count "metrics tran.steps" steps (metric_counter o "tran.steps");
-  check_count "diag tran.newton_iterations" newton
-    (Diag.counter (diag_report o) "tran.newton_iterations");
   check_count "metrics tran.newton_iterations" newton
     (metric_counter o "tran.newton_iterations");
   check_count "tran.newton_iters_per_step samples" steps
@@ -310,8 +291,8 @@ let test_stage_functions_take_one_handle () =
   check_count "one tft.dataset span" 1 (trace_spans o "tft.dataset");
   check_count "one tft.chunk span" 1 (trace_spans o "tft.chunk");
   check_count "tft.chunk_run_ns samples" 1 (hist_samples o "tft.chunk_run_ns");
-  (* VF engine: mirrored attempt counter and sigma stat, one
-     vf_iteration event per relocation *)
+  (* VF engine: attempt counter and sigma histogram, one vf_iteration
+     event per relocation *)
   let ds = Oracle.Synth.dataset_of Oracle.Synth.default in
   let _, data = Tft.Dataset.siso (Tft.Dataset.dynamic_part ds) ~input:0 ~output:0 in
   let points = Array.map Signal.Grid.s_of_hz ds.Tft.Dataset.freqs_hz in
@@ -325,31 +306,78 @@ let test_stage_functions_take_one_handle () =
   let attempts = List.length (events_of_kind "vf_attempt" (Obs.events o)) in
   let sweeps = List.length (events_of_kind "vf_iteration" (Obs.events o)) in
   Alcotest.(check bool) "at least one attempt" true (attempts > 0);
-  check_count "diag vf.t.attempts" attempts
-    (Diag.counter (diag_report o) "vf.t.attempts");
   check_count "metrics vf.t.attempts" attempts (metric_counter o "vf.t.attempts");
-  check_count "diag vf.t.sigma_rms samples" sweeps (stat_samples o "vf.t.sigma_rms");
   check_count "metrics vf.t.sigma_rms samples" sweeps
     (hist_samples o "vf.t.sigma_rms");
   check_count "one vf.relocate span per sweep" sweeps (trace_spans o "vf.relocate");
   check_count "one vf.fit span per attempt" attempts (trace_spans o "vf.fit");
   check_count "one vf.fit_auto span" 1 (trace_spans o "vf.fit_auto");
   Alcotest.(check bool) "settled note" true
-    (Diag.find_note (diag_report o) "vf.t.settled_poles" <> None);
-  (* RVF: each stage is a stage event, a Diag span and a Trace span *)
+    (List.mem_assoc "vf.t.settled_poles" (Obs.notes o));
+  (* RVF: each stage is a stage event and a Trace span *)
   let o = Obs.create () in
   let _ = Rvf.extract ~obs:o ~dataset:ds ~input:0 ~output:0 () in
   List.iter
-    (fun stage ->
-      check_count (stage ^ " diag span") 1 (diag_spans o stage);
-      check_count (stage ^ " trace span") 1 (trace_spans o stage))
+    (fun stage -> check_count (stage ^ " trace span") 1 (trace_spans o stage))
     [ "rvf.frequency_stage"; "rvf.state_stage"; "rvf.static_stage" ];
   check_count "stage events" 3
     (List.length (events_of_kind "stage" (Obs.events o)));
   Alcotest.(check bool) "vf.freq.attempts in metrics" true
     (metric_counter o "vf.freq.attempts" > 0);
   Alcotest.(check bool) "rvf.freq_poles note" true
-    (Diag.find_note (diag_report o) "rvf.freq_poles" <> None)
+    (List.mem_assoc "rvf.freq_poles" (Obs.notes o))
+
+(* ---------------- reading a run ---------------- *)
+
+let test_readers () =
+  let o = Obs.create () in
+  let h = Some o in
+  Obs.note h "a" "1";
+  Obs.warn h ~stage:"s1" "w1";
+  Obs.note h "b" "2";
+  Obs.error h ~stage:"s2" "e1";
+  Obs.note h "a" "3";
+  Obs.warn h ~stage:"s3" "w2";
+  Obs.count h "c" 2;
+  Obs.count h "c" 3;
+  Alcotest.(check (list (pair string string)))
+    "latest note wins and moves to the end" [ ("b", "2"); ("a", "3") ]
+    (Obs.notes o);
+  Alcotest.(check bool) "messages in order, with kind" true
+    (Obs.messages o
+    = [ (`Warning, "s1", "w1"); (`Error, "s2", "e1"); (`Warning, "s3", "w2") ]);
+  Alcotest.(check int) "counter accumulates" 5 (Obs.counter o "c");
+  Alcotest.(check int) "absent counter reads 0" 0 (Obs.counter o "absent");
+  Alcotest.(check (list string)) "one log record per note and message"
+    [ "note"; "warning"; "note"; "error"; "note"; "warning" ]
+    (List.filter_map (fun e -> Minijson.str_field e "type") (Obs.events o))
+
+(* every recording call but stage/span/add_args may run in pool
+   workers: totals stay exact and the log's seq stays dense *)
+let test_worker_safe_recording () =
+  let o = Obs.create () in
+  let h = Some o in
+  let n = 400 in
+  Exec.with_pool ~domains:2 (fun pool ->
+      ignore
+        (Exec.parallel_init ~pool n (fun i ->
+             Obs.count h "w.count" 1;
+             Obs.observe h "w.value" (float_of_int (i + 1));
+             Obs.note h (Printf.sprintf "w.note%d" (i mod 7)) "v";
+             Obs.warn h ~stage:"w" (string_of_int i))));
+  Alcotest.(check int) "counter total exact" n (Obs.counter o "w.count");
+  Alcotest.(check int) "histogram count exact" n (hist_samples o "w.value");
+  Alcotest.(check int) "every warning kept" n (List.length (Obs.messages o));
+  Alcotest.(check (list int)) "every message once" (List.init n Fun.id)
+    (List.sort compare
+       (List.map (fun (_, _, m) -> int_of_string m) (Obs.messages o)));
+  Alcotest.(check int) "one note per key" 7 (List.length (Obs.notes o));
+  Alcotest.(check int) "event count" (2 * n) (Obs.event_count o);
+  List.iteri
+    (fun i e ->
+      Alcotest.(check (option (float 0.0))) "seq dense" (Some (float_of_int i))
+        (Minijson.num_field e "seq"))
+    (Obs.events o)
 
 (* ---------------- pole-trajectory residual decay ---------------- *)
 
@@ -417,6 +445,9 @@ let suite =
     Alcotest.test_case "none is noop (zero clock reads)" `Quick
       test_none_is_noop_zero_clock_reads;
     Alcotest.test_case "event stream shape" `Quick test_event_stream_shape;
+    Alcotest.test_case "hub readers" `Quick test_readers;
+    Alcotest.test_case "worker-safe recording" `Quick
+      test_worker_safe_recording;
     Alcotest.test_case "bundle roundtrip" `Quick test_bundle_roundtrip;
     Alcotest.test_case "malformed bundles rejected" `Quick
       test_malformed_rejection;

@@ -207,10 +207,12 @@ let try_extract ?cancel ?budgets ?checkpoint_dir () =
     ~netlist:(Circuits.Buffer.netlist ())
     ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()
 
-let errors_with_stage report stage =
-  List.filter
-    (fun (e : Diag.event) -> e.Diag.level = Diag.Error && e.Diag.stage = stage)
-    report.Diag.events
+(* the messages of the hub's errors raised at [stage] *)
+let errors_with_stage hub stage =
+  List.filter_map
+    (fun (kind, s, message) ->
+      if kind = `Error && s = stage then Some message else None)
+    (Obs.messages hub)
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -237,7 +239,7 @@ let test_rung_deadline k label () =
       let budgets =
         { Tft_rvf.Pipeline.no_budgets with Tft_rvf.Pipeline.rung = Some 0.25 }
       in
-      let outcome, report = try_extract ~budgets () in
+      let outcome, hub = try_extract ~budgets () in
       (match Fault.stats_for "vf.spin" with
       | Some s when s.Fault.fires = 1 -> ()
       | _ -> Alcotest.fail (label ^ ": scoped hang never fired"));
@@ -245,28 +247,28 @@ let test_rung_deadline k label () =
         (label ^ ": no model after tripped deadline")
         true (outcome = None);
       let stage = "pipeline.fit:" ^ label in
-      match errors_with_stage report stage with
+      match errors_with_stage hub stage with
       | [] ->
           Alcotest.fail
             (Printf.sprintf "%s: no Error event with stage %S" label stage)
-      | e :: _ ->
+      | message :: _ ->
           Alcotest.(check bool)
             (label ^ ": typed deadline in message")
             true
-            (contains ~needle:"Deadline_exceeded" e.Diag.message))
+            (contains ~needle:"Deadline_exceeded" message))
 
 let test_budgets_arm_private_token () =
   (* budgets without an explicit token must still be live *)
   let budgets =
     { Tft_rvf.Pipeline.no_budgets with Tft_rvf.Pipeline.train = Some 0.0 }
   in
-  let outcome, report = try_extract ~budgets () in
+  let outcome, hub = try_extract ~budgets () in
   Alcotest.(check bool) "no model" true (outcome = None);
-  match errors_with_stage report "pipeline.train" with
+  match errors_with_stage hub "pipeline.train" with
   | [] -> Alcotest.fail "no Error event with stage pipeline.train"
-  | e :: _ ->
+  | message :: _ ->
       Alcotest.(check bool) "typed deadline" true
-        (contains ~needle:"Deadline_exceeded" e.Diag.message)
+        (contains ~needle:"Deadline_exceeded" message)
 
 let test_extract_checkpoint_resume () =
   (* the raising entry point's checkpoint path: run, then resume with
@@ -287,12 +289,11 @@ let test_extract_checkpoint_resume () =
   Alcotest.(check string) "bit-identical equations"
     (Hammerstein.Hmodel.equations first.Tft_rvf.Pipeline.model)
     (Hammerstein.Hmodel.equations resumed.Tft_rvf.Pipeline.model);
-  let report = Diag.report (Obs.diag o) in
   List.iter
     (fun stage ->
       Alcotest.(check (option string))
         ("resumed " ^ stage) (Some "loaded")
-        (Diag.find_note report ("checkpoint." ^ stage)))
+        (List.assoc_opt ("checkpoint." ^ stage) (Obs.notes o)))
     [ "train"; "tft"; "fit-o0" ];
   Array.iter
     (fun f -> Sys.remove (Filename.concat dir f))

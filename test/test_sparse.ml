@@ -492,7 +492,7 @@ let test_tft_dense_retry () =
       ~input:Circuits.Buffer.input_name ~output:Circuits.Buffer.output ()
   in
   Alcotest.(check int) "one sparse fallback" 1
-    (Diag.counter (Diag.report (Obs.diag obs)) "pipeline.sparse_fallbacks");
+    (Obs.counter obs "pipeline.sparse_fallbacks");
   let dense =
     Tft.Dataset.of_snapshots ~backend:Mna.Dense ~mna:outcome.Tft_rvf.Pipeline.mna
       ~estimator:

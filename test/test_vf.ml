@@ -440,15 +440,14 @@ let test_fit_auto_rms_escalation_keeps_best () =
         Vf.Pole.initial_frequency ~f_min:1e2 ~f_max:1e6 ~count:n)
       ~start:2 ~step:2 ~max_poles:40 ~tol:1e-300 ~points ~data ()
   in
-  let report = Diag.report (Obs.diag obs) in
-  let attempts = Diag.counter report "vfit.attempts" in
+  let attempts = Obs.counter obs "vfit.attempts" in
   Alcotest.(check bool)
     (Printf.sprintf "several rungs exercised (%d attempts)" attempts)
     true (attempts >= 3);
   Alcotest.(check bool) "kept an admissible model" true
     (Float.is_finite info.Vf.Vfit.rms && info.Vf.Vfit.pole_count >= 2);
   Alcotest.(check bool) "settled_poles note recorded" true
-    (Diag.find_note report "vfit.settled_poles"
+    (List.assoc_opt "vfit.settled_poles" (Obs.notes obs)
     = Some (string_of_int info.Vf.Vfit.pole_count))
 
 let test_fit_auto_guard_violation_escalates () =
@@ -477,13 +476,12 @@ let test_fit_auto_guard_violation_escalates () =
          in
          has "last attempt" && has "6 poles")
   | _ -> Alcotest.fail "a fully-guarded ladder cannot produce a model");
-  let report = Diag.report (Obs.diag obs) in
   Alcotest.(check int) "every rung attempted" 3
-    (Diag.counter report "vfit.attempts");
+    (Obs.counter obs "vfit.attempts");
   Alcotest.(check int) "every rung guarded" 3
-    (Diag.counter report "vfit.guard_violations");
-  Alcotest.(check bool) "exhaustion recorded as a diag error" true
-    (Diag.has_errors report)
+    (Obs.counter obs "vfit.guard_violations");
+  Alcotest.(check bool) "exhaustion recorded as an error event" true
+    (List.exists (fun (kind, _, _) -> kind = `Error) (Obs.messages obs))
 
 let test_fit_auto_start_beyond_max () =
   (* rung 0: an empty ladder reports that nothing was attempted *)
